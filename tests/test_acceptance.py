@@ -174,15 +174,18 @@ def test_criterion_4_matcher_agrees_with_oracle():
         chain = random_chain(rng, node_labels, edge_labels, bounded=len(g.edges) > 7)
         for mode in (None, "TRAIL", "ACYCLIC"):
             prefix = "MATCH " + (mode + " " if mode else "")
-            columns, want, _shortest = oracle_match(g, chain, mode)
+            columns, want, want_shortest = oracle_match(g, chain, mode)
             table = db.execute(prefix + render_chain(chain))
             assert canon_table(table) == want, prefix + render_chain(chain)
             if want:
                 assert table.columns == columns
-            comparisons += 1
+            shortest = db.execute(prefix + "SHORTEST " + render_chain(chain))
+            assert canon_table(shortest) == want_shortest, \
+                prefix + "SHORTEST " + render_chain(chain)
+            comparisons += 2
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"equivalence run took {elapsed:.1f} s"
-    return (f"1000 random graphs, {comparisons} mode comparisons, "
+    return (f"1000 random graphs, {comparisons} mode and SHORTEST comparisons, "
             f"0 mismatches in {elapsed:.1f} s")
 
 
