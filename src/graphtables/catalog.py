@@ -115,6 +115,8 @@ class Catalog:
         self._types: dict[int, TypeDescriptor] = {}
         self._by_label: dict[str, dict[str, int]] = {KIND_NODE: {}, KIND_EDGE: {}, KIND_PLAIN: {}}
         self._next_type_id = 1
+        # subtype closures by type id; only _install adds or replaces a type
+        self._closures: dict[int, tuple[int, ...]] = {}
 
     # --- lookup ---
 
@@ -138,8 +140,11 @@ class Catalog:
             if kind is None or desc.kind == kind:
                 yield desc
 
-    def subtype_closure(self, type_id: int) -> list[int]:
+    def subtype_closure(self, type_id: int) -> tuple[int, ...]:
         """type_id plus all transitive subtypes, ascending by type id."""
+        closure = self._closures.get(type_id)
+        if closure is not None:
+            return closure
         out = [type_id]
         frontier = {type_id}
         while frontier:
@@ -149,7 +154,8 @@ class Catalog:
                     out.append(desc.type_id)
                     nxt.add(desc.type_id)
             frontier = nxt
-        return sorted(out)
+        closure = self._closures[type_id] = tuple(sorted(out))
+        return closure
 
     def supertype_chain(self, type_id: int) -> list[int]:
         """Root-first chain of ancestors ending with type_id itself."""
@@ -223,6 +229,7 @@ class Catalog:
     def _install(self, desc: TypeDescriptor) -> TypeDescriptor:
         self._types[desc.type_id] = desc
         self._by_label[desc.kind][desc.label] = desc.type_id
+        self._closures.clear()
         return desc
 
     def define_node_type(self, label: str, columns: list[ColumnDescriptor],
@@ -425,7 +432,5 @@ class Catalog:
         old = self._types.get(desc.type_id)
         if old is not None:
             del self._by_label[old.kind][old.label]
-        self._types[desc.type_id] = desc
-        self._by_label[desc.kind][desc.label] = desc.type_id
         self._next_type_id = max(self._next_type_id, desc.type_id + 1)
-        return desc
+        return self._install(desc)

@@ -12,7 +12,7 @@ from . import catalog as cat
 from . import log as logmod
 from . import values as val
 from .catalog import Catalog
-from .errors import StorageError
+from .errors import ExecutionError, StorageError
 from .graphset import GraphSet
 from .parser import parse_expression, parse_statement
 from .storage import ReadView, Row, Store, Transaction
@@ -164,7 +164,12 @@ class Session:
         self.tx: Transaction | None = None
 
     def execute(self, text: str):
-        return self.execute_statement(parse_statement(text))
+        try:
+            return self.execute_statement(parse_statement(text))
+        except RecursionError:
+            # parser and evaluator recurse on nesting; past Python's limit the
+            # statement fails like any other, and the session goes on
+            raise ExecutionError("statement nests too deeply") from None
 
     def execute_statement(self, stmt):
         from . import executor
@@ -190,7 +195,11 @@ class Session:
         if self.tx is not None:
             return executor.run_statement(self.tx, stmt)
         tx = self.db.begin()
-        result = executor.run_statement(tx, stmt)
+        try:
+            result = executor.run_statement(tx, stmt)
+        except BaseException:
+            tx.rollback()
+            raise
         tx.commit()
         return result
 

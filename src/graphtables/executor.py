@@ -92,26 +92,8 @@ def _column_descriptor(tx: Transaction, name: str, type_name: str) -> ColumnDesc
     return ColumnDescriptor(name, val.STRUCTURED, struct_type_id=plain.type_id)
 
 
-def _resolver(tx: Transaction, bindings: dict):
-    view = tx.view()
-
-    def resolve(path: tuple):
-        alias = path[0]
-        if alias not in bindings:
-            raise ExecutionError(f"unknown identifier {alias}")
-        bound = bindings[alias]
-        if len(path) == 1:
-            return bound
-        if isinstance(bound, Row):
-            row = view.get_row(bound.uid) or bound
-            return row.values.get(path[1])
-        raise ExecutionError(f"{alias} has no fields")
-
-    return resolve
-
-
 def eval_value(tx: Transaction, expr, bindings: dict):
-    return eval_expr(expr, _resolver(tx, bindings))
+    return eval_expr(expr, tx.view().resolver(bindings))
 
 
 # --- CREATE graph ---

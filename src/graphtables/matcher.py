@@ -1,12 +1,16 @@
 """Pattern matching for MATCH statements.
 
-The evaluator walks each pattern chain left to right, binding identifiers as
-it goes and undoing bindings on backtrack.  Quantified path patterns iterate
-their inner chain; identifiers that were unbound when the quantifier was
-entered accumulate one value per iteration and come out as arrays.  Repetition
-modes prune during traversal (a post-filter would not terminate on cyclic
-data); the default rule refuses to reuse an edge within one quantified
-expansion, which bounds every walk by the edge count.
+Each item's chain is compiled once per statement into steps, with label
+closures and edge type ids resolved up front.  The search is one iterative
+depth-first walk over an explicit stack of frames, each holding a step's
+candidates and the undo record of the one it is on: a walk has no depth
+limit, and completing a binding costs O(1) at any depth.  Quantified path
+patterns iterate their inner chain; identifiers that were unbound when the
+quantifier was entered accumulate one value per iteration and come out as
+arrays.  Repetition modes prune during traversal (a post-filter would not
+terminate on cyclic data); the default rule refuses to reuse an edge within
+one quantified expansion, which bounds every walk by the edge count.  A map
+from each walked uid to its trace positions makes these checks O(1) per hop.
 
 Completed bindings are filtered by WHERE, deduplicated on the statement's
 identifiers, narrowed by SHORTEST/ANY if requested, and finally projected,
@@ -20,7 +24,6 @@ import heapq
 from . import catalog as cat
 from . import values as val
 from .engine import ResultTable
-from .errors import ExecutionError
 from .exprs import eval_expr, eval_predicate
 from .storage import Row, Transaction
 from .syntax import (EdgePattern, Literal, MatchStatement, NodePattern,
@@ -81,6 +84,26 @@ def _canon(v):
     return v
 
 
+# Compiled steps are tuples headed by their kind:
+#   (_START, first node pattern)
+#   (_HOP, edge pattern, follow pattern, edge type ids or None, the side of
+#    the current node, "leaving" or "arriving")
+#   (_QUANT, path pattern, follow pattern, inner steps, inner first pattern,
+#    inner names)
+#   (_ITER_END,) closes one quantifier iteration; (_ITEM_END, item index)
+# The first three choose among candidates, so they get frames.  A frame is a
+# list, cheaper to build than an object: [alts, added, undo, steps, k, ctx,
+# crow, on_leave, loop, count].  `alts` yields the candidates of `steps[k]`,
+# entered on row `crow` within quantifier iteration `ctx`.  `added` and `undo`
+# record what the current candidate changed, `on_leave` what entering the
+# step changed.  A quantifier's frame also holds its `loop` (names, arrays)
+# and the `count` of iterations so far; an iteration `ctx` is (steps, k, ctx,
+# loop, count, trace length) of the quantifier frame that began it.
+_START, _HOP, _QUANT, _ITER_END, _ITEM_END = range(5)
+_UNDO = 2
+_STOP, _AGAIN = "stop", "again"   # the candidates of a quantifier frame
+
+
 class _Matcher:
     def __init__(self, tx: Transaction, stmt: MatchStatement):
         self.tx = tx
@@ -88,16 +111,37 @@ class _Matcher:
         self.catalog = tx.catalog
         self.stmt = stmt
         self.bindings: dict[str, object] = {}
-        self.trace: list[tuple[str, int]] = []
+        self._resolve = self.view.resolver(self.bindings)
+        # per item: the walked uids, each uid's positions in that list, the
+        # trace lengths where open quantifiers began, the repetition mode
+        self.trace: list[int] = []
+        self.seen: dict[int, list[int]] = {}
         self.marks: list[int] = []
         self.rep_mode: str | None = None
         self.edge_count = 0
         self.emissions: list[list] = []  # [bindings dict, edge count]
+        self._tid_memo: dict[tuple, tuple[int, ...]] = {}
+        self.items = [self._compile(item.chain, [(_START, item.chain[0])], (_ITEM_END, i))
+                      for i, item in enumerate(stmt.items)]
+
+    def _compile(self, chain, steps: list, tail: tuple) -> list:
+        for k in range(1, len(chain), 2):
+            conn, follow = chain[k], chain[k + 1]
+            if isinstance(conn, EdgePattern):
+                etids = self._tids(conn.labels, cat.KIND_EDGE) if conn.labels else None
+                side = "leaving" if conn.direction == "out" else "arriving"
+                steps.append((_HOP, conn, follow, etids, side))
+            else:
+                inner = conn.chain
+                steps.append((_QUANT, conn, follow, self._compile(inner, [], (_ITER_END,)),
+                              inner[0], chain_names(inner)))
+        steps.append(tail)
+        return steps
 
     # --- drive ---
 
     def run(self):
-        self._run_items(0)
+        self._search()
         columns = [n for n in statement_names(self.stmt)
                    if any(n in b for b, _ in self.emissions)] if self.emissions else \
                   statement_names(self.stmt)
@@ -112,210 +156,196 @@ class _Matcher:
             return None
         return ResultTable(columns, [[b.get(c) for c in columns] for b, _ in kept])
 
-    def _run_items(self, i: int) -> None:
+    def _search(self) -> None:
+        """Each round undoes the top frame's current candidate, then takes
+        its next candidate or, when none is left, leaves the frame."""
+        stack: list[list] = []
+        bindings = self.bindings
+        self._next_item(stack, 0, [])
+        while stack:
+            f = stack[-1]
+            alts, added, undo, steps, k, ctx, crow, on_leave, loop, count = f
+            if added:
+                for a in added:
+                    del bindings[a]
+                added.clear()
+            step = steps[k]
+            kind = step[0]
+            if undo is not None:
+                if kind == _HOP:
+                    self._pop(2)
+                    self.edge_count -= 1
+                elif kind == _START:
+                    self._pop(1)
+                else:
+                    self.marks.append(undo)
+                f[_UNDO] = None
+            alt = next(alts, None)
+            if alt is None:
+                # leave the frame, undoing what entering its step changed
+                stack.pop()
+                if kind == _START:
+                    self.trace, self.seen, self.marks, self.rep_mode, p_added = on_leave
+                    for a in p_added:
+                        del bindings[a]
+                elif kind == _QUANT and count == 0:
+                    self.marks.pop()
+                elif kind == _QUANT:
+                    for a in loop[0]:
+                        loop[1][a].pop()
+                    bindings.update(on_leave)
+            elif kind == _HOP:
+                erow, luid, auid = alt
+                tuid = auid if step[4] == "leaving" else luid
+                if not self._hop_allowed(erow.uid, tuid):
+                    continue
+                trow = self.view.get_row(tuid)
+                if trow is None:
+                    continue
+                self._push(erow.uid, tuid)
+                self.edge_count += 1
+                f[_UNDO] = True
+                if self._unify(step[1], erow, added) and self._unify(step[2], trow, added):
+                    self._enter(stack, steps, k + 1, ctx, trow)
+            elif kind == _START:
+                self._push(alt.uid)
+                f[_UNDO] = True
+                if self._unify(step[1], alt, added):
+                    self._enter(stack, steps, 1, None, alt)
+            elif alt is _STOP:
+                # leave the quantifier: bind the accumulated arrays and go on
+                f[_UNDO] = self.marks.pop()
+                names, arrays = loop
+                for a in names:
+                    bindings[a] = list(arrays[a])
+                    added.append(a)
+                if self._unify(step[2], crow, added):
+                    self._enter(stack, steps, k + 1, ctx, crow)
+            elif self._unify(step[4], crow, added):
+                self._enter(stack, step[3], 0, (steps, k, ctx, loop, count, len(self.trace)), crow)
+
+    def _enter(self, stack: list, steps: list, k: int, ctx, crow: Row) -> None:
+        """Arrive at `steps[k]` on `crow`: push its frame, or run a step without choices."""
+        step = steps[k]
+        kind = step[0]
+        if kind == _HOP:
+            etids = step[3]
+            if etids is None or etids:
+                alts = iter(self.view.edges_adjacent(crow, step[4], etids))
+                stack.append([alts, [], None, steps, k, ctx, crow, None, None, 0])
+        elif kind == _QUANT:
+            names = [n for n in step[5] if n not in self.bindings]
+            self.marks.append(len(self.trace))
+            self._loop(stack, steps, k, ctx, crow, (names, {a: [] for a in names}), 0, None, True)
+        elif kind == _ITER_END:
+            q_steps, q_k, q_ctx, loop, count, before = ctx
+            names, arrays = loop
+            vals = {}
+            for a in names:
+                if a in self.bindings:
+                    vals[a] = self.bindings.pop(a)
+                arrays[a].append(vals.get(a))
+            # an iteration that consumed nothing cannot be stacked, but it
+            # may still satisfy the count
+            self._loop(stack, q_steps, q_k, q_ctx, crow, loop, count + 1, vals,
+                       len(self.trace) > before)
+        elif self.rep_mode != "SIMPLE" or self._closed_simple_walk():
+            alias = self.stmt.items[step[1]].path_alias
+            if alias is None:
+                self._next_item(stack, step[1] + 1, [])
+            elif alias not in self.bindings:
+                self.bindings[alias] = [self.view.get_row(uid) for uid in self.trace]
+                self._next_item(stack, step[1] + 1, [alias])
+
+    def _loop(self, stack, steps, k, ctx, crow, loop, count, vals, moved) -> None:
+        """Push a quantifier's frame after `count` iterations: stop, then go on."""
+        path = steps[k][1]
+        alts = [_STOP] if count >= path.lo else []
+        if moved and (path.hi is None or count < path.hi):
+            alts.append(_AGAIN)
+        stack.append([iter(alts), [], None, steps, k, ctx, crow, vals, loop, count])
+
+    def _next_item(self, stack: list, i: int, p_added: list[str]) -> None:
         if i == len(self.stmt.items):
             self._emit()
-            return
-        item = self.stmt.items[i]
-        chain = item.chain
-        pairs = [(chain[k], chain[k + 1]) for k in range(1, len(chain), 2)]
-        first = chain[0]
-        saved = (self.trace, self.marks, self.rep_mode)
-        self.trace, self.marks, self.rep_mode = [], [], item.rep_mode
-        for row in self._node_candidates(first):
-            added: list[str] = []
-            self.trace.append(("node", row.uid))
-            if self._unify_node(first, row, added):
-                for last in self._walk(pairs, 0, row):
-                    if not self._item_ok():
-                        continue
-                    p_added: list[str] = []
-                    if item.path_alias is None or self._bind_path(item.path_alias, p_added):
-                        self._run_items(i + 1)
-                    for a in p_added:
-                        del self.bindings[a]
-            for a in added:
+            for a in p_added:
                 del self.bindings[a]
-            self.trace.pop()
-        self.trace, self.marks, self.rep_mode = saved
+            return
+        steps = self.items[i]
+        saved = (self.trace, self.seen, self.marks, self.rep_mode, p_added)
+        self.trace, self.seen, self.marks = [], {}, []
+        self.rep_mode = self.stmt.items[i].rep_mode
+        alts = iter(self._node_candidates(steps[0][1]))
+        stack.append([alts, [], None, steps, 0, None, None, saved, None, 0])
 
     def _emit(self) -> None:
         if self.stmt.where is not None and not eval_predicate(self.stmt.where, self._resolve):
             return
         self.emissions.append([dict(self.bindings), self.edge_count])
 
-    def _item_ok(self) -> bool:
-        if self.rep_mode != "SIMPLE":
-            return True
-        nodes = [uid for kind, uid in self.trace if kind == "node"]
-        edges = sum(1 for kind, _ in self.trace if kind == "edge")
-        if edges == 0 or nodes[0] != nodes[-1]:
+    # --- the trace and repetition checks ---
+
+    def _push(self, *uids: int) -> None:
+        for uid in uids:
+            self.seen.setdefault(uid, []).append(len(self.trace))
+            self.trace.append(uid)
+
+    def _pop(self, n: int) -> None:
+        for _ in range(n):
+            uid = self.trace.pop()
+            at = self.seen[uid]
+            at.pop()
+            if not at:
+                del self.seen[uid]
+
+    def _hop_allowed(self, euid: int, tuid: int) -> bool:
+        seen, mode = self.seen, self.rep_mode
+        at = seen.get(euid)
+        # the default rule: no edge twice since the outermost open quantifier
+        if at is not None and (mode == "TRAIL" or self.marks and at[-1] >= self.marks[0]):
             return False
-        interior = nodes[:-1]
-        return len(set(interior)) == len(interior)
+        if mode == "ACYCLIC":
+            return tuid not in seen
+        return mode != "SIMPLE" or tuid not in seen or tuid == self.trace[0]
 
-    def _bind_path(self, name: str, added: list[str]) -> bool:
-        if name in self.bindings:
-            return False
-        self.bindings[name] = [self.view.get_row(uid) for _kind, uid in self.trace]
-        added.append(name)
-        return True
-
-    # --- chain traversal ---
-
-    def _walk(self, pairs, idx: int, crow: Row):
-        if idx == len(pairs):
-            yield crow
-            return
-        connector, follow = pairs[idx]
-        if isinstance(connector, EdgePattern):
-            yield from self._hop(connector, follow, pairs, idx, crow)
-        else:
-            yield from self._quantified(connector, follow, pairs, idx, crow)
-
-    def _hop(self, epat: EdgePattern, follow: NodePattern, pairs, idx, crow):
-        etids = self._edge_tids(epat.labels)
-        if etids is not None and not etids:
-            return
-        side = "leaving" if epat.direction == "out" else "arriving"
-        for erow, luid, auid in self.view.edges_adjacent(crow, side, etids):
-            if not self._edge_allowed(erow.uid):
-                continue
-            tuid = auid if epat.direction == "out" else luid
-            if not self._node_allowed(tuid):
-                continue
-            trow = self.view.get_row(tuid)
-            if trow is None:
-                continue
-            added: list[str] = []
-            self.trace.append(("edge", erow.uid))
-            self.trace.append(("node", tuid))
-            self.edge_count += 1
-            if self._unify_edge(epat, erow, added) and self._unify_node(follow, trow, added):
-                yield from self._walk(pairs, idx + 1, trow)
-            for a in added:
-                del self.bindings[a]
-            self.trace.pop()
-            self.trace.pop()
-            self.edge_count -= 1
-
-    def _edge_allowed(self, euid: int) -> bool:
-        if self.rep_mode == "TRAIL":
-            if ("edge", euid) in self.trace:
-                return False
-        if self.marks and ("edge", euid) in self.trace[self.marks[0]:]:
-            return False
-        return True
-
-    def _node_allowed(self, tuid: int) -> bool:
-        if self.rep_mode == "ACYCLIC":
-            return ("node", tuid) not in self.trace
-        if self.rep_mode == "SIMPLE":
-            if ("node", tuid) in self.trace and tuid != self.trace[0][1]:
-                return False
-        return True
-
-    # --- quantifiers ---
-
-    def _quantified(self, path: PathPattern, follow: NodePattern, pairs, idx, crow):
-        inner = path.chain
-        inner_pairs = [(inner[k], inner[k + 1]) for k in range(1, len(inner), 2)]
-        loop_aliases = [n for n in chain_names(inner) if n not in self.bindings]
-        arrays: dict[str, list] = {a: [] for a in loop_aliases}
-        self.marks.append(len(self.trace))
-        try:
-            yield from self._q_iter(path, follow, pairs, idx, inner[0], inner_pairs,
-                                    loop_aliases, arrays, 0, crow)
-        finally:
-            self.marks.pop()
-
-    def _q_stop(self, follow, pairs, idx, loop_aliases, arrays, crow):
-        """Leave the quantifier: bind the accumulated arrays and go on."""
-        mark = self.marks.pop()
-        added: list[str] = []
-        for a in loop_aliases:
-            self.bindings[a] = list(arrays[a])
-            added.append(a)
-        if self._unify_node(follow, crow, added):
-            yield from self._walk(pairs, idx + 1, crow)
-        for a in added:
-            del self.bindings[a]
-        self.marks.append(mark)
-
-    def _q_iter(self, path, follow, pairs, idx, first_pat, inner_pairs,
-                loop_aliases, arrays, count, crow):
-        if count >= path.lo:
-            yield from self._q_stop(follow, pairs, idx, loop_aliases, arrays, crow)
-        if path.hi is not None and count >= path.hi:
-            return
-        before = len(self.trace)
-        added0: list[str] = []
-        if self._unify_node(first_pat, crow, added0):
-            for last in self._walk(inner_pairs, 0, crow):
-                vals: dict[str, object] = {}
-                for a in loop_aliases:
-                    if a in self.bindings:
-                        vals[a] = self.bindings.pop(a)
-                    arrays[a].append(vals.get(a))
-                if len(self.trace) > before:
-                    yield from self._q_iter(path, follow, pairs, idx, first_pat,
-                                            inner_pairs, loop_aliases, arrays,
-                                            count + 1, last)
-                elif count + 1 >= path.lo:
-                    # an iteration that consumed nothing cannot be stacked,
-                    # but it may still satisfy the count
-                    yield from self._q_stop(follow, pairs, idx, loop_aliases,
-                                            arrays, last)
-                for a in loop_aliases:
-                    arrays[a].pop()
-                    if a in vals:
-                        self.bindings[a] = vals[a]
-        for a in added0:
-            del self.bindings[a]
+    def _closed_simple_walk(self) -> bool:
+        """SIMPLE needs a closed walk whose only repeated node is its start
+        (hops already refuse to repeat any other node)."""
+        trace = self.trace
+        return len(trace) > 1 and trace[-1] == trace[0] and len(self.seen[trace[0]]) == 2
 
     # --- candidates and unification ---
 
-    def _node_tids(self, labels) -> set[int]:
-        if not labels:
-            return {d.type_id for d in self.catalog.types(cat.KIND_NODE)}
-        out: set[int] | None = None
-        for label in labels:
-            desc = self.catalog.lookup_label(label, cat.KIND_NODE)
-            if desc is None:
-                return set()
-            closure = set(self.catalog.subtype_closure(desc.type_id))
-            out = closure if out is None else out & closure
-        return out or set()
-
-    def _edge_tids(self, labels) -> list[int] | None:
-        if not labels:
-            return None
-        out: set[int] | None = None
-        for label in labels:
-            desc = self.catalog.lookup_label(label, cat.KIND_EDGE)
-            if desc is None:
-                return []
-            closure = set(self.catalog.subtype_closure(desc.type_id))
-            out = closure if out is None else out & closure
-        return sorted(out or ())
+    def _tids(self, labels, kind: str) -> tuple[int, ...]:
+        """Type ids carrying every one of `labels`, subtypes included, ascending."""
+        key = (labels, kind)
+        tids = self._tid_memo.get(key)
+        if tids is None:
+            for label in labels:
+                desc = self.catalog.lookup_label(label, kind)
+                closure = self.catalog.subtype_closure(desc.type_id) if desc else ()
+                tids = closure if tids is None else tuple(t for t in tids if t in closure)
+            self._tid_memo[key] = tids
+        return tids
 
     def _node_candidates(self, pattern: NodePattern):
         if pattern.alias is not None and pattern.alias in self.bindings:
             v = self.bindings[pattern.alias]
             if isinstance(v, Row) and self.catalog.get(v.type_id).kind == cat.KIND_NODE:
-                yield v
-            return
-        tids = self._node_tids(pattern.labels)
+                return [v]
+            return []
+        tids = self._tids(pattern.labels, cat.KIND_NODE) if pattern.labels else \
+            [d.type_id for d in self.catalog.types(cat.KIND_NODE)]
         if not tids:
-            return
+            return []
         for name, expr in pattern.doc or ():
             if isinstance(expr, Literal) and expr.value is not None:
-                yield from self.view.lookup_by_value(sorted(tids), name, expr.value)
-                return
-        streams = [self.view.scan_type(t, subtypes=False) for t in sorted(tids)]
-        yield from heapq.merge(*streams, key=lambda r: r.uid)
+                return self.view.lookup_by_value(tids, name, expr.value)
+        streams = [self.view.scan_type(t, subtypes=False) for t in tids]
+        return heapq.merge(*streams, key=lambda r: r.uid)
 
-    def _unify_node(self, pattern: NodePattern, row: Row, added: list[str]) -> bool:
+    def _unify(self, pattern, row: Row, added: list[str]) -> bool:
+        """Bind `row` to a node or edge pattern and check the pattern."""
         if pattern.alias is not None:
             if pattern.alias in self.bindings:
                 bound = self.bindings[pattern.alias]
@@ -324,25 +354,10 @@ class _Matcher:
             else:
                 self.bindings[pattern.alias] = row
                 added.append(pattern.alias)
-        for label in pattern.labels:
-            desc = self.catalog.lookup_label(label, cat.KIND_NODE)
-            if desc is None or row.type_id not in self.catalog.subtype_closure(desc.type_id):
-                return False
-        if pattern.doc and not self._unify_doc(pattern.doc, row, added):
+        # an edge's labels already chose the edge type ids it is read from
+        if pattern.labels and isinstance(pattern, NodePattern) and \
+                row.type_id not in self._tids(pattern.labels, cat.KIND_NODE):
             return False
-        if pattern.where is not None and not eval_predicate(pattern.where, self._resolve):
-            return False
-        return True
-
-    def _unify_edge(self, pattern: EdgePattern, row: Row, added: list[str]) -> bool:
-        if pattern.alias is not None:
-            if pattern.alias in self.bindings:
-                bound = self.bindings[pattern.alias]
-                if not (isinstance(bound, Row) and bound.uid == row.uid):
-                    return False
-            else:
-                self.bindings[pattern.alias] = row
-                added.append(pattern.alias)
         if pattern.doc and not self._unify_doc(pattern.doc, row, added):
             return False
         if pattern.where is not None and not eval_predicate(pattern.where, self._resolve):
@@ -362,9 +377,6 @@ class _Matcher:
             if prop is None or v is None or not val.values_equal(v, prop):
                 return False
         return True
-
-    def _resolve(self, path):
-        return _resolve_in(self.view, self.bindings, path)
 
     # --- results ---
 
@@ -392,7 +404,7 @@ class _Matcher:
         headers = [header for header, _ in ret.items]
         rows = []
         for b, _edges in kept:
-            resolve = _resolver_for(self.view, b)
+            resolve = self.view.resolver(b)
             rows.append([eval_expr(expr, resolve) for _h, expr in ret.items])
         return ResultTable(headers, rows)
 
@@ -404,22 +416,3 @@ class _Matcher:
                 executor.run_statement(self.tx, dependent, scope)
             for stmt in self.stmt.then_block:
                 executor.run_statement(self.tx, stmt, scope)
-
-
-def _resolver_for(view, bindings: dict):
-    def resolve(path):
-        return _resolve_in(view, bindings, path)
-    return resolve
-
-
-def _resolve_in(view, bindings: dict, path):
-    name = path[0]
-    if name not in bindings:
-        raise ExecutionError(f"unknown identifier {name}")
-    v = bindings[name]
-    if len(path) == 1:
-        return v
-    if isinstance(v, Row):
-        row = view.get_row(v.uid) or v
-        return row.values.get(path[1])
-    raise ExecutionError(f"{name} has no fields")

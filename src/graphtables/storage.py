@@ -17,7 +17,7 @@ from . import catalog as cat
 from . import log as logmod
 from . import values as val
 from .catalog import ARRIVING, Catalog, ColumnDescriptor, LEAVING, Multiplicity
-from .errors import CommitError, SchemaError, StorageError
+from .errors import CommitError, ExecutionError, SchemaError, StorageError
 from .exprs import constraint_passes
 
 
@@ -177,6 +177,22 @@ class ReadView:
                              key=lambda r: r.uid)
         streams.append(staged_rows)
         return heapq.merge(*streams, key=lambda r: r.uid)
+
+    def resolver(self, bindings: dict):
+        """Resolve `alias` and `alias.column` references against `bindings`,
+        reading bound rows as of this view."""
+        def resolve(path):
+            name = path[0]
+            if name not in bindings:
+                raise ExecutionError(f"unknown identifier {name}")
+            v = bindings[name]
+            if len(path) == 1:
+                return v
+            if isinstance(v, Row):
+                row = self.get_row(v.uid) or v
+                return row.values.get(path[1])
+            raise ExecutionError(f"{name} has no fields")
+        return resolve
 
     def lookup_by_value(self, type_ids, column: str, value):
         """Rows among `type_ids` whose `column` equals `value`, uid ascending."""

@@ -1,6 +1,6 @@
 import pytest
 
-from graphtables import values
+from graphtables import Database, values
 from graphtables.catalog import (
     ARRIVING,
     ID,
@@ -37,7 +37,7 @@ def test_subtype_inherits_columns_and_key(cat):
     made = cat.define_node_type("INHOUSEPRODUCT", [col("PLAN")], supertype=part.type_id)
 
     assert set(cat.subtype_closure(part.type_id)) == {part.type_id, bought.type_id, made.type_id}
-    assert cat.subtype_closure(bought.type_id) == [bought.type_id]
+    assert cat.subtype_closure(bought.type_id) == (bought.type_id,)
     assert [c.name for c in cat.effective_columns(bought.type_id)] == \
         [ID, "PARTID", "DESIGNATION", "SUPPLNO"]
     assert cat.effective_key(bought.type_id) == [ID]
@@ -173,3 +173,28 @@ def test_plain_types_live_in_their_own_namespace(cat):
     with pytest.raises(SchemaError, match="no plain type"):
         cat.define_node_type("BROKEN", [ColumnDescriptor("X", values.STRUCTURED,
                                                          struct_type_id=999)])
+
+
+def test_subtype_closure_is_an_immutable_memo_renewed_by_new_types(cat):
+    part = cat.define_node_type("PART", [col("PARTID")])
+    first = cat.subtype_closure(part.type_id)
+    assert first == (part.type_id,)
+    assert cat.subtype_closure(part.type_id) is first
+    bought = cat.define_node_type("PURCHASEDPART", [], supertype=part.type_id)
+    assert cat.subtype_closure(part.type_id) == (part.type_id, bought.type_id)
+
+
+def test_replayed_subtype_is_matched_by_its_supertype_label(tmp_path):
+    # replay reads Part's closure to relink the first edge, before the
+    # record that adds the subtype
+    path = tmp_path / "parts.log"
+    db = Database(path)
+    db.execute("create type Part as (PartID char) nodetype")
+    db.execute("CREATE (:Stock {no:1})-[:Holds]->(:Part {PartID:'P01'})")
+    db.execute("create type PurchasedPart under Part as (SupplNo int)")
+    db.execute("MATCH (s:Stock) THEN CREATE (s)-[:Holds]->(:PurchasedPart {PartID:'P02'}) END")
+    db.close()
+    db = Database(path)
+    table = db.execute("MATCH (:Stock)-[:Holds]->(p:Part) RETURN p.PartID")
+    assert sorted(row[0] for row in table.rows) == ["P01", "P02"]
+    db.close()

@@ -10,6 +10,7 @@ import random
 import pytest
 
 from graphtables import Database
+from graphtables.storage import Row
 from graphtables.errors import CommitError
 
 from conftest import names
@@ -187,6 +188,117 @@ def test_nested_quantifiers_flatten(triangle):
 def test_element_where_clause(triangle):
     table = triangle.execute("MATCH (x:N WHERE x.k <> 'a')")
     assert canon(table) == {(2,), (3,)}
+
+
+# ------------------------------------------- long walks and emission order
+
+def chain_db(hops):
+    """Link nodes N = 0..hops joined by Next edges, built 20 hops per
+    statement."""
+    db = Database()
+    db.execute("CREATE (:Link {N: 0})")
+    for start in range(1, hops + 1, 20):
+        stop = min(start + 20, hops + 1)
+        db.execute(f"MATCH (p:Link {{N: {start - 1}}}) THEN CREATE (p)"
+                   + "".join(f"-[:Next]->(:Link {{N: {i}}})" for i in range(start, stop))
+                   + " END")
+    return db
+
+
+@pytest.mark.parametrize("hops", [2000, 10000])
+def test_quantified_walk_has_no_depth_limit(hops):
+    table = chain_db(hops).execute(
+        "MATCH (:Link {N: 0}) [()-[:Next]->()]+ (x) RETURN x.N")
+    assert table.rows == [[n] for n in range(1, hops + 1)]
+
+
+def plain(v):
+    if isinstance(v, Row):
+        return v.uid
+    if isinstance(v, list):
+        return tuple(plain(x) for x in v)
+    return v
+
+
+# each query's columns and rows, in emission order: the DFS order, a quantifier
+# stopping before it iterates again, ANY's first binding
+FAMILY_ORDER = {
+    "MATCH ({name:'Peter Smith'}) [()-[:Child]->()]+ (x) RETURN x.name":
+        (["NAME"], [["Fred Smith"], ["Mary Smith"], ["Lee Smith"], ["Bill Smith"]]),
+    "MATCH ({name:'Peter Smith'}) [(p)-[:Child]->()]+ ({name:x})":
+        (["P", "X"], [[(2,), "Fred Smith"], [(2, 1), "Mary Smith"],
+                      [(2, 1, 3), "Lee Smith"], [(2, 1, 3), "Bill Smith"]]),
+    "MATCH ({name:'Mary Smith'}) [()-[:Child]->()]* (x) RETURN x.name":
+        (["NAME"], [["Mary Smith"], ["Lee Smith"], ["Bill Smith"]]),
+    "MATCH (a:Person) [()-[:Child]->()]+ (b) RETURN a.name, b.name":
+        (["NAME", "NAME"], [["Fred Smith", "Mary Smith"], ["Fred Smith", "Lee Smith"],
+                            ["Fred Smith", "Bill Smith"], ["Peter Smith", "Fred Smith"],
+                            ["Peter Smith", "Mary Smith"], ["Peter Smith", "Lee Smith"],
+                            ["Peter Smith", "Bill Smith"], ["Mary Smith", "Lee Smith"],
+                            ["Mary Smith", "Bill Smith"]]),
+    "MATCH (a) [()<-[e:Child]-()]+ (b)":
+        (["A", "E", "B"], [[1, (6,), 2], [3, (7,), 1], [3, (7, 6), 2], [4, (8,), 3],
+                           [4, (8, 7), 1], [4, (8, 7, 6), 2], [5, (9,), 3], [5, (9, 7), 1],
+                           [5, (9, 7, 6), 2]]),
+    "MATCH P = (a {name:'Peter Smith'}) [()-[:Child]->()]{1,3} (b)":
+        (["P", "A", "B"], [[(2, 6, 1), 2, 1], [(2, 6, 1, 7, 3), 2, 3],
+                           [(2, 6, 1, 7, 3, 8, 4), 2, 4], [(2, 6, 1, 7, 3, 9, 5), 2, 5]]),
+    "MATCH SHORTEST (a:Person) [()-[:Child]->()]+ (b) RETURN a.name, b.name":
+        (["NAME", "NAME"], [["Fred Smith", "Mary Smith"], ["Peter Smith", "Fred Smith"],
+                            ["Mary Smith", "Lee Smith"], ["Mary Smith", "Bill Smith"]]),
+    "MATCH SHORTEST ({name:'Peter Smith'}) [(p)-[e:Child]->(q)]* (x)":
+        (["P", "E", "Q", "X"], [[(), (), (), 2]]),
+    "MATCH ANY (a:Person) [()-[:Child]->()]+ (b) RETURN a.name, b.name":
+        (["NAME", "NAME"], [["Fred Smith", "Mary Smith"]]),
+    "MATCH ANY ({name:'Fred Smith'}) [()-[:Child]->(c)]{2,} (x)":
+        (["C", "X"], [[(3, 4), 4]]),
+}
+
+TRIANGLE_ORDER = {
+    "MATCH (x) [()-[:E]->()]+ (y)":
+        (["X", "Y"], [[1, 2], [1, 3], [1, 1], [2, 3], [2, 1], [2, 2], [3, 1], [3, 2], [3, 3]]),
+    "MATCH TRAIL (x) [(p)-[:E]->()]+ (y)":
+        (["X", "P", "Y"], [[1, (1,), 2], [1, (1, 2), 3], [1, (1, 2, 3), 1],
+                           [1, (1, 2, 3, 1), 3], [1, (1,), 3], [1, (1, 3), 1],
+                           [1, (1, 3, 1), 2], [1, (1, 3, 1, 2), 3], [2, (2,), 3],
+                           [2, (2, 3), 1], [2, (2, 3, 1), 2], [2, (2, 3, 1), 3],
+                           [3, (3,), 1], [3, (3, 1), 2], [3, (3, 1, 2), 3], [3, (3, 1), 3]]),
+    "MATCH ACYCLIC (x) [()-[:E]->(q)]+ (y)":
+        (["X", "Q", "Y"], [[1, (2,), 2], [1, (2, 3), 3], [1, (3,), 3], [2, (3,), 3],
+                           [2, (3, 1), 1], [3, (1,), 1], [3, (1, 2), 2]]),
+    "MATCH SIMPLE P = (x) [()-[:E]->()]+ (x)":
+        (["P", "X"], [[(1, 4, 2, 5, 3, 6, 1), 1], [(1, 7, 3, 6, 1), 1],
+                      [(2, 5, 3, 6, 1, 4, 2), 2], [(3, 6, 1, 4, 2, 5, 3), 3],
+                      [(3, 6, 1, 7, 3), 3]]),
+    "MATCH (s {k:'a'}) [ () [()-[:E]->()]{1,2} () ]{2,2} (y)":
+        (["S", "Y"], [[1, 3], [1, 1], [1, 2]]),
+    "MATCH (a)-[:E]->(b), (b) [()-[e:E]->()]{1,2} (c)":
+        (["A", "B", "E", "C"], [[1, 2, (5,), 3], [1, 2, (5, 6), 1], [1, 3, (6,), 1],
+                                [1, 3, (6, 4), 2], [1, 3, (6, 7), 3], [2, 3, (6,), 1],
+                                [2, 3, (6, 4), 2], [2, 3, (6, 7), 3], [3, 1, (4,), 2],
+                                [3, 1, (4, 5), 3], [3, 1, (7,), 3], [3, 1, (7, 6), 1]]),
+    "MATCH SHORTEST (x) [(p)-[:E]->()]{2,} (y)":
+        (["X", "P", "Y"], [[1, (1, 2), 3], [1, (1, 3), 1], [2, (2, 3), 1], [3, (3, 1), 2],
+                           [3, (3, 1), 3]]),
+    "MATCH ANY (x) [()-[:E]->()]+ (y)":
+        (["X", "Y"], [[1, 2]]),
+    "MATCH ANY ({k:'a'}) [()-[:E]->()]* (y)":
+        (["Y"], [[1]]),
+}
+
+
+@pytest.mark.parametrize("text", FAMILY_ORDER)
+def test_family_rows_keep_their_order(family, text):
+    table = family.execute(text)
+    assert (table.columns, [[plain(v) for v in row] for row in table.rows]) == \
+        FAMILY_ORDER[text]
+
+
+@pytest.mark.parametrize("text", TRIANGLE_ORDER)
+def test_triangle_rows_keep_their_order(triangle, text):
+    table = triangle.execute(text)
+    assert (table.columns, [[plain(v) for v in row] for row in table.rows]) == \
+        TRIANGLE_ORDER[text]
 
 
 # ------------------------------------------------------- dependent effects

@@ -127,6 +127,31 @@ def test_run_script_keep_going_runs_the_rest(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_run_script_keep_going_survives_deep_nesting(tmp_path, capsys):
+    # parser and evaluator recursion beyond Python's limit fails only the
+    # statement; auto-commit transactions it opened are rolled back
+    deep = "(" * 3000 + "p.N = 1" + ")" * 3000
+    long_sum = " + ".join(["1"] * 5000)
+    path = write(tmp_path, "deep.sql",
+                 "CREATE (:P {N: 1})\n"
+                 f"MATCH (p:P) WHERE {deep} RETURN p.N\n"
+                 f"MATCH (p:P) WHERE p.N = {long_sum} RETURN p.N\n"
+                 f"MATCH (p:P) SET p.N = {long_sum}\n"
+                 "MATCH (p:P) RETURN p.N\n")
+    db = Database()
+    opened = []
+    begin = db.begin
+    db.begin = lambda: opened.append(begin()) or opened[-1]
+    rc = run_script(db, path, keep_going=True)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.splitlines() == [
+        f"{path}:{n}: error: statement nests too deeply" for n in (2, 3, 4)]
+    assert "|1|" in captured.out
+    assert [tx.status for tx in opened] == ["committed", "rolled-back", "rolled-back",
+                                            "committed"]
+
+
 def test_run_script_error_points_at_the_block_start_line(tmp_path, capsys):
     path = write(tmp_path, "block.sql",
                  "// comment\n"
