@@ -115,8 +115,12 @@ class Catalog:
         self._types: dict[int, TypeDescriptor] = {}
         self._by_label: dict[str, dict[str, int]] = {KIND_NODE: {}, KIND_EDGE: {}, KIND_PLAIN: {}}
         self._next_type_id = 1
-        # subtype closures by type id; only _install adds or replaces a type
+        # memos by type id, cleared when _install adds or replaces a type:
+        # subtype closures; effective columns, also cleared when a column is
+        # added or dropped; key declarers, also cleared when a key is swapped
         self._closures: dict[int, tuple[int, ...]] = {}
+        self._columns: dict[int, tuple[ColumnDescriptor, ...]] = {}
+        self._declarers: dict[int, TypeDescriptor | None] = {}
 
     # --- lookup ---
 
@@ -167,10 +171,12 @@ class Catalog:
         chain.reverse()
         return chain
 
-    def effective_columns(self, type_id: int) -> list[ColumnDescriptor]:
-        cols: list[ColumnDescriptor] = []
-        for tid in self.supertype_chain(type_id):
-            cols.extend(self.get(tid).columns)
+    def effective_columns(self, type_id: int) -> tuple[ColumnDescriptor, ...]:
+        """Inherited columns first, root type's first of all."""
+        cols = self._columns.get(type_id)
+        if cols is None:
+            cols = self._columns[type_id] = tuple(
+                col for tid in self.supertype_chain(type_id) for col in self.get(tid).columns)
         return cols
 
     def effective_column(self, type_id: int, name: str) -> ColumnDescriptor | None:
@@ -181,11 +187,11 @@ class Catalog:
 
     def key_declarer(self, type_id: int) -> TypeDescriptor | None:
         """Nearest ancestor (or self) that declares a primary key."""
-        for tid in reversed(self.supertype_chain(type_id)):
-            desc = self.get(tid)
-            if desc.primary_key:
-                return desc
-        return None
+        if type_id not in self._declarers:
+            self._declarers[type_id] = next(
+                (self.get(tid) for tid in reversed(self.supertype_chain(type_id))
+                 if self.get(tid).primary_key), None)
+        return self._declarers[type_id]
 
     def effective_key(self, type_id: int) -> list[str]:
         declarer = self.key_declarer(type_id)
@@ -213,7 +219,8 @@ class Catalog:
         if label in self._by_label[kind]:
             raise SchemaError(f"{kind} type {label} already exists")
 
-    def _check_new_columns(self, columns: list[ColumnDescriptor], inherited: list[ColumnDescriptor]) -> None:
+    def _check_new_columns(self, columns: list[ColumnDescriptor],
+                           inherited: tuple[ColumnDescriptor, ...]) -> None:
         seen = {c.name for c in inherited}
         for col in columns:
             if col.name in seen:
@@ -230,12 +237,14 @@ class Catalog:
         self._types[desc.type_id] = desc
         self._by_label[desc.kind][desc.label] = desc.type_id
         self._closures.clear()
+        self._columns.clear()
+        self._declarers.clear()
         return desc
 
     def define_node_type(self, label: str, columns: list[ColumnDescriptor],
                          supertype: int | None = None) -> TypeDescriptor:
         self._claim_label(label, KIND_NODE)
-        inherited: list[ColumnDescriptor] = []
+        inherited: tuple[ColumnDescriptor, ...] = ()
         if supertype is not None:
             sup = self.get(supertype)
             if sup.kind != KIND_NODE:
@@ -263,7 +272,7 @@ class Catalog:
                          multiplicity: Multiplicity | None = None,
                          supertype: int | None = None) -> TypeDescriptor:
         self._claim_label(label, KIND_EDGE)
-        inherited: list[ColumnDescriptor] = []
+        inherited: tuple[ColumnDescriptor, ...] = ()
         if supertype is not None:
             sup = self.get(supertype)
             if sup.kind != KIND_EDGE:
@@ -301,7 +310,7 @@ class Catalog:
 
     def define_plain_type(self, label: str, columns: list[ColumnDescriptor]) -> TypeDescriptor:
         self._claim_label(label, KIND_PLAIN)
-        self._check_new_columns(columns, [])
+        self._check_new_columns(columns, ())
         desc = TypeDescriptor(self._next_type_id, label, KIND_PLAIN, [c.copy() for c in columns])
         self._next_type_id += 1
         return self._install(desc)
@@ -315,6 +324,7 @@ class Catalog:
         column = column.copy()
         column.nullable = True
         desc.columns.append(column)
+        self._columns.clear()
         return column
 
     def retype_column(self, type_id: int, name: str, data_type: str) -> None:
@@ -341,6 +351,7 @@ class Catalog:
             if name in sub.primary_key:
                 raise SchemaError(f"column {name} is the primary key of {sub.label}")
         desc.columns.remove(col)
+        self._columns.clear()
         desc.unique_keys = [k for k in desc.unique_keys if name not in k]
 
     def install_primary_key(self, type_id: int, key: list[str]) -> None:
@@ -358,6 +369,7 @@ class Catalog:
             if old_key not in old.unique_keys:
                 old.unique_keys.append(old_key)
         desc.primary_key = list(key)
+        self._declarers.clear()
 
     def retarget_endpoint(self, type_id: int, side: str, node_type_id: int) -> None:
         """Generalize one endpoint of an edge type to a supertype."""

@@ -96,19 +96,15 @@ class Database:
                 final[uid] = Row(uid, tid, vals)
             else:
                 final[op[1]] = None
-        seq = payload["seq"]
-        edge_tids = {d.type_id for d in self.catalog.types(cat.KIND_EDGE)}
-        self.store.apply(seq, final, {}, edge_tids)
-        # reconnect adjacency caches now that the record's rows are in place
-        view = ReadView(self.store, seq, self.catalog)
+        # resolve each edge's endpoints once, in the record's post state
+        post = ReadView(self.store, self.store.commit_seq, self.catalog, final).freeze()
+        endpoint_map = {}
         for uid, row in final.items():
-            if row is None or row.type_id not in edge_tids:
-                continue
-            desc = self.catalog.get(row.type_id)
-            leaving = view.deref_node(desc.leaving_type, row.values.get(cat.LEAVING))
-            arriving = view.deref_node(desc.arriving_type, row.values.get(cat.ARRIVING))
-            if leaving is not None and arriving is not None:
-                self.store.relink_edge(uid, (leaving.uid, arriving.uid))
+            if row is not None and self.catalog.get(row.type_id).kind == cat.KIND_EDGE:
+                ends = post.resolve_endpoints(row)
+                if None not in ends:
+                    endpoint_map[uid] = ends
+        self.store.apply(payload["seq"], final, endpoint_map)
         self._next_uid = max(self._next_uid, payload["next_uid"])
 
     def _rebuild_graphs(self) -> None:
@@ -119,7 +115,7 @@ class Database:
                 self.graphs.add_node(row.uid)
         for desc in self.catalog.types(cat.KIND_EDGE):
             for row in self.store.scan_committed(desc.type_id, seq):
-                ends = self.store.edge_endpoints.get(row.uid)
+                ends = self.store.latest_ends(row.uid)
                 if ends is not None:
                     self.graphs.add_edge(row.uid, ends[0], ends[1])
 
@@ -193,7 +189,13 @@ class Session:
             return None
 
         if self.tx is not None:
-            return executor.run_statement(self.tx, stmt)
+            # a failed statement leaves the transaction as it found it
+            point = self.tx.savepoint()
+            try:
+                return executor.run_statement(self.tx, stmt)
+            except BaseException:
+                self.tx.restore(point)
+                raise
         tx = self.db.begin()
         try:
             result = executor.run_statement(tx, stmt)

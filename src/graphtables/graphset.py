@@ -27,7 +27,8 @@ class GraphSet:
     def __init__(self):
         self._components: dict[int, GraphComponent] = {}
         self._comp_of: dict[int, GraphComponent] = {}
-        self._edge_ends: dict[int, tuple[int, int]] = {}
+        # edge uid -> (leaving uid, arriving uid) of every committed edge
+        self.edge_ends: dict[int, tuple[int, int]] = {}
 
     def components(self) -> list[GraphComponent]:
         return [self._components[rep] for rep in sorted(self._components)]
@@ -56,7 +57,7 @@ class GraphSet:
         a, b = self._comp_of[leaving], self._comp_of[arriving]
         if a is b:
             a.edges.add(edge_uid)
-            self._edge_ends[edge_uid] = (leaving, arriving)
+            self.edge_ends[edge_uid] = (leaving, arriving)
             return
         if len(a.nodes) < len(b.nodes):
             a, b = b, a
@@ -66,7 +67,7 @@ class GraphSet:
         a.nodes |= b.nodes
         a.edges |= b.edges
         a.edges.add(edge_uid)
-        self._edge_ends[edge_uid] = (leaving, arriving)
+        self.edge_ends[edge_uid] = (leaving, arriving)
         if b.representative < a.representative:
             del self._components[a.representative]
             a.representative = b.representative
@@ -79,7 +80,7 @@ class GraphSet:
             touched: list[GraphComponent] = []
             seen: set[int] = set()
             for uid in list(removed_node_set) + [
-                    end for e in removed_edge_set for end in self._edge_ends.get(e, ())]:
+                    end for e in removed_edge_set for end in self.edge_ends.get(e, ())]:
                 comp = self._comp_of.get(uid)
                 if comp is not None and comp.representative not in seen:
                     seen.add(comp.representative)
@@ -91,12 +92,12 @@ class GraphSet:
                 for uid in comp.nodes - removed_node_set:
                     self.add_node(uid)
                 for edge_uid in comp.edges - removed_edge_set:
-                    leaving, arriving = self._edge_ends[edge_uid]
+                    leaving, arriving = self.edge_ends[edge_uid]
                     if leaving in removed_node_set or arriving in removed_node_set:
                         continue
                     self.add_edge(edge_uid, leaving, arriving)
             for edge_uid in removed_edge_set:
-                self._edge_ends.pop(edge_uid, None)
+                self.edge_ends.pop(edge_uid, None)
         for uid in added_nodes:
             self.add_node(uid)
         for edge_uid, leaving, arriving in added_edges:
@@ -105,4 +106,4 @@ class GraphSet:
     def clear(self) -> None:
         self._components.clear()
         self._comp_of.clear()
-        self._edge_ends.clear()
+        self.edge_ends.clear()

@@ -45,7 +45,7 @@ def _subgraph(db: Database, anchor_uid: int, depth: int | None):
         nodes = set(component.nodes)
         edges = set(component.edges)
         representative = component.representative
-        ends = {e: db.store.edge_endpoints[e] for e in edges}
+        ends = {e: db.graphs.edge_ends[e] for e in edges}
         seq = db.store.commit_seq
     if depth is not None:
         adjacency: dict[int, list[tuple[int, int]]] = {}

@@ -6,10 +6,24 @@ readers snapshot isolation under the single-writer model.  A transaction
 stages row and schema changes privately; commit validates the post state in a
 fixed order (column types and keys, then references, then multiplicity, then
 constraints), appends one self-contained log record, and only then publishes.
+
+Edge rows reference their endpoints by key value (LEAVING/ARRIVING), but
+navigation goes by uid.  Commit resolves each staged edge's endpoints once
+(reference validation does it anyway) and stores the uid pair on the edge's
+new version; replay does the same dereference once per edge.  A rekey does
+not move uids and a retarget writes a new version, so a version's ends never
+change.  `leaving_at`/`arriving_at` map a node uid to every edge that ever
+touched it; like the value index they never shrink, because a reader at an
+older snapshot may still need an edge that has since been deleted or
+retargeted, and each reader re-checks the version it sees.  A node rekeyed
+inside an open transaction therefore keeps its committed edges: they are
+found by uid, not by the key value the transaction just changed.  Staged
+edges, which have no version yet, are still resolved by key.
 """
 
 from __future__ import annotations
 
+import copy
 import heapq
 from dataclasses import dataclass, field
 
@@ -34,19 +48,18 @@ class Row:
 
 
 class _Version:
-    __slots__ = ("row", "begin", "end")
+    __slots__ = ("row", "begin", "end", "ends")
 
-    def __init__(self, row: Row, begin: int):
+    def __init__(self, row: Row, begin: int, ends: tuple[int, int] | None):
         self.row = row
         self.begin = begin
         self.end: int | None = None
-
-    def visible_at(self, snapshot: int) -> bool:
-        return self.begin <= snapshot and (self.end is None or self.end > snapshot)
+        # an edge version's (leaving uid, arriving uid), resolved at its commit
+        self.ends = ends
 
 
 class Store:
-    """Committed row versions plus derived indexes and adjacency caches."""
+    """Committed row versions plus derived value indexes and adjacency."""
 
     def __init__(self):
         self.commit_seq = 0
@@ -56,21 +69,30 @@ class Store:
         # readers re-check value and visibility
         self._value_index: dict[tuple[int, str], dict] = {}
         self._indexed: dict[int, set[str]] = {}
-        # current-state adjacency, used by commit-time checks
-        self.edge_endpoints: dict[int, tuple[int, int]] = {}
+        # node uid -> uids of the edges any version of which left / arrived
+        # there; never shrinks either, readers re-check the visible version
         self.leaving_at: dict[int, set[int]] = {}
         self.arriving_at: dict[int, set[int]] = {}
 
     # --- reads against a snapshot ---
 
-    def visible(self, uid: int, snapshot: int) -> Row | None:
+    def version_at(self, uid: int, snapshot: int) -> _Version | None:
         for version in reversed(self._versions.get(uid, ())):
-            if version.visible_at(snapshot):
-                return version.row
+            if version.begin <= snapshot and (version.end is None or version.end > snapshot):
+                return version
         return None
+
+    def visible(self, uid: int, snapshot: int) -> Row | None:
+        version = self.version_at(uid, snapshot)
+        return version.row if version is not None else None
 
     def latest(self, uid: int) -> Row | None:
         return self.visible(uid, self.commit_seq)
+
+    def latest_ends(self, uid: int) -> tuple[int, int] | None:
+        """Endpoint uids of the edge's latest committed version."""
+        version = self.version_at(uid, self.commit_seq)
+        return version.ends if version is not None else None
 
     def scan_committed(self, type_id: int, snapshot: int):
         for uid in list(self._by_type.get(type_id, ())):
@@ -103,48 +125,27 @@ class Store:
     # --- commit application (physical) ---
 
     def apply(self, seq: int, final: dict[int, Row | None],
-              endpoint_map: dict[int, tuple[int, int]], edge_type_ids: set[int]) -> None:
+              endpoint_map: dict[int, tuple[int, int]]) -> None:
+        """Publish one commit; `endpoint_map` holds the endpoint uids of
+        every edge row in `final`."""
         for uid in sorted(final):
             row = final[uid]
             versions = self._versions.setdefault(uid, [])
-            prior = versions[-1].row if versions and versions[-1].end is None else None
             if versions and versions[-1].end is None:
                 versions[-1].end = seq
             if row is None:
-                if prior is not None and prior.type_id in edge_type_ids:
-                    self._unlink_edge(uid)
                 continue
-            versions.append(_Version(row, seq))
+            ends = endpoint_map.get(uid)
+            versions.append(_Version(row, seq, ends))
             self._by_type.setdefault(row.type_id, {})[uid] = None
             for column in self._indexed.get(row.type_id, ()):
                 v = row.values.get(column)
                 if v is not None:
                     self._value_index[(row.type_id, column)].setdefault(v, set()).add(uid)
-            if row.type_id in edge_type_ids:
-                ends = endpoint_map.get(uid)
-                if ends is not None and ends != self.edge_endpoints.get(uid):
-                    self._unlink_edge(uid)
-                    self.edge_endpoints[uid] = ends
-                    self.leaving_at.setdefault(ends[0], set()).add(uid)
-                    self.arriving_at.setdefault(ends[1], set()).add(uid)
+            if ends is not None:
+                self.leaving_at.setdefault(ends[0], set()).add(uid)
+                self.arriving_at.setdefault(ends[1], set()).add(uid)
         self.commit_seq = seq
-
-    def relink_edge(self, uid: int, ends: tuple[int, int]) -> None:
-        """Refresh the adjacency caches for one live edge (log replay)."""
-        if ends == self.edge_endpoints.get(uid):
-            return
-        self._unlink_edge(uid)
-        self.edge_endpoints[uid] = ends
-        self.leaving_at.setdefault(ends[0], set()).add(uid)
-        self.arriving_at.setdefault(ends[1], set()).add(uid)
-
-    def _unlink_edge(self, uid: int) -> None:
-        ends = self.edge_endpoints.get(uid)
-        if ends is None:
-            return
-        self.leaving_at.get(ends[0], set()).discard(uid)
-        self.arriving_at.get(ends[1], set()).discard(uid)
-        # edge_endpoints keeps the historical entry for snapshot readers
 
 
 class ReadView:
@@ -157,6 +158,15 @@ class ReadView:
         self.catalog = catalog
         self.staged = staged if staged is not None else {}
         self._endpoint_memo: dict[int, tuple[int, int]] = {}
+        # column -> type id -> value -> staged rows, once `freeze` is called
+        self._staged_index: dict[str, dict] | None = None
+
+    def freeze(self) -> "ReadView":
+        """Declare `staged` final: lookups then probe a value index of the
+        staged rows, built per column on first use, instead of rescanning
+        every staged row."""
+        self._staged_index = {}
+        return self
 
     def get_row(self, uid: int) -> Row | None:
         if uid in self.staged:
@@ -206,11 +216,37 @@ class ReadView:
                 row = self.store.visible(uid, self.snapshot)
                 if row is not None and row.type_id == tid and val.values_equal(row.values.get(column), value):
                     out.append(row)
-        tidset = set(type_ids)
-        for row in self.staged.values():
-            if row is not None and row.type_id in tidset and val.values_equal(row.values.get(column), value):
-                out.append(row)
+        if self.staged:
+            out.extend(self._staged_rows(type_ids, column, value))
         out.sort(key=lambda r: r.uid)
+        return out
+
+    def _staged_rows(self, type_ids, column: str, value) -> list[Row]:
+        """Staged rows among `type_ids` whose `column` equals `value`."""
+        if self._staged_index is None:
+            tidset = set(type_ids)
+            return [r for r in self.staged.values()
+                    if r is not None and r.type_id in tidset
+                    and val.values_equal(r.values.get(column), value)]
+        index = self._staged_index.get(column)
+        if index is None:
+            index = self._staged_index[column] = {}
+            for row in self.staged.values():
+                v = None if row is None else row.values.get(column)
+                if v is not None:
+                    try:
+                        index.setdefault(row.type_id, {}).setdefault(v, []).append(row)
+                    except TypeError:
+                        pass  # an unhashable value equals no hashable probe
+        out = []
+        for tid in type_ids:
+            by_value = index.get(tid)
+            if by_value:
+                try:
+                    candidates = by_value.get(value, ())
+                except TypeError:
+                    continue
+                out += [r for r in candidates if val.values_equal(r.values.get(column), value)]
         return out
 
     # --- graph navigation ---
@@ -228,13 +264,11 @@ class ReadView:
         return rows[0] if rows else None
 
     def resolve_endpoints(self, edge_row: Row) -> tuple[int | None, int | None]:
+        """Endpoint uids found by dereferencing the edge's key-valued
+        reference columns in this view (None for a side that matches no node)."""
         memo = self._endpoint_memo.get(edge_row.uid)
         if memo is not None:
             return memo
-        if edge_row.uid not in self.staged and self.store.latest(edge_row.uid) is edge_row:
-            cached = self.store.edge_endpoints.get(edge_row.uid)
-            if cached is not None:
-                return cached
         desc = self.catalog.get(edge_row.type_id)
         leaving = self.deref_node(desc.leaving_type, edge_row.values.get(LEAVING))
         arriving = self.deref_node(desc.arriving_type, edge_row.values.get(ARRIVING))
@@ -243,30 +277,30 @@ class ReadView:
         return ends
 
     def edges_adjacent(self, node_row: Row, direction: str, edge_type_ids=None):
-        """[(edge row, leaving uid, arriving uid)] touching the node on `direction`."""
-        column = LEAVING if direction == "leaving" else ARRIVING
-        out = []
-        if edge_type_ids is None:
-            edge_type_ids = [d.type_id for d in self.catalog.types(cat.KIND_EDGE)]
-        key_cache: dict[int, object] = {}
-        for etid in edge_type_ids:
-            desc = self.catalog.get(etid)
-            endpoint_tid = desc.leaving_type if direction == "leaving" else desc.arriving_type
-            if endpoint_tid is None:
+        """[(edge row, leaving uid, arriving uid)] touching the node on
+        `direction`, uid ascending: committed edges through the uid
+        adjacency, staged edges (which have no version yet) by key."""
+        side = 0 if direction == "leaving" else 1
+        store, uid, out = self.store, node_row.uid, []
+        for euid in (store.leaving_at if side == 0 else store.arriving_at).get(uid, ()):
+            version = None if euid in self.staged else store.version_at(euid, self.snapshot)
+            if version is None or version.ends is None or version.ends[side] != uid:
                 continue
-            if node_row.type_id not in self.catalog.subtype_closure(endpoint_tid):
-                continue
-            if endpoint_tid not in key_cache:
-                kcol = self.key_column(endpoint_tid)
-                key_cache[endpoint_tid] = node_row.values.get(kcol) if kcol else None
-            key_value = key_cache[endpoint_tid]
-            if key_value is None:
-                continue
-            for erow in self.lookup_by_value([etid], column, key_value):
-                ends = self.resolve_endpoints(erow)
-                mine = ends[0] if direction == "leaving" else ends[1]
-                if mine == node_row.uid:
-                    out.append((erow, ends[0], ends[1]))
+            if edge_type_ids is None or version.row.type_id in edge_type_ids:
+                out.append((version.row, *version.ends))
+        if self.staged:
+            catalog = self.catalog
+            if edge_type_ids is None:
+                edge_type_ids = [d.type_id for d in catalog.types(cat.KIND_EDGE)]
+            for etid in edge_type_ids:
+                desc = catalog.get(etid)
+                endpoint_tid = desc.leaving_type if side == 0 else desc.arriving_type
+                kcol = None if endpoint_tid is None else self.key_column(endpoint_tid)
+                key_value = node_row.values.get(kcol)
+                for erow in self._staged_rows((etid,), LEAVING if side == 0 else ARRIVING, key_value):
+                    ends = self.resolve_endpoints(erow)
+                    if ends[side] == uid:
+                        out.append((erow, *ends))
         out.sort(key=lambda t: t[0].uid)
         return out
 
@@ -287,6 +321,11 @@ def make_columns(columns) -> list[ColumnDescriptor]:
 class CascadeReport:
     edge_types: list[str] = field(default_factory=list)
     rows_rewritten: int = 0
+
+
+# the Transaction attributes that a statement's staging changes
+_STAGING = ("staged", "_cascade_deletes", "_dirty_types", "_full_key_check",
+            "_full_mult_check", "_full_constraint_check")
 
 
 class Transaction:
@@ -444,7 +483,8 @@ class Transaction:
         rewrites = []
         for edesc, side in edge_refs:
             for erow in post.scan_type(edesc.type_id, subtypes=True):
-                ends = post.resolve_endpoints(erow)
+                ends = (post.resolve_endpoints(erow) if erow.uid in self.staged
+                        else self.db.store.latest_ends(erow.uid) or (None, None))
                 endpoint_uid = ends[0] if side == LEAVING else ends[1]
                 if endpoint_uid is None:
                     raise SchemaError(f"{edesc.label} row {erow.uid} has a dangling {side}")
@@ -561,7 +601,7 @@ class Transaction:
     def _cascade_staged_edges(self, old_row: Row, new_row: Row) -> None:
         """A key change on a node must follow through to staged edges that
         reference it by the old key value (committed edges are rewritten at
-        commit time from the adjacency caches)."""
+        commit time, found through the uid adjacency)."""
         catalog = self.catalog
         key = catalog.effective_key(old_row.type_id)
         if len(key) != 1:
@@ -597,36 +637,41 @@ class Transaction:
         if cascade:
             self._cascade_deletes.add(uid)
 
+    def savepoint(self) -> tuple:
+        """The staging state, for `restore` to return to."""
+        catalog = self._catalog.clone() if self._catalog is not None else None
+        return catalog, {name: copy.copy(getattr(self, name)) for name in _STAGING}
+
+    def restore(self, point: tuple) -> None:
+        self._catalog, state = point
+        for name, value in state.items():
+            setattr(self, name, value)
+
     def rollback(self) -> None:
         self._check_open()
         self.status = "rolled-back"
 
     # --- commit pipeline ---
 
-    def commit(self):
+    def commit(self) -> None:
         self._check_open()
-        if not self.staged and not self._dirty_types:
-            self.status = "committed"
-            return None
-        with self.db.commit_lock:
-            try:
-                result = self._commit_locked()
-            except Exception:
-                self.status = "aborted"
-                raise
+        if self.staged or self._dirty_types:
+            with self.db.commit_lock:
+                try:
+                    self._commit_locked()
+                except Exception:
+                    self.status = "aborted"
+                    raise
         self.status = "committed"
-        return result
 
-    def _commit_locked(self):
+    def _commit_locked(self) -> None:
         catalog = self.catalog
-        post = self.post_view()
         node_tids = {d.type_id for d in catalog.types(cat.KIND_NODE)}
         edge_tids = {d.type_id for d in catalog.types(cat.KIND_EDGE)}
 
-        self._expand_key_cascades(post, catalog, node_tids)
-        post = self.post_view()
-        self._expand_deletes(post, catalog, node_tids, edge_tids)
-        post = self.post_view()
+        self._expand_key_cascades(catalog, node_tids)
+        self._expand_deletes(catalog, node_tids)
+        post = self.post_view().freeze()
 
         self._validate_types(post, catalog)
         self._validate_keys(post, catalog)
@@ -647,67 +692,56 @@ class Transaction:
         self.db.append_log_record(logmod.encode_record(seq, schema, row_ops, self.db.peek_uid()))
 
         delta = self._graph_delta(edge_tids, endpoint_map)
-        self.db.store.apply(seq, self.staged, endpoint_map, edge_tids)
+        self.db.store.apply(seq, self.staged, endpoint_map)
         if self._catalog is not None:
             self.db.catalog = self._catalog
         self.db.graphs.apply_delta(*delta)
-        return CascadeReport()
 
     # cascading effects that enlarge the staged set
 
-    def _expand_key_cascades(self, post: ReadView, catalog: Catalog, node_tids: set[int]) -> None:
-        """A changed node key value rewrites the reference columns of its edges."""
+    def _expand_key_cascades(self, catalog: Catalog, node_tids: set[int]) -> None:
+        """A changed node key value rewrites the reference columns of the
+        node's committed edges."""
+        store = self.db.store
+        committed = ReadView(store, store.commit_seq, catalog)
         for uid, row in list(self.staged.items()):
             if row is None or row.type_id not in node_tids:
                 continue
-            old = self.db.store.latest(uid)
+            old = store.latest(uid)
             if old is None:
                 continue
             key = catalog.effective_key(row.type_id)
             if len(key) != 1:
                 continue
-            kcol = key[0]
-            old_key, new_key = old.values.get(kcol), row.values.get(kcol)
+            old_key, new_key = old.values.get(key[0]), row.values.get(key[0])
             if old_key == new_key:
                 continue
-            for edge_uid in list(self.db.store.leaving_at.get(uid, ())):
-                self._rewrite_edge_ref(post, edge_uid, LEAVING, new_key)
-            for edge_uid in list(self.db.store.arriving_at.get(uid, ())):
-                self._rewrite_edge_ref(post, edge_uid, ARRIVING, new_key)
+            for side, direction in ((LEAVING, "leaving"), (ARRIVING, "arriving")):
+                for erow, _, _ in committed.edges_adjacent(old, direction):
+                    current = self.staged.get(erow.uid, erow)
+                    # skip edges deleted or retargeted in this transaction
+                    if current is not None and val.values_equal(current.values.get(side), old_key):
+                        new_values = dict(current.values)
+                        new_values[side] = new_key
+                        self.staged[erow.uid] = Row(erow.uid, erow.type_id, new_values)
 
-    def _rewrite_edge_ref(self, post: ReadView, edge_uid: int, side: str, new_key) -> None:
-        current = self.staged.get(edge_uid)
-        if current is None and edge_uid in self.staged:
-            return  # edge deleted in this transaction
-        erow = current or self.db.store.latest(edge_uid)
-        if erow is None:
-            return
-        new_values = dict(erow.values)
-        new_values[side] = new_key
-        self.staged[edge_uid] = Row(edge_uid, erow.type_id, new_values)
-
-    def _expand_deletes(self, post: ReadView, catalog: Catalog,
-                        node_tids: set[int], edge_tids: set[int]) -> None:
+    def _expand_deletes(self, catalog: Catalog, node_tids: set[int]) -> None:
         """Node deletion is restrict by default, cascade on request."""
-        for uid in [u for u, r in self.staged.items() if r is None]:
-            old = self.db.store.latest(uid)
+        deleted = [u for u, r in self.staged.items() if r is None]
+        if not deleted:
+            return
+        store = self.db.store
+        # staged edges reference nodes by key, so look for incident edges in
+        # a view where the deleted nodes are still visible
+        alive = ReadView(store, store.commit_seq, catalog,
+                         {u: r for u, r in self.staged.items() if r is not None}).freeze()
+        for uid in deleted:
+            old = store.latest(uid)
             if old is None or old.type_id not in node_tids:
                 continue
-            incident = set()
-            for edge_uid in self.db.store.leaving_at.get(uid, set()) | \
-                    self.db.store.arriving_at.get(uid, set()):
-                if edge_uid in self.staged and self.staged[edge_uid] is None:
-                    continue  # already deleted here
-                incident.add(edge_uid)
-            # staged edges reference nodes by key value, so resolve them in a
-            # view where the deleted node is still visible
-            alive = {u: r for u, r in self.staged.items() if r is not None}
-            view = ReadView(self.db.store, self.db.store.commit_seq, catalog, alive)
-            for suid, srow in alive.items():
-                if srow.type_id in edge_tids:
-                    ends = view.resolve_endpoints(srow)
-                    if uid in ends:
-                        incident.add(suid)
+            incident = {erow.uid for direction in ("leaving", "arriving")
+                        for erow, _, _ in alive.edges_adjacent(old, direction)
+                        if self.staged.get(erow.uid, erow) is not None}
             if not incident:
                 continue
             if uid in self._cascade_deletes:
@@ -828,9 +862,7 @@ class Transaction:
             if uid in endpoint_map:
                 affected.update(endpoint_map[uid])
             if row is None:
-                old_ends = self.db.store.edge_endpoints.get(uid)
-                if old_ends:
-                    affected.update(old_ends)
+                affected.update(self.db.store.latest_ends(uid) or ())
         for edesc in constrained:
             if edesc.type_id not in self._full_mult_check:
                 continue
@@ -893,11 +925,9 @@ class Transaction:
                 ends = endpoint_map.get(uid)
                 if prior is None:
                     added_edges.append((uid, ends[0], ends[1]))
-                else:
-                    old_ends = self.db.store.edge_endpoints.get(uid)
-                    if old_ends != ends:
-                        removed_edges.append(uid)
-                        added_edges.append((uid, ends[0], ends[1]))
+                elif self.db.store.latest_ends(uid) != ends:
+                    removed_edges.append(uid)
+                    added_edges.append((uid, ends[0], ends[1]))
             elif prior is None:
                 added_nodes.append(uid)
         return added_nodes, added_edges, removed_nodes, removed_edges

@@ -1,6 +1,8 @@
 """Edge adjacency as readers see it: snapshots keep the ends an edge had when
 they began, and a node keeps its committed edges while its key changes."""
 
+import time
+
 import pytest
 
 from graphtables import Database
@@ -40,6 +42,16 @@ def test_open_reader_keeps_an_edge_retargeted_by_set(pair):
     assert reader.execute(PAIRS).rows == [[2, 1]]
 
 
+def test_rekeyed_node_keeps_its_committed_edges_inside_the_transaction(pair):
+    sess = pair.session()
+    sess.execute("BEGIN")
+    sess.execute("MATCH (a:P {N: 1}) THEN SET a.N = 10 END")
+    assert sess.execute(PAIRS).rows == [[10, 2]]
+    assert sess.execute("MATCH (b:P)<-[:R]-(a:P) RETURN b.N, a.N").rows == [[2, 10]]
+    sess.execute("COMMIT")
+    assert pair.execute(PAIRS).rows == [[10, 2]]
+
+
 def test_edge_updated_after_its_node_is_rekeyed_commits_with_the_new_key(pair):
     sess = pair.session()
     sess.execute("BEGIN")
@@ -48,3 +60,19 @@ def test_edge_updated_after_its_node_is_rekeyed_commits_with_the_new_key(pair):
     sess.execute("COMMIT")
     assert pair.execute("MATCH (a:P)-[e:R]->(b:P) RETURN a.N, b.N, e.W").rows == [[1, 20, 5]]
 
+
+def test_one_create_of_a_long_chain_commits_and_replays_quickly(tmp_path):
+    path = tmp_path / "chain.db"
+    db = Database(path)
+    db.execute("create type C as (N int) nodetype")
+    db.execute("create type L as () edgetype (leaving C, arriving C)")
+    chain = "(:C {N: 0})" + "".join(f"-[:L]->(:C {{N: {i}}})" for i in range(1, 2001))
+    started = time.perf_counter()
+    db.execute("CREATE " + chain)
+    assert time.perf_counter() - started < 5.0
+    db.close()
+    started = time.perf_counter()
+    db = Database(path)
+    assert time.perf_counter() - started < 5.0
+    assert len(db.execute("MATCH (a:C)-[:L]->(b:C) RETURN a.N").rows) == 2000
+    db.close()

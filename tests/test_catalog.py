@@ -45,6 +45,17 @@ def test_subtype_inherits_columns_and_key(cat):
     assert bought.primary_key == []
 
 
+
+def test_effective_columns_see_a_column_added_after_a_cached_call(cat):
+    part = cat.define_node_type("PART", [col("PARTID")])
+    bought = cat.define_node_type("PURCHASEDPART", [], supertype=part.type_id)
+    assert [c.name for c in cat.effective_columns(bought.type_id)] == [ID, "PARTID"]
+    cat.widen_type(part.type_id, col("PRICE", values.DECIMAL))
+    assert [c.name for c in cat.effective_columns(bought.type_id)] == [ID, "PARTID", "PRICE"]
+    cat.drop_column(part.type_id, "PRICE")
+    assert [c.name for c in cat.effective_columns(bought.type_id)] == [ID, "PARTID"]
+    assert isinstance(cat.effective_columns(bought.type_id), tuple)
+
 def test_edge_type_reference_columns_follow_endpoint_keys(cat):
     person = cat.define_node_type("PERSON", [col("NAME")])
     child = cat.define_edge_type("CHILD", [], person.type_id, person.type_id)

@@ -6,7 +6,7 @@ import struct
 import pytest
 
 from graphtables.engine import Database, render_row
-from graphtables.errors import StorageError
+from graphtables.errors import GraphTablesError, StorageError
 
 from conftest import FAMILY_CREATE, names
 
@@ -68,6 +68,28 @@ def test_multi_statement_transaction_commits_as_one(db):
     sess.execute("COMMIT")
     table = db.execute("MATCH (x:Person)-[:Knows]->(y:Person) RETURN y.Name")
     assert names(table) == {"Ada"}
+
+
+
+def test_failed_statement_inside_a_transaction_leaves_no_staged_rows(db):
+    sess = db.session()
+    sess.execute("BEGIN")
+    sess.execute("CREATE (:Q {V: 0})")
+    with pytest.raises(GraphTablesError, match="cannot compare"):
+        sess.execute("CREATE (:Q {V: 1}), (:Q {V: 'x' < 1})")
+    sess.execute("COMMIT")
+    assert db.execute("MATCH (q:Q) RETURN q.V").rows == [[0]]
+
+
+def test_type_created_by_a_failed_statement_inside_a_transaction_is_undone(db):
+    sess = db.session()
+    sess.execute("BEGIN")
+    with pytest.raises(GraphTablesError, match="cannot compare"):
+        sess.execute("CREATE (:Q {V: 1}), (:Q {V: 'x' < 1})")
+    sess.execute("CREATE (:R {V: 2})")
+    sess.execute("COMMIT")
+    assert db.catalog.lookup_label("Q") is None
+    assert db.execute("MATCH (r:R) RETURN r.V").rows == [[2]]
 
 
 # --- file-backed databases ---

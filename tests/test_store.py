@@ -34,6 +34,13 @@ def test_staged_rows_stay_private_until_commit(db):
     assert db.read_view().get_row(uid).get("NAME") == "Fred"
 
 
+
+def test_commit_returns_nothing(db):
+    tx = db.begin()
+    tx.define_node_type("PERSON", [("NAME", values.STRING)])
+    tx.insert_row("PERSON", {"NAME": "Fred"})
+    assert tx.commit() is None
+
 def test_open_snapshot_does_not_see_later_commits(db):
     seed_people(db)
     early = db.begin()
