@@ -44,6 +44,9 @@ class Database:
         self.graphs = GraphSet()
         self.commit_lock = threading.RLock()
         self._next_uid = 1
+        # the next_uid of the latest commit, the value its log record holds;
+        # transactions that roll back advance `_next_uid` but not this
+        self.logged_next_uid = 1
         self._log_fh = None
         if self.path is not None:
             if self.path.exists():
@@ -96,16 +99,14 @@ class Database:
                 final[uid] = Row(uid, tid, vals)
             else:
                 final[op[1]] = None
-        # resolve each edge's endpoints once, in the record's post state
+        # bind each edge to its endpoints once, in the record's post state
         post = ReadView(self.store, self.store.commit_seq, self.catalog, final).freeze()
-        endpoint_map = {}
-        for uid, row in final.items():
+        for row in final.values():
             if row is not None and self.catalog.get(row.type_id).kind == cat.KIND_EDGE:
-                ends = post.resolve_endpoints(row)
-                if None not in ends:
-                    endpoint_map[uid] = ends
-        self.store.apply(payload["seq"], final, endpoint_map)
-        self._next_uid = max(self._next_uid, payload["next_uid"])
+                row.ends = post.resolve_endpoints(row)
+        self.store.apply(payload["seq"], final)
+        self.logged_next_uid = payload["next_uid"]
+        self._next_uid = max(self._next_uid, self.logged_next_uid)
 
     def _rebuild_graphs(self) -> None:
         self.graphs.clear()
@@ -115,9 +116,8 @@ class Database:
                 self.graphs.add_node(row.uid)
         for desc in self.catalog.types(cat.KIND_EDGE):
             for row in self.store.scan_committed(desc.type_id, seq):
-                ends = self.store.latest_ends(row.uid)
-                if ends is not None:
-                    self.graphs.add_edge(row.uid, ends[0], ends[1])
+                if None not in row.ends:
+                    self.graphs.add_edge(row.uid, *row.ends)
 
     # --- transactions and statements ---
 
@@ -146,7 +146,7 @@ class Database:
                 rows.append([row.uid, row.type_id,
                              {k: val.to_jsonable(v) for k, v in sorted(row.values.items())}])
         rows.sort(key=lambda r: r[0])
-        digest = {"seq": seq, "next_uid": self._next_uid,
+        digest = {"seq": seq, "next_uid": self.logged_next_uid,
                   "catalog": descriptors, "rows": rows}
         blob = json.dumps(digest, sort_keys=True, separators=(",", ":")).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()

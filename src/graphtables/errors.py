@@ -37,7 +37,8 @@ class StorageError(GraphTablesError):
 
 
 class CommitError(GraphTablesError):
-    """Commit-time validation failure.  `rule` is one of 'type', 'key',
+    """Commit-time validation failure.  `rule` is one of 'conflict' (the
+    schema changed under a transaction that changed it too), 'type', 'key',
     'reference', 'multiplicity', 'constraint'."""
 
     def __init__(self, rule: str, type_label: str, message: str, uids: tuple[int, ...] = ()):

@@ -220,17 +220,15 @@ def _resolve_or_define_node(tx: Transaction, labels, props: dict) -> cat.TypeDes
     return _most_specific(tx, labels, cat.KIND_NODE)
 
 
-def _endpoint_key_value(tx: Transaction, edge_desc: cat.TypeDescriptor,
-                        side: str, node_row: Row) -> object:
+def _check_endpoint_key(tx: Transaction, edge_desc: cat.TypeDescriptor,
+                        side: str, node_row: Row) -> None:
     endpoint_tid = edge_desc.leaving_type if side == LEAVING else edge_desc.arriving_type
     key = tx.catalog.effective_key(endpoint_tid)
     if len(key) != 1:
         raise ExecutionError(f"{tx.catalog.get(endpoint_tid).label} needs a "
                              "single-column key to be referenced by edges")
-    v = node_row.values.get(key[0])
-    if v is None:
+    if node_row.values.get(key[0]) is None:
         raise ExecutionError(f"node {node_row.uid} has no value for key column {key[0]}")
-    return v
 
 
 def _generalize_endpoint(tx: Transaction, edge_desc: cat.TypeDescriptor,
@@ -268,9 +266,9 @@ def _create_edge(tx: Transaction, pattern: EdgePattern, left_row: Row,
         desc = _generalize_endpoint(tx, desc, LEAVING, tail_row.type_id)
         desc = _generalize_endpoint(tx, desc, ARRIVING, head_row.type_id)
         _fit_properties(tx, desc, props)
-    props[LEAVING] = _endpoint_key_value(tx, desc, LEAVING, tail_row)
-    props[ARRIVING] = _endpoint_key_value(tx, desc, ARRIVING, head_row)
-    uid = tx.insert_row(desc.type_id, props)
+    _check_endpoint_key(tx, desc, LEAVING, tail_row)
+    _check_endpoint_key(tx, desc, ARRIVING, head_row)
+    uid = tx.insert_row(desc.type_id, props, (tail_row.uid, head_row.uid))
     row = tx.view().get_row(uid)
     if pattern.alias is not None:
         if pattern.alias in bindings:

@@ -231,7 +231,7 @@ class _Matcher:
         if kind == _HOP:
             etids = step[3]
             if etids is None or etids:
-                alts = iter(self.view.edges_adjacent(crow, step[4], etids))
+                alts = iter(self.view.edges_adjacent(crow.uid, step[4], etids))
                 stack.append([alts, [], None, steps, k, ctx, crow, None, None, 0])
         elif kind == _QUANT:
             names = [n for n in step[5] if n not in self.bindings]
@@ -366,7 +366,7 @@ class _Matcher:
 
     def _unify_doc(self, doc, row: Row, added: list[str]) -> bool:
         for name, expr in doc:
-            prop = row.values.get(name)
+            prop = self.view.value(row, name)
             if isinstance(expr, Ref) and len(expr.path) == 1 and expr.path[0] not in self.bindings:
                 if prop is None:
                     return False

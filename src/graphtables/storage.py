@@ -6,26 +6,28 @@ readers snapshot isolation under the single-writer model.  A transaction
 stages row and schema changes privately; commit validates the post state in a
 fixed order (column types and keys, then references, then multiplicity, then
 constraints), appends one self-contained log record, and only then publishes.
+A transaction that changed the schema publishes its whole catalog, so it
+aborts if another commit changed the schema since it began to.
 
-Edge rows reference their endpoints by key value (LEAVING/ARRIVING), but
-navigation goes by uid.  Commit resolves each staged edge's endpoints once
-(reference validation does it anyway) and stores the uid pair on the edge's
-new version; replay does the same dereference once per edge.  A rekey does
-not move uids and a retarget writes a new version, so a version's ends never
-change.  `leaving_at`/`arriving_at` map a node uid to every edge that ever
-touched it; like the value index they never shrink, because a reader at an
-older snapshot may still need an edge that has since been deleted or
-retargeted, and each reader re-checks the version it sees.  A node rekeyed
-inside an open transaction therefore keeps its committed edges: they are
-found by uid, not by the key value the transaction just changed.  Staged
-edges, which have no version yet, are still resolved by key.
+Edge rows carry their endpoints' uids (`Row.ends`) from the moment they are
+staged: CREATE passes the matched nodes, and an inserted row or a `SET
+e.LEAVING/ARRIVING` retarget dereferences the key value once, at staging
+time.  The LEAVING/ARRIVING columns keep the endpoints' key values, which the
+log records and replay dereferences; `ReadView.value` derives them from the
+endpoint's current key, and one pass at commit writes that value into every
+staged edge.  A node whose key changes gets its committed edges staged for
+that pass, so a rekey never rebinds an edge.  `leaving_at`/`arriving_at` map
+a node uid to every edge that ever touched it; like the value index they
+never shrink, because a reader at an older snapshot may still need an edge
+that has since been deleted or retargeted, and each reader re-checks the
+version it sees.
 """
 
 from __future__ import annotations
 
 import copy
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import catalog as cat
 from . import log as logmod
@@ -37,25 +39,26 @@ from .exprs import constraint_passes
 
 @dataclass
 class Row:
-    """One node, edge or staged record.  Absent keys in `values` are NULL."""
+    """One node, edge or staged record.  Absent keys in `values` are NULL;
+    an edge's `ends` are its (leaving uid, arriving uid), a side None when
+    its key matched no node."""
 
     uid: int
     type_id: int
     values: dict
+    ends: tuple | None = None
 
     def get(self, name: str):
         return self.values.get(name)
 
 
 class _Version:
-    __slots__ = ("row", "begin", "end", "ends")
+    __slots__ = ("row", "begin", "end")
 
-    def __init__(self, row: Row, begin: int, ends: tuple[int, int] | None):
+    def __init__(self, row: Row, begin: int):
         self.row = row
         self.begin = begin
         self.end: int | None = None
-        # an edge version's (leaving uid, arriving uid), resolved at its commit
-        self.ends = ends
 
 
 class Store:
@@ -64,6 +67,7 @@ class Store:
     def __init__(self):
         self.commit_seq = 0
         self._versions: dict[int, list[_Version]] = {}
+        # type id -> its uids, ascending
         self._by_type: dict[int, dict[int, None]] = {}
         # (type_id, column) -> value -> set of uids; entries are never removed,
         # readers re-check value and visibility
@@ -88,11 +92,6 @@ class Store:
 
     def latest(self, uid: int) -> Row | None:
         return self.visible(uid, self.commit_seq)
-
-    def latest_ends(self, uid: int) -> tuple[int, int] | None:
-        """Endpoint uids of the edge's latest committed version."""
-        version = self.version_at(uid, self.commit_seq)
-        return version.ends if version is not None else None
 
     def scan_committed(self, type_id: int, snapshot: int):
         for uid in list(self._by_type.get(type_id, ())):
@@ -124,10 +123,9 @@ class Store:
 
     # --- commit application (physical) ---
 
-    def apply(self, seq: int, final: dict[int, Row | None],
-              endpoint_map: dict[int, tuple[int, int]]) -> None:
-        """Publish one commit; `endpoint_map` holds the endpoint uids of
-        every edge row in `final`."""
+    def apply(self, seq: int, final: dict[int, Row | None]) -> None:
+        """Publish one commit."""
+        unordered = set()
         for uid in sorted(final):
             row = final[uid]
             versions = self._versions.setdefault(uid, [])
@@ -135,16 +133,22 @@ class Store:
                 versions[-1].end = seq
             if row is None:
                 continue
-            ends = endpoint_map.get(uid)
-            versions.append(_Version(row, seq, ends))
-            self._by_type.setdefault(row.type_id, {})[uid] = None
+            versions.append(_Version(row, seq))
+            members = self._by_type.setdefault(row.type_id, {})
+            if uid not in members:
+                # a transaction that began earlier may commit lower uids later
+                if members and uid < next(reversed(members)):
+                    unordered.add(row.type_id)
+                members[uid] = None
             for column in self._indexed.get(row.type_id, ()):
                 v = row.values.get(column)
                 if v is not None:
                     self._value_index[(row.type_id, column)].setdefault(v, set()).add(uid)
-            if ends is not None:
-                self.leaving_at.setdefault(ends[0], set()).add(uid)
-                self.arriving_at.setdefault(ends[1], set()).add(uid)
+            if row.ends is not None and None not in row.ends:
+                self.leaving_at.setdefault(row.ends[0], set()).add(uid)
+                self.arriving_at.setdefault(row.ends[1], set()).add(uid)
+        for tid in unordered:
+            self._by_type[tid] = dict.fromkeys(sorted(self._by_type[tid]))
         self.commit_seq = seq
 
 
@@ -157,14 +161,17 @@ class ReadView:
         self.snapshot = snapshot
         self.catalog = catalog
         self.staged = staged if staged is not None else {}
-        self._endpoint_memo: dict[int, tuple[int, int]] = {}
         # column -> type id -> value -> staged rows, once `freeze` is called
         self._staged_index: dict[str, dict] | None = None
+        # per side, node uid -> uids of the staged edges ending there
+        self._staged_ends: tuple[dict, dict] | None = None
 
     def freeze(self) -> "ReadView":
-        """Declare `staged` final: lookups then probe a value index of the
-        staged rows, built per column on first use, instead of rescanning
-        every staged row."""
+        """Declare that `staged` gains no more rows: lookups then probe
+        indexes of the staged rows, built on first use, instead of
+        rescanning every staged row.  The value index keeps the rows it
+        saw; the endpoint index looks rows up again, so it sees a staged
+        edge deleted after it was built."""
         self._staged_index = {}
         return self
 
@@ -199,10 +206,24 @@ class ReadView:
             if len(path) == 1:
                 return v
             if isinstance(v, Row):
-                row = self.get_row(v.uid) or v
-                return row.values.get(path[1])
+                return self.value(self.get_row(v.uid) or v, path[1])
             raise ExecutionError(f"{name} has no fields")
         return resolve
+
+    def value(self, row: Row, column: str):
+        """`row`'s value in `column`.  An edge's LEAVING/ARRIVING is the
+        current key of its endpoint in this view (the stored value when
+        that side has no endpoint here)."""
+        ends = row.ends
+        if ends is None or (column != LEAVING and column != ARRIVING):
+            return row.values.get(column)
+        desc = self.catalog.get(row.type_id)
+        end = ends[0] if column == LEAVING else ends[1]
+        node = None if end is None else self.get_row(end)
+        kcol = self.key_column(desc.leaving_type if column == LEAVING else desc.arriving_type)
+        if node is None or kcol is None:
+            return row.values.get(column)
+        return node.values.get(kcol)
 
     def lookup_by_value(self, type_ids, column: str, value):
         """Rows among `type_ids` whose `column` equals `value`, uid ascending."""
@@ -266,43 +287,43 @@ class ReadView:
     def resolve_endpoints(self, edge_row: Row) -> tuple[int | None, int | None]:
         """Endpoint uids found by dereferencing the edge's key-valued
         reference columns in this view (None for a side that matches no node)."""
-        memo = self._endpoint_memo.get(edge_row.uid)
-        if memo is not None:
-            return memo
         desc = self.catalog.get(edge_row.type_id)
         leaving = self.deref_node(desc.leaving_type, edge_row.values.get(LEAVING))
         arriving = self.deref_node(desc.arriving_type, edge_row.values.get(ARRIVING))
-        ends = (leaving.uid if leaving else None, arriving.uid if arriving else None)
-        self._endpoint_memo[edge_row.uid] = ends
-        return ends
+        return (leaving.uid if leaving else None, arriving.uid if arriving else None)
 
-    def edges_adjacent(self, node_row: Row, direction: str, edge_type_ids=None):
-        """[(edge row, leaving uid, arriving uid)] touching the node on
-        `direction`, uid ascending: committed edges through the uid
-        adjacency, staged edges (which have no version yet) by key."""
+    def edges_adjacent(self, uid: int, direction: str, edge_type_ids=None):
+        """[(edge row, leaving uid, arriving uid)] touching node `uid` on
+        `direction`, uid ascending."""
         side = 0 if direction == "leaving" else 1
-        store, uid, out = self.store, node_row.uid, []
+        store, staged, out = self.store, self.staged, []
         for euid in (store.leaving_at if side == 0 else store.arriving_at).get(uid, ()):
-            version = None if euid in self.staged else store.version_at(euid, self.snapshot)
-            if version is None or version.ends is None or version.ends[side] != uid:
+            version = None if euid in staged else store.version_at(euid, self.snapshot)
+            if version is None or version.row.ends[side] != uid:
                 continue
             if edge_type_ids is None or version.row.type_id in edge_type_ids:
-                out.append((version.row, *version.ends))
-        if self.staged:
-            catalog = self.catalog
-            if edge_type_ids is None:
-                edge_type_ids = [d.type_id for d in catalog.types(cat.KIND_EDGE)]
-            for etid in edge_type_ids:
-                desc = catalog.get(etid)
-                endpoint_tid = desc.leaving_type if side == 0 else desc.arriving_type
-                kcol = None if endpoint_tid is None else self.key_column(endpoint_tid)
-                key_value = node_row.values.get(kcol)
-                for erow in self._staged_rows((etid,), LEAVING if side == 0 else ARRIVING, key_value):
-                    ends = self.resolve_endpoints(erow)
-                    if ends[side] == uid:
-                        out.append((erow, *ends))
+                out.append((version.row, *version.row.ends))
+        if staged:
+            for row in self._staged_edges(side, uid):
+                if edge_type_ids is None or row.type_id in edge_type_ids:
+                    out.append((row, *row.ends))
         out.sort(key=lambda t: t[0].uid)
         return out
+
+    def _staged_edges(self, side: int, uid: int) -> list[Row]:
+        """Staged edges whose end on `side` is node `uid`."""
+        staged = self.staged
+        if self._staged_index is None:
+            return [r for r in staged.values()
+                    if r is not None and r.ends is not None and r.ends[side] == uid]
+        if self._staged_ends is None:
+            self._staged_ends = ({}, {})
+            for euid, row in staged.items():
+                if row is not None and row.ends is not None:
+                    self._staged_ends[0].setdefault(row.ends[0], []).append(euid)
+                    self._staged_ends[1].setdefault(row.ends[1], []).append(euid)
+        rows = (staged[euid] for euid in self._staged_ends[side].get(uid, ()))
+        return [r for r in rows if r is not None]
 
 
 def make_columns(columns) -> list[ColumnDescriptor]:
@@ -317,14 +338,19 @@ def make_columns(columns) -> list[ColumnDescriptor]:
     return out
 
 
-@dataclass
-class CascadeReport:
-    edge_types: list[str] = field(default_factory=list)
-    rows_rewritten: int = 0
+def _with_references(view: ReadView, row: Row) -> Row:
+    """The edge `row` with LEAVING/ARRIVING set to its endpoints' keys in
+    `view` (left as they are on a side with no endpoint there)."""
+    values = dict(row.values)
+    for column in (LEAVING, ARRIVING):
+        v = view.value(row, column)
+        if v is not None:
+            values[column] = v
+    return Row(row.uid, row.type_id, values, row.ends)
 
 
 # the Transaction attributes that a statement's staging changes
-_STAGING = ("staged", "_cascade_deletes", "_dirty_types", "_full_key_check",
+_STAGING = ("staged", "_deletes", "_dirty_types", "_full_key_check",
             "_full_mult_check", "_full_constraint_check")
 
 
@@ -337,8 +363,11 @@ class Transaction:
         self.snapshot = snapshot
         self.status = "open"
         self._catalog: Catalog | None = None
+        # the published catalog that `_catalog` was cloned from
+        self._catalog_base: Catalog | None = None
         self.staged: dict[int, Row | None] = {}
-        self._cascade_deletes: set[int] = set()
+        # uid -> (type id, CASCADE?) of each row `delete_row` removed
+        self._deletes: dict[int, tuple[int, bool]] = {}
         self._dirty_types: set[int] = set()
         self._full_key_check: set[int] = set()
         self._full_mult_check: set[int] = set()
@@ -352,6 +381,7 @@ class Transaction:
 
     def _mutable_catalog(self) -> Catalog:
         if self._catalog is None:
+            self._catalog_base = self.db.catalog
             self._catalog = self.db.catalog.clone()
         return self._catalog
 
@@ -444,11 +474,12 @@ class Transaction:
         for row in rewrites:
             new_values = dict(row.values)
             del new_values[name]
-            self.staged[row.uid] = Row(row.uid, row.type_id, new_values)
+            self.staged[row.uid] = Row(row.uid, row.type_id, new_values, row.ends)
         return len(rewrites)
 
-    def alter_primary_key(self, type_ref, key_columns) -> CascadeReport:
-        """Install a new primary key and rewrite referencing edge columns."""
+    def alter_primary_key(self, type_ref, key_columns) -> None:
+        """Install a new primary key; commit rewrites the key columns of
+        the edges that reference it."""
         self._check_open()
         desc = self._type(type_ref, (cat.KIND_NODE,))
         key_columns = list(key_columns)
@@ -479,22 +510,10 @@ class Transaction:
         if edge_refs and len(key_columns) != 1:
             raise SchemaError(f"{desc.label} is an edge endpoint and needs a single-column key")
 
-        # resolve endpoints under the old key before touching the schema
-        rewrites = []
-        for edesc, side in edge_refs:
-            for erow in post.scan_type(edesc.type_id, subtypes=True):
-                ends = (post.resolve_endpoints(erow) if erow.uid in self.staged
-                        else self.db.store.latest_ends(erow.uid) or (None, None))
-                endpoint_uid = ends[0] if side == LEAVING else ends[1]
-                if endpoint_uid is None:
-                    raise SchemaError(f"{edesc.label} row {erow.uid} has a dangling {side}")
-                rewrites.append((erow, side, endpoint_uid))
-
         catalog.install_primary_key(desc.type_id, key_columns)
         self._dirty_types.add(desc.type_id)
         if old_declarer is not None:
             self._dirty_types.add(old_declarer.type_id)
-        report = CascadeReport()
         new_col = catalog.effective_column(desc.type_id, key_columns[0]) if len(key_columns) == 1 else None
         retyped = set()
         for edesc, side in edge_refs:
@@ -506,19 +525,7 @@ class Transaction:
                 catalog.retype_column(owner_tid, side, new_col.data_type)
                 self._dirty_types.add(owner_tid)
                 retyped.add((owner_tid, side))
-            if edesc.label not in report.edge_types:
-                report.edge_types.append(edesc.label)
-        touched = set()
-        for erow, side, endpoint_uid in rewrites:
-            current = self.staged.get(erow.uid, erow)
-            node = post.get_row(endpoint_uid)
-            new_values = dict(current.values)
-            new_values[side] = node.values.get(key_columns[0])
-            self.staged[erow.uid] = Row(erow.uid, erow.type_id, new_values)
-            touched.add(erow.uid)
-        report.rows_rewritten = len(touched)
         self._full_key_check.add(desc.type_id)
-        return report
 
     def retarget_endpoint(self, type_ref, side: str, node_type_id: int) -> None:
         self._check_open()
@@ -565,7 +572,10 @@ class Transaction:
             out[name] = val.coerce(v, col.data_type)
         return out
 
-    def insert_row(self, type_ref, values: dict) -> int:
+    def insert_row(self, type_ref, values: dict, ends: tuple | None = None) -> int:
+        """Stage a new row.  An edge given no `ends` binds the nodes its
+        LEAVING/ARRIVING values name now; its stored LEAVING/ARRIVING are
+        then its endpoints' keys."""
         self._check_open()
         desc = self._type(type_ref)
         if desc.kind == cat.KIND_PLAIN:
@@ -578,7 +588,12 @@ class Transaction:
             col = self.catalog.effective_column(desc.type_id, key[0])
             if col is not None and col.data_type == val.INTEGER:
                 staged_values[key[0]] = uid
-        self.staged[uid] = Row(uid, desc.type_id, staged_values)
+        row = Row(uid, desc.type_id, staged_values, ends)
+        if desc.kind == cat.KIND_EDGE:
+            if ends is None:
+                row.ends = self._bind_ends(desc, staged_values, (None, None), (LEAVING, ARRIVING))
+            row = _with_references(self.view(), row)
+        self.staged[uid] = row
         return uid
 
     def update_row(self, uid: int, changes: dict) -> None:
@@ -593,40 +608,24 @@ class Transaction:
                 new_values.pop(name, None)
             else:
                 new_values[name] = v
-        new_row = Row(uid, row.type_id, self._stage_check_values(desc, new_values))
-        if desc.kind == cat.KIND_NODE:
-            self._cascade_staged_edges(row, new_row)
-        self.staged[uid] = new_row
+        new_values = self._stage_check_values(desc, new_values)
+        ends = row.ends
+        if desc.kind == cat.KIND_EDGE and (LEAVING in changes or ARRIVING in changes):
+            ends = self._bind_ends(desc, new_values, ends, changes)
+        self.staged[uid] = Row(uid, row.type_id, new_values, ends)
 
-    def _cascade_staged_edges(self, old_row: Row, new_row: Row) -> None:
-        """A key change on a node must follow through to staged edges that
-        reference it by the old key value (committed edges are rewritten at
-        commit time, found through the uid adjacency)."""
-        catalog = self.catalog
-        key = catalog.effective_key(old_row.type_id)
-        if len(key) != 1:
-            return
-        kcol = key[0]
-        old_key, new_key = old_row.values.get(kcol), new_row.values.get(kcol)
-        if val.values_equal(old_key, new_key):
-            return
-        view = self.post_view()
-        edge_tids = {d.type_id for d in catalog.types(cat.KIND_EDGE)}
-        for suid, srow in list(self.staged.items()):
-            if srow is None or srow.type_id not in edge_tids:
-                continue
-            edesc = catalog.get(srow.type_id)
-            for side, endpoint in ((LEAVING, edesc.leaving_type), (ARRIVING, edesc.arriving_type)):
-                if old_row.type_id not in catalog.subtype_closure(endpoint):
-                    continue
-                if not val.values_equal(srow.values.get(side), old_key):
-                    continue
-                ends = view.resolve_endpoints(srow)
-                mine = ends[0] if side == LEAVING else ends[1]
-                if mine == old_row.uid:
-                    rewritten = dict(srow.values)
-                    rewritten[side] = new_key
-                    self.staged[suid] = Row(suid, srow.type_id, rewritten)
+    def _bind_ends(self, desc: cat.TypeDescriptor, values: dict, ends: tuple,
+                   sides) -> tuple:
+        """`ends` with each side among `sides` bound to the node whose key is
+        that side's value in `values` now (None if no node holds it)."""
+        post = self.post_view()
+        out = list(ends)
+        for i, (side, endpoint_tid) in enumerate(((LEAVING, desc.leaving_type),
+                                                  (ARRIVING, desc.arriving_type))):
+            if side in sides:
+                node = post.deref_node(endpoint_tid, values.get(side))
+                out[i] = node.uid if node is not None else None
+        return tuple(out)
 
     def delete_row(self, uid: int, cascade: bool = False) -> None:
         self._check_open()
@@ -634,8 +633,7 @@ class Transaction:
         if row is None:
             raise StorageError(f"unknown uid {uid}")
         self.staged[uid] = None
-        if cascade:
-            self._cascade_deletes.add(uid)
+        self._deletes[uid] = (row.type_id, cascade)
 
     def savepoint(self) -> tuple:
         """The staging state, for `restore` to return to."""
@@ -665,18 +663,27 @@ class Transaction:
         self.status = "committed"
 
     def _commit_locked(self) -> None:
+        if self._catalog is not None and self.db.catalog is not self._catalog_base:
+            # publishing this catalog would revert the other commit's schema
+            raise CommitError("conflict", "catalog", "another transaction changed "
+                              "the schema after this one began changing it")
         catalog = self.catalog
         node_tids = {d.type_id for d in catalog.types(cat.KIND_NODE)}
         edge_tids = {d.type_id for d in catalog.types(cat.KIND_EDGE)}
 
-        self._expand_key_cascades(catalog, node_tids)
-        self._expand_deletes(catalog, node_tids)
+        self._stage_rekeyed_edges(catalog, node_tids)
         post = self.post_view().freeze()
+        self._expand_deletes(post, catalog, node_tids)
+        # every staged edge takes its endpoints' keys; this must run before a
+        # lookup builds the staged value index, which keeps the rows it saw
+        for uid, row in self.staged.items():
+            if row is not None and row.type_id in edge_tids:
+                self.staged[uid] = _with_references(post, row)
 
         self._validate_types(post, catalog)
         self._validate_keys(post, catalog)
-        endpoint_map = self._validate_references(post, catalog, edge_tids)
-        self._validate_multiplicity(post, catalog, endpoint_map, edge_tids)
+        self._validate_references(post, catalog, edge_tids)
+        self._validate_multiplicity(post, catalog, edge_tids)
         self._validate_constraints(post, catalog)
 
         seq = self.db.store.commit_seq + 1
@@ -689,67 +696,53 @@ class Transaction:
                 row_ops.append(["del", uid])
             else:
                 row_ops.append(["put", uid, row.type_id, row.values])
-        self.db.append_log_record(logmod.encode_record(seq, schema, row_ops, self.db.peek_uid()))
+        next_uid = self.db.peek_uid()
+        self.db.append_log_record(logmod.encode_record(seq, schema, row_ops, next_uid))
 
-        delta = self._graph_delta(edge_tids, endpoint_map)
-        self.db.store.apply(seq, self.staged, endpoint_map)
+        delta = self._graph_delta(edge_tids)
+        self.db.store.apply(seq, self.staged)
+        self.db.logged_next_uid = next_uid
         if self._catalog is not None:
             self.db.catalog = self._catalog
         self.db.graphs.apply_delta(*delta)
 
     # cascading effects that enlarge the staged set
 
-    def _expand_key_cascades(self, catalog: Catalog, node_tids: set[int]) -> None:
-        """A changed node key value rewrites the reference columns of the
-        node's committed edges."""
+    def _stage_rekeyed_edges(self, catalog: Catalog, node_tids: set[int]) -> None:
+        """Stage the committed edges of every node whose key value changes,
+        and of every edge type whose endpoint got a new primary key, so
+        that commit rewrites their reference columns."""
         store = self.db.store
         committed = ReadView(store, store.commit_seq, catalog)
+        rekeyed = {t for tid in self._full_key_check for t in catalog.subtype_closure(tid)}
+        for edesc, _side in catalog.edge_types_referencing(rekeyed) if rekeyed else ():
+            for erow in committed.scan_type(edesc.type_id):
+                self.staged.setdefault(erow.uid, erow)
         for uid, row in list(self.staged.items()):
             if row is None or row.type_id not in node_tids:
                 continue
             old = store.latest(uid)
-            if old is None:
-                continue
             key = catalog.effective_key(row.type_id)
-            if len(key) != 1:
+            if old is None or len(key) != 1 or old.values.get(key[0]) == row.values.get(key[0]):
                 continue
-            old_key, new_key = old.values.get(key[0]), row.values.get(key[0])
-            if old_key == new_key:
-                continue
-            for side, direction in ((LEAVING, "leaving"), (ARRIVING, "arriving")):
-                for erow, _, _ in committed.edges_adjacent(old, direction):
-                    current = self.staged.get(erow.uid, erow)
-                    # skip edges deleted or retargeted in this transaction
-                    if current is not None and val.values_equal(current.values.get(side), old_key):
-                        new_values = dict(current.values)
-                        new_values[side] = new_key
-                        self.staged[erow.uid] = Row(erow.uid, erow.type_id, new_values)
+            for direction in ("leaving", "arriving"):
+                for erow, _, _ in committed.edges_adjacent(uid, direction):
+                    self.staged.setdefault(erow.uid, erow)
 
-    def _expand_deletes(self, catalog: Catalog, node_tids: set[int]) -> None:
+    def _expand_deletes(self, post: ReadView, catalog: Catalog, node_tids: set[int]) -> None:
         """Node deletion is restrict by default, cascade on request."""
-        deleted = [u for u, r in self.staged.items() if r is None]
-        if not deleted:
-            return
-        store = self.db.store
-        # staged edges reference nodes by key, so look for incident edges in
-        # a view where the deleted nodes are still visible
-        alive = ReadView(store, store.commit_seq, catalog,
-                         {u: r for u, r in self.staged.items() if r is not None}).freeze()
-        for uid in deleted:
-            old = store.latest(uid)
-            if old is None or old.type_id not in node_tids:
+        for uid, (type_id, cascade) in self._deletes.items():
+            if type_id not in node_tids:
                 continue
             incident = {erow.uid for direction in ("leaving", "arriving")
-                        for erow, _, _ in alive.edges_adjacent(old, direction)
-                        if self.staged.get(erow.uid, erow) is not None}
+                        for erow, _, _ in post.edges_adjacent(uid, direction)}
             if not incident:
                 continue
-            if uid in self._cascade_deletes:
+            if cascade:
                 for edge_uid in incident:
                     self.staged[edge_uid] = None
             else:
-                label = catalog.get(old.type_id).label
-                raise CommitError("reference", label,
+                raise CommitError("reference", catalog.get(type_id).label,
                                   f"node {uid} still has {len(incident)} incident edge(s); "
                                   "delete them first or use CASCADE", (uid,))
 
@@ -829,27 +822,20 @@ class Transaction:
                                           f"duplicate key {kv!r}", (other.uid, uid))
 
     def _validate_references(self, post: ReadView, catalog: Catalog,
-                             edge_tids: set[int]) -> dict[int, tuple[int, int]]:
-        endpoint_map: dict[int, tuple[int, int]] = {}
+                             edge_tids: set[int]) -> None:
         for uid, row in sorted(self.staged.items()):
             if row is None or row.type_id not in edge_tids:
                 continue
             desc = catalog.get(row.type_id)
-            leaving = post.deref_node(desc.leaving_type, row.values.get(LEAVING))
-            if leaving is None:
-                raise CommitError("reference", desc.label,
-                                  f"{LEAVING} value {row.values.get(LEAVING)!r} matches no "
-                                  f"{catalog.get(desc.leaving_type).label} row", (uid,))
-            arriving = post.deref_node(desc.arriving_type, row.values.get(ARRIVING))
-            if arriving is None:
-                raise CommitError("reference", desc.label,
-                                  f"{ARRIVING} value {row.values.get(ARRIVING)!r} matches no "
-                                  f"{catalog.get(desc.arriving_type).label} row", (uid,))
-            endpoint_map[uid] = (leaving.uid, arriving.uid)
-        return endpoint_map
+            for side, end, endpoint_tid in ((LEAVING, row.ends[0], desc.leaving_type),
+                                            (ARRIVING, row.ends[1], desc.arriving_type)):
+                node = None if end is None else post.get_row(end)
+                if node is None or node.type_id not in catalog.subtype_closure(endpoint_tid):
+                    raise CommitError("reference", desc.label,
+                                      f"{side} value {row.values.get(side)!r} matches no "
+                                      f"{catalog.get(endpoint_tid).label} row", (uid,))
 
     def _validate_multiplicity(self, post: ReadView, catalog: Catalog,
-                               endpoint_map: dict[int, tuple[int, int]],
                                edge_tids: set[int]) -> None:
         constrained = [d for d in catalog.types(cat.KIND_EDGE)
                        if d.multiplicity is not None and not d.multiplicity.is_default()]
@@ -857,12 +843,12 @@ class Transaction:
             return
         affected: set[int] = set()
         for uid, row in self.staged.items():
-            if row is not None and row.type_id not in edge_tids:
-                affected.add(uid)
-            if uid in endpoint_map:
-                affected.update(endpoint_map[uid])
-            if row is None:
-                affected.update(self.db.store.latest_ends(uid) or ())
+            # a deleted or retargeted edge leaves its former endpoints
+            prior = self.db.store.latest(uid)
+            if prior is not None and prior.ends is not None:
+                affected.update(prior.ends)
+            if row is not None:
+                affected.update(row.ends if row.type_id in edge_tids else (uid,))
         for edesc in constrained:
             if edesc.type_id not in self._full_mult_check:
                 continue
@@ -878,11 +864,11 @@ class Transaction:
                 closure = catalog.subtype_closure(edesc.type_id)
                 mult = edesc.multiplicity
                 if ntype in catalog.subtype_closure(edesc.leaving_type):
-                    n = len(post.edges_adjacent(node, "leaving", closure))
+                    n = len(post.edges_adjacent(node_uid, "leaving", closure))
                     self._check_bounds(edesc, "leaves", n, mult.leaving_min,
                                        mult.leaving_max, node_uid, catalog, ntype)
                 if ntype in catalog.subtype_closure(edesc.arriving_type):
-                    n = len(post.edges_adjacent(node, "arriving", closure))
+                    n = len(post.edges_adjacent(node_uid, "arriving", closure))
                     self._check_bounds(edesc, "receives", n, mult.arriving_min,
                                        mult.arriving_max, node_uid, catalog, ntype)
 
@@ -907,7 +893,7 @@ class Transaction:
             for row in post.scan_type(tid, subtypes=True):
                 check(row)
 
-    def _graph_delta(self, edge_tids: set[int], endpoint_map):
+    def _graph_delta(self, edge_tids: set[int]):
         added_nodes, removed_nodes = [], []
         added_edges, removed_edges = [], []
         for uid in sorted(self.staged):
@@ -922,12 +908,11 @@ class Transaction:
                     removed_nodes.append(uid)
                 continue
             if row.type_id in edge_tids:
-                ends = endpoint_map.get(uid)
                 if prior is None:
-                    added_edges.append((uid, ends[0], ends[1]))
-                elif self.db.store.latest_ends(uid) != ends:
+                    added_edges.append((uid, *row.ends))
+                elif prior.ends != row.ends:
                     removed_edges.append(uid)
-                    added_edges.append((uid, ends[0], ends[1]))
+                    added_edges.append((uid, *row.ends))
             elif prior is None:
                 added_nodes.append(uid)
         return added_nodes, added_edges, removed_nodes, removed_edges

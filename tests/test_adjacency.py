@@ -76,3 +76,36 @@ def test_one_create_of_a_long_chain_commits_and_replays_quickly(tmp_path):
     assert time.perf_counter() - started < 5.0
     assert len(db.execute("MATCH (a:C)-[:L]->(b:C) RETURN a.N").rows) == 2000
     db.close()
+
+
+def chain_db():
+    db = Database()
+    db.execute("create type C as (N int) nodetype")
+    db.execute("create type L as () edgetype (leaving C, arriving C)")
+    return db
+
+
+CHAIN_6000 = "(:C {N: 0})" + "".join(f"-[:L]->(:C {{N: {i}}})" for i in range(1, 6001))
+
+
+def test_one_create_of_a_long_chain_under_a_cardinality_rule_commits_quickly():
+    db = chain_db()
+    db.execute("alter type L set cardinality leaving 0..1 arriving 0..1")
+    started = time.perf_counter()
+    db.execute("CREATE " + CHAIN_6000)
+    assert time.perf_counter() - started < 2.0
+    assert len(db.execute("MATCH (a:C)-[:L]->(b:C) RETURN a.N").rows) == 6000
+
+
+def test_commit_of_many_staged_edges_and_cascade_deletes_is_quick():
+    db = chain_db()
+    db.execute("CREATE " + CHAIN_6000)
+    sess = db.session()
+    sess.execute("BEGIN")
+    sess.execute("MATCH (a:C)-[:L]->(b:C) CREATE (a)-[:M]->(b)")
+    sess.execute("MATCH (c:C) DELETE c CASCADE")
+    started = time.perf_counter()
+    sess.execute("COMMIT")
+    assert time.perf_counter() - started < 2.0
+    assert db.execute("MATCH (c:C) RETURN c.N").rows == []
+    assert db.execute("SHOW GRAPHS").rows == []

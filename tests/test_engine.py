@@ -6,7 +6,7 @@ import struct
 import pytest
 
 from graphtables.engine import Database, render_row
-from graphtables.errors import GraphTablesError, StorageError
+from graphtables.errors import CommitError, GraphTablesError, StorageError
 
 from conftest import FAMILY_CREATE, names
 
@@ -181,6 +181,60 @@ def test_state_hash_reflects_uid_history(db):
     fresh.execute("CREATE (:Person {Name: 'Ada'})")
     fresh.execute("MATCH (x:Person) DELETE x")
     assert fresh.state_hash() != db.state_hash()
+
+
+def test_rolled_back_staging_leaves_the_state_hash_alone(tmp_path):
+    path = tmp_path / "rollback.db"
+    db = Database(path)
+    db.execute("CREATE (:Person {Name: 'Ada'})")
+    sess = db.session()
+    sess.execute("BEGIN")
+    sess.execute("CREATE (:Person {Name: 'Bea'})")
+    sess.execute("ROLLBACK")
+    before = db.state_hash()
+    db.close()
+    reopened = Database(path)
+    assert reopened.state_hash() == before
+    reopened.close()
+
+
+def test_rows_come_back_in_uid_order_when_transactions_commit_out_of_order(db):
+    db.execute("create type T as (V int) nodetype")
+    first, second, third = db.session(), db.session(), db.session()
+    first.execute("BEGIN")
+    first.execute("CREATE (:T {V: 1})")
+    second.execute("BEGIN")
+    second.execute("CREATE (:T {V: 2})")
+    second.execute("COMMIT")
+    first.execute("COMMIT")
+    assert db.execute("MATCH (t:T) RETURN t.V").rows == [[1], [2]]
+    third.execute("BEGIN")
+    third.execute("CREATE (:T {V: 3})")
+    assert third.execute("MATCH (t:T) RETURN t.V").rows == [[1], [2], [3]]
+
+
+def test_schema_change_conflicts_with_a_schema_change_committed_meanwhile(tmp_path):
+    path = tmp_path / "schema.db"
+    db = Database(path)
+    db.execute("create type Q as (N int, W int) nodetype")
+    db.execute("create type R as () edgetype (leaving Q, arriving Q)")
+    db.execute("alter table Q add primary key(N)")
+    db.execute("CREATE (:Q {N: 1, W: 10})-[:R]->(:Q {N: 2, W: 20})")
+    sess = db.session()
+    sess.execute("BEGIN")
+    sess.execute("ALTER TYPE R SET CARDINALITY LEAVING 0..2 ARRIVING 0..*")
+    db.execute("ALTER TABLE Q ADD PRIMARY KEY (W)")
+    with pytest.raises(CommitError) as err:
+        sess.execute("COMMIT")
+    assert err.value.rule == "conflict"
+    rows = db.execute("MATCH (a:Q)-[e:R]->(b:Q) RETURN e.LEAVING, e.ARRIVING").rows
+    assert rows == [[10, 20]]
+    before = db.state_hash()
+    db.close()
+    reopened = Database(path)
+    assert reopened.state_hash() == before
+    assert reopened.execute("MATCH (a:Q)-[e:R]->(b:Q) RETURN e.LEAVING, e.ARRIVING").rows == rows
+    reopened.close()
 
 
 def test_fsync_mode_still_writes_readable_records(tmp_path):

@@ -234,10 +234,8 @@ def test_update_of_committed_key_rewrites_committed_edges(db):
 def test_key_swap_cascades_into_edge_columns(db):
     _, _, fred, mary, edge = seed_people(db)
     tx = db.begin()
-    report = tx.alter_primary_key("PERSON", ["NAME"])
+    tx.alter_primary_key("PERSON", ["NAME"])
     tx.commit()
-    assert "CHILD" in report.edge_types
-    assert report.rows_rewritten == 1
     row = db.read_view().get_row(edge)
     assert row.get(LEAVING) == "Fred" and row.get(ARRIVING) == "Mary"
     assert db.read_view().resolve_endpoints(row) == (fred, mary)
