@@ -185,6 +185,12 @@ class Catalog:
                 return col
         return None
 
+    def column_owner(self, type_id: int, name: str) -> int | None:
+        """The type, on `type_id`'s supertype chain, whose own column
+        `effective_column(type_id, name)` returns."""
+        return next((tid for tid in self.supertype_chain(type_id)
+                     if self.get(tid).own_column(name) is not None), None)
+
     def key_declarer(self, type_id: int) -> TypeDescriptor | None:
         """Nearest ancestor (or self) that declares a primary key."""
         if type_id not in self._declarers:
@@ -318,9 +324,10 @@ class Catalog:
     # --- evolution (schema side; row rewrites are staged by the transaction) ---
 
     def widen_type(self, type_id: int, column: ColumnDescriptor) -> ColumnDescriptor:
-        """Add a nullable column to an existing type."""
+        """Add a nullable column that no supertype or subtype declares yet."""
         desc = self.get(type_id)
-        self._check_new_columns([column], self.effective_columns(type_id))
+        below = tuple(c for tid in self.subtype_closure(type_id) for c in self.get(tid).columns)
+        self._check_new_columns([column], self.effective_columns(type_id) + below)
         column = column.copy()
         column.nullable = True
         desc.columns.append(column)

@@ -15,7 +15,7 @@ from .catalog import Catalog
 from .errors import ExecutionError, StorageError
 from .graphset import GraphSet
 from .parser import parse_expression, parse_statement
-from .storage import ReadView, Row, Store, Transaction
+from .storage import ReadView, Row, Staging, Store, Transaction
 from .syntax import (BeginStatement, CommitStatement, RollbackStatement)
 
 
@@ -92,15 +92,15 @@ class Database:
     def _apply_record(self, payload: dict) -> None:
         for data in payload["schema"]:
             self.catalog.apply_descriptor_dict(data, parse_expression)
-        final: dict[int, Row | None] = {}
+        final = Staging()
         for op in logmod.decode_rows(payload):
             if op[0] == "put":
                 _tag, uid, tid, vals = op
-                final[uid] = Row(uid, tid, vals)
+                final.put(uid, Row(uid, tid, vals))
             else:
-                final[op[1]] = None
+                final.put(op[1], None)
         # bind each edge to its endpoints once, in the record's post state
-        post = ReadView(self.store, self.store.commit_seq, self.catalog, final).freeze()
+        post = ReadView(self.store, self.store.commit_seq, self.catalog, final)
         for row in final.values():
             if row is not None and self.catalog.get(row.type_id).kind == cat.KIND_EDGE:
                 row.ends = post.resolve_endpoints(row)
@@ -159,6 +159,11 @@ class Session:
         self.db = db
         self.tx: Transaction | None = None
 
+    def view(self) -> ReadView:
+        """What this session reads now: its open transaction's view, or
+        else the latest committed state."""
+        return self.tx.view() if self.tx is not None else self.db.read_view()
+
     def execute(self, text: str):
         try:
             return self.execute_statement(parse_statement(text))
@@ -206,12 +211,12 @@ class Session:
         return result
 
 
-def render_row(catalog: Catalog, row: Row) -> str:
+def render_row(view: ReadView, row: Row) -> str:
     """`PERSON(ID=2,NAME=Peter Smith)`: label plus present values in
-    declaration order."""
-    desc = catalog.get(row.type_id)
+    declaration order, as `view` reads them."""
+    catalog = view.catalog
     parts = []
     for col in catalog.effective_columns(row.type_id):
         if col.name in row.values:
-            parts.append(f"{col.name}={val.render(row.values[col.name])}")
-    return f"{desc.label}({','.join(parts)})"
+            parts.append(f"{col.name}={val.render(view.value(row, col.name))}")
+    return f"{catalog.get(row.type_id).label}({','.join(parts)})"

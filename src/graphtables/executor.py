@@ -144,11 +144,17 @@ def _most_specific(tx: Transaction, labels, kind: str) -> cat.TypeDescriptor:
 def _eval_doc(tx: Transaction, doc, bindings: dict) -> dict:
     out = {}
     for name, expr in doc or ():
-        v = eval_value(tx, expr, bindings)
-        if isinstance(v, Row):
-            raise ExecutionError(f"{name} cannot hold a whole row")
-        out[name] = v
+        out[name] = _storable(name, eval_value(tx, expr, bindings))
     return out
+
+
+def _storable(name: str, v):
+    """`v`, if a column can hold it."""
+    if isinstance(v, Row):
+        raise ExecutionError(f"{name} cannot hold a whole row")
+    if isinstance(v, list):
+        raise ExecutionError(f"{name} cannot hold an array")
+    return v
 
 
 def _fit_properties(tx: Transaction, desc: cat.TypeDescriptor, props: dict) -> None:
@@ -164,20 +170,10 @@ def _fit_properties(tx: Transaction, desc: cat.TypeDescriptor, props: dict) -> N
         if val.conforms(v, col.data_type):
             continue
         if col.data_type == val.INTEGER and isinstance(v, decimal.Decimal):
-            owner = _column_owner(tx, desc.type_id, name)
-            tx.retype_column(owner, name, val.DECIMAL)
+            tx.retype_column(tx.catalog.column_owner(desc.type_id, name), name, val.DECIMAL)
             continue
         raise ExecutionError(f"{desc.label}.{name} holds {col.data_type} values, "
                              f"not {v!r}")
-
-
-def _column_owner(tx: Transaction, type_id: int, name: str) -> int:
-    owner = type_id
-    for tid in tx.catalog.supertype_chain(type_id):
-        if tx.catalog.get(tid).own_column(name) is not None:
-            owner = tid
-            break
-    return owner
 
 
 def _create_node(tx: Transaction, pattern: NodePattern, bindings: dict) -> Row:
@@ -314,9 +310,7 @@ def exec_set(tx: Transaction, stmt: SetStatement, bindings: dict) -> None:
         bound = bindings.get(alias)
         if not isinstance(bound, Row):
             raise ExecutionError(f"unknown identifier {alias}")
-        v = eval_value(tx, expr, bindings)
-        if isinstance(v, Row):
-            raise ExecutionError(f"{prop} cannot hold a whole row")
+        v = _storable(prop, eval_value(tx, expr, bindings))
         if v is not None:
             _fit_properties(tx, tx.catalog.get(bound.type_id), {prop: v})
         tx.update_row(bound.uid, {prop: v})

@@ -55,6 +55,8 @@ def _subgraph(db: Database, anchor_uid: int, depth: int | None):
         keep = {anchor_uid}
         frontier = [anchor_uid]
         for _ in range(depth):
+            if not frontier:
+                break
             nxt = []
             for uid in frontier:
                 for _e, other in adjacency.get(uid, ()):

@@ -14,22 +14,24 @@ import time
 
 from .engine import Database, ResultTable, render_row
 from .errors import GraphTablesError
-from .storage import Row
+from .storage import ReadView, Row
 from . import values as val
 
 
-def render_value(catalog, value) -> str:
+def render_value(view: ReadView, value) -> str:
     if isinstance(value, Row):
-        return render_row(catalog, value)
+        return render_row(view, value)
     if isinstance(value, list):
-        return "ARRAY[" + ",".join(render_value(catalog, v) for v in value) + "]"
+        return "ARRAY[" + ",".join(render_value(view, v) for v in value) + "]"
     return val.render(value)
 
 
-def format_table(catalog, table: ResultTable) -> str:
+def format_table(view: ReadView, table: ResultTable) -> str:
+    """`table` as a dashed ASCII box; rows are read through `view`, which
+    should be the view that produced them."""
     if not table.columns:
         return "true" if table.rows else "false"
-    cells = [[render_value(catalog, v) for v in row] for row in table.rows]
+    cells = [[render_value(view, v) for v in row] for row in table.rows]
     widths = [len(c) for c in table.columns]
     for row in cells:
         for i, text in enumerate(row):
@@ -101,11 +103,6 @@ def _bracket_delta(line: str) -> int:
     return delta
 
 
-def _print_result(db: Database, result) -> None:
-    if isinstance(result, ResultTable):
-        print(format_table(db.catalog, result))
-
-
 def run_repl(db: Database, stdin=None, stdout=None) -> int:
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
@@ -127,7 +124,7 @@ def run_repl(db: Database, stdin=None, stdout=None) -> int:
             if stripped.lower() in ("exit", "quit"):
                 return 0
             if not stripped.startswith("["):
-                _execute_line(db, session, stripped, stdout)
+                _execute_line(session, stripped, stdout)
                 continue
         buffer.append(line.rstrip("\n"))
         depth += _bracket_delta(line)
@@ -136,17 +133,16 @@ def run_repl(db: Database, stdin=None, stdout=None) -> int:
             if body.startswith("[") and body.endswith("]"):
                 body = body[1:-1]
             buffer, depth = [], 0
-            _execute_line(db, session, body, stdout)
+            _execute_line(session, body, stdout)
 
 
-def _execute_line(db: Database, session, text: str, stdout) -> None:
+def _execute_line(session, text: str, stdout) -> None:
     try:
         result = session.execute(text)
+        if isinstance(result, ResultTable):
+            stdout.write(format_table(session.view(), result) + "\n")
     except GraphTablesError as exc:
         stdout.write(f"error: {exc}\n")
-        return
-    if isinstance(result, ResultTable):
-        stdout.write(format_table(db.catalog, result) + "\n")
 
 
 def run_script(db: Database, path: str, keep_going: bool = False,
@@ -164,6 +160,9 @@ def run_script(db: Database, path: str, keep_going: bool = False,
         try:
             result = session.execute(stmt_text)
             executed += 1
+            elapsed_ms = (time.perf_counter() - t0) * 1000
+            shown = (format_table(session.view(), result)
+                     if isinstance(result, ResultTable) else None)
         except GraphTablesError as exc:
             failures += 1
             where = line_no + getattr(exc, "line", 1) - 1 if hasattr(exc, "line") else line_no
@@ -172,8 +171,9 @@ def run_script(db: Database, path: str, keep_going: bool = False,
                 return 1
             continue
         if timing:
-            out.write(f"-- {(time.perf_counter() - t0) * 1000:.3f} ms\n")
-        _print_result(db, result)
+            out.write(f"-- {elapsed_ms:.3f} ms\n")
+        if shown is not None:
+            out.write(shown + "\n")
     elapsed = time.perf_counter() - started
     if timing and executed:
         rate = executed / elapsed if elapsed > 0 else float("inf")

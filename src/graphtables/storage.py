@@ -21,11 +21,17 @@ a node uid to every edge that ever touched it; like the value index they
 never shrink, because a reader at an older snapshot may still need an edge
 that has since been deleted or retargeted, and each reader re-checks the
 version it sees.
+
+A transaction stages rows in a `Staging` dict (uid -> row, None for a
+deletion) whose one writer, `put`, keeps a value index, built per column on
+its first probe, and a per-side map from node uid to staged edges; readers
+re-check their never-shrinking candidates.  After a savepoint, `put` journals
+what it replaces, and undoing the journal takes back a failed statement.
+Commit finds the types whose schema changed by comparing catalogs.
 """
 
 from __future__ import annotations
 
-import copy
 import heapq
 from dataclasses import dataclass
 
@@ -152,28 +158,100 @@ class Store:
         self.commit_seq = seq
 
 
+_ABSENT = object()
+
+
+class Staging(dict):
+    """Staged rows by uid, None for a deletion, written only through `put`."""
+
+    __slots__ = ("deletes", "_by_value", "_ends", "journal")
+
+    def __init__(self):
+        # uid -> (type id, CASCADE?) of each row deleted by `delete_row`
+        self.deletes: dict[int, tuple[int, bool]] = {}
+        # column -> type id -> value -> uids, a column from its first probe on
+        self._by_value: dict[str, dict] = {}
+        # per side, node uid -> uids of the staged edges ending there
+        self._ends: tuple[dict, dict] = ({}, {})
+        # (uid, replaced row or _ABSENT) per `put` since the first savepoint,
+        # None before it; undoing a deletion also drops its record
+        self.journal: list | None = None
+
+    def put(self, uid: int, row: Row | None, deletion: tuple | None = None) -> None:
+        """Stage `row` at `uid`; a `delete_row` deletion passes None and its record."""
+        if self.journal is not None:
+            self.journal.append((uid, self.get(uid, _ABSENT)))
+        if deletion is not None:
+            self.deletes[uid] = deletion
+        self[uid] = row
+        if row is None:
+            return
+        for column, index in self._by_value.items():
+            _index_value(index, uid, row.type_id, row.values.get(column))
+        if row.ends is not None:
+            self._ends[0].setdefault(row.ends[0], set()).add(uid)
+            self._ends[1].setdefault(row.ends[1], set()).add(uid)
+
+    def undo(self, length: int) -> None:
+        """Undo the journaled writes past the first `length`."""
+        journal, self.journal = self.journal, None
+        while len(journal) > length:
+            uid, row = journal.pop()
+            if row is _ABSENT:
+                del self[uid]
+            else:
+                self.put(uid, row)
+            if row is not None:
+                self.deletes.pop(uid, None)
+        self.journal = journal
+
+    def rows_with(self, type_ids, column: str, value) -> list[Row]:
+        """Staged rows among `type_ids` whose `column` equals `value`."""
+        index = self._by_value.get(column)
+        if index is None:
+            index = self._by_value[column] = {}
+            for uid, row in self.items():
+                if row is not None:
+                    _index_value(index, uid, row.type_id, row.values.get(column))
+        out = []
+        for tid in type_ids:
+            by_value = index.get(tid)
+            if not by_value:
+                continue
+            try:
+                uids = by_value.get(value, ())
+            except TypeError:
+                continue  # an unhashable probe equals no indexed value
+            for uid in uids:
+                row = self.get(uid)
+                if (row is not None and row.type_id == tid
+                        and val.values_equal(row.values.get(column), value)):
+                    out.append(row)
+        return out
+
+    def edges_at(self, side: int, uid: int) -> list[Row]:
+        """Staged edges whose end on `side` (0 leaving, 1 arriving) is node `uid`."""
+        rows = (self.get(euid) for euid in self._ends[side].get(uid, ()))
+        return [r for r in rows if r is not None and r.ends[side] == uid]
+
+
+def _index_value(index: dict, uid: int, type_id: int, value) -> None:
+    if value is not None:
+        try:
+            index.setdefault(type_id, {}).setdefault(value, set()).add(uid)
+        except TypeError:
+            pass  # an unhashable value equals no hashable probe
+
+
 class ReadView:
     """Committed state at one snapshot merged with a transaction's staging."""
 
     def __init__(self, store: Store, snapshot: int, catalog: Catalog,
-                 staged: dict[int, Row | None] | None = None):
+                 staged: Staging | None = None):
         self.store = store
         self.snapshot = snapshot
         self.catalog = catalog
-        self.staged = staged if staged is not None else {}
-        # column -> type id -> value -> staged rows, once `freeze` is called
-        self._staged_index: dict[str, dict] | None = None
-        # per side, node uid -> uids of the staged edges ending there
-        self._staged_ends: tuple[dict, dict] | None = None
-
-    def freeze(self) -> "ReadView":
-        """Declare that `staged` gains no more rows: lookups then probe
-        indexes of the staged rows, built on first use, instead of
-        rescanning every staged row.  The value index keeps the rows it
-        saw; the endpoint index looks rows up again, so it sees a staged
-        edge deleted after it was built."""
-        self._staged_index = {}
-        return self
+        self.staged = staged if staged is not None else Staging()
 
     def get_row(self, uid: int) -> Row | None:
         if uid in self.staged:
@@ -238,36 +316,8 @@ class ReadView:
                 if row is not None and row.type_id == tid and val.values_equal(row.values.get(column), value):
                     out.append(row)
         if self.staged:
-            out.extend(self._staged_rows(type_ids, column, value))
+            out.extend(self.staged.rows_with(type_ids, column, value))
         out.sort(key=lambda r: r.uid)
-        return out
-
-    def _staged_rows(self, type_ids, column: str, value) -> list[Row]:
-        """Staged rows among `type_ids` whose `column` equals `value`."""
-        if self._staged_index is None:
-            tidset = set(type_ids)
-            return [r for r in self.staged.values()
-                    if r is not None and r.type_id in tidset
-                    and val.values_equal(r.values.get(column), value)]
-        index = self._staged_index.get(column)
-        if index is None:
-            index = self._staged_index[column] = {}
-            for row in self.staged.values():
-                v = None if row is None else row.values.get(column)
-                if v is not None:
-                    try:
-                        index.setdefault(row.type_id, {}).setdefault(v, []).append(row)
-                    except TypeError:
-                        pass  # an unhashable value equals no hashable probe
-        out = []
-        for tid in type_ids:
-            by_value = index.get(tid)
-            if by_value:
-                try:
-                    candidates = by_value.get(value, ())
-                except TypeError:
-                    continue
-                out += [r for r in candidates if val.values_equal(r.values.get(column), value)]
         return out
 
     # --- graph navigation ---
@@ -304,26 +354,11 @@ class ReadView:
             if edge_type_ids is None or version.row.type_id in edge_type_ids:
                 out.append((version.row, *version.row.ends))
         if staged:
-            for row in self._staged_edges(side, uid):
+            for row in staged.edges_at(side, uid):
                 if edge_type_ids is None or row.type_id in edge_type_ids:
                     out.append((row, *row.ends))
         out.sort(key=lambda t: t[0].uid)
         return out
-
-    def _staged_edges(self, side: int, uid: int) -> list[Row]:
-        """Staged edges whose end on `side` is node `uid`."""
-        staged = self.staged
-        if self._staged_index is None:
-            return [r for r in staged.values()
-                    if r is not None and r.ends is not None and r.ends[side] == uid]
-        if self._staged_ends is None:
-            self._staged_ends = ({}, {})
-            for euid, row in staged.items():
-                if row is not None and row.ends is not None:
-                    self._staged_ends[0].setdefault(row.ends[0], []).append(euid)
-                    self._staged_ends[1].setdefault(row.ends[1], []).append(euid)
-        rows = (staged[euid] for euid in self._staged_ends[side].get(uid, ()))
-        return [r for r in rows if r is not None]
 
 
 def make_columns(columns) -> list[ColumnDescriptor]:
@@ -349,11 +384,6 @@ def _with_references(view: ReadView, row: Row) -> Row:
     return Row(row.uid, row.type_id, values, row.ends)
 
 
-# the Transaction attributes that a statement's staging changes
-_STAGING = ("staged", "_deletes", "_dirty_types", "_full_key_check",
-            "_full_mult_check", "_full_constraint_check")
-
-
 class Transaction:
     """Stages schema and row changes against a snapshot; commit validates
     and publishes them atomically."""
@@ -365,13 +395,7 @@ class Transaction:
         self._catalog: Catalog | None = None
         # the published catalog that `_catalog` was cloned from
         self._catalog_base: Catalog | None = None
-        self.staged: dict[int, Row | None] = {}
-        # uid -> (type id, CASCADE?) of each row `delete_row` removed
-        self._deletes: dict[int, tuple[int, bool]] = {}
-        self._dirty_types: set[int] = set()
-        self._full_key_check: set[int] = set()
-        self._full_mult_check: set[int] = set()
-        self._full_constraint_check: set[int] = set()
+        self.staged = Staging()
 
     # --- catalog access ---
 
@@ -416,9 +440,7 @@ class Transaction:
         sup_id = None
         if supertype is not None:
             sup_id = self._type(supertype, (cat.KIND_NODE,)).type_id
-        desc = catalog.define_node_type(label, make_columns(columns), sup_id)
-        self._dirty_types.add(desc.type_id)
-        return desc
+        return catalog.define_node_type(label, make_columns(columns), sup_id)
 
     def define_edge_type(self, label: str, columns, leaving, arriving,
                          multiplicity: Multiplicity | None = None) -> cat.TypeDescriptor:
@@ -426,33 +448,23 @@ class Transaction:
         catalog = self._mutable_catalog()
         ltid = self._type(leaving, (cat.KIND_NODE,)).type_id
         atid = self._type(arriving, (cat.KIND_NODE,)).type_id
-        desc = catalog.define_edge_type(label, make_columns(columns), ltid, atid, multiplicity)
-        self._dirty_types.add(desc.type_id)
-        if multiplicity is not None and not multiplicity.is_default():
-            self._full_mult_check.add(desc.type_id)
-        return desc
+        return catalog.define_edge_type(label, make_columns(columns), ltid, atid, multiplicity)
 
     def define_plain_type(self, label: str, columns) -> cat.TypeDescriptor:
         self._check_open()
         catalog = self._mutable_catalog()
-        desc = catalog.define_plain_type(label, make_columns(columns))
-        self._dirty_types.add(desc.type_id)
-        return desc
+        return catalog.define_plain_type(label, make_columns(columns))
 
     def widen_type(self, type_ref, column) -> ColumnDescriptor:
         self._check_open()
         desc = self._type(type_ref)
         catalog = self._mutable_catalog()
-        columns = make_columns([column])
-        added = catalog.widen_type(desc.type_id, columns[0])
-        self._dirty_types.add(desc.type_id)
-        return added
+        return catalog.widen_type(desc.type_id, make_columns([column])[0])
 
     def retype_column(self, type_ref, name: str, data_type: str) -> None:
         self._check_open()
         desc = self._type(type_ref)
         self._mutable_catalog().retype_column(desc.type_id, name, data_type)
-        self._dirty_types.add(desc.type_id)
 
     def drop_column(self, type_ref, name: str) -> int:
         """Drop a column and scrub its values; returns rows rewritten."""
@@ -460,21 +472,13 @@ class Transaction:
         desc = self._type(type_ref)
         catalog = self._mutable_catalog()
         post = self.post_view()
-        rewrites = []
-        owner = None
-        for tid in catalog.supertype_chain(desc.type_id):
-            if catalog.get(tid).own_column(name) is not None:
-                owner = catalog.get(tid)
-        scope = desc if owner is None else owner
-        for row in post.scan_type(scope.type_id, subtypes=True):
-            if name in row.values:
-                rewrites.append(row)
-        catalog.drop_column(scope.type_id, name)   # validates, may raise
-        self._dirty_types.add(scope.type_id)
+        scope = catalog.column_owner(desc.type_id, name) or desc.type_id
+        rewrites = [row for row in post.scan_type(scope, subtypes=True) if name in row.values]
+        catalog.drop_column(scope, name)   # validates, may raise
         for row in rewrites:
             new_values = dict(row.values)
             del new_values[name]
-            self.staged[row.uid] = Row(row.uid, row.type_id, new_values, row.ends)
+            self.staged.put(row.uid, Row(row.uid, row.type_id, new_values, row.ends))
         return len(rewrites)
 
     def alter_primary_key(self, type_ref, key_columns) -> None:
@@ -511,34 +515,19 @@ class Transaction:
             raise SchemaError(f"{desc.label} is an edge endpoint and needs a single-column key")
 
         catalog.install_primary_key(desc.type_id, key_columns)
-        self._dirty_types.add(desc.type_id)
-        if old_declarer is not None:
-            self._dirty_types.add(old_declarer.type_id)
-        new_col = catalog.effective_column(desc.type_id, key_columns[0]) if len(key_columns) == 1 else None
-        retyped = set()
+        data_type = catalog.effective_column(desc.type_id, key_columns[0]).data_type
         for edesc, side in edge_refs:
-            owner_tid = None
-            for tid in catalog.supertype_chain(edesc.type_id):
-                if catalog.get(tid).own_column(side) is not None:
-                    owner_tid = tid
-            if owner_tid is not None and (owner_tid, side) not in retyped:
-                catalog.retype_column(owner_tid, side, new_col.data_type)
-                self._dirty_types.add(owner_tid)
-                retyped.add((owner_tid, side))
-        self._full_key_check.add(desc.type_id)
+            catalog.retype_column(catalog.column_owner(edesc.type_id, side), side, data_type)
 
     def retarget_endpoint(self, type_ref, side: str, node_type_id: int) -> None:
         self._check_open()
         desc = self._type(type_ref, (cat.KIND_EDGE,))
         self._mutable_catalog().retarget_endpoint(desc.type_id, side, node_type_id)
-        self._dirty_types.add(desc.type_id)
 
     def set_cardinality(self, type_ref, multiplicity: Multiplicity) -> None:
         self._check_open()
         desc = self._type(type_ref, (cat.KIND_EDGE,))
         self._mutable_catalog().set_multiplicity(desc.type_id, multiplicity)
-        self._dirty_types.add(desc.type_id)
-        self._full_mult_check.add(desc.type_id)
 
     def add_constraint(self, type_ref, text: str) -> None:
         self._check_open()
@@ -553,8 +542,6 @@ class Transaction:
             names.add(path[0])
         catalog = self._mutable_catalog()
         catalog.add_constraint(desc.type_id, cat.Constraint(text, expr), names)
-        self._dirty_types.add(desc.type_id)
-        self._full_constraint_check.add(desc.type_id)
 
     # --- row staging ---
 
@@ -593,7 +580,7 @@ class Transaction:
             if ends is None:
                 row.ends = self._bind_ends(desc, staged_values, (None, None), (LEAVING, ARRIVING))
             row = _with_references(self.view(), row)
-        self.staged[uid] = row
+        self.staged.put(uid, row)
         return uid
 
     def update_row(self, uid: int, changes: dict) -> None:
@@ -612,7 +599,7 @@ class Transaction:
         ends = row.ends
         if desc.kind == cat.KIND_EDGE and (LEAVING in changes or ARRIVING in changes):
             ends = self._bind_ends(desc, new_values, ends, changes)
-        self.staged[uid] = Row(uid, row.type_id, new_values, ends)
+        self.staged.put(uid, Row(uid, row.type_id, new_values, ends))
 
     def _bind_ends(self, desc: cat.TypeDescriptor, values: dict, ends: tuple,
                    sides) -> tuple:
@@ -632,18 +619,19 @@ class Transaction:
         row = self.post_view().get_row(uid)
         if row is None:
             raise StorageError(f"unknown uid {uid}")
-        self.staged[uid] = None
-        self._deletes[uid] = (row.type_id, cascade)
+        self.staged.put(uid, None, (row.type_id, cascade))
 
     def savepoint(self) -> tuple:
-        """The staging state, for `restore` to return to."""
+        """The staging state for `restore` to return to: a copy of the
+        private catalog and the length of the journal, begun by the first."""
+        if self.staged.journal is None:
+            self.staged.journal = []
         catalog = self._catalog.clone() if self._catalog is not None else None
-        return catalog, {name: copy.copy(getattr(self, name)) for name in _STAGING}
+        return catalog, len(self.staged.journal)
 
     def restore(self, point: tuple) -> None:
-        self._catalog, state = point
-        for name, value in state.items():
-            setattr(self, name, value)
+        self._catalog, length = point
+        self.staged.undo(length)
 
     def rollback(self) -> None:
         self._check_open()
@@ -653,16 +641,28 @@ class Transaction:
 
     def commit(self) -> None:
         self._check_open()
-        if self.staged or self._dirty_types:
+        changed = self._schema_changes()
+        if not changed:
+            self._catalog = None  # an unchanged schema has nothing to publish
+        if self.staged or changed:
             with self.db.commit_lock:
                 try:
-                    self._commit_locked()
+                    self._commit_locked(changed)
                 except Exception:
                     self.status = "aborted"
                     raise
         self.status = "committed"
 
-    def _commit_locked(self) -> None:
+    def _schema_changes(self) -> dict[int, cat.TypeDescriptor | None]:
+        """Type id -> published descriptor (None for a new type) of every
+        type whose descriptor this transaction's catalog changed."""
+        if self._catalog is None:
+            return {}
+        base = {d.type_id: d for d in self._catalog_base.types()}
+        return {d.type_id: base.get(d.type_id) for d in self._catalog.types()
+                if d != base.get(d.type_id)}
+
+    def _commit_locked(self, changed: dict[int, cat.TypeDescriptor | None]) -> None:
         if self._catalog is not None and self.db.catalog is not self._catalog_base:
             # publishing this catalog would revert the other commit's schema
             raise CommitError("conflict", "catalog", "another transaction changed "
@@ -670,25 +670,33 @@ class Transaction:
         catalog = self.catalog
         node_tids = {d.type_id for d in catalog.types(cat.KIND_NODE)}
         edge_tids = {d.type_id for d in catalog.types(cat.KIND_EDGE)}
+        # types whose rows are all checked again, not only the staged ones
+        rekeyed, full_mult, full_constraint = set(), set(), set()
+        for tid, old in changed.items():
+            desc = catalog.get(tid)
+            if old is not None and desc.primary_key != old.primary_key:
+                rekeyed.add(tid)
+            if desc.multiplicity != (old.multiplicity if old else None):
+                full_mult.add(tid)
+            if desc.constraints != (old.constraints if old else []):
+                full_constraint.add(tid)
 
-        self._stage_rekeyed_edges(catalog, node_tids)
-        post = self.post_view().freeze()
+        self._stage_rekeyed_edges(catalog, node_tids, rekeyed)
+        post = self.post_view()
         self._expand_deletes(post, catalog, node_tids)
-        # every staged edge takes its endpoints' keys; this must run before a
-        # lookup builds the staged value index, which keeps the rows it saw
+        # every staged edge takes its endpoints' keys
         for uid, row in self.staged.items():
             if row is not None and row.type_id in edge_tids:
-                self.staged[uid] = _with_references(post, row)
+                self.staged.put(uid, _with_references(post, row))
 
         self._validate_types(post, catalog)
-        self._validate_keys(post, catalog)
+        self._validate_keys(post, catalog, rekeyed)
         self._validate_references(post, catalog, edge_tids)
-        self._validate_multiplicity(post, catalog, edge_tids)
-        self._validate_constraints(post, catalog)
+        self._validate_multiplicity(post, catalog, edge_tids, full_mult)
+        self._validate_constraints(post, catalog, full_constraint)
 
         seq = self.db.store.commit_seq + 1
-        schema = [catalog.descriptor_to_dict(catalog.get(tid))
-                  for tid in sorted(self._dirty_types)]
+        schema = [catalog.descriptor_to_dict(catalog.get(tid)) for tid in sorted(changed)]
         row_ops = []
         for uid in sorted(self.staged):
             row = self.staged[uid]
@@ -708,16 +716,18 @@ class Transaction:
 
     # cascading effects that enlarge the staged set
 
-    def _stage_rekeyed_edges(self, catalog: Catalog, node_tids: set[int]) -> None:
+    def _stage_rekeyed_edges(self, catalog: Catalog, node_tids: set[int],
+                             rekeyed_types: set[int]) -> None:
         """Stage the committed edges of every node whose key value changes,
         and of every edge type whose endpoint got a new primary key, so
         that commit rewrites their reference columns."""
         store = self.db.store
         committed = ReadView(store, store.commit_seq, catalog)
-        rekeyed = {t for tid in self._full_key_check for t in catalog.subtype_closure(tid)}
+        rekeyed = {t for tid in rekeyed_types for t in catalog.subtype_closure(tid)}
         for edesc, _side in catalog.edge_types_referencing(rekeyed) if rekeyed else ():
             for erow in committed.scan_type(edesc.type_id):
-                self.staged.setdefault(erow.uid, erow)
+                if erow.uid not in self.staged:
+                    self.staged.put(erow.uid, erow)
         for uid, row in list(self.staged.items()):
             if row is None or row.type_id not in node_tids:
                 continue
@@ -727,11 +737,12 @@ class Transaction:
                 continue
             for direction in ("leaving", "arriving"):
                 for erow, _, _ in committed.edges_adjacent(uid, direction):
-                    self.staged.setdefault(erow.uid, erow)
+                    if erow.uid not in self.staged:
+                        self.staged.put(erow.uid, erow)
 
     def _expand_deletes(self, post: ReadView, catalog: Catalog, node_tids: set[int]) -> None:
         """Node deletion is restrict by default, cascade on request."""
-        for uid, (type_id, cascade) in self._deletes.items():
+        for uid, (type_id, cascade) in self.staged.deletes.items():
             if type_id not in node_tids:
                 continue
             incident = {erow.uid for direction in ("leaving", "arriving")
@@ -740,7 +751,7 @@ class Transaction:
                 continue
             if cascade:
                 for edge_uid in incident:
-                    self.staged[edge_uid] = None
+                    self.staged.put(edge_uid, None)
             else:
                 raise CommitError("reference", catalog.get(type_id).label,
                                   f"node {uid} still has {len(incident)} incident edge(s); "
@@ -781,24 +792,15 @@ class Transaction:
                 raise CommitError("type", desc.label,
                                   f"structured value field {k} is invalid", (uid,))
 
-    def _key_scopes(self, catalog: Catalog) -> dict[int, list[str]]:
-        """Scope root type id -> key columns, for every staged row's type plus
-        the types whose key definitions changed this transaction."""
-        scopes: dict[int, list[str]] = {}
-        tids = {r.type_id for r in self.staged.values() if r is not None}
-        tids |= self._full_key_check
-        for tid in tids:
-            declarer = catalog.key_declarer(tid)
-            if declarer is not None and declarer.primary_key:
-                scopes[declarer.type_id] = list(declarer.primary_key)
-        return scopes
-
-    def _validate_keys(self, post: ReadView, catalog: Catalog) -> None:
+    def _validate_keys(self, post: ReadView, catalog: Catalog, rekeyed: set[int]) -> None:
+        """Key scopes, each a type that declares a key with its subtypes, of
+        every staged row's type and every rekeyed type hold unique keys."""
         staged_tids = {r.type_id for r in self.staged.values() if r is not None}
-        for scope_tid, key in self._key_scopes(catalog).items():
+        declarers = (catalog.key_declarer(tid) for tid in staged_tids | rekeyed)
+        scopes = {d.type_id: d.primary_key for d in declarers if d is not None and d.primary_key}
+        for scope_tid, key in scopes.items():
             closure = set(catalog.subtype_closure(scope_tid))
-            full = scope_tid in self._full_key_check
-            if full:
+            if scope_tid in rekeyed:
                 seen: dict[tuple, int] = {}
                 for row in post.scan_type(scope_tid, subtypes=True):
                     kv = tuple(row.values.get(c) for c in key)
@@ -806,8 +808,6 @@ class Transaction:
                         raise CommitError("key", catalog.get(scope_tid).label,
                                           f"duplicate key {kv!r}", (seen[kv], row.uid))
                     seen[kv] = row.uid
-                continue
-            if not (closure & staged_tids):
                 continue
             for uid, row in sorted(self.staged.items()):
                 if row is None or row.type_id not in closure:
@@ -836,7 +836,7 @@ class Transaction:
                                       f"{catalog.get(endpoint_tid).label} row", (uid,))
 
     def _validate_multiplicity(self, post: ReadView, catalog: Catalog,
-                               edge_tids: set[int]) -> None:
+                               edge_tids: set[int], full_mult: set[int]) -> None:
         constrained = [d for d in catalog.types(cat.KIND_EDGE)
                        if d.multiplicity is not None and not d.multiplicity.is_default()]
         if not constrained:
@@ -850,7 +850,7 @@ class Transaction:
             if row is not None:
                 affected.update(row.ends if row.type_id in edge_tids else (uid,))
         for edesc in constrained:
-            if edesc.type_id not in self._full_mult_check:
+            if edesc.type_id not in full_mult:
                 continue
             for endpoint in (edesc.leaving_type, edesc.arriving_type):
                 for row in post.scan_type(endpoint, subtypes=True):
@@ -879,7 +879,8 @@ class Transaction:
                               f"{catalog.get(ntype).label} node {node_uid} {verb} {n} "
                               f"{edesc.label} edge(s), outside {bound}", (node_uid,))
 
-    def _validate_constraints(self, post: ReadView, catalog: Catalog) -> None:
+    def _validate_constraints(self, post: ReadView, catalog: Catalog,
+                              full_constraint: set[int]) -> None:
         def check(row: Row) -> None:
             for constraint in catalog.constraints_for(row.type_id):
                 if not constraint_passes(constraint.expr, row.values):
@@ -889,7 +890,7 @@ class Transaction:
         for uid, row in sorted(self.staged.items()):
             if row is not None:
                 check(row)
-        for tid in sorted(self._full_constraint_check):
+        for tid in sorted(full_constraint):
             for row in post.scan_type(tid, subtypes=True):
                 check(row)
 

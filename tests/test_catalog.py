@@ -88,6 +88,16 @@ def test_subtype_cannot_shadow_inherited_column(cat):
         cat.define_node_type("SUB", [col("PARTID")], supertype=part.type_id)
 
 
+def test_supertype_cannot_widen_with_a_subtype_column(cat):
+    part = cat.define_node_type("PART", [col("PARTID")])
+    sub = cat.define_node_type("SUB", [col("COLOUR")], supertype=part.type_id)
+    with pytest.raises(SchemaError, match="already declared"):
+        cat.widen_type(part.type_id, col("COLOUR"))
+    assert cat.column_owner(sub.type_id, "COLOUR") == sub.type_id
+    assert cat.column_owner(sub.type_id, "PARTID") == part.type_id
+    assert cat.column_owner(sub.type_id, "NOPE") is None
+
+
 def test_widen_is_always_nullable(cat):
     person = cat.define_node_type("PERSON", [col("NAME")])
     added = cat.widen_type(person.type_id, ColumnDescriptor("AGE", values.INTEGER, nullable=False))

@@ -6,7 +6,7 @@ import struct
 import pytest
 
 from graphtables.engine import Database, render_row
-from graphtables.errors import CommitError, GraphTablesError, StorageError
+from graphtables.errors import CommitError, ExecutionError, GraphTablesError, StorageError
 
 from conftest import FAMILY_CREATE, names
 
@@ -92,7 +92,29 @@ def test_type_created_by_a_failed_statement_inside_a_transaction_is_undone(db):
     assert db.execute("MATCH (r:R) RETURN r.V").rows == [[2]]
 
 
+@pytest.mark.parametrize("text", [
+    "MATCH (a:P {N: 1}) [()-[e:S]->()]{1,2} (b) SET a.X = e",
+    "MATCH (a:P {N: 1}) [()-[:S]->(m)]{1,2} (b) THEN CREATE (:Z {X: m}) END",
+])
+def test_arrays_cannot_be_stored(db, text):
+    db.execute("CREATE (:P {N: 1})-[:S]->(:P {N: 2})-[:S]->(:P {N: 3})")
+    with pytest.raises(ExecutionError, match="X cannot hold an array"):
+        db.session().execute(text)
+    assert db.catalog.lookup_label("Z") is None
+
+
 # --- file-backed databases ---
+
+def test_schema_statements_that_change_nothing_write_no_record(tmp_path):
+    path = tmp_path / "noop.db"
+    db = Database(path)
+    db.execute("CREATE (:P {N: 1})-[:S]->(:P {N: 2})")
+    before = (path.stat().st_size, db.store.commit_seq, db.catalog)
+    db.execute("ALTER TYPE S SET CARDINALITY LEAVING 0..* ARRIVING 0..*")
+    db.execute("ALTER TABLE P ADD PRIMARY KEY(ID)")
+    assert (path.stat().st_size, db.store.commit_seq, db.catalog) == before
+    db.close()
+
 
 def test_reopen_replays_rows_and_schema(tmp_path):
     path = tmp_path / "family.db"
@@ -319,4 +341,4 @@ def test_render_row_shows_label_and_values(family):
     view = family.read_view()
     desc = family.catalog.lookup_label("PERSON")
     row = next(r for r in view.scan_type(desc.type_id) if r.uid == 2)
-    assert render_row(family.catalog, row) == "PERSON(ID=2,NAME=Peter Smith)"
+    assert render_row(family.read_view(), row) == "PERSON(ID=2,NAME=Peter Smith)"

@@ -3,6 +3,7 @@ error table."""
 
 import datetime
 import json
+import threading
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -11,7 +12,7 @@ from decimal import Decimal
 import pytest
 
 from graphtables.engine import Database
-from graphtables.httpd import parse_anchor_value, serve_in_thread
+from graphtables.httpd import build_document, parse_anchor_value, serve_in_thread
 
 from conftest import FAMILY_CREATE
 
@@ -124,6 +125,18 @@ def test_depth_trims_to_a_neighborhood(served, depth, node_uids, edge_uids):
     assert status == 200
     assert [n["uid"] for n in doc["nodes"]] == node_uids
     assert [e["uid"] for e in doc["edges"]] == edge_uids
+
+
+def test_huge_depth_stops_when_the_neighborhood_is_exhausted():
+    db = Database()
+    db.execute("CREATE (:P {N: 1})-[:S]->(:P {N: 2})-[:S]->(:P {N: 3})")
+    docs = []
+    worker = threading.Thread(target=lambda: docs.append(build_document(db, 1, 10**12)),
+                              daemon=True)
+    worker.start()
+    worker.join(timeout=5)
+    assert not worker.is_alive()
+    assert [n["uid"] for n in docs[0]["nodes"]] == [1, 2, 3]
 
 
 def test_database_name_is_case_insensitive(served):

@@ -48,7 +48,7 @@ def test_brackets_inside_strings_and_comments_do_not_count():
 
 def test_format_table_draws_dashed_ascii():
     table = ResultTable(["NAME"], [["Fred Smith"], ["Mary Smith"]])
-    assert format_table(Database().catalog, table) == (
+    assert format_table(Database().read_view(), table) == (
         "------------\n"
         "|NAME      |\n"
         "------------\n"
@@ -60,22 +60,22 @@ def test_format_table_draws_dashed_ascii():
 
 def test_format_table_pads_to_the_widest_cell_per_column():
     table = ResultTable(["A", "LONGHEAD"], [[1000, "x"], [7, None]])
-    lines = format_table(Database().catalog, table).split("\n")
+    lines = format_table(Database().read_view(), table).split("\n")
     assert lines[1] == "|A   |LONGHEAD|"
     assert lines[3] == "|1000|x       |"
     assert lines[4] == "|7   |        |"
 
 
 def test_format_table_zero_columns_is_a_truth_value():
-    catalog = Database().catalog
-    assert format_table(catalog, ResultTable([], [[]])) == "true"
-    assert format_table(catalog, ResultTable([], [])) == "false"
+    view = Database().read_view()
+    assert format_table(view, ResultTable([], [[]])) == "true"
+    assert format_table(view, ResultTable([], [])) == "false"
 
 
 def test_format_table_renders_row_values_and_arrays(family):
     table = family.execute(
         "MATCH ({name:'Peter Smith'}) [(p)-[:Child]->()]+ ({Name: 'Lee Smith'}) RETURN p")
-    text = format_table(family.catalog, table)
+    text = format_table(family.read_view(), table)
     assert "ARRAY[PERSON(ID=2,NAME=Peter Smith),PERSON(ID=1,NAME=Fred Smith)," \
            "PERSON(ID=3,NAME=Mary Smith)]" in text
 
@@ -251,3 +251,46 @@ def test_main_memory_database_with_timing(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 0
     assert "1 statements in " in captured.out
+
+
+# --- results read through the session's view ---
+
+def test_run_script_renders_rows_of_a_type_created_in_the_open_transaction(tmp_path, capsys):
+    path = write(tmp_path, "tx.sql", "BEGIN\nCREATE (:Q {N: 1})\nMATCH (q:Q) RETURN q\n")
+    out = io.StringIO()
+    rc = run_script(Database(), path, out=out)
+    assert rc == 0
+    assert "|Q(ID=1,N=1)|" in out.getvalue()
+    assert capsys.readouterr().err == ""
+
+
+def test_run_script_writes_tables_to_its_out_argument(tmp_path, capsys):
+    path = write(tmp_path, "ok.sql", "CREATE (:A {N: 7})\nMATCH (x:A) RETURN x.N\n")
+    out = io.StringIO()
+    assert run_script(Database(), path, out=out) == 0
+    assert "|7|" in out.getvalue()
+    assert capsys.readouterr().out == ""
+
+
+def test_repl_renders_edge_references_as_the_open_transaction_reads_them():
+    db = Database()
+    db.execute("CREATE (:P {N: 1})-[:S]->(:P {N: 2})")
+    db.execute("ALTER TABLE P ADD PRIMARY KEY(N)")
+    rc, out = drive(db, "BEGIN\n"
+                        "MATCH (a:P {N: 1}) SET a.N = 10\n"
+                        "MATCH ()-[e:S]->() RETURN e, e.LEAVING\n"
+                        "exit\n")
+    assert rc == 0
+    assert "|S(ID=3,LEAVING=10,ARRIVING=2)|10     |" in out
+
+
+def test_repl_reports_arrays_stored_by_set_or_create_and_carries_on():
+    db = Database()
+    db.execute("CREATE (:P {N: 1})-[:S]->(:P {N: 2})-[:S]->(:P {N: 3})")
+    rc, out = drive(db, "MATCH (a:P {N: 1}) [()-[e:S]->()]{1,2} (b) SET a.X = e\n"
+                        "MATCH (a:P {N: 1}) [()-[:S]->(m)]{1,2} (b) THEN CREATE (:Z {X: m}) END\n"
+                        "MATCH (p:P) RETURN p.N\n"
+                        "exit\n")
+    assert rc == 0
+    assert out.count("error: X cannot hold an array") == 2
+    assert "|3|" in out
