@@ -144,6 +144,10 @@ class Catalog:
             if kind is None or desc.kind == kind:
                 yield desc
 
+    def type_ids(self, kind: str) -> set[int]:
+        """Ids of the `kind` types, unordered."""
+        return set(self._by_label[kind].values())
+
     def subtype_closure(self, type_id: int) -> tuple[int, ...]:
         """type_id plus all transitive subtypes, ascending by type id."""
         closure = self._closures.get(type_id)

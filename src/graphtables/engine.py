@@ -41,7 +41,7 @@ class Database:
         self.fsync = fsync
         self.catalog = Catalog()
         self.store = Store()
-        self.graphs = GraphSet()
+        self.graphs = GraphSet(self.store)
         self.commit_lock = threading.RLock()
         self._next_uid = 1
         # the next_uid of the latest commit, the value its log record holds;
@@ -109,7 +109,6 @@ class Database:
         self._next_uid = max(self._next_uid, self.logged_next_uid)
 
     def _rebuild_graphs(self) -> None:
-        self.graphs.clear()
         seq = self.store.commit_seq
         for desc in self.catalog.types(cat.KIND_NODE):
             for row in self.store.scan_committed(desc.type_id, seq):

@@ -1,9 +1,12 @@
 """Connected components over the committed graph.
 
-Maintained incrementally from commit deltas.  Components are named by their
-smallest member uid; edge removal dissolves every touched component and
-rebuilds it from the surviving members, which keeps the update code short at
-the cost of some rework on deletes.
+Maintained incrementally from commit deltas.  The registry holds membership
+only: node and edge uids per component, named by its smallest member uid.
+Edge endpoints live in the store (`Row.ends`); a delta passes an added or
+removed edge with its ends, and edge removal dissolves every touched
+component and rebuilds it from the surviving members, reading each surviving
+edge's ends from the store's latest version.  That keeps the update code
+short at the cost of some rework on deletes.
 """
 
 from __future__ import annotations
@@ -24,11 +27,12 @@ class GraphComponent:
 
 
 class GraphSet:
-    def __init__(self):
+    """The components of the graph whose edge rows `store` holds."""
+
+    def __init__(self, store):
+        self.store = store
         self._components: dict[int, GraphComponent] = {}
         self._comp_of: dict[int, GraphComponent] = {}
-        # edge uid -> (leaving uid, arriving uid) of every committed edge
-        self.edge_ends: dict[int, tuple[int, int]] = {}
 
     def components(self) -> list[GraphComponent]:
         return [self._components[rep] for rep in sorted(self._components)]
@@ -57,7 +61,6 @@ class GraphSet:
         a, b = self._comp_of[leaving], self._comp_of[arriving]
         if a is b:
             a.edges.add(edge_uid)
-            self.edge_ends[edge_uid] = (leaving, arriving)
             return
         if len(a.nodes) < len(b.nodes):
             a, b = b, a
@@ -67,24 +70,26 @@ class GraphSet:
         a.nodes |= b.nodes
         a.edges |= b.edges
         a.edges.add(edge_uid)
-        self.edge_ends[edge_uid] = (leaving, arriving)
         if b.representative < a.representative:
             del self._components[a.representative]
             a.representative = b.representative
             self._components[b.representative] = a
 
     def apply_delta(self, added_nodes, added_edges, removed_nodes, removed_edges) -> None:
+        """Follow one commit, after the store has published it.  Edges come
+        as (uid, leaving uid, arriving uid): added ones with their new ends,
+        removed or retargeted ones with the ends they had before."""
         removed_node_set = set(removed_nodes)
-        removed_edge_set = set(removed_edges)
+        removed_edge_set = {e for e, _, _ in removed_edges}
         if removed_node_set or removed_edge_set:
             touched: list[GraphComponent] = []
             seen: set[int] = set()
-            for uid in list(removed_node_set) + [
-                    end for e in removed_edge_set for end in self.edge_ends.get(e, ())]:
+            for uid in [*removed_node_set, *(end for edge in removed_edges for end in edge[1:])]:
                 comp = self._comp_of.get(uid)
                 if comp is not None and comp.representative not in seen:
                     seen.add(comp.representative)
                     touched.append(comp)
+            latest = self.store.latest
             for comp in touched:
                 del self._components[comp.representative]
                 for uid in comp.nodes:
@@ -92,18 +97,8 @@ class GraphSet:
                 for uid in comp.nodes - removed_node_set:
                     self.add_node(uid)
                 for edge_uid in comp.edges - removed_edge_set:
-                    leaving, arriving = self.edge_ends[edge_uid]
-                    if leaving in removed_node_set or arriving in removed_node_set:
-                        continue
-                    self.add_edge(edge_uid, leaving, arriving)
-            for edge_uid in removed_edge_set:
-                self.edge_ends.pop(edge_uid, None)
+                    self.add_edge(edge_uid, *latest(edge_uid).ends)
         for uid in added_nodes:
             self.add_node(uid)
         for edge_uid, leaving, arriving in added_edges:
             self.add_edge(edge_uid, leaving, arriving)
-
-    def clear(self) -> None:
-        self._components.clear()
-        self._comp_of.clear()
-        self.edge_ends.clear()

@@ -5,7 +5,10 @@ graph component as JSON.
 
 The role segment is accepted and ignored.  The response lists the component's
 nodes and edges (uid ascending) plus the component representative; `depth`
-trims the component to a breadth-first neighborhood of the anchor.
+trims the component to a breadth-first neighborhood of the anchor.  The
+component registry supplies membership only: the document is read from one
+store snapshot, with the catalog of that snapshot, and a `depth` walk follows
+the store's edge adjacency out from the anchor.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .catalog import ARRIVING, LEAVING
 from .engine import Database
 from .errors import GraphTablesError
 from .lexer import tokenize
+from .storage import ReadView
 
 DEFAULT_PORT = 8180
 
@@ -38,45 +42,44 @@ def parse_anchor_value(text: str):
 
 
 def _subgraph(db: Database, anchor_uid: int, depth: int | None):
-    """Node and edge uid sets for the response, captured under the commit
-    lock so a concurrent writer cannot tear the component."""
+    """The response's node uids, edge rows and representative, plus the
+    view they are read in.  Membership and the view (store, seq and catalog)
+    are captured under the commit lock, so a concurrent writer can tear
+    neither the component nor the catalog it is rendered with."""
     with db.commit_lock:
         component = db.graphs.component_of(anchor_uid)
         nodes = set(component.nodes)
         edges = set(component.edges)
         representative = component.representative
-        ends = {e: db.graphs.edge_ends[e] for e in edges}
-        seq = db.store.commit_seq
-    if depth is not None:
-        adjacency: dict[int, list[tuple[int, int]]] = {}
-        for e, (lu, au) in ends.items():
-            adjacency.setdefault(lu, []).append((e, au))
-            adjacency.setdefault(au, []).append((e, lu))
-        keep = {anchor_uid}
-        frontier = [anchor_uid]
-        for _ in range(depth):
-            if not frontier:
-                break
-            nxt = []
-            for uid in frontier:
-                for _e, other in adjacency.get(uid, ()):
-                    if other not in keep:
-                        keep.add(other)
-                        nxt.append(other)
-            frontier = nxt
-        nodes &= keep
-        edges = {e for e in edges if ends[e][0] in nodes and ends[e][1] in nodes}
-    return nodes, edges, ends, representative, seq
+        view = ReadView(db.store, db.store.commit_seq, db.catalog)
+    if depth is None:
+        return nodes, [view.get_row(e) for e in edges], representative, view
+    # breadth-first from the anchor, expanding each kept node once; an edge
+    # is kept when both its ends are
+    keep, frontier, rows = {anchor_uid}, [anchor_uid], {}
+    for hop in range(depth + 1):
+        nxt = []
+        for uid in frontier:
+            for direction in ("leaving", "arriving"):
+                for row, *ends in view.edges_adjacent(uid, direction):
+                    for other in ends:
+                        if hop < depth and other not in keep:
+                            keep.add(other)
+                            nxt.append(other)
+                    if keep.issuperset(ends):
+                        rows[row.uid] = row
+        if not nxt:
+            break
+        frontier = nxt
+    return keep, list(rows.values()), representative, view
 
 
 def build_document(db: Database, anchor_uid: int, depth: int | None) -> dict:
-    nodes, edges, ends, representative, seq = _subgraph(db, anchor_uid, depth)
-    catalog = db.catalog
+    nodes, edges, representative, view = _subgraph(db, anchor_uid, depth)
+    catalog = view.catalog
     node_docs = []
     for uid in sorted(nodes):
-        row = db.store.visible(uid, seq)
-        if row is None:
-            continue
+        row = view.get_row(uid)
         desc = catalog.get(row.type_id)
         key = catalog.effective_key(row.type_id)
         key_value = row.values.get(key[0]) if len(key) == 1 else None
@@ -86,15 +89,12 @@ def build_document(db: Database, anchor_uid: int, depth: int | None) -> dict:
         node_docs.append({"uid": uid, "type": desc.label,
                           "key": val.http_value(key_value), "properties": properties})
     edge_docs = []
-    for uid in sorted(edges):
-        row = db.store.visible(uid, seq)
-        if row is None:
-            continue
+    for row in sorted(edges, key=lambda r: r.uid):
         desc = catalog.get(row.type_id)
         properties = {c.name: val.http_value(row.values[c.name])
                       for c in catalog.effective_columns(row.type_id)
                       if c.name in row.values and c.name not in (LEAVING, ARRIVING)}
-        edge_docs.append({"uid": uid, "type": desc.label,
+        edge_docs.append({"uid": row.uid, "type": desc.label,
                           "leaving": val.http_value(row.values.get(LEAVING)),
                           "arriving": val.http_value(row.values.get(ARRIVING)),
                           "properties": properties})

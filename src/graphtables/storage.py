@@ -25,8 +25,8 @@ version it sees.
 A transaction stages rows in a `Staging` dict (uid -> row, None for a
 deletion) whose one writer, `put`, keeps a value index, built per column on
 its first probe, and a per-side map from node uid to staged edges; readers
-re-check their never-shrinking candidates.  After a savepoint, `put` journals
-what it replaces, and undoing the journal takes back a failed statement.
+re-check their never-shrinking candidates.  Each savepoint starts a fresh
+journal of what `put` replaces, and undoing it takes back a failed statement.
 Commit finds the types whose schema changed by comparing catalogs.
 """
 
@@ -173,8 +173,8 @@ class Staging(dict):
         self._by_value: dict[str, dict] = {}
         # per side, node uid -> uids of the staged edges ending there
         self._ends: tuple[dict, dict] = ({}, {})
-        # (uid, replaced row or _ABSENT) per `put` since the first savepoint,
-        # None before it; undoing a deletion also drops its record
+        # (uid, replaced row or _ABSENT) per `put` since the latest savepoint,
+        # None before the first; undoing a deletion also drops its record
         self.journal: list | None = None
 
     def put(self, uid: int, row: Row | None, deletion: tuple | None = None) -> None:
@@ -192,10 +192,10 @@ class Staging(dict):
             self._ends[0].setdefault(row.ends[0], set()).add(uid)
             self._ends[1].setdefault(row.ends[1], set()).add(uid)
 
-    def undo(self, length: int) -> None:
-        """Undo the journaled writes past the first `length`."""
+    def undo(self) -> None:
+        """Undo every journaled write, newest first."""
         journal, self.journal = self.journal, None
-        while len(journal) > length:
+        while journal:
             uid, row = journal.pop()
             if row is _ABSENT:
                 del self[uid]
@@ -621,17 +621,16 @@ class Transaction:
             raise StorageError(f"unknown uid {uid}")
         self.staged.put(uid, None, (row.type_id, cascade))
 
-    def savepoint(self) -> tuple:
-        """The staging state for `restore` to return to: a copy of the
-        private catalog and the length of the journal, begun by the first."""
-        if self.staged.journal is None:
-            self.staged.journal = []
-        catalog = self._catalog.clone() if self._catalog is not None else None
-        return catalog, len(self.staged.journal)
+    def savepoint(self) -> Catalog | None:
+        """Start a fresh journal; returns a copy of the private catalog for
+        `restore` to return to."""
+        self.staged.journal = []
+        return self._catalog.clone() if self._catalog is not None else None
 
-    def restore(self, point: tuple) -> None:
-        self._catalog, length = point
-        self.staged.undo(length)
+    def restore(self, point: Catalog | None) -> None:
+        """Take back everything staged since the latest savepoint."""
+        self._catalog = point
+        self.staged.undo()
 
     def rollback(self) -> None:
         self._check_open()
@@ -668,8 +667,8 @@ class Transaction:
             raise CommitError("conflict", "catalog", "another transaction changed "
                               "the schema after this one began changing it")
         catalog = self.catalog
-        node_tids = {d.type_id for d in catalog.types(cat.KIND_NODE)}
-        edge_tids = {d.type_id for d in catalog.types(cat.KIND_EDGE)}
+        node_tids = catalog.type_ids(cat.KIND_NODE)
+        edge_tids = catalog.type_ids(cat.KIND_EDGE)
         # types whose rows are all checked again, not only the staged ones
         rekeyed, full_mult, full_constraint = set(), set(), set()
         for tid, old in changed.items():
@@ -837,10 +836,11 @@ class Transaction:
 
     def _validate_multiplicity(self, post: ReadView, catalog: Catalog,
                                edge_tids: set[int], full_mult: set[int]) -> None:
-        constrained = [d for d in catalog.types(cat.KIND_EDGE)
+        constrained = [d for d in map(catalog.get, edge_tids)
                        if d.multiplicity is not None and not d.multiplicity.is_default()]
         if not constrained:
             return
+        constrained.sort(key=lambda d: d.type_id)
         affected: set[int] = set()
         for uid, row in self.staged.items():
             # a deleted or retargeted edge leaves its former endpoints
@@ -904,7 +904,7 @@ class Transaction:
                 if prior is None:
                     continue
                 if prior.type_id in edge_tids:
-                    removed_edges.append(uid)
+                    removed_edges.append((uid, *prior.ends))
                 else:
                     removed_nodes.append(uid)
                 continue
@@ -912,7 +912,7 @@ class Transaction:
                 if prior is None:
                     added_edges.append((uid, *row.ends))
                 elif prior.ends != row.ends:
-                    removed_edges.append(uid)
+                    removed_edges.append((uid, *prior.ends))
                     added_edges.append((uid, *row.ends))
             elif prior is None:
                 added_nodes.append(uid)

@@ -1,4 +1,8 @@
-"""Incremental connected components against a from-scratch union-find."""
+"""Incremental connected components against a from-scratch union-find.
+
+The registry reads edge endpoints from the store, so each case runs a
+`GraphSet` over a real `Store` and publishes every delta to both, store
+first, as a commit does."""
 
 import random
 
@@ -7,8 +11,24 @@ import pytest
 from graphtables import Database
 from graphtables.errors import StorageError
 from graphtables.graphset import GraphSet
+from graphtables.storage import Row, Store
 
 from oracles import union_find_components
+
+
+NODE, EDGE = 1, 2  # type ids; the store does not look them up
+
+
+def commit(gs: GraphSet, added_nodes=(), added_edges=(), removed_nodes=(), removed_edges=()):
+    """Publish one delta to the store, then to `gs`.  Removed edges are
+    given by uid and passed on with the ends the store holds for them."""
+    store = gs.store
+    removed = [(e, *store.latest(e).ends) for e in removed_edges]
+    final = {uid: None for uid in [*removed_nodes, *removed_edges]}
+    final.update({uid: Row(uid, NODE, {}) for uid in added_nodes})
+    final.update({e: Row(e, EDGE, {}, (t, h)) for e, t, h in added_edges})
+    store.apply(store.commit_seq + 1, final)
+    gs.apply_delta(added_nodes, added_edges, removed_nodes, removed)
 
 
 def snapshot(gs: GraphSet):
@@ -22,33 +42,33 @@ def oracle_snapshot(nodes, edge_ends):
 
 
 def test_isolated_nodes_are_singleton_components():
-    gs = GraphSet()
-    gs.apply_delta([3, 1, 2], [], [], [])
+    gs = GraphSet(Store())
+    commit(gs, [3, 1, 2], [], [], [])
     comps = gs.components()
     assert [c.representative for c in comps] == [1, 2, 3]
     assert all(c.edges == set() for c in comps)
 
 
 def test_edge_merges_and_keeps_smallest_representative():
-    gs = GraphSet()
-    gs.apply_delta([1, 2, 3], [(10, 2, 3)], [], [])
+    gs = GraphSet(Store())
+    commit(gs, [1, 2, 3], [(10, 2, 3)], [], [])
     assert gs.representative_of(3) == 2
-    gs.apply_delta([], [(11, 3, 1)], [], [])
+    commit(gs, [], [(11, 3, 1)], [], [])
     assert gs.representative_of(2) == 1
     assert gs.component_of(1).edges == {10, 11}
 
 
 def test_self_loop_stays_inside_one_component():
-    gs = GraphSet()
-    gs.apply_delta([1], [(5, 1, 1)], [], [])
+    gs = GraphSet(Store())
+    commit(gs, [1], [(5, 1, 1)], [], [])
     assert snapshot(gs) == {1: (frozenset({1}), frozenset({5}))}
 
 
 def test_edge_removal_can_split_a_component():
-    gs = GraphSet()
-    gs.apply_delta([1, 2, 3], [(10, 1, 2), (11, 2, 3)], [], [])
+    gs = GraphSet(Store())
+    commit(gs, [1, 2, 3], [(10, 1, 2), (11, 2, 3)], [], [])
     assert len(gs.components()) == 1
-    gs.apply_delta([], [], [], [11])
+    commit(gs, [], [], [], [11])
     assert snapshot(gs) == {
         1: (frozenset({1, 2}), frozenset({10})),
         3: (frozenset({3}), frozenset()),
@@ -56,16 +76,16 @@ def test_edge_removal_can_split_a_component():
 
 
 def test_parallel_edge_removal_keeps_the_component_joined():
-    gs = GraphSet()
-    gs.apply_delta([1, 2], [(10, 1, 2), (11, 1, 2)], [], [])
-    gs.apply_delta([], [], [], [10])
+    gs = GraphSet(Store())
+    commit(gs, [1, 2], [(10, 1, 2), (11, 1, 2)], [], [])
+    commit(gs, [], [], [], [10])
     assert snapshot(gs) == {1: (frozenset({1, 2}), frozenset({11}))}
 
 
 def test_node_removal_takes_its_edges_along():
-    gs = GraphSet()
-    gs.apply_delta([1, 2, 3], [(10, 1, 2), (11, 2, 3)], [], [])
-    gs.apply_delta([], [], [2], [10, 11])
+    gs = GraphSet(Store())
+    commit(gs, [1, 2, 3], [(10, 1, 2), (11, 2, 3)], [], [])
+    commit(gs, [], [], [2], [10, 11])
     assert snapshot(gs) == {
         1: (frozenset({1}), frozenset()),
         3: (frozenset({3}), frozenset()),
@@ -73,7 +93,7 @@ def test_node_removal_takes_its_edges_along():
 
 
 def test_unknown_uid_has_no_component():
-    gs = GraphSet()
+    gs = GraphSet(Store())
     with pytest.raises(StorageError):
         gs.component_of(9)
 
@@ -81,7 +101,7 @@ def test_unknown_uid_has_no_component():
 def test_random_delta_sequences_match_union_find():
     rng = random.Random(7)
     for _ in range(60):
-        gs = GraphSet()
+        gs = GraphSet(Store())
         nodes: set[int] = set()
         edges: dict[int, tuple[int, int]] = {}
         next_uid = 1
@@ -103,7 +123,7 @@ def test_random_delta_sequences_match_union_find():
                 victims = rng.sample(sorted(nodes), min(len(nodes), 1))
                 rem_n = victims
                 rem_e = [e for e, (t, h) in edges.items() if t in victims or h in victims]
-            gs.apply_delta(add_n, add_e, rem_n, rem_e)
+            commit(gs, add_n, add_e, rem_n, rem_e)
             nodes.update(add_n)
             for e, t, h in add_e:
                 edges[e] = (t, h)

@@ -3,6 +3,7 @@ error table."""
 
 import datetime
 import json
+import random
 import threading
 import urllib.error
 import urllib.parse
@@ -15,6 +16,7 @@ from graphtables.engine import Database
 from graphtables.httpd import build_document, parse_anchor_value, serve_in_thread
 
 from conftest import FAMILY_CREATE
+from oracles import graph_from_db
 
 
 # --- anchor literal parsing ---
@@ -137,6 +139,96 @@ def test_huge_depth_stops_when_the_neighborhood_is_exhausted():
     worker.join(timeout=5)
     assert not worker.is_alive()
     assert [n["uid"] for n in docs[0]["nodes"]] == [1, 2, 3]
+
+
+class _CommitOnRelease:
+    """Stands in for a database's commit lock; its first release runs
+    `statement`, so the statement commits right after the lock is left."""
+
+    def __init__(self, db, statement):
+        self.db, self.lock, self.statement = db, db.commit_lock, statement
+
+    def __enter__(self):
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc):
+        self.lock.__exit__(*exc)
+        statement, self.statement = self.statement, None
+        if statement is not None:
+            self.db.execute(statement)
+        return False
+
+
+def test_document_reads_the_catalog_of_its_snapshot():
+    db = Database()
+    db.execute("CREATE (:P {Tag: 'a'})-[:E]->(:P {Tag: 'b'})")
+    db.commit_lock = _CommitOnRelease(db, "ALTER TABLE P ADD PRIMARY KEY (Tag)")
+    doc = build_document(db, 1, None)
+    assert db.commit_lock.statement is None  # the ALTER committed meanwhile
+    assert [n["key"] for n in doc["nodes"]] == [1, 2]
+    assert [(e["leaving"], e["arriving"]) for e in doc["edges"]] == [(1, 2)]
+    doc = build_document(db, 1, None)
+    assert [n["key"] for n in doc["nodes"]] == ["a", "b"]
+    assert [(e["leaving"], e["arriving"]) for e in doc["edges"]] == [("a", "b")]
+
+
+def oracle_neighborhood(g, anchor, depth):
+    """Node uids within `depth` hops of `anchor`, edge direction ignored
+    (no bound for None), and [(edge uid, tail, head)] of the edges with
+    both ends among them."""
+    keep, frontier, hops = {anchor}, [anchor], 0
+    while frontier and (depth is None or hops < depth):
+        nxt = []
+        for uid in frontier:
+            for _label, tail, head in g.edges.values():
+                if uid in (tail, head):
+                    for other in (tail, head):
+                        if other not in keep:
+                            keep.add(other)
+                            nxt.append(other)
+        frontier, hops = nxt, hops + 1
+    edges = sorted((e, t, h) for e, (_label, t, h) in g.edges.items()
+                   if t in keep and h in keep)
+    return sorted(keep), edges
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_document_is_the_breadth_first_neighborhood(seed):
+    # node keys are the automatic integer IDs, which equal the uids
+    rng = random.Random(6600 + seed)
+    db = Database()
+    count = rng.randint(2, 9)
+    db.execute("CREATE " + ", ".join("(:P)" for _ in range(count)))
+    nodes, edges = list(range(1, count + 1)), []
+    for _ in range(rng.randint(2, 16)):
+        roll = rng.random()
+        t, h = rng.choice(nodes), rng.choice(nodes)
+        if roll < 0.45 or not edges:
+            h = t if roll < 0.1 else h  # a self-loop
+            edges.append(db.peek_uid())
+            db.execute(f"MATCH (x:P {{Id: {t}}}), (y:P {{Id: {h}}}) CREATE (x)-[:S]->(y)")
+        elif roll < 0.6:  # a parallel edge
+            edges.append(db.peek_uid())
+            db.execute(f"MATCH (x)-[e:S]->(y) WHERE e.Id = {rng.choice(edges[:-1])} "
+                       "CREATE (x)-[:S]->(y)")
+        elif roll < 0.85:
+            side = rng.choice(["LEAVING", "ARRIVING"])
+            db.execute(f"MATCH ()-[e:S]->() WHERE e.Id = {rng.choice(edges)} SET e.{side} = {t}")
+        elif roll < 0.93:
+            victim = rng.choice(edges)
+            db.execute(f"MATCH ()-[e:S]->() WHERE e.Id = {victim} DELETE e")
+            edges.remove(victim)
+        elif len(nodes) > 1:
+            db.execute(f"MATCH (x:P {{Id: {t}}}) DELETE x CASCADE")
+            nodes.remove(t)
+            edges = [e for e in edges if db.store.latest(e) is not None]
+    g = graph_from_db(db)
+    for anchor in nodes:
+        for depth in (0, 1, 2, 3, None):
+            doc = build_document(db, anchor, depth)
+            got = ([n["uid"] for n in doc["nodes"]],
+                   [(e["uid"], e["leaving"], e["arriving"]) for e in doc["edges"]])
+            assert got == oracle_neighborhood(g, anchor, depth), (anchor, depth)
 
 
 def test_database_name_is_case_insensitive(served):

@@ -55,6 +55,24 @@ def test_lookup_first_built_inside_a_failed_statement_finds_the_restored_row():
     assert sess.execute("MATCH (a:P {V: 6}) RETURN a.N").rows == []
 
 
+def test_journal_holds_only_the_latest_statement():
+    db = Database()
+    sess = db.session()
+    sess.execute("CREATE (:P {N: 0, V: 0})")
+    sess.execute("BEGIN")
+    stmt = parse_statement("MATCH (a:P {N: 0}) SET a.V = a.V + 1")
+    for _ in range(20000):
+        sess.execute_statement(stmt)
+    assert len(sess.tx.staged.journal) <= 1
+    # a statement that fails after staging its first write undoes only itself
+    with pytest.raises(GraphTablesError, match="cannot compare"):
+        sess.execute("MATCH (a:P {N: 0}) THEN SET a.V = a.V + 1; "
+                     "MATCH (b:P {N: 0}) SET b.V = 'x' < 1 END")
+    assert sess.execute("MATCH (a:P {N: 0}) RETURN a.V").rows == [[20000]]
+    sess.execute("COMMIT")
+    assert db.execute("MATCH (a:P {N: 0}) RETURN a.V").rows == [[20000]]
+
+
 # --- failed statements inside a transaction, differentially ---
 
 SETUP = ("CREATE (:P {N: 1, V: 1})-[:S {W: 1}]->(:P {N: 2, V: 2})-[:S {W: 2}]->(:P {N: 3, V: 3})",
