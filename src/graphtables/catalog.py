@@ -279,29 +279,18 @@ class Catalog:
 
     def define_edge_type(self, label: str, columns: list[ColumnDescriptor],
                          leaving_type: int, arriving_type: int,
-                         multiplicity: Multiplicity | None = None,
-                         supertype: int | None = None) -> TypeDescriptor:
+                         multiplicity: Multiplicity | None = None) -> TypeDescriptor:
         self._claim_label(label, KIND_EDGE)
-        inherited: tuple[ColumnDescriptor, ...] = ()
-        if supertype is not None:
-            sup = self.get(supertype)
-            if sup.kind != KIND_EDGE:
-                raise SchemaError(f"supertype {sup.label} is not an edge type")
-            inherited = self.effective_columns(supertype)
-        self._check_new_columns(columns, inherited)
-        columns = [c.copy() for c in columns]
-        primary_key: list[str] = []
-        if supertype is None:
-            refs = []
-            for name, endpoint in ((LEAVING, leaving_type), (ARRIVING, arriving_type)):
-                ref_col = self._endpoint_reference_column(endpoint)
-                refs.append(ColumnDescriptor(name, ref_col.data_type, nullable=False))
-            columns[:0] = [ColumnDescriptor(ID, values.INTEGER, nullable=False), *refs]
-            primary_key = [ID]
+        self._check_new_columns(columns, ())
+        refs = []
+        for name, endpoint in ((LEAVING, leaving_type), (ARRIVING, arriving_type)):
+            ref_col = self._endpoint_reference_column(endpoint)
+            refs.append(ColumnDescriptor(name, ref_col.data_type, nullable=False))
+        columns = [ColumnDescriptor(ID, values.INTEGER, nullable=False), *refs,
+                   *(c.copy() for c in columns)]
         multiplicity = multiplicity or Multiplicity()
         multiplicity.validate()
-        desc = TypeDescriptor(self._next_type_id, label, KIND_EDGE, columns,
-                              supertype=supertype, primary_key=primary_key,
+        desc = TypeDescriptor(self._next_type_id, label, KIND_EDGE, columns, primary_key=[ID],
                               leaving_type=leaving_type, arriving_type=arriving_type,
                               multiplicity=multiplicity)
         self._next_type_id += 1

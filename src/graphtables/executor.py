@@ -286,6 +286,8 @@ def exec_create_type(tx: Transaction, stmt: CreateTypeStatement):
         kind = sup.kind
     if kind is None and stmt.leaving is not None:
         kind = cat.KIND_EDGE
+    if kind != cat.KIND_NODE and stmt.supertype is not None:
+        raise SchemaError("only node types can have supertypes")
     if kind == cat.KIND_NODE:
         tx.define_node_type(stmt.label, columns, stmt.supertype)
     elif kind == cat.KIND_EDGE:
@@ -293,8 +295,6 @@ def exec_create_type(tx: Transaction, stmt: CreateTypeStatement):
             raise SchemaError("an edge type needs LEAVING and ARRIVING node types")
         tx.define_edge_type(stmt.label, columns, stmt.leaving, stmt.arriving)
     else:
-        if stmt.supertype is not None:
-            raise SchemaError("plain record types cannot have supertypes")
         tx.define_plain_type(stmt.label, columns)
     return None
 

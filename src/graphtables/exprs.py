@@ -86,7 +86,7 @@ def eval_expr(expr, resolve):
     if isinstance(expr, Unary):
         v = eval_expr(expr.operand, resolve)
         if expr.op == "NOT":
-            return None if v is None else (not _truthy(expr, v))
+            return None if v is None else (not _truthy(v))
         if expr.op == "-":
             if v is None:
                 return None
@@ -101,9 +101,9 @@ def eval_expr(expr, resolve):
         op = expr.op
         if op in ("AND", "OR"):
             left = eval_expr(expr.left, resolve)
-            left = None if left is None else _truthy(expr, left)
+            left = None if left is None else _truthy(left)
             right = eval_expr(expr.right, resolve)
-            right = None if right is None else _truthy(expr, right)
+            right = None if right is None else _truthy(right)
             if op == "AND":
                 if left is False or right is False:
                     return False
@@ -135,7 +135,7 @@ def eval_expr(expr, resolve):
     raise ExecutionError(f"not an expression: {expr!r}")
 
 
-def _truthy(expr, v) -> bool:
+def _truthy(v) -> bool:
     if isinstance(v, bool):
         return v
     raise ExecutionError("condition did not evaluate to a boolean")

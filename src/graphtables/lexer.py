@@ -54,65 +54,52 @@ class Token:
         return self.type == "ident" and not self.exact and self.value in names
 
 
-def _line_starts(text: str) -> list[int]:
-    starts = [0]
-    for i, ch in enumerate(text):
-        if ch == "\n":
-            starts.append(i + 1)
-    return starts
-
-
-def _pos(starts: list[int], offset: int) -> tuple[int, int]:
-    import bisect
-    line = bisect.bisect_right(starts, offset) - 1
-    return line + 1, offset - starts[line] + 1
-
-
 def tokenize(text: str) -> list[Token]:
-    starts = _line_starts(text)
     tokens: list[Token] = []
     i = 0
     n = len(text)
+    line, line_start = 1, 0  # current line number and the offset where it starts
     while i < n:
         m = _TOKEN_RE.match(text, i)
+        col = i - line_start + 1
         if m is None:
-            line, col = _pos(starts, i)
             ch = text[i]
             if ch in "'\"":
                 raise LexError("unterminated literal", line, col)
             raise LexError(f"unexpected character {ch!r}", line, col)
         kind = m.lastgroup
         lexeme = m.group()
-        line, col = _pos(starts, i)
+        start, i = i, m.end()
+        tok_line = line
+        if "\n" in lexeme:
+            line += lexeme.count("\n")
+            line_start = start + lexeme.rindex("\n") + 1
         if kind in ("ws", "comment"):
-            i = m.end()
             continue
         if kind == "date":
             body = lexeme[5:-1]
             try:
                 value = datetime.date.fromisoformat(body)
             except ValueError:
-                raise LexError(f"bad date literal {body!r}", line, col) from None
-            tokens.append(Token("date", value, lexeme, i, m.end(), line, col))
+                raise LexError(f"bad date literal {body!r}", tok_line, col) from None
+            tokens.append(Token("date", value, lexeme, start, i, tok_line, col))
         elif kind == "currency":
             code = CURRENCY_SYMBOLS[lexeme[-1]]
             tokens.append(Token("currency", Currency(Decimal(lexeme[:-1]), code),
-                                lexeme, i, m.end(), line, col))
+                                lexeme, start, i, tok_line, col))
         elif kind == "decimal":
-            tokens.append(Token("decimal", Decimal(lexeme), lexeme, i, m.end(), line, col))
+            tokens.append(Token("decimal", Decimal(lexeme), lexeme, start, i, tok_line, col))
         elif kind == "int":
-            tokens.append(Token("int", int(lexeme), lexeme, i, m.end(), line, col))
+            tokens.append(Token("int", int(lexeme), lexeme, start, i, tok_line, col))
         elif kind == "qident":
             name = lexeme[1:-1].replace('""', '"')
-            tokens.append(Token("ident", name, lexeme, i, m.end(), line, col, exact=True))
+            tokens.append(Token("ident", name, lexeme, start, i, tok_line, col, exact=True))
         elif kind == "string":
             value = lexeme[1:-1].replace("''", "'")
-            tokens.append(Token("string", value, lexeme, i, m.end(), line, col))
+            tokens.append(Token("string", value, lexeme, start, i, tok_line, col))
         elif kind == "ident":
-            tokens.append(Token("ident", lexeme.upper(), lexeme, i, m.end(), line, col))
+            tokens.append(Token("ident", lexeme.upper(), lexeme, start, i, tok_line, col))
         else:  # arrow, punct2, punct
-            tokens.append(Token(lexeme, lexeme, lexeme, i, m.end(), line, col))
-        i = m.end()
-    eline, ecol = _pos(starts, n)
-    tokens.append(Token("end", None, "", n, n, eline, ecol))
+            tokens.append(Token(lexeme, lexeme, lexeme, start, i, tok_line, col))
+    tokens.append(Token("end", None, "", n, n, line, n - line_start + 1))
     return tokens

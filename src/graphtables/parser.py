@@ -80,13 +80,13 @@ class _Parser:
     # --- entry points ---
 
     def parse(self):
-        stmt = self.parse_statement(top=True)
+        stmt = self.parse_statement()
         self.accept(";")
         if self.peek().type != "end":
             raise self.error("trailing input after statement")
         return stmt
 
-    def parse_statement(self, top: bool = False):
+    def parse_statement(self):
         tok = self.peek()
         if tok.is_kw("CREATE"):
             nxt = self.peek(1)
@@ -352,13 +352,13 @@ class _Parser:
             labels.append(self.expect_ident().value)
         doc = None
         if self.peek().type == "{":
-            doc = self.parse_doc(match)
+            doc = self.parse_doc()
         where = None
         if match and self.accept_kw("WHERE"):
             where = self.parse_expr()
         return alias, tuple(labels), doc, where
 
-    def parse_doc(self, match: bool):
+    def parse_doc(self):
         self.expect("{")
         pairs = []
         seen = set()

@@ -97,7 +97,11 @@ class Store:
         return version.row if version is not None else None
 
     def latest(self, uid: int) -> Row | None:
-        return self.visible(uid, self.commit_seq)
+        """The row as of the last commit; only the newest version can be open."""
+        versions = self._versions.get(uid)
+        if versions and versions[-1].end is None:
+            return versions[-1].row
+        return None
 
     def scan_committed(self, type_id: int, snapshot: int):
         for uid in list(self._by_type.get(type_id, ())):
@@ -688,7 +692,7 @@ class Transaction:
             if row is not None and row.type_id in edge_tids:
                 self.staged.put(uid, _with_references(post, row))
 
-        self._validate_types(post, catalog)
+        self._validate_types(catalog)
         self._validate_keys(post, catalog, rekeyed)
         self._validate_references(post, catalog, edge_tids)
         self._validate_multiplicity(post, catalog, edge_tids, full_mult)
@@ -758,7 +762,7 @@ class Transaction:
 
     # validation rules, in commit order
 
-    def _validate_types(self, post: ReadView, catalog: Catalog) -> None:
+    def _validate_types(self, catalog: Catalog) -> None:
         for uid, row in sorted(self.staged.items()):
             if row is None:
                 continue
@@ -773,13 +777,13 @@ class Transaction:
                     raise CommitError("type", desc.label,
                                       f"column {name} cannot hold {v!r}", (uid,))
                 if col.data_type == val.STRUCTURED:
-                    self._check_struct(post, catalog, desc, name, v, uid, col)
+                    self._check_struct(catalog, desc, name, v, uid, col)
             key = catalog.effective_key(row.type_id)
             for kcol in key:
                 if row.values.get(kcol) is None:
                     raise CommitError("key", desc.label, f"key column {kcol} is null", (uid,))
 
-    def _check_struct(self, post, catalog, desc, name, sv, uid, col) -> None:
+    def _check_struct(self, catalog, desc, name, sv, uid, col) -> None:
         if sv.type_id != col.struct_type_id:
             raise CommitError("type", desc.label,
                               f"column {name} holds the wrong structured type", (uid,))
@@ -792,17 +796,25 @@ class Transaction:
                                   f"structured value field {k} is invalid", (uid,))
 
     def _validate_keys(self, post: ReadView, catalog: Catalog, rekeyed: set[int]) -> None:
-        """Key scopes, each a type that declares a key with its subtypes, of
-        every staged row's type and every rekeyed type hold unique keys."""
-        staged_tids = {r.type_id for r in self.staged.values() if r is not None}
-        declarers = (catalog.key_declarer(tid) for tid in staged_tids | rekeyed)
-        scopes = {d.type_id: d.primary_key for d in declarers if d is not None and d.primary_key}
-        for scope_tid, key in scopes.items():
+        """Key scopes, each a type that declares a primary or unique key with
+        its subtypes, of every staged row's type and every rekeyed type hold
+        unique keys.  A key value with a NULL in it conflicts with nothing."""
+        scopes: dict[tuple[int, tuple[str, ...]], None] = {}
+        for tid in sorted({r.type_id for r in self.staged.values() if r is not None} | rekeyed):
+            declarer = catalog.key_declarer(tid)
+            if declarer is not None:
+                scopes[declarer.type_id, tuple(declarer.primary_key)] = None
+            for ancestor in catalog.supertype_chain(tid):
+                for key in catalog.get(ancestor).unique_keys:
+                    scopes[ancestor, tuple(key)] = None
+        for scope_tid, key in scopes:
             closure = set(catalog.subtype_closure(scope_tid))
             if scope_tid in rekeyed:
                 seen: dict[tuple, int] = {}
                 for row in post.scan_type(scope_tid, subtypes=True):
                     kv = tuple(row.values.get(c) for c in key)
+                    if None in kv:
+                        continue
                     if kv in seen:
                         raise CommitError("key", catalog.get(scope_tid).label,
                                           f"duplicate key {kv!r}", (seen[kv], row.uid))
@@ -812,6 +824,8 @@ class Transaction:
                 if row is None or row.type_id not in closure:
                     continue
                 kv = tuple(row.values.get(c) for c in key)
+                if None in kv:
+                    continue
                 matches = post.lookup_by_value(sorted(closure), key[0], kv[0])
                 for other in matches:
                     if other.uid == uid:

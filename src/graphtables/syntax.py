@@ -1,4 +1,4 @@
-"""AST node classes and the canonical renderer.
+"""AST node classes.
 
 A pattern chain is a tuple that starts with a NodePattern and alternates with
 EdgePattern or PathPattern elements, each followed by another NodePattern.
@@ -8,11 +8,7 @@ rely on.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-
-from . import values
-from .values import Currency
 
 # --- expressions ---
 
@@ -202,162 +198,3 @@ class RollbackStatement:
 @dataclass(frozen=True)
 class ShowGraphsStatement:
     pass
-
-
-# --- canonical rendering (pretty-printer) ---
-
-_BARE_IDENT = re.compile(r"[A-Z_][A-Z0-9_]*\Z")
-
-
-def render_ident(name: str) -> str:
-    if _BARE_IDENT.fullmatch(name):
-        return name
-    return '"' + name.replace('"', '""') + '"'
-
-
-def render_value(v) -> str:
-    if v is None:
-        return "NULL"
-    if isinstance(v, bool):
-        return "TRUE" if v else "FALSE"
-    if isinstance(v, str):
-        return "'" + v.replace("'", "''") + "'"
-    if isinstance(v, Currency):
-        sym = {code: s for s, code in values.CURRENCY_SYMBOLS.items()}.get(v.code)
-        if sym:
-            return f"{v.amount}{sym}"
-        return f"'{v}'"
-    if hasattr(v, "isoformat"):
-        return f"DATE'{v.isoformat()}'"
-    return str(v)
-
-
-def render_expr(e) -> str:
-    if isinstance(e, Literal):
-        return render_value(e.value)
-    if isinstance(e, Ref):
-        return ".".join(render_ident(p) for p in e.path)
-    if isinstance(e, Unary):
-        if e.op == "NOT":
-            return f"NOT ({render_expr(e.operand)})"
-        return f"{e.op}{render_expr(e.operand)}"
-    if isinstance(e, IsNull):
-        neg = " NOT" if e.negated else ""
-        return f"({render_expr(e.operand)}) IS{neg} NULL"
-    if isinstance(e, Binary):
-        return f"({render_expr(e.left)} {e.op} {render_expr(e.right)})"
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _render_item(alias, labels, doc, where) -> str:
-    head = render_ident(alias) if alias else ""
-    for lab in labels:
-        head += ":" + render_ident(lab)
-    parts = [head] if head else []
-    if doc is not None:
-        body = ", ".join(f"{render_ident(k)}:{render_expr(v)}" for k, v in doc)
-        parts.append("{" + body + "}")
-    if where is not None:
-        parts.append("WHERE " + render_expr(where))
-    return " ".join(parts)
-
-
-def _render_quant(lo: int, hi: int | None) -> str:
-    if (lo, hi) == (0, 1):
-        return "?"
-    if (lo, hi) == (0, None):
-        return "*"
-    if (lo, hi) == (1, None):
-        return "+"
-    if hi is None:
-        return f"{{{lo},}}"
-    return f"{{{lo},{hi}}}"
-
-
-def render_chain(chain) -> str:
-    out = []
-    for el in chain:
-        if isinstance(el, NodePattern):
-            out.append("(" + _render_item(el.alias, el.labels, el.doc, el.where) + ")")
-        elif isinstance(el, EdgePattern):
-            body = _render_item(el.alias, el.labels, el.doc, el.where)
-            if el.direction == "out":
-                out.append(f"-[{body}]->")
-            else:
-                out.append(f"<-[{body}]-")
-        elif isinstance(el, PathPattern):
-            out.append("[" + render_chain(el.chain) + "]" + _render_quant(el.lo, el.hi))
-        else:
-            raise TypeError(f"not a pattern element: {el!r}")
-    return " ".join(out)
-
-
-def render_statement(stmt) -> str:
-    if isinstance(stmt, CreateStatement):
-        text = "CREATE " + ", ".join(render_chain(g) for g in stmt.graphs)
-        if stmt.then is not None:
-            text += " THEN " + render_statement(stmt.then)
-        return text
-    if isinstance(stmt, MatchStatement):
-        items = []
-        for it in stmt.items:
-            part = ""
-            if it.rep_mode:
-                part += it.rep_mode + " "
-            if it.sel_mode:
-                part += it.sel_mode + " "
-            if it.path_alias:
-                part += render_ident(it.path_alias) + " = "
-            part += render_chain(it.chain)
-            items.append(part)
-        text = "MATCH " + ", ".join(items)
-        if stmt.where is not None:
-            text += " WHERE " + render_expr(stmt.where)
-        if stmt.dependent is not None:
-            text += " " + render_statement(stmt.dependent)
-        if stmt.then_block:
-            text += " THEN " + " ".join(render_statement(s) for s in stmt.then_block) + " END"
-        return text
-    if isinstance(stmt, ReturnStatement):
-        return "RETURN " + ", ".join(render_expr(e) for _h, e in stmt.items)
-    if isinstance(stmt, SetStatement):
-        return "SET " + ", ".join(f"{render_expr(ref)} = {render_expr(val)}"
-                                  for ref, val in stmt.assignments)
-    if isinstance(stmt, DeleteStatement):
-        return f"DELETE {render_ident(stmt.alias)}" + (" CASCADE" if stmt.cascade else "")
-    if isinstance(stmt, CreateTypeStatement):
-        text = f"CREATE TYPE {render_ident(stmt.label)}"
-        if stmt.supertype:
-            text += f" UNDER {render_ident(stmt.supertype)}"
-        cols = ", ".join(f"{render_ident(n)} {t}" for n, t in stmt.columns)
-        text += f" AS ({cols})"
-        if stmt.kind == "node":
-            text += " NODETYPE"
-        elif stmt.kind == "edge":
-            text += f" EDGETYPE(LEAVING {render_ident(stmt.leaving)}, ARRIVING {render_ident(stmt.arriving)})"
-        return text
-    if isinstance(stmt, AlterAddKey):
-        return f"ALTER TABLE {render_ident(stmt.table)} ADD PRIMARY KEY({', '.join(render_ident(c) for c in stmt.columns)})"
-    if isinstance(stmt, AlterAddColumn):
-        return f"ALTER TABLE {render_ident(stmt.table)} ADD {render_ident(stmt.column)} {stmt.type_name}"
-    if isinstance(stmt, AlterDropColumn):
-        return f"ALTER TABLE {render_ident(stmt.table)} DROP {render_ident(stmt.column)}"
-    if isinstance(stmt, AlterAddCheck):
-        return f"ALTER TABLE {render_ident(stmt.table)} ADD CHECK ({render_expr(stmt.expr)})"
-    if isinstance(stmt, AlterCardinality):
-        def side(pair):
-            lo, hi = pair
-            return f"{lo}..{'*' if hi is None else hi}"
-        return (f"ALTER TYPE {render_ident(stmt.table)} SET CARDINALITY "
-                f"LEAVING {side(stmt.leaving)} ARRIVING {side(stmt.arriving)}")
-    if isinstance(stmt, RoleStatement):
-        return stmt.text
-    if isinstance(stmt, BeginStatement):
-        return "BEGIN"
-    if isinstance(stmt, CommitStatement):
-        return "COMMIT"
-    if isinstance(stmt, RollbackStatement):
-        return "ROLLBACK"
-    if isinstance(stmt, ShowGraphsStatement):
-        return "SHOW GRAPHS"
-    raise TypeError(f"not a statement: {stmt!r}")

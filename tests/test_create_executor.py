@@ -6,7 +6,7 @@ import pytest
 
 from graphtables import Database, values
 from graphtables.catalog import ARRIVING, ID, LEAVING
-from graphtables.errors import ExecutionError, ParseError
+from graphtables.errors import ExecutionError, ParseError, SchemaError
 
 from oracles import fold_arrows, graph_from_db
 
@@ -95,6 +95,19 @@ def test_label_chain_resolves_most_specific(db):
     db.execute("create type Other as (X char) nodetype")
     with pytest.raises(ExecutionError, match="not on one subtype path"):
         db.execute("CREATE (:Part:Other {PartID:'P09'})")
+
+
+@pytest.mark.parametrize("text", [
+    "create type F under E as (X int) edgetype(leaving P, arriving P)",
+    "create type F under E as (X int)",
+    "create type F under P as (X int) edgetype(leaving P, arriving P)",
+])
+def test_under_applies_to_node_types_only(db, text):
+    db.execute("create type P as (N int) nodetype")
+    db.execute("create type E as () edgetype(leaving P, arriving P)")
+    with pytest.raises(SchemaError, match="only node types"):
+        db.execute(text)
+    assert db.catalog.lookup_label("F") is None
 
 
 def test_edge_needs_exactly_one_label(db):

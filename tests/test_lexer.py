@@ -67,6 +67,19 @@ def test_error_position_is_line_and_column():
     assert err.value.line == 2 and err.value.col == 4
 
 
+@pytest.mark.parametrize("text, line, col", [
+    ("'a\n\nbc' @", 3, 5),                    # newlines inside a string
+    ('"a\nbc" @', 2, 5),                      # newline inside a quoted identifier
+    ("x // note\n  @", 2, 3),                 # newline that ends a comment
+    ("x\n\n\t@", 3, 2),                       # newlines in whitespace
+    ("'a\n\nb' // c\n DATE'2023-13-99'", 4, 2),  # error on a token's own start
+])
+def test_error_position_after_a_consumed_newline(text, line, col):
+    with pytest.raises(LexError) as err:
+        tokenize(text)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
 statement_text = st.text(
     alphabet=st.sampled_from(list("abzAZ_019 ()[]{},:.=<>+-*/?;'\"\n\t") + ["€", "$", "£"]),
     max_size=60,
@@ -88,6 +101,9 @@ def test_offsets_reconstruct_the_input(text):
         gap = text[pos:tok.start]
         assert gap.strip(" \t\r\n") == "" or gap.lstrip().startswith("//")
         assert text[tok.start:tok.end] == tok.text
+        line_start = text.rfind("\n", 0, tok.start) + 1
+        assert (tok.line, tok.col) == (text.count("\n", 0, tok.start) + 1,
+                                       tok.start - line_start + 1)
         rebuilt.append(gap + tok.text)
         pos = tok.end
     assert "".join(rebuilt) + text[pos:] == text

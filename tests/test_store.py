@@ -132,6 +132,27 @@ def test_null_key_is_a_key_violation(db):
     assert err.value.rule == "key"
 
 
+def test_demoted_primary_key_stays_unique(db):
+    db.execute("CREATE (:Node {Tag: 'a'}), (:Node {Tag: 'b'})")
+    db.execute("ALTER TABLE Node ADD PRIMARY KEY (Tag)")
+    with pytest.raises(CommitError) as err:
+        db.execute("MATCH (n:Node {Tag: 'b'}) SET n.ID = 1")
+    assert err.value.rule == "key"
+    assert db.execute("MATCH (n:Node) RETURN n.Tag, n.ID").rows == [["a", 1], ["b", 2]]
+
+
+def test_unique_key_covers_subtypes_and_ignores_nulls(db):
+    db.execute("create type Part as (Code char) nodetype")
+    db.execute("create type Bought under Part as (Supplier int)")
+    db.execute("CREATE (:Part {Code: 'p'}), (:Bought {Code: 'b'})")
+    db.execute("alter table Part add primary key(Code)")
+    with pytest.raises(CommitError) as err:
+        db.execute("MATCH (x:Bought) SET x.ID = 1")
+    assert err.value.rule == "key"
+    db.execute("MATCH (x:Part) SET x.ID = NULL")
+    assert db.execute("MATCH (x:Part) RETURN x.Code, x.ID").rows == [["p", None], ["b", None]]
+
+
 def test_validation_order_is_stable(db):
     """One commit breaking several rules reports the earliest stage:
     value typing before keys, keys before references."""
