@@ -70,6 +70,7 @@ class Constraint:
 
     text: str
     expr: object = field(compare=False, default=None)
+    params: tuple = field(compare=False, default=())  # values of the literal slots
 
 
 @dataclass
@@ -281,13 +282,12 @@ class Catalog:
                          leaving_type: int, arriving_type: int,
                          multiplicity: Multiplicity | None = None) -> TypeDescriptor:
         self._claim_label(label, KIND_EDGE)
-        self._check_new_columns(columns, ())
-        refs = []
+        builtin = [ColumnDescriptor(ID, values.INTEGER, nullable=False)]
         for name, endpoint in ((LEAVING, leaving_type), (ARRIVING, arriving_type)):
             ref_col = self._endpoint_reference_column(endpoint)
-            refs.append(ColumnDescriptor(name, ref_col.data_type, nullable=False))
-        columns = [ColumnDescriptor(ID, values.INTEGER, nullable=False), *refs,
-                   *(c.copy() for c in columns)]
+            builtin.append(ColumnDescriptor(name, ref_col.data_type, nullable=False))
+        self._check_new_columns(columns, tuple(builtin))
+        columns = [*builtin, *(c.copy() for c in columns)]
         multiplicity = multiplicity or Multiplicity()
         multiplicity.validate()
         desc = TypeDescriptor(self._next_type_id, label, KIND_EDGE, columns, primary_key=[ID],
@@ -439,7 +439,7 @@ class Catalog:
             leaving_type=data["leaving_type"],
             arriving_type=data["arriving_type"],
             multiplicity=None if mult is None else Multiplicity(*mult),
-            constraints=[Constraint(text, parse_constraint(text)) for text in data["constraints"]],
+            constraints=[Constraint(text, *parse_constraint(text)) for text in data["constraints"]],
         )
         old = self._types.get(desc.type_id)
         if old is not None:

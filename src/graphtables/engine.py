@@ -1,5 +1,10 @@
 """Database facade: ties the catalog, row store, commit log, component
-registry and statement execution together behind one object."""
+registry and statement execution together behind one object.
+
+Each statement text is tokenized; texts of one token shape (`parser.shape`)
+run one parsed template with their own literal values.  A `Database` keeps
+the templates of shapes it has parsed twice, at most `_TEMPLATES` of them,
+so a statement shape used once, such as a bulk load, is never retained."""
 
 from __future__ import annotations
 
@@ -10,13 +15,19 @@ import threading
 
 from . import catalog as cat
 from . import log as logmod
+from . import parser
 from . import values as val
 from .catalog import Catalog
 from .errors import ExecutionError, StorageError
 from .graphset import GraphSet
 from .parser import parse_expression, parse_statement
 from .storage import ReadView, Row, Staging, Store, Transaction
-from .syntax import (BeginStatement, CommitStatement, RollbackStatement)
+from .syntax import (BeginStatement, CommitStatement, RollbackStatement, shareable)
+
+# the most statement templates a Database keeps, oldest admitted evicted
+# first, and the most shapes it remembers having parsed once
+_TEMPLATES = 256
+_SIGHTINGS = 4096
 
 
 class ResultTable:
@@ -43,6 +54,10 @@ class Database:
         self.store = Store()
         self.graphs = GraphSet(self.store)
         self.commit_lock = threading.RLock()
+        # token shape -> template, and the hashes of shapes parsed once
+        self._templates: dict[tuple, object] = {}
+        self._sighted: set[int] = set()
+        self._templates_lock = threading.Lock()
         self._next_uid = 1
         # the next_uid of the latest commit, the value its log record holds;
         # transactions that roll back advance `_next_uid` but not this
@@ -118,6 +133,33 @@ class Database:
                 if None not in row.ends:
                     self.graphs.add_edge(row.uid, *row.ends)
 
+    # --- statement templates ---
+
+    def statement(self, text: str) -> tuple[object, tuple]:
+        """`text`'s parsed template and the values of its literal slots."""
+        tokens = parser.tokenize(text)
+        key, params = parser.shape(tokens)
+        stmt = self._templates.get(key)
+        if stmt is None:
+            stmt = parse_statement(text, tokens)
+            if shareable(stmt):
+                self._admit(key, stmt)
+        return stmt, params
+
+    def _admit(self, key: tuple, stmt) -> None:
+        """Keep `stmt` for its shape on the shape's second sighting."""
+        sighting = hash(key)
+        with self._templates_lock:
+            if sighting not in self._sighted:
+                if len(self._sighted) >= _SIGHTINGS:
+                    self._sighted.clear()
+                self._sighted.add(sighting)
+                return
+            self._sighted.discard(sighting)
+            if len(self._templates) >= _TEMPLATES:
+                del self._templates[next(iter(self._templates))]
+            self._templates[key] = stmt
+
     # --- transactions and statements ---
 
     def begin(self) -> Transaction:
@@ -165,13 +207,14 @@ class Session:
 
     def execute(self, text: str):
         try:
-            return self.execute_statement(parse_statement(text))
+            return self.execute_statement(*self.db.statement(text))
         except RecursionError:
             # parser and evaluator recurse on nesting; past Python's limit the
             # statement fails like any other, and the session goes on
             raise ExecutionError("statement nests too deeply") from None
 
-    def execute_statement(self, stmt):
+    def execute_statement(self, stmt, params: tuple):
+        """Run a parsed statement whose literal slots hold `params`."""
         from . import executor
 
         if isinstance(stmt, BeginStatement):
@@ -196,13 +239,13 @@ class Session:
             # a failed statement leaves the transaction as it found it
             point = self.tx.savepoint()
             try:
-                return executor.run_statement(self.tx, stmt)
+                return executor.run_statement(self.tx, stmt, params)
             except BaseException:
                 self.tx.restore(point)
                 raise
         tx = self.db.begin()
         try:
-            result = executor.run_statement(tx, stmt)
+            result = executor.run_statement(tx, stmt, params)
         except BaseException:
             tx.rollback()
             raise

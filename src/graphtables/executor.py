@@ -14,7 +14,7 @@ import decimal
 
 from . import catalog as cat
 from . import values as val
-from .catalog import ARRIVING, ColumnDescriptor, LEAVING, Multiplicity
+from .catalog import ARRIVING, ID, ColumnDescriptor, LEAVING, Multiplicity
 from .engine import ResultTable
 from .errors import ExecutionError, SchemaError
 from .exprs import eval_expr
@@ -40,13 +40,14 @@ _TYPE_NAMES = {
 }
 
 
-def run_statement(tx: Transaction, stmt, bindings: dict | None = None):
-    """Execute one statement; returns a ResultTable or None."""
+def run_statement(tx: Transaction, stmt, params: tuple, bindings: dict | None = None):
+    """Execute one statement, whose literal slots hold `params`; returns a
+    ResultTable or None."""
     if isinstance(stmt, CreateStatement):
-        return exec_create(tx, stmt, bindings)
+        return exec_create(tx, stmt, params, bindings)
     if isinstance(stmt, MatchStatement):
         from .matcher import run_match
-        return run_match(tx, stmt)
+        return run_match(tx, stmt, params)
     if isinstance(stmt, CreateTypeStatement):
         return exec_create_type(tx, stmt)
     if isinstance(stmt, AlterAddKey):
@@ -66,13 +67,13 @@ def run_statement(tx: Transaction, stmt, bindings: dict | None = None):
             stmt.leaving[0], stmt.leaving[1], stmt.arriving[0], stmt.arriving[1]))
         return None
     if isinstance(stmt, SetStatement):
-        exec_set(tx, stmt, bindings or {})
+        exec_set(tx, stmt, params, bindings or {})
         return None
     if isinstance(stmt, DeleteStatement):
         exec_delete(tx, stmt, bindings or {})
         return None
     if isinstance(stmt, ReturnStatement):
-        return exec_return(tx, stmt, bindings or {})
+        return exec_return(tx, stmt, params, bindings or {})
     if isinstance(stmt, RoleStatement):
         return None
     if isinstance(stmt, ShowGraphsStatement):
@@ -92,14 +93,15 @@ def _column_descriptor(tx: Transaction, name: str, type_name: str) -> ColumnDesc
     return ColumnDescriptor(name, val.STRUCTURED, struct_type_id=plain.type_id)
 
 
-def eval_value(tx: Transaction, expr, bindings: dict):
-    return eval_expr(expr, tx.view().resolver(bindings))
+def eval_value(tx: Transaction, expr, params: tuple, bindings: dict):
+    return eval_expr(expr, tx.view().resolver(bindings), params)
 
 
 # --- CREATE graph ---
 
 
-def exec_create(tx: Transaction, stmt: CreateStatement, outer: dict | None = None):
+def exec_create(tx: Transaction, stmt: CreateStatement, params: tuple,
+                outer: dict | None = None):
     bindings: dict = dict(outer) if outer else {}
     edges = []
     for chain in stmt.graphs:
@@ -107,7 +109,7 @@ def exec_create(tx: Transaction, stmt: CreateStatement, outer: dict | None = Non
         pending_edge = None
         for element in chain:
             if isinstance(element, NodePattern):
-                row = _create_node(tx, element, bindings)
+                row = _create_node(tx, element, params, bindings)
                 if pending_edge is not None:
                     edges.append((previous, pending_edge, row))
                     pending_edge = None
@@ -117,9 +119,9 @@ def exec_create(tx: Transaction, stmt: CreateStatement, outer: dict | None = Non
             else:
                 raise ExecutionError("quantified path patterns cannot be created")
     for tail_row, pattern, head_row in edges:
-        _create_edge(tx, pattern, tail_row, head_row, bindings)
+        _create_edge(tx, pattern, tail_row, head_row, params, bindings)
     if stmt.then is not None:
-        run_statement(tx, stmt.then, bindings)
+        run_statement(tx, stmt.then, params, bindings)
     return None
 
 
@@ -141,10 +143,10 @@ def _most_specific(tx: Transaction, labels, kind: str) -> cat.TypeDescriptor:
     return best
 
 
-def _eval_doc(tx: Transaction, doc, bindings: dict) -> dict:
+def _eval_doc(tx: Transaction, doc, params: tuple, bindings: dict) -> dict:
     out = {}
     for name, expr in doc or ():
-        out[name] = _storable(name, eval_value(tx, expr, bindings))
+        out[name] = _storable(name, eval_value(tx, expr, params, bindings))
     return out
 
 
@@ -176,7 +178,7 @@ def _fit_properties(tx: Transaction, desc: cat.TypeDescriptor, props: dict) -> N
                              f"not {v!r}")
 
 
-def _create_node(tx: Transaction, pattern: NodePattern, bindings: dict) -> Row:
+def _create_node(tx: Transaction, pattern: NodePattern, params: tuple, bindings: dict) -> Row:
     alias = pattern.alias
     if alias is not None and alias in bindings:
         bound = bindings[alias]
@@ -185,14 +187,14 @@ def _create_node(tx: Transaction, pattern: NodePattern, bindings: dict) -> Row:
         if pattern.labels:
             raise ExecutionError(f"{alias} is already bound; labels are not allowed")
         if pattern.doc:
-            props = _eval_doc(tx, pattern.doc, bindings)
+            props = _eval_doc(tx, pattern.doc, params, bindings)
             _fit_properties(tx, tx.catalog.get(bound.type_id), props)
             tx.update_row(bound.uid, props)
             bindings[alias] = tx.view().get_row(bound.uid)
         return bindings[alias]
     if not pattern.labels:
         raise ExecutionError(f"({alias or ''}) does not reference a bound alias")
-    props = _eval_doc(tx, pattern.doc, bindings)
+    props = _eval_doc(tx, pattern.doc, params, bindings)
     desc = _resolve_or_define_node(tx, pattern.labels, props)
     _fit_properties(tx, desc, props)
     uid = tx.insert_row(desc.type_id, props)
@@ -244,7 +246,7 @@ def _generalize_endpoint(tx: Transaction, edge_desc: cat.TypeDescriptor,
 
 
 def _create_edge(tx: Transaction, pattern: EdgePattern, left_row: Row,
-                 right_row: Row, bindings: dict) -> Row:
+                 right_row: Row, params: tuple, bindings: dict) -> Row:
     if pattern.direction == "out":
         tail_row, head_row = left_row, right_row
     else:
@@ -252,16 +254,17 @@ def _create_edge(tx: Transaction, pattern: EdgePattern, left_row: Row,
     if len(pattern.labels) != 1:
         raise ExecutionError("an edge needs exactly one type label")
     label = pattern.labels[0]
-    props = _eval_doc(tx, pattern.doc, bindings)
+    props = _eval_doc(tx, pattern.doc, params, bindings)
     desc = tx.catalog.lookup_label(label, cat.KIND_EDGE)
     if desc is None:
+        # every edge type has ID, LEAVING and ARRIVING already
         columns = [ColumnDescriptor(n, val.infer_data_type(v))
-                   for n, v in props.items() if v is not None]
+                   for n, v in props.items() if v is not None and n not in (ID, LEAVING, ARRIVING)]
         desc = tx.define_edge_type(label, columns, tail_row.type_id, head_row.type_id)
     else:
         desc = _generalize_endpoint(tx, desc, LEAVING, tail_row.type_id)
         desc = _generalize_endpoint(tx, desc, ARRIVING, head_row.type_id)
-        _fit_properties(tx, desc, props)
+    _fit_properties(tx, desc, props)
     _check_endpoint_key(tx, desc, LEAVING, tail_row)
     _check_endpoint_key(tx, desc, ARRIVING, head_row)
     uid = tx.insert_row(desc.type_id, props, (tail_row.uid, head_row.uid))
@@ -302,7 +305,7 @@ def exec_create_type(tx: Transaction, stmt: CreateTypeStatement):
 # --- SET / DELETE / RETURN ---
 
 
-def exec_set(tx: Transaction, stmt: SetStatement, bindings: dict) -> None:
+def exec_set(tx: Transaction, stmt: SetStatement, params: tuple, bindings: dict) -> None:
     for ref, expr in stmt.assignments:
         if len(ref.path) != 2:
             raise ExecutionError("SET expects alias.property assignments")
@@ -310,7 +313,7 @@ def exec_set(tx: Transaction, stmt: SetStatement, bindings: dict) -> None:
         bound = bindings.get(alias)
         if not isinstance(bound, Row):
             raise ExecutionError(f"unknown identifier {alias}")
-        v = _storable(prop, eval_value(tx, expr, bindings))
+        v = _storable(prop, eval_value(tx, expr, params, bindings))
         if v is not None:
             _fit_properties(tx, tx.catalog.get(bound.type_id), {prop: v})
         tx.update_row(bound.uid, {prop: v})
@@ -324,7 +327,8 @@ def exec_delete(tx: Transaction, stmt: DeleteStatement, bindings: dict) -> None:
     tx.delete_row(bound.uid, cascade=stmt.cascade)
 
 
-def exec_return(tx: Transaction, stmt: ReturnStatement, bindings: dict) -> ResultTable:
+def exec_return(tx: Transaction, stmt: ReturnStatement, params: tuple,
+                bindings: dict) -> ResultTable:
     headers = [header for header, _ in stmt.items]
-    row = [eval_value(tx, expr, bindings) for _, expr in stmt.items]
+    row = [eval_value(tx, expr, params, bindings) for _, expr in stmt.items]
     return ResultTable(headers, [row])

@@ -1,6 +1,9 @@
 """Expression evaluation shared by the matcher, the executor and commit-time
 constraint checks.  Three-valued logic in the SQL style: None propagates
-through comparisons and arithmetic, AND/OR/NOT treat it as unknown."""
+through comparisons and arithmetic, AND/OR/NOT treat it as unknown.
+
+Literal slots (`Param`) read the `params` of the statement being run: the
+values of its literal tokens, in slot order."""
 
 from __future__ import annotations
 
@@ -8,7 +11,7 @@ import datetime
 from decimal import Decimal
 
 from .errors import ExecutionError
-from .syntax import Binary, IsNull, Literal, Ref, Unary
+from .syntax import Binary, IsNull, Literal, Param, Ref, Unary
 from .values import Currency, values_equal
 
 _NUM = (int, Decimal)
@@ -45,6 +48,8 @@ def _equal(a, b):
 def _arith(op: str, a, b):
     if isinstance(a, bool) or isinstance(b, bool):
         raise ExecutionError("arithmetic on booleans")
+    if op == "/" and isinstance(b, _NUM) and b == 0:
+        raise ExecutionError("division by zero")
     if isinstance(a, Currency) and isinstance(b, Currency):
         if a.code != b.code:
             raise ExecutionError(f"cannot combine {a.code} with {b.code}")
@@ -65,8 +70,6 @@ def _arith(op: str, a, b):
     if isinstance(a, _NUM) and isinstance(b, _NUM):
         if op == "/":
             if isinstance(a, int) and isinstance(b, int):
-                if b == 0:
-                    raise ExecutionError("division by zero")
                 q, r = divmod(a, b)
                 return q if r == 0 else Decimal(a) / Decimal(b)
             return Decimal(a) / Decimal(b)
@@ -77,14 +80,25 @@ def _arith(op: str, a, b):
     raise ExecutionError(f"unsupported operands for {op}: {a!r}, {b!r}")
 
 
-def eval_expr(expr, resolve):
-    """`resolve(path: tuple[str, ...])` supplies identifier values."""
+def constant(expr, params):
+    """The value of a literal or a literal slot; None for any other expression."""
+    if isinstance(expr, Param):
+        v = params[expr.slot]
+        return -v if expr.negated else v
     if isinstance(expr, Literal):
         return expr.value
+    return None
+
+
+def eval_expr(expr, resolve, params):
+    """`resolve(path: tuple[str, ...])` supplies identifier values, `params`
+    the values of literal slots."""
+    if isinstance(expr, (Param, Literal)):
+        return constant(expr, params)
     if isinstance(expr, Ref):
         return resolve(expr.path)
     if isinstance(expr, Unary):
-        v = eval_expr(expr.operand, resolve)
+        v = eval_expr(expr.operand, resolve, params)
         if expr.op == "NOT":
             return None if v is None else (not _truthy(v))
         if expr.op == "-":
@@ -95,14 +109,14 @@ def eval_expr(expr, resolve):
             return -v
         raise ExecutionError(f"unknown operator {expr.op}")
     if isinstance(expr, IsNull):
-        v = eval_expr(expr.operand, resolve)
+        v = eval_expr(expr.operand, resolve, params)
         return (v is None) != expr.negated
     if isinstance(expr, Binary):
         op = expr.op
         if op in ("AND", "OR"):
-            left = eval_expr(expr.left, resolve)
+            left = eval_expr(expr.left, resolve, params)
             left = None if left is None else _truthy(left)
-            right = eval_expr(expr.right, resolve)
+            right = eval_expr(expr.right, resolve, params)
             right = None if right is None else _truthy(right)
             if op == "AND":
                 if left is False or right is False:
@@ -115,8 +129,8 @@ def eval_expr(expr, resolve):
             if left is None or right is None:
                 return None
             return False
-        left = eval_expr(expr.left, resolve)
-        right = eval_expr(expr.right, resolve)
+        left = eval_expr(expr.left, resolve, params)
+        right = eval_expr(expr.right, resolve, params)
         if op in ("=", "<>"):
             if left is None or right is None:
                 return None
@@ -141,9 +155,9 @@ def _truthy(v) -> bool:
     raise ExecutionError("condition did not evaluate to a boolean")
 
 
-def eval_predicate(expr, resolve) -> bool:
+def eval_predicate(expr, resolve, params) -> bool:
     """Boolean context: unknown counts as not satisfied."""
-    v = eval_expr(expr, resolve)
+    v = eval_expr(expr, resolve, params)
     if v is None:
         return False
     if not isinstance(v, bool):
@@ -151,7 +165,7 @@ def eval_predicate(expr, resolve) -> bool:
     return v
 
 
-def constraint_passes(expr, row_values: dict) -> bool:
+def constraint_passes(expr, row_values: dict, params) -> bool:
     """Row constraint: only a definite False is a violation (SQL style)."""
 
     def resolve(path):
@@ -159,7 +173,7 @@ def constraint_passes(expr, row_values: dict) -> bool:
             raise ExecutionError("constraints may only reference columns")
         return row_values.get(path[0])
 
-    v = eval_expr(expr, resolve)
+    v = eval_expr(expr, resolve, params)
     if v is None:
         return True
     if not isinstance(v, bool):

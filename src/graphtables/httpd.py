@@ -23,7 +23,7 @@ from . import values as val
 from .catalog import ARRIVING, LEAVING
 from .engine import Database
 from .errors import GraphTablesError
-from .lexer import tokenize
+from .lexer import LITERAL_TYPES, tokenize
 from .storage import ReadView
 
 DEFAULT_PORT = 8180
@@ -36,7 +36,7 @@ def parse_anchor_value(text: str):
     if len(tokens) != 2:  # literal + end marker
         raise ValueError("anchor value must be a single literal")
     tok = tokens[0]
-    if tok.type in ("string", "int", "decimal", "date", "currency"):
+    if tok.type in LITERAL_TYPES:
         return tok.value
     raise ValueError(f"unsupported anchor value {text!r}")
 
@@ -77,27 +77,37 @@ def _subgraph(db: Database, anchor_uid: int, depth: int | None):
 def build_document(db: Database, anchor_uid: int, depth: int | None) -> dict:
     nodes, edges, representative, view = _subgraph(db, anchor_uid, depth)
     catalog = view.catalog
+    types: dict[int, tuple] = {}
+
+    def described(type_id: int) -> tuple:
+        """The label, single key column (or None) and property column names
+        of a type, looked up once per document."""
+        entry = types.get(type_id)
+        if entry is None:
+            desc = catalog.get(type_id)
+            key = catalog.effective_key(type_id)
+            names = [c.name for c in catalog.effective_columns(type_id)
+                     if desc.kind != cat.KIND_EDGE or c.name not in (LEAVING, ARRIVING)]
+            entry = types[type_id] = (desc.label, key[0] if len(key) == 1 else None, names)
+        return entry
+
+    def properties(row) -> dict:
+        return {name: val.http_value(row.values[name])
+                for name in described(row.type_id)[2] if name in row.values}
+
     node_docs = []
     for uid in sorted(nodes):
         row = view.get_row(uid)
-        desc = catalog.get(row.type_id)
-        key = catalog.effective_key(row.type_id)
-        key_value = row.values.get(key[0]) if len(key) == 1 else None
-        properties = {c.name: val.http_value(row.values[c.name])
-                      for c in catalog.effective_columns(row.type_id)
-                      if c.name in row.values}
-        node_docs.append({"uid": uid, "type": desc.label,
-                          "key": val.http_value(key_value), "properties": properties})
+        label, key, _names = described(row.type_id)
+        key_value = row.values.get(key) if key is not None else None
+        node_docs.append({"uid": uid, "type": label,
+                          "key": val.http_value(key_value), "properties": properties(row)})
     edge_docs = []
     for row in sorted(edges, key=lambda r: r.uid):
-        desc = catalog.get(row.type_id)
-        properties = {c.name: val.http_value(row.values[c.name])
-                      for c in catalog.effective_columns(row.type_id)
-                      if c.name in row.values and c.name not in (LEAVING, ARRIVING)}
-        edge_docs.append({"uid": row.uid, "type": desc.label,
+        edge_docs.append({"uid": row.uid, "type": described(row.type_id)[0],
                           "leaving": val.http_value(row.values.get(LEAVING)),
                           "arriving": val.http_value(row.values.get(ARRIVING)),
-                          "properties": properties})
+                          "properties": properties(row)})
     return {"anchor": anchor_uid, "representative": representative,
             "nodes": node_docs, "edges": edge_docs}
 

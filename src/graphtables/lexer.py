@@ -39,6 +39,11 @@ _TOKEN_RE = re.compile(
 )
 
 
+# token types whose value is a literal; a statement's literals are numbered
+# in source order, which is what `syntax.Param.slot` counts
+LITERAL_TYPES = frozenset(("int", "decimal", "string", "currency", "date"))
+
+
 @dataclass
 class Token:
     type: str          # 'ident', 'string', 'int', 'decimal', 'currency', 'date', 'end', or the punctuation itself

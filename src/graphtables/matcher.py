@@ -24,14 +24,14 @@ import heapq
 from . import catalog as cat
 from . import values as val
 from .engine import ResultTable
-from .exprs import eval_expr, eval_predicate
+from .exprs import constant, eval_expr, eval_predicate
 from .storage import Row, Transaction
-from .syntax import (EdgePattern, Literal, MatchStatement, NodePattern,
-                     PathPattern, Ref, ReturnStatement)
+from .syntax import (EdgePattern, MatchStatement, NodePattern, PathPattern, Ref,
+                     ReturnStatement)
 
 
-def run_match(tx: Transaction, stmt: MatchStatement):
-    return _Matcher(tx, stmt).run()
+def run_match(tx: Transaction, stmt: MatchStatement, params: tuple):
+    return _Matcher(tx, stmt, params).run()
 
 
 def chain_names(elements) -> list[str]:
@@ -105,11 +105,12 @@ _STOP, _AGAIN = "stop", "again"   # the candidates of a quantifier frame
 
 
 class _Matcher:
-    def __init__(self, tx: Transaction, stmt: MatchStatement):
+    def __init__(self, tx: Transaction, stmt: MatchStatement, params: tuple):
         self.tx = tx
         self.view = tx.view()
         self.catalog = tx.catalog
         self.stmt = stmt
+        self.params = params
         self.bindings: dict[str, object] = {}
         self._resolve = self.view.resolver(self.bindings)
         # per item: the walked uids, each uid's positions in that list, the
@@ -279,7 +280,8 @@ class _Matcher:
         stack.append([alts, [], None, steps, 0, None, None, saved, None, 0])
 
     def _emit(self) -> None:
-        if self.stmt.where is not None and not eval_predicate(self.stmt.where, self._resolve):
+        if self.stmt.where is not None and \
+                not eval_predicate(self.stmt.where, self._resolve, self.params):
             return
         self.emissions.append([dict(self.bindings), self.edge_count])
 
@@ -339,8 +341,9 @@ class _Matcher:
         if not tids:
             return []
         for name, expr in pattern.doc or ():
-            if isinstance(expr, Literal) and expr.value is not None:
-                return self.view.lookup_by_value(tids, name, expr.value)
+            v = constant(expr, self.params)
+            if v is not None:
+                return self.view.lookup_by_value(tids, name, v)
         streams = [self.view.scan_type(t, subtypes=False) for t in tids]
         return heapq.merge(*streams, key=lambda r: r.uid)
 
@@ -360,7 +363,8 @@ class _Matcher:
             return False
         if pattern.doc and not self._unify_doc(pattern.doc, row, added):
             return False
-        if pattern.where is not None and not eval_predicate(pattern.where, self._resolve):
+        if pattern.where is not None and \
+                not eval_predicate(pattern.where, self._resolve, self.params):
             return False
         return True
 
@@ -373,7 +377,7 @@ class _Matcher:
                 self.bindings[expr.path[0]] = prop
                 added.append(expr.path[0])
                 continue
-            v = eval_expr(expr, self._resolve)
+            v = eval_expr(expr, self._resolve, self.params)
             if prop is None or v is None or not val.values_equal(v, prop):
                 return False
         return True
@@ -405,7 +409,7 @@ class _Matcher:
         rows = []
         for b, _edges in kept:
             resolve = self.view.resolver(b)
-            rows.append([eval_expr(expr, resolve) for _h, expr in ret.items])
+            rows.append([eval_expr(expr, resolve, self.params) for _h, expr in ret.items])
         return ResultTable(headers, rows)
 
     def _run_effects(self, dependent, kept) -> None:
@@ -413,6 +417,6 @@ class _Matcher:
         for b, _edges in kept:
             scope = dict(b)
             if dependent is not None and not isinstance(dependent, ReturnStatement):
-                executor.run_statement(self.tx, dependent, scope)
+                executor.run_statement(self.tx, dependent, self.params, scope)
             for stmt in self.stmt.then_block:
-                executor.run_statement(self.tx, stmt, scope)
+                executor.run_statement(self.tx, stmt, self.params, scope)

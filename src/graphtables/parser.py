@@ -3,17 +3,21 @@
 One call parses one statement.  Keywords are matched contextually against
 case-folded unquoted identifiers, so quoted names like "MATCH" stay usable as
 identifiers.  Errors carry line/column and the token set that was expected.
+
+The result is a template: a literal in an expression position becomes a
+`Param` slot, and `shape` gives the key under which texts share a template
+together with the values that fill its slots.
 """
 
 from __future__ import annotations
 
 from .errors import ParseError
-from .lexer import Token, tokenize
+from .lexer import LITERAL_TYPES, Token, tokenize
 from .syntax import (AlterAddCheck, AlterAddColumn, AlterAddKey,
                      AlterCardinality, AlterDropColumn, BeginStatement, Binary,
                      CommitStatement, CreateStatement, CreateTypeStatement,
                      DeleteStatement, EdgePattern, IsNull, Literal,
-                     MatchItem, MatchStatement, NodePattern, PathPattern, Ref,
+                     MatchItem, MatchStatement, NodePattern, Param, PathPattern, Ref,
                      ReturnStatement, RoleStatement, RollbackStatement,
                      SetStatement, ShowGraphsStatement, Unary)
 
@@ -27,10 +31,13 @@ _COMPARISONS = ("=", "<>", "!=", "<", "<=", ">", ">=")
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, tokens: list[Token] | None = None):
         self.text = text
-        self.tokens = tokenize(text)
+        self.tokens = tokenize(text) if tokens is None else tokens
         self.pos = 0
+        # literal tokens in slot order, and each one's slot by source offset
+        self.literals = [t for t in self.tokens if t.type in LITERAL_TYPES]
+        self.slots = {t.start: slot for slot, t in enumerate(self.literals)}
 
     # --- token plumbing ---
 
@@ -337,6 +344,7 @@ class _Parser:
             self.expect("}")
             if hi is not None and hi < lo:
                 raise self.error("quantifier maximum below minimum")
+            return PathPattern(chain, lo, hi, braced=True)
         else:
             raise self.error("quantifier expected", ("?", "*", "+", "{m,n}"))
         return PathPattern(chain, lo, hi)
@@ -473,20 +481,18 @@ class _Parser:
         if self.peek().type == "-":
             self.advance()
             operand = self.parse_unary()
-            if isinstance(operand, Literal) and isinstance(operand.value, (int,)) \
-                    and not isinstance(operand.value, bool):
-                return Literal(-operand.value)
-            from decimal import Decimal
-            if isinstance(operand, Literal) and isinstance(operand.value, Decimal):
-                return Literal(-operand.value)
+            # a signed number stays one slot, so `{N: -5}` is still a value
+            if isinstance(operand, Param) and \
+                    self.literals[operand.slot].type in ("int", "decimal"):
+                return Param(operand.slot, not operand.negated)
             return Unary("-", operand)
         return self.parse_primary()
 
     def parse_primary(self):
         tok = self.peek()
-        if tok.type in ("int", "decimal", "string", "currency", "date"):
+        if tok.type in LITERAL_TYPES:
             self.advance()
-            return Literal(tok.value)
+            return Param(self.slots[tok.start])
         if tok.is_kw("TRUE"):
             self.advance()
             return Literal(True)
@@ -506,15 +512,31 @@ class _Parser:
         raise self.error("expression expected", ("literal", "identifier", "("))
 
 
-def parse_statement(text: str):
-    """Parse exactly one statement from `text`."""
-    return _Parser(text).parse()
+def shape(tokens: list[Token]) -> tuple[tuple, tuple]:
+    """The template key of a token stream and its literal values in slot
+    order.  The key keeps every token but a literal's value: its type, value
+    and quoting, so `"match"` and `MATCH` differ, and a literal's kind."""
+    key, values = [], []
+    for t in tokens:
+        if t.type in LITERAL_TYPES:
+            key.append(t.type)
+            values.append(t.value)
+        else:
+            key.append((t.type, t.value, t.exact))
+    return tuple(key), tuple(values)
 
 
-def parse_expression(text: str):
-    """Parse a standalone expression (used for constraint reload)."""
+def parse_statement(text: str, tokens: list[Token] | None = None):
+    """Parse exactly one statement from `text`, whose tokens the caller may
+    pass when it has them; the result is a template (see `shape`)."""
+    return _Parser(text, tokens).parse()
+
+
+def parse_expression(text: str) -> tuple[object, tuple]:
+    """Parse a standalone expression (used for constraints): the expression
+    and the values of its literal slots."""
     p = _Parser(text)
     expr = p.parse_expr()
     if p.peek().type != "end":
         raise p.error("trailing input after expression")
-    return expr
+    return expr, tuple(t.value for t in p.literals)

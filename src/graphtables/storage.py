@@ -23,9 +23,10 @@ that has since been deleted or retargeted, and each reader re-checks the
 version it sees.
 
 A transaction stages rows in a `Staging` dict (uid -> row, None for a
-deletion) whose one writer, `put`, keeps a value index, built per column on
-its first probe, and a per-side map from node uid to staged edges; readers
-re-check their never-shrinking candidates.  Each savepoint starts a fresh
+deletion) whose one writer, `put`, keeps the staged uids of each type, a
+value index, built per column on its first probe, and a per-side map from
+node uid to staged edges; readers re-check their candidates, which only an
+undone insert takes back.  Each savepoint starts a fresh
 journal of what `put` replaces, and undoing it takes back a failed statement.
 Commit finds the types whose schema changed by comparing catalogs.
 """
@@ -168,11 +169,13 @@ _ABSENT = object()
 class Staging(dict):
     """Staged rows by uid, None for a deletion, written only through `put`."""
 
-    __slots__ = ("deletes", "_by_value", "_ends", "journal")
+    __slots__ = ("deletes", "_by_type", "_by_value", "_ends", "journal")
 
     def __init__(self):
         # uid -> (type id, CASCADE?) of each row deleted by `delete_row`
         self.deletes: dict[int, tuple[int, bool]] = {}
+        # type id -> uids staged with a row of that type
+        self._by_type: dict[int, set[int]] = {}
         # column -> type id -> value -> uids, a column from its first probe on
         self._by_value: dict[str, dict] = {}
         # per side, node uid -> uids of the staged edges ending there
@@ -190,6 +193,7 @@ class Staging(dict):
         self[uid] = row
         if row is None:
             return
+        self._by_type.setdefault(row.type_id, set()).add(uid)
         for column, index in self._by_value.items():
             _index_value(index, uid, row.type_id, row.values.get(column))
         if row.ends is not None:
@@ -202,12 +206,25 @@ class Staging(dict):
         while journal:
             uid, row = journal.pop()
             if row is _ABSENT:
-                del self[uid]
+                undone = self.pop(uid)
+                if undone is not None:
+                    self._by_type[undone.type_id].discard(uid)
             else:
                 self.put(uid, row)
             if row is not None:
                 self.deletes.pop(uid, None)
         self.journal = journal
+
+    def rows_of(self, type_ids) -> list[Row]:
+        """Staged rows whose type is among `type_ids`, uid ascending."""
+        out = []
+        for tid in type_ids:
+            for uid in self._by_type.get(tid, ()):
+                row = self.get(uid)
+                if row is not None and row.type_id == tid:
+                    out.append(row)
+        out.sort(key=lambda r: r.uid)
+        return out
 
     def rows_with(self, type_ids, column: str, value) -> list[Row]:
         """Staged rows among `type_ids` whose `column` equals `value`."""
@@ -265,16 +282,12 @@ class ReadView:
     def scan_type(self, type_id: int, subtypes: bool = True):
         """Rows of the type (and subtypes), ascending by uid."""
         tids = self.catalog.subtype_closure(type_id) if subtypes else [type_id]
-        tidset = set(tids)
         streams = []
         for tid in tids:
             committed = [r for r in self.store.scan_committed(tid, self.snapshot)
                          if r.uid not in self.staged]
             streams.append(committed)
-        staged_rows = sorted((r for r in self.staged.values()
-                              if r is not None and r.type_id in tidset),
-                             key=lambda r: r.uid)
-        streams.append(staged_rows)
+        streams.append(self.staged.rows_of(tids))
         return heapq.merge(*streams, key=lambda r: r.uid)
 
     def resolver(self, bindings: dict):
@@ -538,14 +551,14 @@ class Transaction:
         from .parser import parse_expression
         from .syntax import expr_refs
         desc = self._type(type_ref)
-        expr = parse_expression(text)
+        expr, params = parse_expression(text)
         names = set()
         for path in expr_refs(expr):
             if len(path) != 1:
                 raise SchemaError("constraints may only reference column names")
             names.add(path[0])
         catalog = self._mutable_catalog()
-        catalog.add_constraint(desc.type_id, cat.Constraint(text, expr), names)
+        catalog.add_constraint(desc.type_id, cat.Constraint(text, expr, params), names)
 
     # --- row staging ---
 
@@ -897,7 +910,7 @@ class Transaction:
                               full_constraint: set[int]) -> None:
         def check(row: Row) -> None:
             for constraint in catalog.constraints_for(row.type_id):
-                if not constraint_passes(constraint.expr, row.values):
+                if not constraint_passes(constraint.expr, row.values, constraint.params):
                     raise CommitError("constraint", catalog.get(row.type_id).label,
                                       f"check ({constraint.text}) failed", (row.uid,))
 

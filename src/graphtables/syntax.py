@@ -4,6 +4,11 @@ A pattern chain is a tuple that starts with a NodePattern and alternates with
 EdgePattern or PathPattern elements, each followed by another NodePattern.
 Statement classes compare structurally, which the parser round-trip tests
 rely on.
+
+A parsed statement is a template: each literal token in an expression
+position is a `Param` slot, filled at execution from the literal values of
+the text being run.  Texts that differ only in those literals share one
+template, unless `shareable` says the template holds more of its text.
 """
 
 from __future__ import annotations
@@ -16,6 +21,15 @@ from dataclasses import dataclass, field
 @dataclass(frozen=True)
 class Literal:
     value: object
+
+
+@dataclass(frozen=True)
+class Param:
+    """The statement's `slot`-th literal token (counted from 0 in source
+    order), negated when the parser folded a minus sign into it."""
+
+    slot: int
+    negated: bool = False
 
 
 @dataclass(frozen=True)
@@ -87,6 +101,7 @@ class PathPattern:
     chain: tuple
     lo: int
     hi: int | None  # None = unbounded
+    braced: bool = False  # bounds written as {m,n}, read from literal tokens
 
 
 # --- statements ---
@@ -198,3 +213,30 @@ class RollbackStatement:
 @dataclass(frozen=True)
 class ShowGraphsStatement:
     pass
+
+
+def shareable(stmt) -> bool:
+    """Whether `stmt` may run with the literal values of another text of its
+    token shape: it holds no copy of its source text (a RETURN header of a
+    non-reference, a CHECK's text, a role statement) and no literal read as
+    structure ({m,n} bounds, cardinality ranges)."""
+    stack = [stmt]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (AlterAddCheck, AlterCardinality, RoleStatement)):
+            return False
+        if isinstance(node, ReturnStatement):
+            if not all(isinstance(expr, Ref) for _header, expr in node.items):
+                return False
+        elif isinstance(node, CreateStatement):
+            stack.append(node.then)
+        elif isinstance(node, MatchStatement):
+            for item in node.items:
+                stack.extend(item.chain)
+            stack.append(node.dependent)
+            stack.extend(node.then_block)
+        elif isinstance(node, PathPattern):
+            if node.braced:
+                return False
+            stack.extend(node.chain)
+    return True

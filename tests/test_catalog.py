@@ -82,6 +82,22 @@ def test_label_and_column_collisions(cat):
         cat.define_node_type("BAD", [ColumnDescriptor("X", "float")])
 
 
+def test_edge_type_cannot_redeclare_its_built_in_columns(cat):
+    db = Database()
+    db.execute("create type P as (Name char) nodetype")
+    with pytest.raises(SchemaError, match="column ID already declared"):
+        db.execute("create type E as (ID char, LEAVING char) edgetype(leaving P, arriving P)")
+    person = cat.define_node_type("PERSON", [col("NAME")])
+    for name in (ID, LEAVING, ARRIVING):
+        with pytest.raises(SchemaError, match=f"column {name} already declared"):
+            cat.define_edge_type("KNOWS", [col(name)], person.type_id, person.type_id)
+    # a new edge type created with an ID value stores it in its one ID column
+    db.execute("CREATE (:P {Name: 'a'})-[:F {ID: 7, W: 1}]->(:P {Name: 'b'})")
+    columns = [c.name for c in db.catalog.lookup_label("F", "edge").columns]
+    assert columns == [ID, LEAVING, ARRIVING, "W"]
+    assert db.execute("MATCH ()-[f:F]->() RETURN f.ID, f.W").rows == [[7, 1]]
+
+
 def test_subtype_cannot_shadow_inherited_column(cat):
     part = cat.define_node_type("PART", [col("PARTID")])
     with pytest.raises(SchemaError, match="already declared"):

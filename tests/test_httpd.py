@@ -102,6 +102,29 @@ def test_component_document(served):
     }
 
 
+def test_document_bytes_are_unchanged(family):
+    family.execute("CREATE TYPE Adult UNDER Person AS (Since DATE, Pay CURRENCY)")
+    family.execute("MATCH (p:Person {Name: 'Bill Smith'}) CREATE (p)-[:Child {Note: 'adopted', "
+                   "Share: 0.5}]->(:Person:Adult {Name: 'Ann Smith', Since: DATE'2020-01-02', "
+                   "Pay: 12.50€})")
+    body = json.dumps(build_document(family, 2, None), ensure_ascii=False)
+    assert body == (
+        '{"anchor": 2, "representative": 1, "nodes": ['
+        '{"uid": 1, "type": "PERSON", "key": 1, "properties": {"ID": 1, "NAME": "Fred Smith"}}, '
+        '{"uid": 2, "type": "PERSON", "key": 2, "properties": {"ID": 2, "NAME": "Peter Smith"}}, '
+        '{"uid": 3, "type": "PERSON", "key": 3, "properties": {"ID": 3, "NAME": "Mary Smith"}}, '
+        '{"uid": 4, "type": "PERSON", "key": 4, "properties": {"ID": 4, "NAME": "Lee Smith"}}, '
+        '{"uid": 5, "type": "PERSON", "key": 5, "properties": {"ID": 5, "NAME": "Bill Smith"}}, '
+        '{"uid": 10, "type": "ADULT", "key": 10, "properties": {"ID": 10, "NAME": "Ann Smith", '
+        '"SINCE": "2020-01-02", "PAY": {"amount": "12.50", "code": "EUR"}}}], "edges": ['
+        '{"uid": 6, "type": "CHILD", "leaving": 2, "arriving": 1, "properties": {"ID": 6}}, '
+        '{"uid": 7, "type": "CHILD", "leaving": 1, "arriving": 3, "properties": {"ID": 7}}, '
+        '{"uid": 8, "type": "CHILD", "leaving": 3, "arriving": 4, "properties": {"ID": 8}}, '
+        '{"uid": 9, "type": "CHILD", "leaving": 3, "arriving": 5, "properties": {"ID": 9}}, '
+        '{"uid": 11, "type": "CHILD", "leaving": 5, "arriving": 10, '
+        '"properties": {"ID": 11, "NOTE": "adopted", "SHARE": "0.5"}}]}')
+
+
 def test_component_document_after_rekey(served_mutable):
     family, port = served_mutable
     family.execute("ALTER TABLE Person ADD PRIMARY KEY (Name)")

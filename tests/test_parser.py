@@ -16,6 +16,7 @@ from graphtables.syntax import (
     Literal,
     MatchStatement,
     NodePattern,
+    Param,
     PathPattern,
     Ref,
     ReturnStatement,
@@ -32,7 +33,7 @@ def test_create_chain_folds_left_to_right():
     first = stmt.graphs[0]
     assert [type(el) for el in first] == [NodePattern, EdgePattern, NodePattern]
     assert first[0].alias == "A" and first[0].labels == ("PERSON",)
-    assert first[0].doc == (("NAME", Literal("Fred")),)
+    assert first[0].doc == (("NAME", Param(0)),)
     assert first[1].direction == "in"
 
 

@@ -1,5 +1,7 @@
 """Transaction staging, snapshot isolation and the commit validation order."""
 
+import time
+
 import pytest
 
 from graphtables import Database, values
@@ -291,3 +293,26 @@ def test_state_hash_tracks_content_and_uid_counter(db):
     del tx.staged[wasted]
     tx.commit()
     assert other.state_hash() != b
+
+
+def test_scan_of_a_type_skips_other_types_staged_rows(db):
+    tx = db.begin()
+    tx.define_node_type("P", [("N", values.INTEGER)])
+    tx.define_node_type("Q", [("N", values.INTEGER)])
+    q = tx.insert_row("Q", {"N": 0})
+    tx.commit()
+    p_tid, q_tid = db.catalog.lookup_label("P").type_id, db.catalog.lookup_label("Q").type_id
+    tx = db.begin()
+    staged = [tx.insert_row("P", {"N": n}) for n in range(20000)]
+    point = tx.savepoint()
+    tx.insert_row("P", {"N": -1})
+    tx.insert_row("Q", {"N": -1})
+    tx.restore(point)
+    view = tx.view()
+    assert [r.uid for r in view.scan_type(p_tid)] == staged
+    started = time.perf_counter()
+    for _ in range(1000):
+        assert [r.uid for r in view.scan_type(q_tid)] == [q]
+    elapsed = time.perf_counter() - started
+    # filtering all 20,000 staged rows per scan took about 1.2 s here
+    assert elapsed < 0.4, f"1,000 scans of one Q row took {elapsed:.2f} s"

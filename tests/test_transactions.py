@@ -8,7 +8,6 @@ import pytest
 
 from graphtables.engine import Database
 from graphtables.errors import GraphTablesError
-from graphtables.parser import parse_statement
 
 
 def test_match_create_chain_inside_one_transaction_stays_linear():
@@ -32,10 +31,10 @@ def test_many_one_row_creates_inside_one_transaction_stay_linear():
     sess = db.session()
     sess.execute("CREATE (:P {N: 0})")
     sess.execute("BEGIN")
-    stmt = parse_statement("CREATE (:P {N: 1})")
+    stmt, params = db.statement("CREATE (:P {N: 1})")
     started = time.perf_counter()
     for _ in range(20000):
-        sess.execute_statement(stmt)
+        sess.execute_statement(stmt, params)
     staging = time.perf_counter() - started
     sess.execute("COMMIT")
     assert len(db.execute("MATCH (p:P {N: 1}) RETURN p.ID")) == 20000
@@ -60,9 +59,9 @@ def test_journal_holds_only_the_latest_statement():
     sess = db.session()
     sess.execute("CREATE (:P {N: 0, V: 0})")
     sess.execute("BEGIN")
-    stmt = parse_statement("MATCH (a:P {N: 0}) SET a.V = a.V + 1")
+    stmt, params = db.statement("MATCH (a:P {N: 0}) SET a.V = a.V + 1")
     for _ in range(20000):
-        sess.execute_statement(stmt)
+        sess.execute_statement(stmt, params)
     assert len(sess.tx.staged.journal) <= 1
     # a statement that fails after staging its first write undoes only itself
     with pytest.raises(GraphTablesError, match="cannot compare"):
