@@ -93,24 +93,11 @@ def constant(expr, params):
 def eval_expr(expr, resolve, params):
     """`resolve(path: tuple[str, ...])` supplies identifier values, `params`
     the values of literal slots."""
-    if isinstance(expr, (Param, Literal)):
-        return constant(expr, params)
     if isinstance(expr, Ref):
         return resolve(expr.path)
-    if isinstance(expr, Unary):
-        v = eval_expr(expr.operand, resolve, params)
-        if expr.op == "NOT":
-            return None if v is None else (not _truthy(v))
-        if expr.op == "-":
-            if v is None:
-                return None
-            if isinstance(v, bool) or not isinstance(v, _NUM):
-                raise ExecutionError("unary minus needs a number")
-            return -v
-        raise ExecutionError(f"unknown operator {expr.op}")
-    if isinstance(expr, IsNull):
-        v = eval_expr(expr.operand, resolve, params)
-        return (v is None) != expr.negated
+    if isinstance(expr, Param):
+        v = params[expr.slot]
+        return -v if expr.negated else v
     if isinstance(expr, Binary):
         op = expr.op
         if op in ("AND", "OR"):
@@ -146,6 +133,22 @@ def eval_expr(expr, resolve, params):
                 return None
             return _arith(op, left, right)
         raise ExecutionError(f"unknown operator {op}")
+    if isinstance(expr, Literal):
+        return expr.value
+    if isinstance(expr, Unary):
+        v = eval_expr(expr.operand, resolve, params)
+        if expr.op == "NOT":
+            return None if v is None else (not _truthy(v))
+        if expr.op == "-":
+            if v is None:
+                return None
+            if isinstance(v, bool) or not isinstance(v, _NUM):
+                raise ExecutionError("unary minus needs a number")
+            return -v
+        raise ExecutionError(f"unknown operator {expr.op}")
+    if isinstance(expr, IsNull):
+        v = eval_expr(expr.operand, resolve, params)
+        return (v is None) != expr.negated
     raise ExecutionError(f"not an expression: {expr!r}")
 
 

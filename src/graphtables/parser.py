@@ -514,15 +514,18 @@ class _Parser:
 
 def shape(tokens: list[Token]) -> tuple[tuple, tuple]:
     """The template key of a token stream and its literal values in slot
-    order.  The key keeps every token but a literal's value: its type, value
-    and quoting, so `"match"` and `MATCH` differ, and a literal's kind."""
+    order.  A literal stands in the key as its kind ("int", "string", ...).
+    Every other token keeps its type, value and quoting, in one item: its
+    value (an upper-cased name or keyword, the punctuation itself, None at
+    the end), or the 1-tuple of its spelling when quoted, so `"match"` and
+    `MATCH` differ.  Strings hash once, which keeps long keys cheap."""
     key, values = [], []
     for t in tokens:
         if t.type in LITERAL_TYPES:
             key.append(t.type)
             values.append(t.value)
         else:
-            key.append((t.type, t.value, t.exact))
+            key.append((t.value,) if t.exact else t.value)
     return tuple(key), tuple(values)
 
 

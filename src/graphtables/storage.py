@@ -193,7 +193,10 @@ class Staging(dict):
         self[uid] = row
         if row is None:
             return
-        self._by_type.setdefault(row.type_id, set()).add(uid)
+        uids = self._by_type.get(row.type_id)
+        if uids is None:
+            uids = self._by_type[row.type_id] = set()
+        uids.add(uid)
         for column, index in self._by_value.items():
             _index_value(index, uid, row.type_id, row.values.get(column))
         if row.ends is not None:
