@@ -25,9 +25,10 @@ version it sees.
 A transaction stages rows in a `Staging` dict (uid -> row, None for a
 deletion) whose one writer, `put`, keeps the staged uids of each type, a
 value index, built per column on its first probe, and a per-side map from
-node uid to staged edges; readers re-check their candidates, which only an
-undone insert takes back.  Each savepoint starts a fresh
-journal of what `put` replaces, and undoing it takes back a failed statement.
+node uid to staged edges.  Readers re-check their candidates: the value and
+edge indexes never shrink, and the type index drops only an undone insert.
+Each savepoint starts a fresh journal of what `put` replaces, and undoing it
+takes back a failed statement.
 Commit finds the types whose schema changed by comparing catalogs.
 """
 
