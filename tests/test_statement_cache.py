@@ -3,6 +3,8 @@ template and run with their own literal values, and a cached run behaves
 exactly like a fresh parse of the same text."""
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -180,6 +182,47 @@ def test_the_number_of_templates_is_bounded():
         for k in range(engine._TEMPLATES + 40):
             db.execute("MATCH (a:N {K: 1}) RETURN a.K" + ", a.V" * k)
     assert len(db._templates) == engine._TEMPLATES
+
+
+def test_threads_sharing_a_database_get_their_own_values(monkeypatch):
+    """Sessions on several threads admit, evict and hit templates of one
+    Database at once; every statement must still see its own literals."""
+    db = Database()
+    for text in SCHEMA + CHAIN:
+        db.execute(text)
+    monkeypatch.setattr(engine, "_TEMPLATES", 3)
+    shapes = ["MATCH (a:N {{K: {0}}}) RETURN a.V",
+              "MATCH (a:N) WHERE a.K = {0} RETURN a.V",
+              "MATCH (a:N {{K: {0}}}) RETURN a.V, a.K",
+              "MATCH (a:N {{S: 's{0}'}}) RETURN a.V",
+              "MATCH (a:N {{K: -{0}}}) RETURN -a.V",
+              "MATCH (a:N {{K: {0}}})-[:E]->(b) RETURN a.V"]
+    errors = []
+
+    def worker(seed):
+        rng, session = random.Random(seed), db.session()
+        try:
+            for _ in range(300):
+                i, k = rng.randrange(len(shapes)), rng.randrange(0, 7)
+                rows = session.execute(shapes[i].format(k)).rows
+                if rows[0][0] != 10 * k:
+                    errors.append((shapes[i].format(k), rows))
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(db._templates) <= 3
 
 
 # --- seeded random streams ---
