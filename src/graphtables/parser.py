@@ -344,7 +344,6 @@ class _Parser:
             self.expect("}")
             if hi is not None and hi < lo:
                 raise self.error("quantifier maximum below minimum")
-            return PathPattern(chain, lo, hi, braced=True)
         else:
             raise self.error("quantifier expected", ("?", "*", "+", "{m,n}"))
         return PathPattern(chain, lo, hi)
@@ -514,18 +513,23 @@ class _Parser:
 
 def shape(tokens: list[Token]) -> tuple[tuple, tuple]:
     """The template key of a token stream and its literal values in slot
-    order.  A literal stands in the key as its kind ("int", "string", ...).
-    Every other token keeps its type, value and quoting, in one item: its
-    value (an upper-cased name or keyword, the punctuation itself, None at
-    the end), or the 1-tuple of its spelling when quoted, so `"match"` and
-    `MATCH` differ.  Strings hash once, which keeps long keys cheap."""
+    order.  A literal stands in the key as its kind ("int", "string", ...),
+    except an int right after `{` or `,`: that is where `{m,n}` quantifier
+    bounds stand, which the parser reads as structure, so the key keeps
+    (kind, value).  Every other token keeps its type, value and quoting, in
+    one item: its value (an upper-cased name or keyword, the punctuation
+    itself, None at the end), or the 1-tuple of its spelling when quoted, so
+    `"match"` and `MATCH` differ.  Strings hash once, which keeps long keys
+    cheap."""
     key, values = [], []
+    prev = None
     for t in tokens:
         if t.type in LITERAL_TYPES:
-            key.append(t.type)
+            key.append((t.type, t.value) if t.type == "int" and prev in ("{", ",") else t.type)
             values.append(t.value)
         else:
             key.append((t.value,) if t.exact else t.value)
+        prev = t.type
     return tuple(key), tuple(values)
 
 

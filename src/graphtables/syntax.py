@@ -101,7 +101,6 @@ class PathPattern:
     chain: tuple
     lo: int
     hi: int | None  # None = unbounded
-    braced: bool = False  # bounds written as {m,n}, read from literal tokens
 
 
 # --- statements ---
@@ -218,8 +217,9 @@ class ShowGraphsStatement:
 def shareable(stmt) -> bool:
     """Whether `stmt` may run with the literal values of another text of its
     token shape: it holds no copy of its source text (a RETURN header of a
-    non-reference, a CHECK's text, a role statement) and no literal read as
-    structure ({m,n} bounds, cardinality ranges)."""
+    non-reference, a CHECK's text, a role statement) and no cardinality
+    range.  `{m,n}` bounds, the other literals read as structure, are part
+    of the shape (`parser.shape`)."""
     stack = [stmt]
     while stack:
         node = stack.pop()
@@ -231,12 +231,6 @@ def shareable(stmt) -> bool:
         elif isinstance(node, CreateStatement):
             stack.append(node.then)
         elif isinstance(node, MatchStatement):
-            for item in node.items:
-                stack.extend(item.chain)
             stack.append(node.dependent)
             stack.extend(node.then_block)
-        elif isinstance(node, PathPattern):
-            if node.braced:
-                return False
-            stack.extend(node.chain)
     return True
