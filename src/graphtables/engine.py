@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pathlib
 import threading
 
@@ -63,6 +64,10 @@ class Database:
         # transactions that roll back advance `_next_uid` but not this
         self.logged_next_uid = 1
         self._log_fh = None
+        # the log's length after its last whole record, and why commits are
+        # refused once a torn record could not be cut away
+        self._log_size = 0
+        self._log_refusal: str | None = None
         if self.path is not None:
             if self.path.exists():
                 valid = 0
@@ -76,7 +81,9 @@ class Database:
                     with open(self.path, "r+b") as fh:
                         fh.truncate(valid)
                 self._rebuild_graphs()
-            self._log_fh = open(self.path, "ab")
+            # unbuffered: a failed append leaves no bytes behind for a later write
+            self._log_fh = open(self.path, "ab", buffering=0)
+            self._log_size = self._log_fh.tell()
 
     # --- identity and plumbing used by transactions ---
 
@@ -89,13 +96,29 @@ class Database:
         return self._next_uid
 
     def append_log_record(self, data: bytes) -> None:
+        """Append one commit record.  If the write or fsync fails, the log
+        is cut back to its last whole record and StorageError raised; if
+        that cut fails too, every later commit is refused."""
         if self._log_fh is None:
             return
-        self._log_fh.write(data)
-        self._log_fh.flush()
-        if self.fsync:
-            import os
-            os.fsync(self._log_fh.fileno())
+        if self._log_refusal is not None:
+            raise StorageError(self._log_refusal)
+        try:
+            written = 0
+            while written < len(data):  # an unbuffered write may be short
+                written += self._log_fh.write(data[written:])
+            if self.fsync:
+                os.fsync(self._log_fh.fileno())
+        except OSError as exc:
+            try:
+                self._log_fh.truncate(self._log_size)
+            except OSError as cut:
+                self._log_refusal = (f"log {self.path} keeps a torn record that could not be "
+                                     f"cut away ({cut}); commits are refused")
+                raise StorageError(self._log_refusal) from exc
+            raise StorageError(f"log {self.path}: append failed ({exc}); "
+                               "the commit was not made") from exc
+        self._log_size += len(data)
 
     def close(self) -> None:
         if self._log_fh is not None:

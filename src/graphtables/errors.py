@@ -33,7 +33,8 @@ class ExecutionError(GraphTablesError):
 
 
 class StorageError(GraphTablesError):
-    """Row-level misuse detected while staging: unknown uid, bad value type."""
+    """Row-level misuse detected while staging (unknown uid, bad value
+    type), or a commit whose log append failed."""
 
 
 class CommitError(GraphTablesError):

@@ -9,6 +9,12 @@ trims the component to a breadth-first neighborhood of the anchor.  The
 component registry supplies membership only: the document is read from one
 store snapshot, with the catalog of that snapshot, and a `depth` walk follows
 the store's edge adjacency out from the anchor.
+
+Each node and edge is rendered straight to its JSON text in one pass over the
+rows: every type's label and `"COLUMN": ` prefixes are encoded once per
+document, ints and strings are written directly, and other values go through
+`json.dumps` of `values.http_value`.  The body is the text `json.dumps(doc,
+ensure_ascii=False)` gives for the document's dict form, UTF-8 encoded.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import json
 import threading
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from json.encoder import encode_basestring
 
 from . import catalog as cat
 from . import values as val
@@ -41,17 +48,24 @@ def parse_anchor_value(text: str):
     raise ValueError(f"unsupported anchor value {text!r}")
 
 
+class _AnchorGone(LookupError):
+    """The anchor node is deleted in the snapshot its document reads."""
+
+
 def _subgraph(db: Database, anchor_uid: int, depth: int | None):
     """The response's node uids, edge rows and representative, plus the
     view they are read in.  Membership and the view (store, seq and catalog)
     are captured under the commit lock, so a concurrent writer can tear
-    neither the component nor the catalog it is rendered with."""
+    neither the component nor the catalog it is rendered with, and the
+    anchor is looked up in that view."""
     with db.commit_lock:
+        view = ReadView(db.store, db.store.commit_seq, db.catalog)
+        if view.get_row(anchor_uid) is None:
+            raise _AnchorGone(anchor_uid)
         component = db.graphs.component_of(anchor_uid)
         nodes = set(component.nodes)
         edges = set(component.edges)
         representative = component.representative
-        view = ReadView(db.store, db.store.commit_seq, db.catalog)
     if depth is None:
         return nodes, [view.get_row(e) for e in edges], representative, view
     # breadth-first from the anchor, expanding each kept node once; an edge
@@ -74,40 +88,50 @@ def _subgraph(db: Database, anchor_uid: int, depth: int | None):
     return keep, list(rows.values()), representative, view
 
 
+def _json(value) -> str:
+    """`json.dumps(val.http_value(value), ensure_ascii=False)`, direct for ints and strings."""
+    if type(value) is int:
+        return int.__repr__(value)
+    if type(value) is str:
+        return encode_basestring(value)
+    return json.dumps(val.http_value(value), ensure_ascii=False)
+
+
 def build_document(db: Database, anchor_uid: int, depth: int | None) -> dict:
     nodes, edges, representative, view = _subgraph(db, anchor_uid, depth)
     catalog = view.catalog
     types: dict[int, tuple] = {}
 
     def described(type_id: int) -> tuple:
-        """The label, single key column (or None) and property column names
-        of a type, looked up once per document."""
+        """The encoded label, single key column (or None) and (name, `"NAME": `)
+        property columns of a type, looked up once per document."""
         entry = types.get(type_id)
         if entry is None:
             desc = catalog.get(type_id)
             key = catalog.effective_key(type_id)
-            names = [c.name for c in catalog.effective_columns(type_id)
-                     if desc.kind != cat.KIND_EDGE or c.name not in (LEAVING, ARRIVING)]
-            entry = types[type_id] = (desc.label, key[0] if len(key) == 1 else None, names)
+            columns = [(c.name, encode_basestring(c.name) + ": ")
+                       for c in catalog.effective_columns(type_id)
+                       if desc.kind != cat.KIND_EDGE or c.name not in (LEAVING, ARRIVING)]
+            entry = types[type_id] = (encode_basestring(desc.label),
+                                      key[0] if len(key) == 1 else None, columns)
         return entry
 
-    def properties(row) -> dict:
-        return {name: val.http_value(row.values[name])
-                for name in described(row.type_id)[2] if name in row.values}
+    def properties(values: dict, cols: list) -> str:
+        return ", ".join([prefix + _json(values[name]) for name, prefix in cols if name in values])
 
     node_docs = []
     for uid in sorted(nodes):
         row = view.get_row(uid)
-        label, key, _names = described(row.type_id)
-        key_value = row.values.get(key) if key is not None else None
-        node_docs.append({"uid": uid, "type": label,
-                          "key": val.http_value(key_value), "properties": properties(row)})
+        label, key, columns = described(row.type_id)
+        node_docs.append(f'{{"uid": {uid}, "type": {label}, "key": {_json(row.values.get(key))}, '
+                         f'"properties": {{{properties(row.values, columns)}}}}}')
     edge_docs = []
     for row in sorted(edges, key=lambda r: r.uid):
-        edge_docs.append({"uid": row.uid, "type": described(row.type_id)[0],
-                          "leaving": val.http_value(row.values.get(LEAVING)),
-                          "arriving": val.http_value(row.values.get(ARRIVING)),
-                          "properties": properties(row)})
+        label, _key, columns = described(row.type_id)
+        edge_docs.append(f'{{"uid": {row.uid}, "type": {label}, '
+                         f'"leaving": {_json(row.values.get(LEAVING))}, '
+                         f'"arriving": {_json(row.values.get(ARRIVING))}, '
+                         f'"properties": {{{properties(row.values, columns)}}}}}')
     return {"anchor": anchor_uid, "representative": representative,
             "nodes": node_docs, "edges": edge_docs}
 
@@ -119,7 +143,11 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     def _reply(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload, ensure_ascii=False).encode("utf-8")
+        # a 200 carries a component document, whose nodes and edges are JSON text
+        text = json.dumps(payload, ensure_ascii=False) if status != 200 else (
+            f'{{"anchor": {payload["anchor"]}, "representative": {payload["representative"]}, '
+            f'"nodes": [{", ".join(payload["nodes"])}], "edges": [{", ".join(payload["edges"])}]}}')
+        body = text.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
@@ -178,9 +206,13 @@ class _Handler(BaseHTTPRequestHandler):
             return 404, {"error": f"{desc.label} has no column {column}"}
         view = self.db.read_view()
         rows = view.lookup_by_value(closure, column, value)
+        missing = 404, {"error": f"no {desc.label} with {column}={value_text}"}
         if not rows:
-            return 404, {"error": f"no {desc.label} with {column}={value_text}"}
-        return 200, build_document(self.db, rows[0].uid, depth)
+            return missing
+        try:
+            return 200, build_document(self.db, rows[0].uid, depth)
+        except _AnchorGone:
+            return missing
 
 
 def make_handler(db: Database):

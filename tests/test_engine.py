@@ -1,6 +1,7 @@
 """Database lifecycle: session transaction statements, commit-log replay,
 torn-tail tolerance, and state digests."""
 
+import os
 import struct
 
 import pytest
@@ -332,6 +333,76 @@ def test_commits_after_a_trimmed_tail_extend_the_log(tmp_path):
 
     db2 = Database(path)
     assert names(db2.execute("MATCH (x:Person) RETURN x.Name")) == {"Ada", "Cal"}
+    db2.close()
+
+
+class _TearingLog:
+    """Stands in for a database's log handle: its first write puts half the
+    record in the file and raises OSError; with `cut_fails` its truncate
+    raises too."""
+
+    def __init__(self, fh, cut_fails=False):
+        self.fh, self.cut_fails, self.tore = fh, cut_fails, False
+
+    def write(self, data):
+        if not self.tore:
+            self.tore = True
+            self.fh.write(data[:len(data) // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+        return self.fh.write(data)
+
+    def truncate(self, size):
+        if self.cut_fails:
+            raise OSError(5, "Input/output error")
+        return self.fh.truncate(size)
+
+    def __getattr__(self, name):  # flush, fileno, close
+        return getattr(self.fh, name)
+
+
+@pytest.mark.parametrize("fault", ["write", "fsync"])
+def test_failed_append_is_cut_away_and_later_commits_survive_reopen(tmp_path, monkeypatch,
+                                                                     fault):
+    path = tmp_path / "torn.db"
+    db = Database(path, fsync=True)
+    db.execute("CREATE (:Person {Name: 'Ada'})")
+    if fault == "write":
+        db._log_fh = _TearingLog(db._log_fh)
+    else:
+        fsync, failed = os.fsync, []
+
+        def fsync_failing_once(fd):
+            if not failed:
+                failed.append(fd)
+                raise OSError(5, "Input/output error")
+            fsync(fd)
+        monkeypatch.setattr(os, "fsync", fsync_failing_once)
+    with pytest.raises(StorageError, match="torn.db"):
+        db.execute("CREATE (:Person {Name: 'Bea'})")
+    db.execute("CREATE (:Person {Name: 'Cal'})")
+    assert names(db.execute("MATCH (x:Person) RETURN x.Name")) == {"Ada", "Cal"}
+    db.close()
+
+    db2 = Database(path)
+    assert names(db2.execute("MATCH (x:Person) RETURN x.Name")) == {"Ada", "Cal"}
+    db2.close()
+
+
+def test_append_that_cannot_be_cut_away_refuses_later_commits(tmp_path):
+    path = tmp_path / "stuck.db"
+    db = Database(path)
+    db.execute("CREATE (:Person {Name: 'Ada'})")
+    db._log_fh = _TearingLog(db._log_fh, cut_fails=True)
+    with pytest.raises(StorageError, match="stuck.db"):
+        db.execute("CREATE (:Person {Name: 'Bea'})")
+    with pytest.raises(StorageError, match="commits are refused"):
+        db.execute("CREATE (:Person {Name: 'Cal'})")
+    assert names(db.execute("MATCH (x:Person) RETURN x.Name")) == {"Ada"}
+    db.close()
+
+    db2 = Database(path)
+    assert names(db2.execute("MATCH (x:Person) RETURN x.Name")) == {"Ada"}
     db2.close()
 
 

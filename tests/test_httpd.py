@@ -11,7 +11,11 @@ import urllib.request
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graphtables import values
+from graphtables.catalog import ColumnDescriptor
 from graphtables.engine import Database
 from graphtables.httpd import build_document, parse_anchor_value, serve_in_thread
 
@@ -47,6 +51,7 @@ def served():
     server = serve_in_thread(db, 0)
     yield db, server.server_address[1]
     server.shutdown()
+    server.server_close()
 
 
 @pytest.fixture
@@ -54,15 +59,29 @@ def served_mutable(family):
     server = serve_in_thread(family, 0)
     yield family, server.server_address[1]
     server.shutdown()
+    server.server_close()
 
 
-def fetch(port, path):
+def fetch_body(port, path):
+    """The status and the undecoded body of a GET."""
     url = f"http://127.0.0.1:{port}{path}"
     try:
         with urllib.request.urlopen(url, timeout=5) as resp:
-            return resp.status, json.loads(resp.read().decode("utf-8"))
+            return resp.status, resp.read()
     except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read().decode("utf-8"))
+        return exc.code, exc.read()
+
+
+def fetch(port, path):
+    status, body = fetch_body(port, path)
+    return status, json.loads(body.decode("utf-8"))
+
+
+def document(db, anchor_uid, depth):
+    """`build_document` with each node's and edge's JSON text decoded."""
+    doc = build_document(db, anchor_uid, depth)
+    return {**doc, "nodes": [json.loads(text) for text in doc["nodes"]],
+            "edges": [json.loads(text) for text in doc["edges"]]}
 
 
 def anchor_path(db="memory", role="ps", type_="Person", selector="NAME='Peter Smith'",
@@ -102,12 +121,14 @@ def test_component_document(served):
     }
 
 
-def test_document_bytes_are_unchanged(family):
+def test_document_bytes_are_unchanged(served_mutable):
+    family, port = served_mutable
     family.execute("CREATE TYPE Adult UNDER Person AS (Since DATE, Pay CURRENCY)")
     family.execute("MATCH (p:Person {Name: 'Bill Smith'}) CREATE (p)-[:Child {Note: 'adopted', "
                    "Share: 0.5}]->(:Person:Adult {Name: 'Ann Smith', Since: DATE'2020-01-02', "
                    "Pay: 12.50€})")
-    body = json.dumps(build_document(family, 2, None), ensure_ascii=False)
+    status, body = fetch_body(port, anchor_path(selector="ID=2"))
+    assert status == 200
     assert body == (
         '{"anchor": 2, "representative": 1, "nodes": ['
         '{"uid": 1, "type": "PERSON", "key": 1, "properties": {"ID": 1, "NAME": "Fred Smith"}}, '
@@ -122,7 +143,7 @@ def test_document_bytes_are_unchanged(family):
         '{"uid": 8, "type": "CHILD", "leaving": 3, "arriving": 4, "properties": {"ID": 8}}, '
         '{"uid": 9, "type": "CHILD", "leaving": 3, "arriving": 5, "properties": {"ID": 9}}, '
         '{"uid": 11, "type": "CHILD", "leaving": 5, "arriving": 10, '
-        '"properties": {"ID": 11, "NOTE": "adopted", "SHARE": "0.5"}}]}')
+        '"properties": {"ID": 11, "NOTE": "adopted", "SHARE": "0.5"}}]}').encode("utf-8")
 
 
 def test_component_document_after_rekey(served_mutable):
@@ -156,7 +177,7 @@ def test_huge_depth_stops_when_the_neighborhood_is_exhausted():
     db = Database()
     db.execute("CREATE (:P {N: 1})-[:S]->(:P {N: 2})-[:S]->(:P {N: 3})")
     docs = []
-    worker = threading.Thread(target=lambda: docs.append(build_document(db, 1, 10**12)),
+    worker = threading.Thread(target=lambda: docs.append(document(db, 1, 10**12)),
                               daemon=True)
     worker.start()
     worker.join(timeout=5)
@@ -164,36 +185,62 @@ def test_huge_depth_stops_when_the_neighborhood_is_exhausted():
     assert [n["uid"] for n in docs[0]["nodes"]] == [1, 2, 3]
 
 
-class _CommitOnRelease:
-    """Stands in for a database's commit lock; its first release runs
-    `statement`, so the statement commits right after the lock is left."""
+class _CommitAtLock:
+    """Stands in for a database's commit lock: `statement` commits once,
+    just before the lock's first acquire (`before`) or just after its first
+    release."""
 
-    def __init__(self, db, statement):
-        self.db, self.lock, self.statement = db, db.commit_lock, statement
+    def __init__(self, db, statement, before=False):
+        self.db, self.lock, self.statement, self.before = db, db.commit_lock, statement, before
+
+    def _commit(self):
+        statement, self.statement = self.statement, None
+        if statement is not None:
+            self.db.execute(statement)
 
     def __enter__(self):
+        if self.before:
+            self._commit()
         return self.lock.__enter__()
 
     def __exit__(self, *exc):
         self.lock.__exit__(*exc)
-        statement, self.statement = self.statement, None
-        if statement is not None:
-            self.db.execute(statement)
+        if not self.before:
+            self._commit()
         return False
 
 
 def test_document_reads_the_catalog_of_its_snapshot():
     db = Database()
     db.execute("CREATE (:P {Tag: 'a'})-[:E]->(:P {Tag: 'b'})")
-    db.commit_lock = _CommitOnRelease(db, "ALTER TABLE P ADD PRIMARY KEY (Tag)")
-    doc = build_document(db, 1, None)
+    db.commit_lock = _CommitAtLock(db, "ALTER TABLE P ADD PRIMARY KEY (Tag)")
+    doc = document(db, 1, None)
     assert db.commit_lock.statement is None  # the ALTER committed meanwhile
     assert [n["key"] for n in doc["nodes"]] == [1, 2]
     assert [(e["leaving"], e["arriving"]) for e in doc["edges"]] == [(1, 2)]
-    doc = build_document(db, 1, None)
+    doc = document(db, 1, None)
     assert [n["key"] for n in doc["nodes"]] == ["a", "b"]
     assert [(e["leaving"], e["arriving"]) for e in doc["edges"]] == [("a", "b")]
 
+
+def test_anchor_deleted_before_its_document_is_read_answers_404(served_mutable):
+    family, port = served_mutable
+    family.commit_lock = _CommitAtLock(
+        family, "MATCH (p:Person {Name: 'Peter Smith'}) DELETE p CASCADE", before=True)
+    status, doc = fetch(port, anchor_path())
+    assert family.commit_lock.statement is None  # the DELETE committed meanwhile
+    assert status == 404
+    assert "no PERSON with" in doc["error"]
+
+
+@pytest.mark.parametrize("depth", [None, 1])
+def test_document_node_count_is_the_served_node_count(served, depth):
+    # perfbench's tracer counts the nodes of a request as this length
+    family, port = served
+    query = "?NODE" if depth is None else f"?NODE&depth={depth}"
+    status, doc = fetch(port, anchor_path(query=query))
+    assert status == 200
+    assert len(build_document(family, 2, depth)["nodes"]) == len(doc["nodes"])
 
 def oracle_neighborhood(g, anchor, depth):
     """Node uids within `depth` hops of `anchor`, edge direction ignored
@@ -248,7 +295,7 @@ def test_document_is_the_breadth_first_neighborhood(seed):
     g = graph_from_db(db)
     for anchor in nodes:
         for depth in (0, 1, 2, 3, None):
-            doc = build_document(db, anchor, depth)
+            doc = document(db, anchor, depth)
             got = ([n["uid"] for n in doc["nodes"]],
                    [(e["uid"], e["leaving"], e["arriving"]) for e in doc["edges"]])
             assert got == oracle_neighborhood(g, anchor, depth), (anchor, depth)
@@ -305,3 +352,91 @@ def test_percent_encoded_quotes_and_spaces(served):
     status, doc = fetch(port, path)
     assert status == 200
     assert doc["anchor"] == 2
+
+
+# --- rendered bodies over every value kind ---
+
+_TEXT = st.text(st.sampled_from('a "\\\n\x01\x7f €\U0001F600'), max_size=6)
+_AMOUNT = st.decimals(-10**6, 10**6, allow_nan=False, places=2)
+# column -> values it may hold; an absent column is NULL
+_NODE_VALUES = st.fixed_dictionaries({}, optional={
+    "N": st.integers(-10**30, 10**30),
+    "D": st.decimals(-10**6, 10**6, allow_nan=False, places=3),
+    "B": st.booleans(),
+    'S"Q': _TEXT,
+    "W": st.dates(),
+    "C": st.builds(values.Currency, _AMOUNT, st.sampled_from(["EUR", "USD", "GBP"])),
+    "H": st.tuples(_TEXT, st.integers(-5, 5)),
+})
+_COLUMNS = ["N", "D", "B", 'S"Q', "W", "C", "H"]
+_HOSTILE = {"N": -10**30, "D": Decimal("-0.500"), "B": False, 'S"Q': 'q"b\\s\nc\x01€\U0001F600',
+            "W": datetime.date(5, 1, 2), "C": values.Currency(Decimal("12.50"), "GBP"),
+            "H": ('"x"\\', -1)}
+
+
+@pytest.fixture(scope="module")
+def kinds_served():
+    """A served database with a quoted node label and column name that hold
+    `"`, an edge type and a node type with a two-column (so null) key."""
+    db = Database()
+    tx = db.begin()
+    addr = tx.define_plain_type("ADDR", [("CITY", values.STRING), ("ZIP", values.INTEGER)])
+    tx.define_node_type('Q"T', [("N", values.INTEGER), ("D", values.DECIMAL),
+                                ("B", values.BOOLEAN), ('S"Q', values.STRING),
+                                ("W", values.DATE), ("C", values.CURRENCY),
+                                ColumnDescriptor("H", values.STRUCTURED,
+                                                 struct_type_id=addr.type_id)])
+    tx.define_edge_type('R"E', [('S"Q', values.STRING)], 'Q"T', 'Q"T')
+    tx.define_node_type("PAIR", [("A", values.INTEGER), ("B", values.INTEGER)])
+    tx.alter_primary_key("PAIR", ["A", "B"])
+    tx.commit()
+    server = serve_in_thread(db, 0)
+    yield db, server.server_address[1], addr.type_id
+    server.shutdown()
+    server.server_close()
+
+
+def _assert_served(port, type_label, selector, expected):
+    """The body served for an anchor is the text `json.dumps(expected,
+    ensure_ascii=False)` gives, and re-encoding its decoded form gives it
+    back."""
+    path = f"/memory/r/{urllib.parse.quote(type_label)}/{urllib.parse.quote(selector)}?NODE"
+    status, body = fetch_body(port, path)
+    assert status == 200
+    assert body == json.dumps(json.loads(body), ensure_ascii=False).encode("utf-8")
+    assert json.loads(body) == expected
+    assert body == json.dumps(expected, ensure_ascii=False).encode("utf-8")
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.lists(st.tuples(_NODE_VALUES, st.one_of(st.none(), _TEXT)),
+                     min_size=1, max_size=4))
+def test_served_body_is_the_json_of_every_value_kind(kinds_served, rows):
+    db, port, addr = kinds_served
+    rows = [(_HOSTILE, '"\\\n\x01€\U0001F600')] + rows
+    stored = [{name: (values.StructValue(addr, (("CITY", v[0]), ("ZIP", v[1])))
+                      if name == "H" else v) for name, v in vals.items()} for vals, _ in rows]
+    tx = db.begin()
+    uids = [tx.insert_row('Q"T', vals) for vals in stored]
+    edges = []
+    for (_vals, note), a, b in zip(rows[1:], uids, uids[1:]):
+        props = {} if note is None else {'S"Q': note}
+        edges.append((tx.insert_row('R"E', props, ends=(a, b)), a, b, props))
+    pair = tx.insert_row("PAIR", {"A": uids[0], "B": -uids[0]})
+    tx.commit()
+
+    def http(vals):
+        return {name: values.http_value(vals[name]) for name in _COLUMNS if name in vals}
+    _assert_served(port, 'Q"T', f"ID={uids[0]}", {
+        "anchor": uids[0], "representative": uids[0],
+        "nodes": [{"uid": u, "type": 'Q"T', "key": u, "properties": {"ID": u, **http(vals)}}
+                  for u, vals in zip(uids, stored)],
+        "edges": [{"uid": e, "type": 'R"E', "leaving": a, "arriving": b,
+                   "properties": {"ID": e, **props}} for e, a, b, props in edges],
+    })
+    _assert_served(port, "PAIR", f"A={uids[0]}", {
+        "anchor": pair, "representative": pair,
+        "nodes": [{"uid": pair, "type": "PAIR", "key": None,
+                   "properties": {"A": uids[0], "B": -uids[0]}}],
+        "edges": [],
+    })
