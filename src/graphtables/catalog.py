@@ -3,8 +3,9 @@
 Every node and edge row belongs to exactly one declared type.  Node types get
 an automatic integer ID key unless a supertype already supplies the key; edge
 types additionally get LEAVING and ARRIVING reference columns typed after the
-keys of their endpoint types.  Descriptors are plain data; all mutation goes
-through Catalog methods so invariants stay checkable in one place.
+keys of their endpoint types.  Descriptors are immutable values: a schema
+change builds a new descriptor and `Catalog._install` puts it in place, so a
+cloned catalog shares every descriptor it has not replaced since.
 """
 
 from __future__ import annotations
@@ -25,18 +26,15 @@ ARRIVING = "ARRIVING"
 AUTO_EDGE_COLUMNS = (ID, LEAVING, ARRIVING)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ColumnDescriptor:
     name: str
     data_type: str
     struct_type_id: int | None = None
     nullable: bool = True
 
-    def copy(self) -> "ColumnDescriptor":
-        return replace(self)
 
-
-@dataclass
+@dataclass(frozen=True)
 class Multiplicity:
     """Min-max participation per endpoint side.  None max means unbounded.
 
@@ -60,11 +58,8 @@ class Multiplicity:
             if hi is not None and hi < lo:
                 raise SchemaError("multiplicity maximum below minimum")
 
-    def copy(self) -> "Multiplicity":
-        return replace(self)
 
-
-@dataclass
+@dataclass(frozen=True)
 class Constraint:
     """Row-level boolean predicate, kept with its source text for the log."""
 
@@ -73,8 +68,11 @@ class Constraint:
     params: tuple = field(compare=False, default=())  # values of the literal slots
 
 
-@dataclass
+@dataclass(frozen=True)
 class TypeDescriptor:
+    """One type.  The list fields are never changed in place: a change
+    replaces the whole descriptor."""
+
     type_id: int
     label: str
     kind: str
@@ -93,21 +91,6 @@ class TypeDescriptor:
                 return col
         return None
 
-    def copy(self) -> "TypeDescriptor":
-        return TypeDescriptor(
-            type_id=self.type_id,
-            label=self.label,
-            kind=self.kind,
-            columns=[c.copy() for c in self.columns],
-            supertype=self.supertype,
-            primary_key=list(self.primary_key),
-            unique_keys=[list(k) for k in self.unique_keys],
-            leaving_type=self.leaving_type,
-            arriving_type=self.arriving_type,
-            multiplicity=self.multiplicity.copy() if self.multiplicity else None,
-            constraints=list(self.constraints),
-        )
-
 
 class Catalog:
     """All live type descriptors plus lookup and evolution operations."""
@@ -116,9 +99,8 @@ class Catalog:
         self._types: dict[int, TypeDescriptor] = {}
         self._by_label: dict[str, dict[str, int]] = {KIND_NODE: {}, KIND_EDGE: {}, KIND_PLAIN: {}}
         self._next_type_id = 1
-        # memos by type id, cleared when _install adds or replaces a type:
-        # subtype closures; effective columns, also cleared when a column is
-        # added or dropped; key declarers, also cleared when a key is swapped
+        # memos by type id: subtype closures, effective columns and key
+        # declarers, all cleared by _install, the one writer of _types
         self._closures: dict[int, tuple[int, ...]] = {}
         self._columns: dict[int, tuple[ColumnDescriptor, ...]] = {}
         self._declarers: dict[int, TypeDescriptor | None] = {}
@@ -226,9 +208,11 @@ class Catalog:
 
     # --- definition ---
 
-    def _claim_label(self, label: str, kind: str) -> None:
+    def _claim_type_id(self, label: str, kind: str) -> int:
+        """The id of a new `kind` type named `label`; `_install` takes it up."""
         if label in self._by_label[kind]:
             raise SchemaError(f"{kind} type {label} already exists")
+        return self._next_type_id
 
     def _check_new_columns(self, columns: list[ColumnDescriptor],
                            inherited: tuple[ColumnDescriptor, ...]) -> None:
@@ -245,8 +229,13 @@ class Catalog:
                 raise SchemaError(f"unknown data type {col.data_type}")
 
     def _install(self, desc: TypeDescriptor) -> TypeDescriptor:
+        """Add `desc`, or put it in place of the descriptor with its type id."""
+        old = self._types.get(desc.type_id)
+        if old is not None:
+            del self._by_label[old.kind][old.label]
         self._types[desc.type_id] = desc
         self._by_label[desc.kind][desc.label] = desc.type_id
+        self._next_type_id = max(self._next_type_id, desc.type_id + 1)
         self._closures.clear()
         self._columns.clear()
         self._declarers.clear()
@@ -254,7 +243,7 @@ class Catalog:
 
     def define_node_type(self, label: str, columns: list[ColumnDescriptor],
                          supertype: int | None = None) -> TypeDescriptor:
-        self._claim_label(label, KIND_NODE)
+        type_id = self._claim_type_id(label, KIND_NODE)
         inherited: tuple[ColumnDescriptor, ...] = ()
         if supertype is not None:
             sup = self.get(supertype)
@@ -262,39 +251,32 @@ class Catalog:
                 raise SchemaError(f"supertype {sup.label} is not a node type")
             inherited = self.effective_columns(supertype)
         self._check_new_columns(columns, inherited)
-        columns = [c.copy() for c in columns]
         primary_key: list[str] = []
         if supertype is None:
             # root of a hierarchy carries the key; an explicit ID column is
             # honoured, otherwise the auto integer key is prepended
-            own_id = next((c for c in columns if c.name == ID), None)
-            if own_id is None:
+            columns = [replace(c, nullable=False) if c.name == ID else c for c in columns]
+            if all(c.name != ID for c in columns):
                 columns.insert(0, ColumnDescriptor(ID, values.INTEGER, nullable=False))
-            else:
-                own_id.nullable = False
             primary_key = [ID]
-        desc = TypeDescriptor(self._next_type_id, label, KIND_NODE, columns,
-                              supertype=supertype, primary_key=primary_key)
-        self._next_type_id += 1
-        return self._install(desc)
+        return self._install(TypeDescriptor(type_id, label, KIND_NODE, list(columns),
+                                            supertype=supertype, primary_key=primary_key))
 
     def define_edge_type(self, label: str, columns: list[ColumnDescriptor],
                          leaving_type: int, arriving_type: int,
                          multiplicity: Multiplicity | None = None) -> TypeDescriptor:
-        self._claim_label(label, KIND_EDGE)
+        type_id = self._claim_type_id(label, KIND_EDGE)
         builtin = [ColumnDescriptor(ID, values.INTEGER, nullable=False)]
         for name, endpoint in ((LEAVING, leaving_type), (ARRIVING, arriving_type)):
             ref_col = self._endpoint_reference_column(endpoint)
             builtin.append(ColumnDescriptor(name, ref_col.data_type, nullable=False))
         self._check_new_columns(columns, tuple(builtin))
-        columns = [*builtin, *(c.copy() for c in columns)]
         multiplicity = multiplicity or Multiplicity()
         multiplicity.validate()
-        desc = TypeDescriptor(self._next_type_id, label, KIND_EDGE, columns, primary_key=[ID],
-                              leaving_type=leaving_type, arriving_type=arriving_type,
-                              multiplicity=multiplicity)
-        self._next_type_id += 1
-        return self._install(desc)
+        return self._install(TypeDescriptor(type_id, label, KIND_EDGE, [*builtin, *columns],
+                                            primary_key=[ID], leaving_type=leaving_type,
+                                            arriving_type=arriving_type,
+                                            multiplicity=multiplicity))
 
     def _endpoint_reference_column(self, node_type_id: int) -> ColumnDescriptor:
         node = self.get(node_type_id)
@@ -308,11 +290,9 @@ class Catalog:
         return col
 
     def define_plain_type(self, label: str, columns: list[ColumnDescriptor]) -> TypeDescriptor:
-        self._claim_label(label, KIND_PLAIN)
+        type_id = self._claim_type_id(label, KIND_PLAIN)
         self._check_new_columns(columns, ())
-        desc = TypeDescriptor(self._next_type_id, label, KIND_PLAIN, [c.copy() for c in columns])
-        self._next_type_id += 1
-        return self._install(desc)
+        return self._install(TypeDescriptor(type_id, label, KIND_PLAIN, list(columns)))
 
     # --- evolution (schema side; row rewrites are staged by the transaction) ---
 
@@ -321,24 +301,21 @@ class Catalog:
         desc = self.get(type_id)
         below = tuple(c for tid in self.subtype_closure(type_id) for c in self.get(tid).columns)
         self._check_new_columns([column], self.effective_columns(type_id) + below)
-        column = column.copy()
-        column.nullable = True
-        desc.columns.append(column)
-        self._columns.clear()
+        column = replace(column, nullable=True)
+        self._install(replace(desc, columns=[*desc.columns, column]))
         return column
 
     def retype_column(self, type_id: int, name: str, data_type: str) -> None:
         """Internal widening, e.g. integer -> decimal, or key cascades."""
         desc = self.get(type_id)
-        col = desc.own_column(name)
-        if col is None:
+        if desc.own_column(name) is None:
             raise SchemaError(f"{desc.label} has no own column {name}")
-        col.data_type = data_type
+        self._install(replace(desc, columns=[
+            replace(c, data_type=data_type) if c.name == name else c for c in desc.columns]))
 
     def drop_column(self, type_id: int, name: str) -> None:
         desc = self.get(type_id)
-        col = desc.own_column(name)
-        if col is None:
+        if desc.own_column(name) is None:
             if self.effective_column(type_id, name) is not None:
                 raise SchemaError(f"column {name} is inherited; drop it on the declaring type")
             raise SchemaError(f"{desc.label} has no column {name}")
@@ -350,9 +327,8 @@ class Catalog:
             sub = self.get(sub_tid)
             if name in sub.primary_key:
                 raise SchemaError(f"column {name} is the primary key of {sub.label}")
-        desc.columns.remove(col)
-        self._columns.clear()
-        desc.unique_keys = [k for k in desc.unique_keys if name not in k]
+        self._install(replace(desc, columns=[c for c in desc.columns if c.name != name],
+                              unique_keys=[k for k in desc.unique_keys if name not in k]))
 
     def install_primary_key(self, type_id: int, key: list[str]) -> None:
         """Swap the primary key; the previous key survives as a unique key."""
@@ -360,16 +336,12 @@ class Catalog:
         for name in key:
             if self.effective_column(type_id, name) is None:
                 raise SchemaError(f"{desc.label} has no column {name}")
-        old = self.key_declarer(type_id)
         # only the type's own previous key is demoted; a subtype declaring a
         # key of its own leaves the supertype's key untouched
-        if old is not None and old.type_id == type_id and old.primary_key != key:
-            old_key = list(old.primary_key)
-            old.primary_key = []
-            if old_key not in old.unique_keys:
-                old.unique_keys.append(old_key)
-        desc.primary_key = list(key)
-        self._declarers.clear()
+        old_key, unique_keys = desc.primary_key, desc.unique_keys
+        if old_key and old_key != key and old_key not in unique_keys:
+            unique_keys = [*unique_keys, old_key]
+        self._install(replace(desc, primary_key=list(key), unique_keys=unique_keys))
 
     def retarget_endpoint(self, type_id: int, side: str, node_type_id: int) -> None:
         """Generalize one endpoint of an edge type to a supertype."""
@@ -377,16 +349,16 @@ class Catalog:
         if desc.kind != KIND_EDGE:
             raise SchemaError(f"{desc.label} is not an edge type")
         if side == LEAVING:
-            desc.leaving_type = node_type_id
+            self._install(replace(desc, leaving_type=node_type_id))
         else:
-            desc.arriving_type = node_type_id
+            self._install(replace(desc, arriving_type=node_type_id))
 
     def set_multiplicity(self, type_id: int, mult: Multiplicity) -> None:
         desc = self.get(type_id)
         if desc.kind != KIND_EDGE:
             raise SchemaError(f"{desc.label} is not an edge type")
         mult.validate()
-        desc.multiplicity = mult
+        self._install(replace(desc, multiplicity=mult))
 
     def add_constraint(self, type_id: int, constraint: Constraint, column_names: set[str]) -> None:
         desc = self.get(type_id)
@@ -395,17 +367,16 @@ class Catalog:
         if missing:
             raise SchemaError(f"constraint on {desc.label} references unknown column "
                               f"{', '.join(sorted(missing))}")
-        desc.constraints.append(constraint)
+        self._install(replace(desc, constraints=[*desc.constraints, constraint]))
 
     # --- copying and serialization ---
 
     def clone(self) -> "Catalog":
+        """A catalog of its own that shares this one's descriptors."""
         other = Catalog()
+        other._types = dict(self._types)
+        other._by_label = {kind: dict(table) for kind, table in self._by_label.items()}
         other._next_type_id = self._next_type_id
-        for tid, desc in self._types.items():
-            other._types[tid] = desc.copy()
-        for kind, table in self._by_label.items():
-            other._by_label[kind] = dict(table)
         return other
 
     def descriptor_to_dict(self, desc: TypeDescriptor) -> dict:
@@ -428,21 +399,9 @@ class Catalog:
     def apply_descriptor_dict(self, data: dict, parse_constraint) -> TypeDescriptor:
         """Install or replace a descriptor from its serialized form (log replay)."""
         mult = data["multiplicity"]
-        desc = TypeDescriptor(
-            type_id=data["type_id"],
-            label=data["label"],
-            kind=data["kind"],
-            columns=[ColumnDescriptor(n, dt, st, nul) for n, dt, st, nul in data["columns"]],
-            supertype=data["supertype"],
-            primary_key=list(data["primary_key"]),
-            unique_keys=[list(k) for k in data["unique_keys"]],
-            leaving_type=data["leaving_type"],
-            arriving_type=data["arriving_type"],
-            multiplicity=None if mult is None else Multiplicity(*mult),
-            constraints=[Constraint(text, *parse_constraint(text)) for text in data["constraints"]],
-        )
-        old = self._types.get(desc.type_id)
-        if old is not None:
-            del self._by_label[old.kind][old.label]
-        self._next_type_id = max(self._next_type_id, desc.type_id + 1)
-        return self._install(desc)
+        return self._install(TypeDescriptor(**{
+            **data,
+            "columns": [ColumnDescriptor(*c) for c in data["columns"]],
+            "multiplicity": None if mult is None else Multiplicity(*mult),
+            "constraints": [Constraint(text, *parse_constraint(text)) for text in data["constraints"]],
+        }))

@@ -282,6 +282,7 @@ def render_row(view: ReadView, row: Row) -> str:
     catalog = view.catalog
     parts = []
     for col in catalog.effective_columns(row.type_id):
-        if col.name in row.values:
-            parts.append(f"{col.name}={val.render(view.value(row, col.name))}")
+        v = view.value(row, col.name)
+        if v is not None:
+            parts.append(f"{col.name}={val.render(v)}")
     return f"{catalog.get(row.type_id).label}({','.join(parts)})"

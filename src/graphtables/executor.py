@@ -77,8 +77,9 @@ def run_statement(tx: Transaction, stmt, params: tuple, bindings: dict | None = 
     if isinstance(stmt, RoleStatement):
         return None
     if isinstance(stmt, ShowGraphsStatement):
-        rows = [[c.representative, len(c.nodes), len(c.edges)]
-                for c in tx.db.graphs.components()]
+        with tx.db.commit_lock:  # a commit may merge or split components
+            rows = [[c.representative, len(c.nodes), len(c.edges)]
+                    for c in tx.db.graphs.components()]
         return ResultTable(["GRAPH", "NODES", "EDGES"], rows)
     raise ExecutionError(f"cannot execute {type(stmt).__name__} here")
 

@@ -46,36 +46,42 @@ def format_table(view: ReadView, table: ResultTable) -> str:
 
 
 def split_statements(text: str) -> list[tuple[int, str]]:
-    """Break script text into (starting line number, statement) pairs.
-    A leading `[` opens a bracketed block; anything else is one statement
-    per line."""
-    out = []
-    lines = text.split("\n")
-    i = 0
-    while i < len(lines):
-        stripped = lines[i].strip()
-        if not stripped or stripped.startswith("//"):
-            i += 1
-            continue
-        if stripped.startswith("["):
-            start = i
-            block = []
-            depth = 0
-            done = False
-            while i < len(lines) and not done:
-                line = lines[i]
-                depth += _bracket_delta(line)
-                block.append(line)
-                i += 1
-                if depth <= 0:
-                    done = True
-            body = "\n".join(block).strip()
-            body = body[1:-1] if body.startswith("[") and body.endswith("]") else body
-            out.append((start + 1, body))
-        else:
-            out.append((i + 1, stripped))
-            i += 1
-    return out
+    """Break script text into (starting line number, statement) pairs."""
+    lines = iter(text.split("\n"))
+    return list(_statements(lambda in_block: next(lines, None)))
+
+
+def _statements(read_line):
+    """Yield (starting line number, statement) for the lines that
+    `read_line(in_block)` returns until it returns None.  Blank and `//`
+    lines between statements are skipped; a line starting with `[` opens a
+    block that runs until its brackets balance, and the block's outer
+    brackets are stripped; any other line is one statement.  A block still
+    open at the end of input is a statement too."""
+    block: list[str] = []
+    depth = start = line_no = 0
+    while (line := read_line(bool(block))) is not None:
+        line_no += 1
+        stripped = line.strip()
+        if not block:
+            if not stripped or stripped.startswith("//"):
+                continue
+            if not stripped.startswith("["):
+                yield line_no, stripped
+                continue
+            start = line_no
+        block.append(line.rstrip("\n"))
+        depth += _bracket_delta(line)
+        if depth <= 0:
+            yield start, _block_body(block)
+            block, depth = [], 0
+    if block:
+        yield start, _block_body(block)
+
+
+def _block_body(block: list[str]) -> str:
+    body = "\n".join(block).strip()
+    return body[1:-1] if body.startswith("[") and body.endswith("]") else body
 
 
 def _bracket_delta(line: str) -> int:
@@ -107,33 +113,21 @@ def run_repl(db: Database, stdin=None, stdout=None) -> int:
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
     session = db.session()
-    buffer: list[str] = []
-    depth = 0
-    while True:
-        prompt = "SQL> " if not buffer else "> "
-        stdout.write(prompt)
+
+    def read_line(in_block: bool) -> str | None:
+        stdout.write("> " if in_block else "SQL> ")
         stdout.flush()
         line = stdin.readline()
         if not line:
             stdout.write("\n")
+            return None
+        return line
+
+    for _, text in _statements(read_line):
+        if text.lower() in ("exit", "quit"):
             return 0
-        stripped = line.strip()
-        if not buffer:
-            if not stripped or stripped.startswith("//"):
-                continue
-            if stripped.lower() in ("exit", "quit"):
-                return 0
-            if not stripped.startswith("["):
-                _execute_line(session, stripped, stdout)
-                continue
-        buffer.append(line.rstrip("\n"))
-        depth += _bracket_delta(line)
-        if depth <= 0:
-            body = "\n".join(buffer).strip()
-            if body.startswith("[") and body.endswith("]"):
-                body = body[1:-1]
-            buffer, depth = [], 0
-            _execute_line(session, body, stdout)
+        _execute_line(session, text, stdout)
+    return 0
 
 
 def _execute_line(session, text: str, stdout) -> None:

@@ -35,6 +35,7 @@ Commit finds the types whose schema changed by comparing catalogs.
 from __future__ import annotations
 
 import heapq
+import threading
 from dataclasses import dataclass
 
 from . import catalog as cat
@@ -70,9 +71,15 @@ class _Version:
 
 
 class Store:
-    """Committed row versions plus derived value indexes and adjacency."""
+    """Committed row versions plus derived value indexes and adjacency.
+
+    Readers take no lock: they iterate a tuple copy of a live uid set, which
+    CPython makes in one step under the GIL.  `_lock` keeps the one-time
+    build of a value index and `apply` apart, since both walk and extend
+    the same tables."""
 
     def __init__(self):
+        self._lock = threading.Lock()
         self.commit_seq = 0
         self._versions: dict[int, list[_Version]] = {}
         # type id -> its uids, ascending
@@ -111,16 +118,19 @@ class Store:
             if row is not None:
                 yield row
 
-    def index_candidates(self, type_id: int, column: str, value) -> set[int]:
-        """Over-approximate uid set; caller re-checks value and visibility."""
+    def index_candidates(self, type_id: int, column: str, value) -> tuple[int, ...]:
+        """Over-approximate uids; caller re-checks value and visibility."""
         key = (type_id, column)
         index = self._value_index.get(key)
         if index is None:
-            index = self._build_index(type_id, column)
+            with self._lock:
+                index = self._value_index.get(key)
+                if index is None:
+                    index = self._build_index(type_id, column)
         try:
-            return index.get(value, set())
+            return tuple(index.get(value, ()))
         except TypeError:
-            return set()
+            return ()
 
     def _build_index(self, type_id: int, column: str) -> dict:
         index: dict = {}
@@ -137,31 +147,32 @@ class Store:
 
     def apply(self, seq: int, final: dict[int, Row | None]) -> None:
         """Publish one commit."""
-        unordered = set()
-        for uid in sorted(final):
-            row = final[uid]
-            versions = self._versions.setdefault(uid, [])
-            if versions and versions[-1].end is None:
-                versions[-1].end = seq
-            if row is None:
-                continue
-            versions.append(_Version(row, seq))
-            members = self._by_type.setdefault(row.type_id, {})
-            if uid not in members:
-                # a transaction that began earlier may commit lower uids later
-                if members and uid < next(reversed(members)):
-                    unordered.add(row.type_id)
-                members[uid] = None
-            for column in self._indexed.get(row.type_id, ()):
-                v = row.values.get(column)
-                if v is not None:
-                    self._value_index[(row.type_id, column)].setdefault(v, set()).add(uid)
-            if row.ends is not None and None not in row.ends:
-                self.leaving_at.setdefault(row.ends[0], set()).add(uid)
-                self.arriving_at.setdefault(row.ends[1], set()).add(uid)
-        for tid in unordered:
-            self._by_type[tid] = dict.fromkeys(sorted(self._by_type[tid]))
-        self.commit_seq = seq
+        with self._lock:
+            unordered = set()
+            for uid in sorted(final):
+                row = final[uid]
+                versions = self._versions.setdefault(uid, [])
+                if versions and versions[-1].end is None:
+                    versions[-1].end = seq
+                if row is None:
+                    continue
+                versions.append(_Version(row, seq))
+                members = self._by_type.setdefault(row.type_id, {})
+                if uid not in members:
+                    # a transaction that began earlier may commit lower uids later
+                    if members and uid < next(reversed(members)):
+                        unordered.add(row.type_id)
+                    members[uid] = None
+                for column in self._indexed.get(row.type_id, ()):
+                    v = row.values.get(column)
+                    if v is not None:
+                        self._value_index[(row.type_id, column)].setdefault(v, set()).add(uid)
+                if row.ends is not None and None not in row.ends:
+                    self.leaving_at.setdefault(row.ends[0], set()).add(uid)
+                    self.arriving_at.setdefault(row.ends[1], set()).add(uid)
+            for tid in unordered:
+                self._by_type[tid] = dict.fromkeys(sorted(self._by_type[tid]))
+            self.commit_seq = seq
 
 
 _ABSENT = object()
@@ -368,7 +379,7 @@ class ReadView:
         `direction`, uid ascending."""
         side = 0 if direction == "leaving" else 1
         store, staged, out = self.store, self.staged, []
-        for euid in (store.leaving_at if side == 0 else store.arriving_at).get(uid, ()):
+        for euid in tuple((store.leaving_at if side == 0 else store.arriving_at).get(uid, ())):
             version = None if euid in staged else store.version_at(euid, self.snapshot)
             if version is None or version.row.ends[side] != uid:
                 continue
@@ -582,8 +593,8 @@ class Transaction:
 
     def insert_row(self, type_ref, values: dict, ends: tuple | None = None) -> int:
         """Stage a new row.  An edge given no `ends` binds the nodes its
-        LEAVING/ARRIVING values name now; its stored LEAVING/ARRIVING are
-        then its endpoints' keys."""
+        LEAVING/ARRIVING values name now; commit writes their keys into
+        its LEAVING/ARRIVING."""
         self._check_open()
         desc = self._type(type_ref)
         if desc.kind == cat.KIND_PLAIN:
@@ -596,12 +607,9 @@ class Transaction:
             col = self.catalog.effective_column(desc.type_id, key[0])
             if col is not None and col.data_type == val.INTEGER:
                 staged_values[key[0]] = uid
-        row = Row(uid, desc.type_id, staged_values, ends)
-        if desc.kind == cat.KIND_EDGE:
-            if ends is None:
-                row.ends = self._bind_ends(desc, staged_values, (None, None), (LEAVING, ARRIVING))
-            row = _with_references(self.view(), row)
-        self.staged.put(uid, row)
+        if desc.kind == cat.KIND_EDGE and ends is None:
+            ends = self._bind_ends(desc, staged_values, (None, None), (LEAVING, ARRIVING))
+        self.staged.put(uid, Row(uid, desc.type_id, staged_values, ends))
         return uid
 
     def update_row(self, uid: int, changes: dict) -> None:

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from graphtables import Database, values
@@ -10,7 +12,7 @@ from graphtables.catalog import (
     Constraint,
     Multiplicity,
 )
-from graphtables.errors import SchemaError
+from graphtables.errors import CommitError, GraphTablesError, SchemaError
 
 
 def col(name, data_type=values.STRING):
@@ -145,12 +147,13 @@ def test_drop_column_guards(cat):
 def test_rekey_demotes_the_old_key_to_unique(cat):
     part = cat.define_node_type("PART", [col("PARTID")])
     cat.install_primary_key(part.type_id, ["PARTID"])
+    part = cat.get(part.type_id)
     assert part.primary_key == ["PARTID"]
     assert [ID] in part.unique_keys
     assert cat.effective_key(part.type_id) == ["PARTID"]
     # now ID is an ordinary column and may go
     cat.drop_column(part.type_id, ID)
-    assert part.unique_keys == []
+    assert cat.get(part.type_id).unique_keys == []
 
 
 def test_subtype_key_leaves_supertype_key_alone(cat):
@@ -166,9 +169,9 @@ def test_unique_keys_scrubbed_when_member_column_dropped(cat):
     t = cat.define_node_type("T", [col("A"), col("B")])
     cat.install_primary_key(t.type_id, ["A"])
     cat.install_primary_key(t.type_id, ["B"])
-    assert ["A"] in t.unique_keys
+    assert ["A"] in cat.get(t.type_id).unique_keys
     cat.drop_column(t.type_id, "A")
-    assert ["A"] not in t.unique_keys
+    assert ["A"] not in cat.get(t.type_id).unique_keys
 
 
 def test_multiplicity_validation(cat):
@@ -235,3 +238,71 @@ def test_replayed_subtype_is_matched_by_its_supertype_label(tmp_path):
     table = db.execute("MATCH (:Stock)-[:Holds]->(p:Part) RETURN p.PartID")
     assert sorted(row[0] for row in table.rows) == ["P01", "P02"]
     db.close()
+
+
+def test_descriptors_are_immutable(cat):
+    person = cat.define_node_type("PERSON", [col("NAME")])
+    edge = cat.define_edge_type("CHILD", [], person.type_id, person.type_id)
+    cat.add_constraint(person.type_id, Constraint("NAME <> ''"), {"NAME"})
+    person = cat.get(person.type_id)
+    for obj, field in ((person, "label"), (person.columns[0], "nullable"),
+                       (edge.multiplicity, "leaving_min"), (person.constraints[0], "text")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, field, None)
+
+
+def test_clone_shares_descriptors_until_it_replaces_one(cat):
+    part = cat.define_node_type("PART", [col("PARTID")])
+    other = cat.clone()
+    assert other.get(part.type_id) is part
+    other.widen_type(part.type_id, col("NEW"))
+    assert cat.get(part.type_id) is part
+    assert [c.name for c in other.get(part.type_id).columns] == [ID, "PARTID", "NEW"]
+
+
+def test_root_node_type_may_declare_its_own_id_column(cat, tmp_path):
+    code = ColumnDescriptor(ID, values.STRING)
+    own = cat.define_node_type("OWN", [col("NAME"), code])
+    assert [(c.name, c.data_type, c.nullable) for c in own.columns] == [
+        ("NAME", values.STRING, True), (ID, values.STRING, False)]
+    assert own.primary_key == [ID]
+
+    path = tmp_path / "own.log"
+    db = Database(path)
+    db.execute("create type Own as (Name char, ID char) nodetype")
+    db.execute("CREATE (:Own {Name: 'o', ID: 'k'})")
+    with pytest.raises(CommitError, match="key column ID is null"):
+        db.execute("CREATE (:Own {Name: 'x'})")
+    described = db.catalog.descriptor_to_dict(db.catalog.lookup_label("OWN"))
+    db.close()
+    db = Database(path)
+    assert db.catalog.descriptor_to_dict(db.catalog.lookup_label("OWN")) == described
+    assert db.execute("MATCH (o:Own) RETURN o.ID, o.Name").rows == [["k", "o"]]
+    db.close()
+
+
+def test_failed_statements_and_rollback_leave_published_descriptors_alone():
+    db = Database()
+    db.execute("CREATE (:P {N: 1})-[:R]->(:P {N: 2})")
+    db.execute("ALTER TABLE P ADD CHECK (N > 0)")
+    catalog = db.catalog
+    published = {d.type_id: d for d in catalog.types()}
+    p_tid = catalog.lookup_label("P").type_id
+
+    # an auto-committed statement that widens P, then fails its commit
+    with pytest.raises(CommitError):
+        db.execute("CREATE (:P {N: -1, Z: 5})")
+    session = db.session()
+    session.execute("BEGIN")
+    session.execute("ALTER TABLE P ADD COLUMN X int")
+    widened = session.tx.catalog.get(p_tid)
+    # a statement inside BEGIN that widens P again, then fails: its
+    # savepoint gives back the very descriptor the first statement made
+    with pytest.raises(GraphTablesError, match="cannot compare"):
+        session.execute("CREATE (:P {N: 3, Y: 2}), (:P {N: 'x' < 1})")
+    assert session.tx.catalog.get(p_tid) is widened
+    session.execute("ROLLBACK")
+
+    assert db.catalog is catalog
+    assert all(catalog.get(tid) is desc for tid, desc in published.items())
+    assert [d.type_id for d in catalog.types()] == sorted(published)

@@ -56,6 +56,15 @@ def test_alias_binds_across_graphs_of_one_statement(db):
     assert sorted(e[1:] for e in g.edges.values()) == [(1, 2), (2, 1)]
 
 
+def test_edge_alias_binds_the_created_edge_for_the_then_statement(db):
+    db.execute("CREATE (a:P {N: 1})-[e:R {W: 7}]->(b:P {N: 2}) "
+               "THEN CREATE (:Log {W: e.W, SOURCE: e.LEAVING, EDGE: e.ID})")
+    assert db.execute("MATCH (l:Log) RETURN l.W, l.SOURCE, l.EDGE").rows == [[7, 1, 3]]
+    with pytest.raises(ExecutionError, match="E is already bound"):
+        db.execute("CREATE (a:P {N: 5})-[e:R]->(b:P {N: 6})-[e:R]->(c:P {N: 7})")
+    assert len(db.execute("MATCH (p:P) RETURN p.N").rows) == 2
+
+
 def test_doc_on_bound_alias_updates_the_row(db):
     db.execute("CREATE (a:P {n:'x'}), (a {extra:7})")
     row = db.read_view().get_row(1)

@@ -6,6 +6,7 @@ import struct
 
 import pytest
 
+from graphtables import values
 from graphtables.engine import Database, render_row
 from graphtables.errors import CommitError, ExecutionError, GraphTablesError, StorageError
 
@@ -130,6 +131,31 @@ def test_reopen_replays_rows_and_schema(tmp_path):
     assert names(db2.execute(DESCENDANTS)) == {
         "Fred Smith", "Mary Smith", "Lee Smith", "Bill Smith"}
     db2.close()
+
+
+def test_structured_column_survives_reopen(tmp_path):
+    path = tmp_path / "homes.db"
+    db = Database(path)
+    db.execute("create type Addr as (City char, Zip int)")
+    db.execute("create type Home as (Name char, Place Addr) nodetype")
+    addr = db.catalog.lookup_label("ADDR", "plain")
+    place = values.StructValue(addr.type_id, (("CITY", "Graz"), ("ZIP", 8010)))
+    tx = db.begin()
+    tx.insert_row("HOME", {"NAME": "h", "PLACE": place})
+    tx.commit()
+    with pytest.raises(CommitError, match="wrong structured type"):
+        tx = db.begin()
+        tx.insert_row("HOME", {"NAME": "x", "PLACE": values.StructValue(99, ())})
+        tx.commit()
+    before = db.state_hash()
+    db.close()
+
+    db = Database(path)
+    assert db.state_hash() == before
+    column = db.catalog.lookup_label("HOME").own_column("PLACE")
+    assert (column.data_type, column.struct_type_id) == (values.STRUCTURED, addr.type_id)
+    assert db.execute("MATCH (h:Home) RETURN h.Place").rows == [[place]]
+    db.close()
 
 
 def test_reopen_rebuilds_component_registry(tmp_path):

@@ -3,6 +3,7 @@ and the interactive loop driven through StringIO."""
 
 import io
 
+from graphtables import repl
 from graphtables.engine import Database, ResultTable
 from graphtables.repl import format_table, main, run_repl, run_script, split_statements
 
@@ -42,6 +43,11 @@ def test_brackets_inside_strings_and_comments_do_not_count():
     text = "[CREATE (:A {S: 'open [ bracket'}),  // stray ] here\n  (:A {S: ']'})]\n"
     (_, body), = split_statements(text)
     assert body.endswith("(:A {S: ']'})")
+
+
+def test_unclosed_block_at_the_end_is_one_statement():
+    text = "// c\n[CREATE (:A {N: 1}),\n  (:A {N: 2})\n"
+    assert split_statements(text) == [(2, "[CREATE (:A {N: 1}),\n  (:A {N: 2})")]
 
 
 # --- result formatting ---
@@ -212,6 +218,22 @@ def test_repl_bracket_block_uses_continuation_prompt():
     assert "Ada" in out and "Bea" in out
 
 
+def test_repl_splits_statements_as_scripts_do(monkeypatch):
+    text = ("\n// heading\nCREATE (:A {N: 1})\n"
+            "[MATCH (x:A)\n  [()-[:E]->()]+ (y)\nRETURN y.N]\n"
+            "  // tail\n[CREATE (:A {S: ']'}),  // stray ] here\n  (:A {N: 2})]\n"
+            "[CREATE (:A {N: 3})\n")
+    ran = []
+    monkeypatch.setattr(repl, "_execute_line", lambda session, text, stdout: ran.append(text))
+    rc, out = drive(Database(), text)
+    assert rc == 0
+    assert ran == [stmt for _, stmt in split_statements(text)]
+    assert len(ran) == 4
+    # one continuation prompt per line read inside a block, the end of
+    # input included
+    assert out.replace("SQL> ", "").count("> ") == 4
+
+
 def test_repl_eof_exits_cleanly():
     rc, out = drive(Database(), "")
     assert rc == 0
@@ -294,3 +316,12 @@ def test_repl_reports_arrays_stored_by_set_or_create_and_carries_on():
     assert rc == 0
     assert out.count("error: X cannot hold an array") == 2
     assert "|3|" in out
+
+
+def test_repl_renders_an_edge_staged_in_the_open_transaction_with_its_endpoint_keys():
+    rc, out = drive(Database(), "BEGIN\n"
+                                "CREATE (:P {N: 1})-[:S {W: 5}]->(:P {N: 2})\n"
+                                "MATCH ()-[e:S]->() RETURN e\n"
+                                "exit\n")
+    assert rc == 0
+    assert "|S(ID=3,LEAVING=1,ARRIVING=2,W=5)|" in out
