@@ -22,7 +22,7 @@ from .catalog import Catalog
 from .errors import ExecutionError, StorageError
 from .graphset import GraphSet
 from .parser import parse_expression, parse_statement
-from .storage import ReadView, Row, Staging, Store, Transaction
+from .storage import ReadView, Row, Store, Transaction
 from .syntax import (BeginStatement, CommitStatement, RollbackStatement, shareable)
 
 # the most statement templates a Database keeps, oldest admitted evicted
@@ -130,18 +130,16 @@ class Database:
     def _apply_record(self, payload: dict) -> None:
         for data in payload["schema"]:
             self.catalog.apply_descriptor_dict(data, parse_expression)
-        final = Staging()
+        final: dict[int, Row | None] = {}
         for op in logmod.decode_rows(payload):
-            if op[0] == "put":
-                _tag, uid, tid, vals = op
-                final.put(uid, Row(uid, tid, vals))
+            if op[0] == "del":
+                final[op[1]] = None
+            elif op[4] is None and self.catalog.get(op[2]).kind == cat.KIND_EDGE:
+                # one replay path: logs from before puts carried ends are not read
+                raise StorageError(f"log {self.path}: record {payload['seq']} puts edge "
+                                   f"{op[1]} without its endpoint uids")
             else:
-                final.put(op[1], None)
-        # bind each edge to its endpoints once, in the record's post state
-        post = ReadView(self.store, self.store.commit_seq, self.catalog, final)
-        for row in final.values():
-            if row is not None and self.catalog.get(row.type_id).kind == cat.KIND_EDGE:
-                row.ends = post.resolve_endpoints(row)
+                final[op[1]] = Row(*op[1:])
         self.store.apply(payload["seq"], final)
         self.logged_next_uid = payload["next_uid"]
         self._next_uid = max(self._next_uid, self.logged_next_uid)

@@ -6,9 +6,9 @@ graph component as JSON.
 The role segment is accepted and ignored.  The response lists the component's
 nodes and edges (uid ascending) plus the component representative; `depth`
 trims the component to a breadth-first neighborhood of the anchor.  The
-component registry supplies membership only: the document is read from one
-store snapshot, with the catalog of that snapshot, and a `depth` walk follows
-the store's edge adjacency out from the anchor.
+component registry supplies membership only: the selector is matched and the
+document read in one store snapshot, with the catalog of that snapshot, and a
+`depth` walk follows the store's edge adjacency out from the anchor.
 
 Each node and edge is rendered straight to its JSON text in one pass over the
 rows: every type's label and `"COLUMN": ` prefixes are encoded once per
@@ -49,25 +49,27 @@ def parse_anchor_value(text: str):
 
 
 class _AnchorGone(LookupError):
-    """The anchor node is deleted in the snapshot its document reads."""
+    """No node matches the selector in the snapshot its document reads."""
 
 
-def _subgraph(db: Database, anchor_uid: int, depth: int | None):
-    """The response's node uids, edge rows and representative, plus the
-    view they are read in.  Membership and the view (store, seq and catalog)
-    are captured under the commit lock, so a concurrent writer can tear
-    neither the component nor the catalog it is rendered with, and the
-    anchor is looked up in that view."""
+def _subgraph(db: Database, selector: tuple, depth: int | None):
+    """The anchor's uid, the response's node uids, edge rows and
+    representative, plus the view they are read in.  Membership and the
+    view (store, seq and catalog) are captured under the commit lock, so a
+    concurrent writer can tear neither the component nor the catalog it is
+    rendered with, and the selector is matched in that view."""
     with db.commit_lock:
         view = ReadView(db.store, db.store.commit_seq, db.catalog)
-        if view.get_row(anchor_uid) is None:
-            raise _AnchorGone(anchor_uid)
+        rows = view.lookup_by_value(*selector)
+        if not rows:
+            raise _AnchorGone(selector)
+        anchor_uid = rows[0].uid
         component = db.graphs.component_of(anchor_uid)
         nodes = set(component.nodes)
         edges = set(component.edges)
         representative = component.representative
     if depth is None:
-        return nodes, [view.get_row(e) for e in edges], representative, view
+        return anchor_uid, nodes, [view.get_row(e) for e in edges], representative, view
     # breadth-first from the anchor, expanding each kept node once; an edge
     # is kept when both its ends are
     keep, frontier, rows = {anchor_uid}, [anchor_uid], {}
@@ -85,7 +87,7 @@ def _subgraph(db: Database, anchor_uid: int, depth: int | None):
         if not nxt:
             break
         frontier = nxt
-    return keep, list(rows.values()), representative, view
+    return anchor_uid, keep, list(rows.values()), representative, view
 
 
 def _json(value) -> str:
@@ -97,8 +99,10 @@ def _json(value) -> str:
     return json.dumps(val.http_value(value), ensure_ascii=False)
 
 
-def build_document(db: Database, anchor_uid: int, depth: int | None) -> dict:
-    nodes, edges, representative, view = _subgraph(db, anchor_uid, depth)
+def build_document(db: Database, selector: tuple, depth: int | None) -> dict:
+    """The component document of the first node that `selector`, a `(type
+    ids, column, value)` triple, matches in the document's snapshot."""
+    anchor_uid, nodes, edges, representative, view = _subgraph(db, selector, depth)
     catalog = view.catalog
     types: dict[int, tuple] = {}
 
@@ -204,15 +208,10 @@ class _Handler(BaseHTTPRequestHandler):
         closure = self.db.catalog.subtype_closure(desc.type_id)
         if all(self.db.catalog.effective_column(t, column) is None for t in closure):
             return 404, {"error": f"{desc.label} has no column {column}"}
-        view = self.db.read_view()
-        rows = view.lookup_by_value(closure, column, value)
-        missing = 404, {"error": f"no {desc.label} with {column}={value_text}"}
-        if not rows:
-            return missing
         try:
-            return 200, build_document(self.db, rows[0].uid, depth)
+            return 200, build_document(self.db, (closure, column, value), depth)
         except _AnchorGone:
-            return missing
+            return 404, {"error": f"no {desc.label} with {column}={value_text}"}
 
 
 def make_handler(db: Database):

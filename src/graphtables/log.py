@@ -1,11 +1,13 @@
 """Append-only commit log: length-prefixed binary records, one per commit.
 
 Record framing: 4-byte big-endian payload length, 4-byte CRC32 of the payload,
-then the JSON payload itself.  A record is self-contained: it carries the
-full serialized descriptors changed by the transaction plus the physical row
-deltas, so replay applies records without re-running validation.  A torn
-trailing record (incomplete frame or checksum mismatch) is skipped with a
-warning and reading stops there.
+then the JSON payload `{"seq", "schema", "rows", "next_uid"}`.  A record is
+self-contained: it carries the full descriptors the transaction changed and
+its physical row ops, `["del", uid]` or `["put", uid, type_id, {col: value}]`
+plus, for an edge, the `[leaving uid, arriving uid]` commit bound it to (null
+for a side with no node).  So replay re-runs no validation and looks up no
+endpoint.  A torn trailing record (incomplete frame or checksum mismatch) is
+skipped with a warning and reading stops there.
 """
 
 from __future__ import annotations
@@ -22,15 +24,18 @@ log = logging.getLogger("graphtables")
 _HEADER = struct.Struct(">II")
 
 
-def encode_record(seq: int, schema: list[dict], row_ops: list, next_uid: int) -> bytes:
-    """row_ops: [["put", uid, type_id, {col: value}] | ["del", uid]]"""
+def encode_record(seq: int, schema: list[dict], rows: dict, next_uid: int) -> bytes:
+    """`rows`: uid -> the committed row (its `type_id`, `values` and `ends`,
+    None for a node), or None for a deletion."""
     ops = []
-    for op in row_ops:
-        if op[0] == "put":
-            _tag, uid, tid, vals = op
-            ops.append(["put", uid, tid, {k: to_jsonable(v) for k, v in vals.items()}])
+    for uid in sorted(rows):
+        row = rows[uid]
+        if row is None:
+            ops.append(["del", uid])
         else:
-            ops.append(["del", op[1]])
+            ops.append(["put", uid, row.type_id,
+                        {k: to_jsonable(v) for k, v in row.values.items()}]
+                       + ([] if row.ends is None else [row.ends]))
     payload = json.dumps(
         {"seq": seq, "schema": schema, "rows": ops, "next_uid": next_uid},
         ensure_ascii=False, separators=(",", ":"),
@@ -39,11 +44,12 @@ def encode_record(seq: int, schema: list[dict], row_ops: list, next_uid: int) ->
 
 
 def decode_rows(payload: dict) -> list:
+    """[["put", uid, type_id, {col: value}, ends or None] | ["del", uid]]"""
     ops = []
     for op in payload["rows"]:
         if op[0] == "put":
-            _tag, uid, tid, vals = op
-            ops.append(["put", uid, tid, {k: from_jsonable(v) for k, v in vals.items()}])
+            ops.append(["put", op[1], op[2], {k: from_jsonable(v) for k, v in op[3].items()},
+                        tuple(op[4]) if len(op) > 4 else None])
         else:
             ops.append(["del", op[1]])
     return ops

@@ -406,18 +406,23 @@ class _Parser:
         self.expect_kw("RETURN")
         items = []
         while True:
-            start = self.peek()
+            start = self.pos
             expr = self.parse_expr()
             items.append((self._header_for(expr, start), expr))
             if not self.accept(","):
                 break
         return ReturnStatement(tuple(items))
 
-    def _header_for(self, expr, start_tok: Token) -> str:
+    def _header_for(self, expr, start: int) -> str:
+        """A reference's column name, else the item's text, strings and quoted names as written."""
         if isinstance(expr, Ref):
             return expr.path[-1]
-        end = self.peek().start
-        return self.text[start_tok.start:end].strip().upper()
+        parts, at = [], self.tokens[start].start
+        for tok in self.tokens[start:self.pos]:
+            parts.append(self.text[at:tok.start])
+            parts.append(tok.text if tok.type == "string" or tok.exact else tok.text.upper())
+            at = tok.end
+        return "".join(parts)
 
     def parse_ref(self) -> Ref:
         path = [self.expect_ident().value]

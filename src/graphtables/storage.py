@@ -12,15 +12,15 @@ aborts if another commit changed the schema since it began to.
 Edge rows carry their endpoints' uids (`Row.ends`) from the moment they are
 staged: CREATE passes the matched nodes, and an inserted row or a `SET
 e.LEAVING/ARRIVING` retarget dereferences the key value once, at staging
-time.  The LEAVING/ARRIVING columns keep the endpoints' key values, which the
-log records and replay dereferences; `ReadView.value` derives them from the
-endpoint's current key, and one pass at commit writes that value into every
-staged edge.  A node whose key changes gets its committed edges staged for
-that pass, so a rekey never rebinds an edge.  `leaving_at`/`arriving_at` map
-a node uid to every edge that ever touched it; like the value index they
-never shrink, because a reader at an older snapshot may still need an edge
-that has since been deleted or retargeted, and each reader re-checks the
-version it sees.
+time.  The log records both the ends and the LEAVING/ARRIVING columns, which
+keep the endpoints' key values; replay restores the ends as logged.
+`ReadView.value` derives the key values from the endpoint's current key, and
+one pass at commit writes that value into every staged edge.  A node whose
+key changes gets its committed edges staged for that pass, so a rekey never
+rebinds an edge.  `leaving_at`/`arriving_at` map a node uid to every edge
+that ever touched it; like the value index they never shrink, because a
+reader at an older snapshot may still need an edge that has since been
+deleted or retargeted, and each reader re-checks the version it sees.
 
 A transaction stages rows in a `Staging` dict (uid -> row, None for a
 deletion) whose one writer, `put`, keeps the staged uids of each type, a
@@ -46,7 +46,7 @@ from .errors import CommitError, ExecutionError, SchemaError, StorageError
 from .exprs import constraint_passes
 
 
-@dataclass
+@dataclass(slots=True)
 class Row:
     """One node, edge or staged record.  Absent keys in `values` are NULL;
     an edge's `ends` are its (leaving uid, arriving uid), a side None when
@@ -607,9 +607,10 @@ class Transaction:
             col = self.catalog.effective_column(desc.type_id, key[0])
             if col is not None and col.data_type == val.INTEGER:
                 staged_values[key[0]] = uid
+        row = Row(uid, desc.type_id, staged_values, ends)
         if desc.kind == cat.KIND_EDGE and ends is None:
-            ends = self._bind_ends(desc, staged_values, (None, None), (LEAVING, ARRIVING))
-        self.staged.put(uid, Row(uid, desc.type_id, staged_values, ends))
+            row.ends = self.post_view().resolve_endpoints(row)
+        self.staged.put(uid, row)
         return uid
 
     def update_row(self, uid: int, changes: dict) -> None:
@@ -625,23 +626,13 @@ class Transaction:
             else:
                 new_values[name] = v
         new_values = self._stage_check_values(desc, new_values)
-        ends = row.ends
+        new = Row(uid, row.type_id, new_values, row.ends)
         if desc.kind == cat.KIND_EDGE and (LEAVING in changes or ARRIVING in changes):
-            ends = self._bind_ends(desc, new_values, ends, changes)
-        self.staged.put(uid, Row(uid, row.type_id, new_values, ends))
-
-    def _bind_ends(self, desc: cat.TypeDescriptor, values: dict, ends: tuple,
-                   sides) -> tuple:
-        """`ends` with each side among `sides` bound to the node whose key is
-        that side's value in `values` now (None if no node holds it)."""
-        post = self.post_view()
-        out = list(ends)
-        for i, (side, endpoint_tid) in enumerate(((LEAVING, desc.leaving_type),
-                                                  (ARRIVING, desc.arriving_type))):
-            if side in sides:
-                node = post.deref_node(endpoint_tid, values.get(side))
-                out[i] = node.uid if node is not None else None
-        return tuple(out)
+            # a retarget binds the changed sides to the nodes their keys name now
+            found = self.post_view().resolve_endpoints(new)
+            new.ends = tuple(bound if side in changes else end
+                             for side, bound, end in zip((LEAVING, ARRIVING), found, row.ends))
+        self.staged.put(uid, new)
 
     def delete_row(self, uid: int, cascade: bool = False) -> None:
         self._check_open()
@@ -725,15 +716,8 @@ class Transaction:
 
         seq = self.db.store.commit_seq + 1
         schema = [catalog.descriptor_to_dict(catalog.get(tid)) for tid in sorted(changed)]
-        row_ops = []
-        for uid in sorted(self.staged):
-            row = self.staged[uid]
-            if row is None:
-                row_ops.append(["del", uid])
-            else:
-                row_ops.append(["put", uid, row.type_id, row.values])
         next_uid = self.db.peek_uid()
-        self.db.append_log_record(logmod.encode_record(seq, schema, row_ops, next_uid))
+        self.db.append_log_record(logmod.encode_record(seq, schema, self.staged, next_uid))
 
         delta = self._graph_delta(edge_tids)
         self.db.store.apply(seq, self.staged)

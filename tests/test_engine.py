@@ -1,14 +1,18 @@
 """Database lifecycle: session transaction statements, commit-log replay,
 torn-tail tolerance, and state digests."""
 
+import json
 import os
 import struct
+import zlib
 
 import pytest
 
 from graphtables import values
 from graphtables.engine import Database, render_row
 from graphtables.errors import CommitError, ExecutionError, GraphTablesError, StorageError
+from graphtables.log import read_records
+from graphtables.storage import ReadView
 
 from conftest import FAMILY_CREATE, names
 
@@ -199,6 +203,72 @@ def test_reopen_after_key_change_relinks_edges(tmp_path):
     assert names(db2.execute(DESCENDANTS)) == {
         "Fred Smith", "Mary Smith", "Lee Smith", "Bill Smith"}
     db2.close()
+
+
+def adjacency(db):
+    """Every committed node's (edge uid, leaving, arriving) in both directions."""
+    view = db.read_view()
+    return {node.uid: [[(row.uid, tail, head) for row, tail, head in
+                        view.edges_adjacent(node.uid, direction)]
+                       for direction in ("leaving", "arriving")]
+            for desc in db.catalog.types("node")
+            for node in view.scan_type(desc.type_id, subtypes=False)}
+
+
+def test_replay_restores_logged_ends_through_rekeys_retargets_and_cascades(tmp_path):
+    path = tmp_path / "ends.db"
+    db = Database(path)
+    db.execute(FAMILY_CREATE)
+    db.execute("ALTER TABLE Person ADD PRIMARY KEY (Name)")
+    db.execute("MATCH (x:Person {Name: 'Lee Smith'}) SET x.Name = 'Lee Jones'")
+    db.execute("MATCH (:Person {Name: 'Mary Smith'})-[e:Child]->(:Person {Name: 'Bill Smith'}) "
+               "SET e.LEAVING = 'Peter Smith'")
+    db.execute("MATCH (x:Person {Name: 'Mary Smith'}) DELETE x CASCADE")
+    db.execute("CREATE (:Person {Name: 'Mary Smith'})-[:Child]->(:Person {Name: 'Lee Smith'})")
+    before = (db.state_hash(), adjacency(db), db.execute("SHOW GRAPHS").rows)
+    assert before[1][2] == [[(6, 2, 1), (9, 2, 5)], []]  # Peter leaves both survivors
+    db.close()
+
+    db2 = Database(path)
+    assert (db2.state_hash(), adjacency(db2), db2.execute("SHOW GRAPHS").rows) == before
+    db2.close()
+
+
+def test_replay_looks_up_no_endpoint(tmp_path, monkeypatch):
+    path = tmp_path / "guard.db"
+    db = Database(path)
+    db.execute(FAMILY_CREATE)
+    db.execute("ALTER TABLE Person ADD PRIMARY KEY (Name)")
+    before = db.state_hash()
+    db.close()
+
+    def refuse(*args):
+        raise AssertionError("replay looked an endpoint up by key")
+    monkeypatch.setattr(ReadView, "resolve_endpoints", refuse)
+    monkeypatch.setattr(ReadView, "lookup_by_value", refuse)
+    db2 = Database(path)
+    assert db2.state_hash() == before
+    db2.close()
+
+
+def test_edge_put_without_ends_is_refused_on_open(tmp_path):
+    path = tmp_path / "old.db"
+    db = Database(path)
+    db.execute("CREATE (:P {N: 1})-[:S]->(:P {N: 2})")
+    db.close()
+    with open(path, "rb") as fh:
+        payloads = list(read_records(fh))
+    ((seq, edge),) = [(p["seq"], op) for p in payloads for op in p["rows"] if len(op) == 5]
+    del edge[4]  # as a record written before puts carried endpoint uids
+    frames = b""
+    for payload in payloads:
+        data = json.dumps(payload).encode("utf-8")
+        frames += struct.pack(">II", len(data), zlib.crc32(data)) + data
+    path.write_bytes(frames)
+
+    with pytest.raises(StorageError, match=f"record {seq} puts edge {edge[1]} without its "
+                                           "endpoint uids"):
+        Database(path)
 
 
 def test_file_and_memory_builds_hash_alike(tmp_path):

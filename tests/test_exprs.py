@@ -38,8 +38,10 @@ def test_three_valued_logic(text, expected):
 
 def test_bare_return_evaluates_once_and_names_columns_by_source_text():
     table = Database().execute("RETURN 1 + 2, 'x'")
-    assert table.columns[0] == "1 + 2"
+    assert table.columns == ["1 + 2", "'x'"]
     assert table.rows == [[3, "x"]]
+    # keywords fold to upper case, literal contents keep theirs
+    assert Database().execute("RETURN 'a' is null").columns == ["'a' IS NULL"]
 
 
 def test_where_with_no_true_side_of_or_keeps_no_row():

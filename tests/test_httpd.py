@@ -77,9 +77,15 @@ def fetch(port, path):
     return status, json.loads(body.decode("utf-8"))
 
 
+def by_id(db, uid):
+    """The selector of the node whose automatic ID key, which every node
+    type here has, is `uid`."""
+    return [d.type_id for d in db.catalog.types("node")], "ID", uid
+
+
 def document(db, anchor_uid, depth):
     """`build_document` with each node's and edge's JSON text decoded."""
-    doc = build_document(db, anchor_uid, depth)
+    doc = build_document(db, by_id(db, anchor_uid), depth)
     return {**doc, "nodes": [json.loads(text) for text in doc["nodes"]],
             "edges": [json.loads(text) for text in doc["edges"]]}
 
@@ -233,6 +239,18 @@ def test_anchor_deleted_before_its_document_is_read_answers_404(served_mutable):
     assert "no PERSON with" in doc["error"]
 
 
+def test_selector_is_matched_in_the_document_snapshot(served_mutable):
+    family, port = served_mutable
+    family.commit_lock = _CommitAtLock(
+        family, "MATCH (p:Person {Name: 'Peter Smith'}) SET p.Name = 'Pete Smith'", before=True)
+    status, doc = fetch(port, anchor_path())
+    assert family.commit_lock.statement is None  # the rename committed meanwhile
+    assert status == 404
+    assert "no PERSON with" in doc["error"]
+    status, doc = fetch(port, anchor_path(selector="NAME='Pete Smith'"))
+    assert (status, doc["anchor"]) == (200, 2)
+
+
 @pytest.mark.parametrize("depth", [None, 1])
 def test_document_node_count_is_the_served_node_count(served, depth):
     # perfbench's tracer counts the nodes of a request as this length
@@ -240,7 +258,7 @@ def test_document_node_count_is_the_served_node_count(served, depth):
     query = "?NODE" if depth is None else f"?NODE&depth={depth}"
     status, doc = fetch(port, anchor_path(query=query))
     assert status == 200
-    assert len(build_document(family, 2, depth)["nodes"]) == len(doc["nodes"])
+    assert len(build_document(family, by_id(family, 2), depth)["nodes"]) == len(doc["nodes"])
 
 def oracle_neighborhood(g, anchor, depth):
     """Node uids within `depth` hops of `anchor`, edge direction ignored
