@@ -12,6 +12,10 @@ terminate on cyclic data); the default rule refuses to reuse an edge within
 one quantified expansion, which bounds every walk by the edge count.  A map
 from each walked uid to its trace positions makes these checks O(1) per hop.
 
+Each node's adjacency is read once per statement; a quantifier followed by a
+node with a constant doc entry leaves only on rows one index lookup found;
+SHORTEST skips hops past its best binding so far; ANY stops at its first.
+
 Completed bindings are filtered by WHERE, deduplicated on the statement's
 identifiers, narrowed by SHORTEST/ANY if requested, and finally projected,
 returned as a table, or fed to the dependent statements.
@@ -89,7 +93,9 @@ def _canon(v):
 #   (_HOP, edge pattern, follow pattern, edge type ids or None, the side of
 #    the current node, "leaving" or "arriving")
 #   (_QUANT, path pattern, follow pattern, inner steps, inner first pattern,
-#    inner names)
+#    inner names, the uids the follow pattern's constant doc entry allows or
+#    None)
+# A pattern in a hop or an inner first pattern that checks nothing is None.
 #   (_ITER_END,) closes one quantifier iteration; (_ITEM_END, item index)
 # The first three choose among candidates, so they get frames.  A frame is a
 # list, cheaper to build than an object: [alts, added, undo, steps, k, ctx,
@@ -102,6 +108,15 @@ def _canon(v):
 _START, _HOP, _QUANT, _ITER_END, _ITEM_END = range(5)
 _UNDO = 2
 _STOP, _AGAIN = "stop", "again"   # the candidates of a quantifier frame
+
+
+def _checked(pattern):
+    """`pattern`, or None when unifying a row with it checks and binds
+    nothing (an edge's labels already chose the edge type ids it is read from)."""
+    if pattern.alias is None and not pattern.doc and pattern.where is None and \
+            not (pattern.labels and isinstance(pattern, NodePattern)):
+        return None
+    return pattern
 
 
 class _Matcher:
@@ -121,7 +136,10 @@ class _Matcher:
         self.rep_mode: str | None = None
         self.edge_count = 0
         self.emissions: list[list] = []  # [bindings dict, edge count]
+        self.sel = stmt.items[0].sel_mode if stmt.items else None
+        self.bound = float("inf")        # SHORTEST: fewest edges of a binding so far
         self._tid_memo: dict[tuple, tuple[int, ...]] = {}
+        self._hops: dict[tuple, list] = {}  # (node uid, side, edge type ids) -> _adjacent
         self.items = [self._compile(item.chain, [(_START, item.chain[0])], (_ITEM_END, i))
                       for i, item in enumerate(stmt.items)]
 
@@ -131,11 +149,14 @@ class _Matcher:
             if isinstance(conn, EdgePattern):
                 etids = self._tids(conn.labels, cat.KIND_EDGE) if conn.labels else None
                 side = "leaving" if conn.direction == "out" else "arriving"
-                steps.append((_HOP, conn, follow, etids, side))
+                steps.append((_HOP, _checked(conn), _checked(follow), etids, side))
             else:
                 inner = conn.chain
+                # nothing is bound yet, so a constant doc entry is an index lookup
+                keyed = any(constant(e, self.params) is not None for _n, e in follow.doc or ())
                 steps.append((_QUANT, conn, follow, self._compile(inner, [], (_ITER_END,)),
-                              inner[0], chain_names(inner)))
+                              _checked(inner[0]), chain_names(inner),
+                              {r.uid for r in self._node_candidates(follow)} if keyed else None))
         steps.append(tail)
         return steps
 
@@ -155,7 +176,7 @@ class _Matcher:
         if dependent is not None or self.stmt.then_block:
             self._run_effects(dependent, kept)
             return None
-        return ResultTable(columns, [[b.get(c) for c in columns] for b, _ in kept])
+        return ResultTable(columns, [[b.get(c) for c in columns] for b in kept])
 
     def _search(self) -> None:
         """Each round undoes the top frame's current candidate, then takes
@@ -174,10 +195,17 @@ class _Matcher:
             kind = step[0]
             if undo is not None:
                 if kind == _HOP:
-                    self._pop(2)
+                    seen = self.seen
+                    for uid in (self.trace.pop(), self.trace.pop()):
+                        at = seen[uid]
+                        at.pop()
+                        if not at:
+                            del seen[uid]
                     self.edge_count -= 1
                 elif kind == _START:
-                    self._pop(1)
+                    # every deeper frame is undone, so the start is all there is
+                    self.trace.pop()
+                    self.seen.clear()
                 else:
                     self.marks.append(undo)
                 f[_UNDO] = None
@@ -196,25 +224,34 @@ class _Matcher:
                         loop[1][a].pop()
                     bindings.update(on_leave)
             elif kind == _HOP:
-                erow, luid, auid = alt
-                tuid = auid if step[4] == "leaving" else luid
-                if not self._hop_allowed(erow.uid, tuid):
+                if self.edge_count >= self.bound:
+                    stack.pop()   # SHORTEST has a binding with no more edges
                     continue
-                trow = self.view.get_row(tuid)
-                if trow is None:
+                erow, tuid, trow = alt
+                euid = erow.uid
+                if not self._hop_allowed(euid, tuid):
                     continue
-                self._push(erow.uid, tuid)
+                trace, seen = self.trace, self.seen
+                seen.setdefault(euid, []).append(len(trace))
+                seen.setdefault(tuid, []).append(len(trace) + 1)
+                trace += euid, tuid
                 self.edge_count += 1
                 f[_UNDO] = True
-                if self._unify(step[1], erow, added) and self._unify(step[2], trow, added):
+                epat, npat = step[1], step[2]
+                if (epat is None or self._unify(epat, erow, added)) and \
+                        (npat is None or self._unify(npat, trow, added)):
                     self._enter(stack, steps, k + 1, ctx, trow)
             elif kind == _START:
-                self._push(alt.uid)
+                self.trace.append(alt.uid)
+                self.seen[alt.uid] = [0]
                 f[_UNDO] = True
                 if self._unify(step[1], alt, added):
                     self._enter(stack, steps, 1, None, alt)
             elif alt is _STOP:
-                # leave the quantifier: bind the accumulated arrays and go on
+                # leave the quantifier, if the follow pattern's keyed rows
+                # allow: bind the accumulated arrays and go on
+                if step[6] is not None and crow.uid not in step[6]:
+                    continue
                 f[_UNDO] = self.marks.pop()
                 names, arrays = loop
                 for a in names:
@@ -222,7 +259,7 @@ class _Matcher:
                     added.append(a)
                 if self._unify(step[2], crow, added):
                     self._enter(stack, steps, k + 1, ctx, crow)
-            elif self._unify(step[4], crow, added):
+            elif step[4] is None or self._unify(step[4], crow, added):
                 self._enter(stack, step[3], 0, (steps, k, ctx, loop, count, len(self.trace)), crow)
 
     def _enter(self, stack: list, steps: list, k: int, ctx, crow: Row) -> None:
@@ -231,9 +268,12 @@ class _Matcher:
         kind = step[0]
         if kind == _HOP:
             etids = step[3]
-            if etids is None or etids:
-                alts = iter(self.view.edges_adjacent(crow.uid, step[4], etids))
-                stack.append([alts, [], None, steps, k, ctx, crow, None, None, 0])
+            if (etids is None or etids) and self.edge_count < self.bound:
+                key = (crow.uid, step[4], etids)
+                hops = self._hops.get(key)
+                if hops is None:
+                    hops = self._hops[key] = self._adjacent(*key)
+                stack.append([iter(hops), [], None, steps, k, ctx, crow, None, None, 0])
         elif kind == _QUANT:
             names = [n for n in step[5] if n not in self.bindings]
             self.marks.append(len(self.trace))
@@ -269,6 +309,8 @@ class _Matcher:
     def _next_item(self, stack: list, i: int, p_added: list[str]) -> None:
         if i == len(self.stmt.items):
             self._emit()
+            if self.sel == "ANY" and self.emissions:
+                stack.clear()   # ANY keeps the first binding
             for a in p_added:
                 del self.bindings[a]
             return
@@ -284,21 +326,22 @@ class _Matcher:
                 not eval_predicate(self.stmt.where, self._resolve, self.params):
             return
         self.emissions.append([dict(self.bindings), self.edge_count])
+        if self.sel == "SHORTEST":
+            # hops stop here, so no walk longer than a binding is walked
+            self.bound = self.edge_count
+
+    def _adjacent(self, uid: int, side: str, etids) -> list[tuple]:
+        """[(edge row, target uid, target row)] of the visible targets one hop
+        from node `uid`; staging cannot change while the search runs."""
+        out = []
+        for erow, luid, auid in self.view.edges_adjacent(uid, side, etids):
+            tuid = auid if side == "leaving" else luid
+            trow = self.view.get_row(tuid)
+            if trow is not None:
+                out.append((erow, tuid, trow))
+        return out
 
     # --- the trace and repetition checks ---
-
-    def _push(self, *uids: int) -> None:
-        for uid in uids:
-            self.seen.setdefault(uid, []).append(len(self.trace))
-            self.trace.append(uid)
-
-    def _pop(self, n: int) -> None:
-        for _ in range(n):
-            uid = self.trace.pop()
-            at = self.seen[uid]
-            at.pop()
-            if not at:
-                del self.seen[uid]
 
     def _hop_allowed(self, euid: int, tuid: int) -> bool:
         seen, mode = self.seen, self.rep_mode
@@ -384,37 +427,37 @@ class _Matcher:
 
     # --- results ---
 
-    def _dedup_and_select(self, columns):
+    def _dedup_and_select(self, columns) -> list[dict]:
+        """One binding per key, in the order of its first emission (ANY emits
+        once); SHORTEST keeps the keys of fewest edges, in the order of their
+        first walk that short."""
         seen: dict[tuple, list] = {}
-        order: list[list] = []
-        for b, edges in self.emissions:
+        order: list[list] = []   # [bindings, fewest edges, index of that emission]
+        for i, (b, edges) in enumerate(self.emissions):
             key = tuple(_canon(b.get(c)) for c in columns)
             rec = seen.get(key)
             if rec is None:
-                rec = [b, edges]
+                rec = [b, edges, i]
                 seen[key] = rec
                 order.append(rec)
             elif edges < rec[1]:
-                rec[1] = edges
-        sel = self.stmt.items[0].sel_mode if self.stmt.items else None
-        if sel == "SHORTEST" and order:
+                rec[:] = b, edges, i
+        if self.sel == "SHORTEST" and order:
             best = min(rec[1] for rec in order)
-            order = [rec for rec in order if rec[1] == best]
-        elif sel == "ANY" and order:
-            order = order[:1]
-        return order
+            order = sorted((rec for rec in order if rec[1] == best), key=lambda rec: rec[2])
+        return [rec[0] for rec in order]
 
     def _project(self, ret: ReturnStatement, kept) -> ResultTable:
         headers = [header for header, _ in ret.items]
         rows = []
-        for b, _edges in kept:
+        for b in kept:
             resolve = self.view.resolver(b)
             rows.append([eval_expr(expr, resolve, self.params) for _h, expr in ret.items])
         return ResultTable(headers, rows)
 
     def _run_effects(self, dependent, kept) -> None:
         from . import executor
-        for b, _edges in kept:
+        for b in kept:
             scope = dict(b)
             if dependent is not None and not isinstance(dependent, ReturnStatement):
                 executor.run_statement(self.tx, dependent, self.params, scope)
