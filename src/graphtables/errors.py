@@ -38,9 +38,10 @@ class StorageError(GraphTablesError):
 
 
 class CommitError(GraphTablesError):
-    """Commit-time validation failure.  `rule` is one of 'conflict' (the
-    schema changed under a transaction that changed it too), 'type', 'key',
-    'reference', 'multiplicity', 'constraint'."""
+    """Commit-time validation failure.  `rule` is one of 'conflict' (a commit
+    since this transaction began changed a row it wrote or the schema it
+    changed too: first committer wins), 'type', 'key', 'reference',
+    'multiplicity', 'constraint'."""
 
     def __init__(self, rule: str, type_label: str, message: str, uids: tuple[int, ...] = ()):
         detail = f"{rule} violation on {type_label}: {message}"

@@ -2,8 +2,9 @@
 
 Maintained incrementally from commit deltas.  The registry holds membership
 only: node and edge uids per component, named by its smallest member uid.
-Edge endpoints live in the store (`Row.ends`); a delta passes an added or
-removed edge with its ends, and edge removal dissolves every touched
+Edge endpoints live in the store (`Row.ends`); a commit passes each uid it
+wrote with its row before and after, and the registry tells nodes from edges
+and added from removed itself.  Edge removal dissolves every touched
 component and rebuilds it from the surviving members, reading each surviving
 edge's ends from the store's latest version.  That keeps the update code
 short at the cost of some rework on deletes.
@@ -75,30 +76,32 @@ class GraphSet:
             a.representative = b.representative
             self._components[b.representative] = a
 
-    def apply_delta(self, added_nodes, added_edges, removed_nodes, removed_edges) -> None:
-        """Follow one commit, after the store has published it.  Edges come
-        as (uid, leaving uid, arriving uid): added ones with their new ends,
-        removed or retargeted ones with the ends they had before."""
-        removed_node_set = set(removed_nodes)
-        removed_edge_set = {e for e, _, _ in removed_edges}
-        if removed_node_set or removed_edge_set:
-            touched: list[GraphComponent] = []
-            seen: set[int] = set()
-            for uid in [*removed_node_set, *(end for edge in removed_edges for end in edge[1:])]:
-                comp = self._comp_of.get(uid)
-                if comp is not None and comp.representative not in seen:
-                    seen.add(comp.representative)
-                    touched.append(comp)
+    def apply_delta(self, changes) -> None:
+        """Follow one commit, after the store has published it.  `changes`
+        holds (uid, row before, row after) per written uid, None where a
+        row is absent; a row with `ends` is an edge."""
+        moved = [(uid, before, after) for uid, before, after in changes
+                 if before is None or after is None or before.ends != after.ends]
+        gone = {uid: before.ends for uid, before, _ in moved if before is not None}
+        if gone:
+            touched: dict[int, GraphComponent] = {}
+            for uid, ends in gone.items():
+                # an edge lies in the component of either of its ends
+                comp = self._comp_of.get(uid if ends is None else ends[0])
+                if comp is not None:
+                    touched[comp.representative] = comp
             latest = self.store.latest
-            for comp in touched:
+            for comp in touched.values():
                 del self._components[comp.representative]
                 for uid in comp.nodes:
                     del self._comp_of[uid]
-                for uid in comp.nodes - removed_node_set:
+                for uid in comp.nodes - gone.keys():
                     self.add_node(uid)
-                for edge_uid in comp.edges - removed_edge_set:
+                for edge_uid in comp.edges - gone.keys():
                     self.add_edge(edge_uid, *latest(edge_uid).ends)
-        for uid in added_nodes:
-            self.add_node(uid)
-        for edge_uid, leaving, arriving in added_edges:
-            self.add_edge(edge_uid, leaving, arriving)
+        for uid, _, after in moved:
+            if after is not None and after.ends is None:
+                self.add_node(uid)
+        for uid, _, after in moved:
+            if after is not None and after.ends is not None:
+                self.add_edge(uid, *after.ends)

@@ -3,11 +3,13 @@
 One logical base table per node/edge type.  Rows are version-stamped with the
 commit sequence numbers they became visible/invisible at, which is what gives
 readers snapshot isolation under the single-writer model.  A transaction
-stages row and schema changes privately; commit validates the post state in a
-fixed order (column types and keys, then references, then multiplicity, then
-constraints), appends one self-contained log record, and only then publishes.
-A transaction that changed the schema publishes its whole catalog, so it
-aborts if another commit changed the schema since it began to.
+stages row and schema changes privately.  Commit runs fixed rules in order:
+conflicts (first committer wins: the schema, if it changed, and each row the
+statements staged must be as they were at the snapshot), the rekey cascade,
+delete restrict or cascade, the reference write, then the checks of column
+types, keys, references, multiplicity and constraints over the post state.
+It then appends one self-contained log record, and only then publishes.
+That is snapshot isolation, which still allows write skew.
 
 Edge rows carry their endpoints' uids (`Row.ends`) from the moment they are
 staged: CREATE passes the matched nodes, and an inserted row or a `SET
@@ -111,6 +113,11 @@ class Store:
         if versions and versions[-1].end is None:
             return versions[-1].row
         return None
+
+    def newest(self, uid: int) -> _Version | None:
+        """The last version of `uid`, open or ended."""
+        versions = self._versions.get(uid)
+        return versions[-1] if versions else None
 
     def scan_committed(self, type_id: int, snapshot: int):
         for uid in list(self._by_type.get(type_id, ())):
@@ -405,17 +412,6 @@ def make_columns(columns) -> list[ColumnDescriptor]:
     return out
 
 
-def _with_references(view: ReadView, row: Row) -> Row:
-    """The edge `row` with LEAVING/ARRIVING set to its endpoints' keys in
-    `view` (left as they are on a side with no endpoint there)."""
-    values = dict(row.values)
-    for column in (LEAVING, ARRIVING):
-        v = view.value(row, column)
-        if v is not None:
-            values[column] = v
-    return Row(row.uid, row.type_id, values, row.ends)
-
-
 class Transaction:
     """Stages schema and row changes against a snapshot; commit validates
     and publishes them atomically."""
@@ -656,160 +652,187 @@ class Transaction:
         self._check_open()
         self.status = "rolled-back"
 
-    # --- commit pipeline ---
+    # --- commit ---
 
     def commit(self) -> None:
         self._check_open()
-        changed = self._schema_changes()
-        if not changed:
-            self._catalog = None  # an unchanged schema has nothing to publish
-        if self.staged or changed:
+        if self.staged or self._catalog is not None:
+            self.staged.journal = None  # commit's own writes are never undone
             with self.db.commit_lock:
                 try:
-                    self._commit_locked(changed)
+                    _Commit(self).run()
                 except Exception:
                     self.status = "aborted"
                     raise
         self.status = "committed"
 
-    def _schema_changes(self) -> dict[int, cat.TypeDescriptor | None]:
-        """Type id -> published descriptor (None for a new type) of every
-        type whose descriptor this transaction's catalog changed."""
-        if self._catalog is None:
-            return {}
-        base = {d.type_id: d for d in self._catalog_base.types()}
-        return {d.type_id: base.get(d.type_id) for d in self._catalog.types()
-                if d != base.get(d.type_id)}
 
-    def _commit_locked(self, changed: dict[int, cat.TypeDescriptor | None]) -> None:
-        if self._catalog is not None and self.db.catalog is not self._catalog_base:
+class _Commit:
+    """One transaction's commit under `commit_lock`: the facts its rules
+    share, found once, and the rules in their fixed order.  A rule either
+    stages more rows or raises CommitError; `publish` logs and applies."""
+
+    def __init__(self, tx: Transaction):
+        self.tx = tx
+        self.store = tx.db.store
+        self.staged = tx.staged
+        # type id -> published descriptor (None for a new type) of every
+        # type whose descriptor this transaction's catalog changed
+        self.changed: dict[int, cat.TypeDescriptor | None] = {}
+        if tx._catalog is not None:
+            base = {d.type_id: d for d in tx._catalog_base.types()}
+            self.changed = {d.type_id: base.get(d.type_id) for d in tx._catalog.types()
+                            if d != base.get(d.type_id)}
+            if not self.changed:
+                tx._catalog = None  # an unchanged schema has nothing to publish
+        self.catalog = catalog = tx.catalog
+        self.post = tx.post_view()
+        self.node_tids = catalog.type_ids(cat.KIND_NODE)
+        self.edge_tids = catalog.type_ids(cat.KIND_EDGE)
+        # types whose rows are all checked again, not only the staged ones
+        self.rekeyed, self.full_type, self.full_mult, self.full_constraint = (
+            set(), set(), set(), set())
+        for tid, old in self.changed.items():
+            desc = catalog.get(tid)
+            if old is not None and desc.primary_key != old.primary_key:
+                self.rekeyed.add(tid)
+            if tid in self.rekeyed or (old and any(c not in desc.columns for c in old.columns)):
+                self.full_type.add(tid)
+            if desc.multiplicity != (old.multiplicity if old else None):
+                self.full_mult.add(tid)
+            if desc.constraints != (old.constraints if old else []):
+                self.full_constraint.add(tid)
+        # (uid, committed row or None, staged row or None), uid ascending,
+        # once `write_references` has made the staging final
+        self.changes: list[tuple[int, Row | None, Row | None]] = []
+
+    def run(self) -> None:
+        if not self.staged and not self.changed:
+            return
+        for rule in (self.conflicts, self.rekey_cascade, self.delete_cascade,
+                     self.write_references, self.check_types, self.check_keys,
+                     self.check_references, self.check_multiplicity, self.check_constraints):
+            rule()
+        self.publish()
+
+    def _incident(self, uid: int) -> dict[int, Row]:
+        """The edges at node `uid` in the post state, by uid."""
+        return {erow.uid: erow for direction in ("leaving", "arriving")
+                for erow, _, _ in self.post.edges_adjacent(uid, direction)}
+
+    def _rows_to_check(self, full: set[int]):
+        """The staged rows, then every row of the `full` types."""
+        for _, _, row in self.changes:
+            if row is not None:
+                yield row
+        for tid in sorted(full):
+            yield from self.post.scan_type(tid, subtypes=True)
+
+    # rules that raise or enlarge the staging
+
+    def conflicts(self) -> None:
+        """First committer wins, for the schema and for each row the
+        statements staged.  The rows that commit stages itself are derived
+        from the latest state, under the lock, so they never conflict."""
+        tx = self.tx
+        if tx._catalog is not None and tx.db.catalog is not tx._catalog_base:
             # publishing this catalog would revert the other commit's schema
             raise CommitError("conflict", "catalog", "another transaction changed "
                               "the schema after this one began changing it")
-        catalog = self.catalog
-        node_tids = catalog.type_ids(cat.KIND_NODE)
-        edge_tids = catalog.type_ids(cat.KIND_EDGE)
-        # types whose rows are all checked again, not only the staged ones
-        rekeyed, full_mult, full_constraint = set(), set(), set()
-        for tid, old in changed.items():
-            desc = catalog.get(tid)
-            if old is not None and desc.primary_key != old.primary_key:
-                rekeyed.add(tid)
-            if desc.multiplicity != (old.multiplicity if old else None):
-                full_mult.add(tid)
-            if desc.constraints != (old.constraints if old else []):
-                full_constraint.add(tid)
+        for uid in self.staged:
+            version = self.store.newest(uid)
+            if version is not None and max(version.begin, version.end or 0) > tx.snapshot:
+                raise CommitError("conflict", self.catalog.get(version.row.type_id).label,
+                                  f"row {uid} was changed by a commit after this "
+                                  "transaction began", (uid,))
 
-        self._stage_rekeyed_edges(catalog, node_tids, rekeyed)
-        post = self.post_view()
-        self._expand_deletes(post, catalog, node_tids)
-        # every staged edge takes its endpoints' keys
-        for uid, row in self.staged.items():
-            if row is not None and row.type_id in edge_tids:
-                self.staged.put(uid, _with_references(post, row))
-
-        self._validate_types(catalog)
-        self._validate_keys(post, catalog, rekeyed)
-        self._validate_references(post, catalog, edge_tids)
-        self._validate_multiplicity(post, catalog, edge_tids, full_mult)
-        self._validate_constraints(post, catalog, full_constraint)
-
-        seq = self.db.store.commit_seq + 1
-        schema = [catalog.descriptor_to_dict(catalog.get(tid)) for tid in sorted(changed)]
-        next_uid = self.db.peek_uid()
-        self.db.append_log_record(logmod.encode_record(seq, schema, self.staged, next_uid))
-
-        delta = self._graph_delta(edge_tids)
-        self.db.store.apply(seq, self.staged)
-        self.db.logged_next_uid = next_uid
-        if self._catalog is not None:
-            self.db.catalog = self._catalog
-        self.db.graphs.apply_delta(*delta)
-
-    # cascading effects that enlarge the staged set
-
-    def _stage_rekeyed_edges(self, catalog: Catalog, node_tids: set[int],
-                             rekeyed_types: set[int]) -> None:
+    def rekey_cascade(self) -> None:
         """Stage the committed edges of every node whose key value changes,
         and of every edge type whose endpoint got a new primary key, so
-        that commit rewrites their reference columns."""
-        store = self.db.store
-        committed = ReadView(store, store.commit_seq, catalog)
-        rekeyed = {t for tid in rekeyed_types for t in catalog.subtype_closure(tid)}
-        for edesc, _side in catalog.edge_types_referencing(rekeyed) if rekeyed else ():
-            for erow in committed.scan_type(edesc.type_id):
-                if erow.uid not in self.staged:
-                    self.staged.put(erow.uid, erow)
-        for uid, row in list(self.staged.items()):
-            if row is None or row.type_id not in node_tids:
-                continue
-            old = store.latest(uid)
-            key = catalog.effective_key(row.type_id)
-            if old is None or len(key) != 1 or old.values.get(key[0]) == row.values.get(key[0]):
-                continue
-            for direction in ("leaving", "arriving"):
-                for erow, _, _ in committed.edges_adjacent(uid, direction):
-                    if erow.uid not in self.staged:
-                        self.staged.put(erow.uid, erow)
+        that `write_references` rewrites their reference columns."""
+        edges = []
+        if self.rekeyed:
+            rekeyed = {t for tid in self.rekeyed for t in self.catalog.subtype_closure(tid)}
+            for edesc, _side in self.catalog.edge_types_referencing(rekeyed):
+                edges.extend(self.post.scan_type(edesc.type_id))
+        for uid, row in self.staged.items():
+            if row is not None and row.type_id in self.node_tids:
+                kcol, old = self.post.key_column(row.type_id), self.store.latest(uid)
+                if kcol and old is not None and old.values.get(kcol) != row.values.get(kcol):
+                    edges.extend(self._incident(uid).values())
+        for erow in edges:
+            if erow.uid not in self.staged:
+                self.staged.put(erow.uid, erow)
 
-    def _expand_deletes(self, post: ReadView, catalog: Catalog, node_tids: set[int]) -> None:
+    def delete_cascade(self) -> None:
         """Node deletion is restrict by default, cascade on request."""
         for uid, (type_id, cascade) in self.staged.deletes.items():
-            if type_id not in node_tids:
+            if type_id not in self.node_tids:
                 continue
-            incident = {erow.uid for direction in ("leaving", "arriving")
-                        for erow, _, _ in post.edges_adjacent(uid, direction)}
-            if not incident:
-                continue
-            if cascade:
-                for edge_uid in incident:
-                    self.staged.put(edge_uid, None)
-            else:
-                raise CommitError("reference", catalog.get(type_id).label,
+            incident = self._incident(uid)
+            if incident and not cascade:
+                raise CommitError("reference", self.catalog.get(type_id).label,
                                   f"node {uid} still has {len(incident)} incident edge(s); "
                                   "delete them first or use CASCADE", (uid,))
+            for edge_uid in incident:
+                self.staged.put(edge_uid, None)
 
-    # validation rules, in commit order
+    def write_references(self) -> None:
+        """Every staged edge takes its endpoints' keys in LEAVING/ARRIVING
+        (left as they are on a side with no endpoint).  The staging is
+        final from here on, so this also lists its changes."""
+        post, staged, latest = self.post, self.staged, self.store.latest
+        for uid, row in sorted(staged.items()):
+            if row is not None and row.type_id in self.edge_tids:
+                values = dict(row.values)
+                for column in (LEAVING, ARRIVING):
+                    v = post.value(row, column)
+                    if v is not None:
+                        values[column] = v
+                row = Row(uid, row.type_id, values, row.ends)
+                staged.put(uid, row)
+            self.changes.append((uid, latest(uid), row))
 
-    def _validate_types(self, catalog: Catalog) -> None:
-        for uid, row in sorted(self.staged.items()):
-            if row is None:
-                continue
+    # validation rules
+
+    def check_types(self) -> None:
+        """Staged rows, and every row of a type whose key or columns changed,
+        hold only declared, conforming values and a non-null key."""
+        catalog = self.catalog
+        for row in self._rows_to_check(self.full_type):
             desc = catalog.get(row.type_id)
             columns = {c.name: c for c in catalog.effective_columns(row.type_id)}
             for name, v in row.values.items():
                 col = columns.get(name)
                 if col is None:
                     raise CommitError("type", desc.label,
-                                      f"value for undeclared column {name}", (uid,))
+                                      f"value for undeclared column {name}", (row.uid,))
                 if not val.conforms(v, col.data_type):
                     raise CommitError("type", desc.label,
-                                      f"column {name} cannot hold {v!r}", (uid,))
-                if col.data_type == val.STRUCTURED:
-                    self._check_struct(catalog, desc, name, v, uid, col)
-            key = catalog.effective_key(row.type_id)
-            for kcol in key:
+                                      f"column {name} cannot hold {v!r}", (row.uid,))
+                if col.data_type != val.STRUCTURED:
+                    continue
+                if v.type_id != col.struct_type_id:
+                    raise CommitError("type", desc.label,
+                                      f"column {name} holds the wrong structured type", (row.uid,))
+                fields = {c.name: c for c in catalog.get(col.struct_type_id).columns}
+                for k, fv in v.values:
+                    fcol = fields.get(k)
+                    if fcol is None or (fv is not None and not val.conforms(fv, fcol.data_type)):
+                        raise CommitError("type", desc.label,
+                                          f"structured value field {k} is invalid", (row.uid,))
+            for kcol in catalog.effective_key(row.type_id):
                 if row.values.get(kcol) is None:
-                    raise CommitError("key", desc.label, f"key column {kcol} is null", (uid,))
+                    raise CommitError("key", desc.label, f"key column {kcol} is null", (row.uid,))
 
-    def _check_struct(self, catalog, desc, name, sv, uid, col) -> None:
-        if sv.type_id != col.struct_type_id:
-            raise CommitError("type", desc.label,
-                              f"column {name} holds the wrong structured type", (uid,))
-        plain = catalog.get(col.struct_type_id)
-        plain_cols = {c.name: c for c in plain.columns}
-        for k, v in sv.values:
-            pcol = plain_cols.get(k)
-            if pcol is None or (v is not None and not val.conforms(v, pcol.data_type)):
-                raise CommitError("type", desc.label,
-                                  f"structured value field {k} is invalid", (uid,))
-
-    def _validate_keys(self, post: ReadView, catalog: Catalog, rekeyed: set[int]) -> None:
+    def check_keys(self) -> None:
         """Key scopes, each a type that declares a primary or unique key with
         its subtypes, of every staged row's type and every rekeyed type hold
         unique keys.  A key value with a NULL in it conflicts with nothing."""
+        catalog, post = self.catalog, self.post
+        rows = [row for _, _, row in self.changes if row is not None]
         scopes: dict[tuple[int, tuple[str, ...]], None] = {}
-        for tid in sorted({r.type_id for r in self.staged.values() if r is not None} | rekeyed):
+        for tid in sorted({r.type_id for r in rows} | self.rekeyed):
             declarer = catalog.key_declarer(tid)
             if declarer is not None:
                 scopes[declarer.type_id, tuple(declarer.primary_key)] = None
@@ -817,8 +840,8 @@ class Transaction:
                 for key in catalog.get(ancestor).unique_keys:
                     scopes[ancestor, tuple(key)] = None
         for scope_tid, key in scopes:
-            closure = set(catalog.subtype_closure(scope_tid))
-            if scope_tid in rekeyed:
+            closure = catalog.subtype_closure(scope_tid)
+            if scope_tid in self.rekeyed:
                 seen: dict[tuple, int] = {}
                 for row in post.scan_type(scope_tid, subtypes=True):
                     kv = tuple(row.values.get(c) for c in key)
@@ -829,114 +852,87 @@ class Transaction:
                                           f"duplicate key {kv!r}", (seen[kv], row.uid))
                     seen[kv] = row.uid
                 continue
-            for uid, row in sorted(self.staged.items()):
-                if row is None or row.type_id not in closure:
+            for row in rows:
+                if row.type_id not in closure:
                     continue
                 kv = tuple(row.values.get(c) for c in key)
                 if None in kv:
                     continue
-                matches = post.lookup_by_value(sorted(closure), key[0], kv[0])
-                for other in matches:
-                    if other.uid == uid:
-                        continue
-                    if tuple(other.values.get(c) for c in key) == kv:
+                for other in post.lookup_by_value(closure, key[0], kv[0]):
+                    if other.uid != row.uid and tuple(other.values.get(c) for c in key) == kv:
                         raise CommitError("key", catalog.get(row.type_id).label,
-                                          f"duplicate key {kv!r}", (other.uid, uid))
+                                          f"duplicate key {kv!r}", (other.uid, row.uid))
 
-    def _validate_references(self, post: ReadView, catalog: Catalog,
-                             edge_tids: set[int]) -> None:
-        for uid, row in sorted(self.staged.items()):
-            if row is None or row.type_id not in edge_tids:
+    def check_references(self) -> None:
+        catalog = self.catalog
+        for uid, _, row in self.changes:
+            if row is None or row.type_id not in self.edge_tids:
                 continue
             desc = catalog.get(row.type_id)
             for side, end, endpoint_tid in ((LEAVING, row.ends[0], desc.leaving_type),
                                             (ARRIVING, row.ends[1], desc.arriving_type)):
-                node = None if end is None else post.get_row(end)
+                node = None if end is None else self.post.get_row(end)
                 if node is None or node.type_id not in catalog.subtype_closure(endpoint_tid):
                     raise CommitError("reference", desc.label,
                                       f"{side} value {row.values.get(side)!r} matches no "
                                       f"{catalog.get(endpoint_tid).label} row", (uid,))
 
-    def _validate_multiplicity(self, post: ReadView, catalog: Catalog,
-                               edge_tids: set[int], full_mult: set[int]) -> None:
-        constrained = [d for d in map(catalog.get, edge_tids)
+    def check_multiplicity(self) -> None:
+        catalog, post = self.catalog, self.post
+        constrained = [d for d in map(catalog.get, sorted(self.edge_tids))
                        if d.multiplicity is not None and not d.multiplicity.is_default()]
         if not constrained:
             return
-        constrained.sort(key=lambda d: d.type_id)
         affected: set[int] = set()
-        for uid, row in self.staged.items():
+        for uid, before, row in self.changes:
             # a deleted or retargeted edge leaves its former endpoints
-            prior = self.db.store.latest(uid)
-            if prior is not None and prior.ends is not None:
-                affected.update(prior.ends)
+            if before is not None and before.ends is not None:
+                affected.update(before.ends)
             if row is not None:
-                affected.update(row.ends if row.type_id in edge_tids else (uid,))
+                affected.update(row.ends if row.type_id in self.edge_tids else (uid,))
         for edesc in constrained:
-            if edesc.type_id not in full_mult:
-                continue
-            for endpoint in (edesc.leaving_type, edesc.arriving_type):
-                for row in post.scan_type(endpoint, subtypes=True):
-                    affected.add(row.uid)
+            if edesc.type_id in self.full_mult:
+                for endpoint in (edesc.leaving_type, edesc.arriving_type):
+                    affected.update(row.uid for row in post.scan_type(endpoint, subtypes=True))
         for node_uid in sorted(affected):
             node = post.get_row(node_uid)
             if node is None:
                 continue
-            ntype = node.type_id
             for edesc in constrained:
                 closure = catalog.subtype_closure(edesc.type_id)
                 mult = edesc.multiplicity
-                if ntype in catalog.subtype_closure(edesc.leaving_type):
-                    n = len(post.edges_adjacent(node_uid, "leaving", closure))
-                    self._check_bounds(edesc, "leaves", n, mult.leaving_min,
-                                       mult.leaving_max, node_uid, catalog, ntype)
-                if ntype in catalog.subtype_closure(edesc.arriving_type):
-                    n = len(post.edges_adjacent(node_uid, "arriving", closure))
-                    self._check_bounds(edesc, "receives", n, mult.arriving_min,
-                                       mult.arriving_max, node_uid, catalog, ntype)
+                for direction, verb, endpoint_tid, lo, hi in (
+                        ("leaving", "leaves", edesc.leaving_type,
+                         mult.leaving_min, mult.leaving_max),
+                        ("arriving", "receives", edesc.arriving_type,
+                         mult.arriving_min, mult.arriving_max)):
+                    if node.type_id not in catalog.subtype_closure(endpoint_tid):
+                        continue
+                    n = len(post.edges_adjacent(node_uid, direction, closure))
+                    if n < lo or (hi is not None and n > hi):
+                        bound = f"{lo}..{'*' if hi is None else hi}"
+                        raise CommitError("multiplicity", edesc.label,
+                                          f"{catalog.get(node.type_id).label} node {node_uid} "
+                                          f"{verb} {n} {edesc.label} edge(s), outside {bound}",
+                                          (node_uid,))
 
-    def _check_bounds(self, edesc, verb, n, lo, hi, node_uid, catalog, ntype) -> None:
-        if n < lo or (hi is not None and n > hi):
-            bound = f"{lo}..{'*' if hi is None else hi}"
-            raise CommitError("multiplicity", edesc.label,
-                              f"{catalog.get(ntype).label} node {node_uid} {verb} {n} "
-                              f"{edesc.label} edge(s), outside {bound}", (node_uid,))
-
-    def _validate_constraints(self, post: ReadView, catalog: Catalog,
-                              full_constraint: set[int]) -> None:
-        def check(row: Row) -> None:
+    def check_constraints(self) -> None:
+        catalog = self.catalog
+        for row in self._rows_to_check(self.full_constraint):
             for constraint in catalog.constraints_for(row.type_id):
                 if not constraint_passes(constraint.expr, row.values, constraint.params):
                     raise CommitError("constraint", catalog.get(row.type_id).label,
                                       f"check ({constraint.text}) failed", (row.uid,))
 
-        for uid, row in sorted(self.staged.items()):
-            if row is not None:
-                check(row)
-        for tid in sorted(full_constraint):
-            for row in post.scan_type(tid, subtypes=True):
-                check(row)
-
-    def _graph_delta(self, edge_tids: set[int]):
-        added_nodes, removed_nodes = [], []
-        added_edges, removed_edges = [], []
-        for uid in sorted(self.staged):
-            row = self.staged[uid]
-            prior = self.db.store.latest(uid)
-            if row is None:
-                if prior is None:
-                    continue
-                if prior.type_id in edge_tids:
-                    removed_edges.append((uid, *prior.ends))
-                else:
-                    removed_nodes.append(uid)
-                continue
-            if row.type_id in edge_tids:
-                if prior is None:
-                    added_edges.append((uid, *row.ends))
-                elif prior.ends != row.ends:
-                    removed_edges.append((uid, *prior.ends))
-                    added_edges.append((uid, *row.ends))
-            elif prior is None:
-                added_nodes.append(uid)
-        return added_nodes, added_edges, removed_nodes, removed_edges
+    def publish(self) -> None:
+        """Log the commit, then apply it to the store, catalog and components."""
+        db, catalog = self.tx.db, self.catalog
+        seq = self.store.commit_seq + 1
+        schema = [catalog.descriptor_to_dict(catalog.get(tid)) for tid in sorted(self.changed)]
+        next_uid = db.peek_uid()
+        db.append_log_record(logmod.encode_record(seq, schema, self.staged, next_uid))
+        self.store.apply(seq, self.staged)
+        db.logged_next_uid = next_uid
+        if self.tx._catalog is not None:
+            db.catalog = self.tx._catalog
+        db.graphs.apply_delta(self.changes)

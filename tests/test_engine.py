@@ -356,6 +356,31 @@ def test_schema_change_conflicts_with_a_schema_change_committed_meanwhile(tmp_pa
     reopened.close()
 
 
+def test_concurrent_increments_lose_no_update(db):
+    db.execute("CREATE (:C {N: 1, V: 0})")
+    first, second = db.session(), db.session()
+    for sess in (first, second):
+        sess.execute("BEGIN")
+        sess.execute("MATCH (c:C {N: 1}) SET c.V = c.V + 1")
+    first.execute("COMMIT")
+    with pytest.raises(CommitError, match="changed by a commit after") as err:
+        second.execute("COMMIT")
+    assert err.value.rule == "conflict"
+    assert db.execute("MATCH (c:C {N: 1}) RETURN c.V").rows == [[1]]
+
+
+def test_update_of_a_node_deleted_meanwhile_does_not_resurrect_it(db):
+    db.execute("CREATE (:Q {N: 1})-[:R]->(:Q {N: 2})")
+    sess = db.session()
+    sess.execute("BEGIN")
+    sess.execute("MATCH (x:Q {N: 1}) SET x.M = 5")
+    db.execute("MATCH (x:Q {N: 1}) DELETE x CASCADE")
+    with pytest.raises(CommitError) as err:
+        sess.execute("COMMIT")
+    assert err.value.rule == "conflict"
+    assert db.execute("MATCH (x:Q) RETURN x.N").rows == [[2]]
+
+
 def test_fsync_mode_still_writes_readable_records(tmp_path):
     path = tmp_path / "careful.db"
     db = Database(path, fsync=True)

@@ -20,15 +20,16 @@ NODE, EDGE = 1, 2  # type ids; the store does not look them up
 
 
 def commit(gs: GraphSet, added_nodes=(), added_edges=(), removed_nodes=(), removed_edges=()):
-    """Publish one delta to the store, then to `gs`.  Removed edges are
-    given by uid and passed on with the ends the store holds for them."""
+    """Publish one delta to the store, then to `gs` as the changes
+    (uid, row before, row after) a commit passes.  Removed edges are given
+    by uid."""
     store = gs.store
-    removed = [(e, *store.latest(e).ends) for e in removed_edges]
     final = {uid: None for uid in [*removed_nodes, *removed_edges]}
     final.update({uid: Row(uid, NODE, {}) for uid in added_nodes})
     final.update({e: Row(e, EDGE, {}, (t, h)) for e, t, h in added_edges})
+    changes = [(uid, store.latest(uid), row) for uid, row in sorted(final.items())]
     store.apply(store.commit_seq + 1, final)
-    gs.apply_delta(added_nodes, added_edges, removed_nodes, removed)
+    gs.apply_delta(changes)
 
 
 def snapshot(gs: GraphSet):

@@ -100,6 +100,28 @@ def test_new_key_rewrites_an_edge_committed_while_the_alter_was_open(qdb):
     assert view.resolve_endpoints(edge) == edge.ends
 
 
+def test_new_key_refuses_a_null_row_committed_while_the_alter_was_open(qdb):
+    qdb.execute("CREATE (:Q {N: 1, W: 10})")
+    sess = qdb.session()
+    run(sess, "BEGIN", "ALTER TABLE Q ADD PRIMARY KEY (W)")
+    qdb.execute("CREATE (:Q {N: 3})")
+    with pytest.raises(CommitError, match="key column W is null") as err:
+        sess.execute("COMMIT")
+    assert err.value.rule == "key"
+    assert qdb.catalog.effective_key(qdb.catalog.lookup_label("Q").type_id) == ["N"]
+
+
+def test_dropped_column_refuses_a_value_committed_while_the_drop_was_open(qdb):
+    qdb.execute("CREATE (:Q {N: 1, W: 10})")
+    sess = qdb.session()
+    run(sess, "BEGIN", "ALTER TABLE Q DROP COLUMN W")
+    qdb.execute("CREATE (:Q {N: 3, W: 30})")
+    with pytest.raises(CommitError, match="undeclared column W") as err:
+        sess.execute("COMMIT")
+    assert err.value.rule == "type"
+    assert qdb.execute("MATCH (q:Q) RETURN q.N, q.W").rows == [[1, 10], [3, 30]]
+
+
 def test_retarget_binds_the_node_holding_the_key_when_set_runs(qdb):
     qdb.execute("CREATE (:Q {N: 1})-[:R]->(:Q {N: 2})")
     sess = qdb.session()

@@ -155,31 +155,48 @@ def test_unique_key_covers_subtypes_and_ignores_nulls(db):
     assert db.execute("MATCH (x:Part) RETURN x.Code, x.ID").rows == [["p", None], ["b", None]]
 
 
-def test_validation_order_is_stable(db):
-    """One commit breaking several rules reports the earliest stage:
-    value typing before keys, keys before references."""
-    db.execute("create type Part as (PartID char, Weight int) nodetype")
-    db.execute("create type Person as (Name char) nodetype")
-    db.execute("create type Owns as () edgetype (leaving Person, arriving Part)")
-    db.execute("alter table Part add primary key(PartID)")
+def test_validation_order_is_stable():
+    """One commit breaking every rule reports the earliest in commit order:
+    type, key, reference, multiplicity, constraint.  Repairing each in turn
+    brings up the next, each with its message."""
+    expected = [
+        ("type", "type violation on PART: column WEIGHT cannot hold 'heavy' (uid 2)"),
+        ("key", "key violation on PART: duplicate key ('D',) (uid 4, 3)"),
+        ("reference", "reference violation on OWNS: LEAVING value 404 matches no "
+                      "PERSON row (uid 5)"),
+        ("multiplicity", "multiplicity violation on OWNS: PART node 6 receives 2 OWNS "
+                         "edge(s), outside 0..1 (uid 6)"),
+        ("constraint", "constraint violation on PART: check (Weight < 100) failed (uid 8)"),
+    ]
+    for repaired in range(len(expected) + 1):
+        fixed = {rule for rule, _ in expected[:repaired]}
+        db = Database()
+        db.execute("create type Part as (PartID char, Weight int) nodetype")
+        db.execute("create type Person as (Name char) nodetype")
+        db.execute("create type Owns as () edgetype (leaving Person, arriving Part)")
+        db.execute("alter table Part add primary key(PartID)")
+        db.execute("ALTER TYPE Owns SET CARDINALITY LEAVING 0..* ARRIVING 0..1")
+        db.execute("ALTER TABLE Part ADD CHECK (Weight < 100)")
+        db.execute("CREATE (:Person {Name: 'p'})")  # uid 1
 
-    tx = db.begin()
-    bad = tx.insert_row("PART", {"PARTID": "X"})
-    tx.staged[bad].values["WEIGHT"] = "heavy"  # sneak a mistyped value past staging
-    tx.insert_row("PART", {"PARTID": "D"})
-    tx.insert_row("PART", {"PARTID": "D"})
-    tx.insert_row("OWNS", {LEAVING: 404, ARRIVING: "X"})
-    with pytest.raises(CommitError) as err:
-        tx.commit()
-    assert err.value.rule == "type"
-
-    tx = db.begin()
-    tx.insert_row("PART", {"PARTID": "D"})
-    tx.insert_row("PART", {"PARTID": "D"})
-    tx.insert_row("OWNS", {LEAVING: 404, ARRIVING: "D"})
-    with pytest.raises(CommitError) as err:
-        tx.commit()
-    assert err.value.rule == "key"
+        tx = db.begin()
+        typed = tx.insert_row("PART", {"PARTID": "T", "WEIGHT": 1})
+        if "type" not in fixed:
+            tx.staged[typed].values["WEIGHT"] = "heavy"  # sneak a mistyped value past staging
+        tx.insert_row("PART", {"PARTID": "D"})
+        tx.insert_row("PART", {"PARTID": "E" if "key" in fixed else "D"})
+        tx.insert_row("OWNS", {LEAVING: 1 if "reference" in fixed else 404, ARRIVING: "T"})
+        tx.insert_row("PART", {"PARTID": "M"})
+        for _ in range(1 if "multiplicity" in fixed else 2):
+            tx.insert_row("OWNS", {LEAVING: 1, ARRIVING: "M"})
+        tx.insert_row("PART", {"PARTID": "C", "WEIGHT": 5 if "constraint" in fixed else 500})
+        if repaired == len(expected):
+            tx.commit()
+            assert len(db.execute("MATCH (:Person)-[e:Owns]->(:Part) RETURN e.ID")) == 2
+            continue
+        with pytest.raises(CommitError) as err:
+            tx.commit()
+        assert (err.value.rule, str(err.value)) == expected[repaired]
 
 
 def test_multiplicity_checked_after_references(db):
