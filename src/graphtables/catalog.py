@@ -23,8 +23,6 @@ ID = "ID"
 LEAVING = "LEAVING"
 ARRIVING = "ARRIVING"
 
-AUTO_EDGE_COLUMNS = (ID, LEAVING, ARRIVING)
-
 
 @dataclass(frozen=True)
 class ColumnDescriptor:
@@ -263,20 +261,17 @@ class Catalog:
                                             supertype=supertype, primary_key=primary_key))
 
     def define_edge_type(self, label: str, columns: list[ColumnDescriptor],
-                         leaving_type: int, arriving_type: int,
-                         multiplicity: Multiplicity | None = None) -> TypeDescriptor:
+                         leaving_type: int, arriving_type: int) -> TypeDescriptor:
         type_id = self._claim_type_id(label, KIND_EDGE)
         builtin = [ColumnDescriptor(ID, values.INTEGER, nullable=False)]
         for name, endpoint in ((LEAVING, leaving_type), (ARRIVING, arriving_type)):
             ref_col = self._endpoint_reference_column(endpoint)
             builtin.append(ColumnDescriptor(name, ref_col.data_type, nullable=False))
         self._check_new_columns(columns, tuple(builtin))
-        multiplicity = multiplicity or Multiplicity()
-        multiplicity.validate()
         return self._install(TypeDescriptor(type_id, label, KIND_EDGE, [*builtin, *columns],
                                             primary_key=[ID], leaving_type=leaving_type,
                                             arriving_type=arriving_type,
-                                            multiplicity=multiplicity))
+                                            multiplicity=Multiplicity()))
 
     def _endpoint_reference_column(self, node_type_id: int) -> ColumnDescriptor:
         node = self.get(node_type_id)

@@ -64,10 +64,11 @@ class Database:
         # transactions that roll back advance `_next_uid` but not this
         self.logged_next_uid = 1
         self._log_fh = None
-        # the log's length after its last whole record, and why commits are
-        # refused once a torn record could not be cut away
+        # the log's length after its last whole record, and why every commit
+        # is refused once a torn record could not be cut away or a logged
+        # commit could not be applied
         self._log_size = 0
-        self._log_refusal: str | None = None
+        self.refusal: str | None = None
         if self.path is not None:
             if self.path.exists():
                 valid = 0
@@ -99,10 +100,10 @@ class Database:
         """Append one commit record.  If the write or fsync fails, the log
         is cut back to its last whole record and StorageError raised; if
         that cut fails too, every later commit is refused."""
+        if self.refusal is not None:
+            raise StorageError(self.refusal)
         if self._log_fh is None:
             return
-        if self._log_refusal is not None:
-            raise StorageError(self._log_refusal)
         try:
             written = 0
             while written < len(data):  # an unbuffered write may be short
@@ -113,9 +114,9 @@ class Database:
             try:
                 self._log_fh.truncate(self._log_size)
             except OSError as cut:
-                self._log_refusal = (f"log {self.path} keeps a torn record that could not be "
-                                     f"cut away ({cut}); commits are refused")
-                raise StorageError(self._log_refusal) from exc
+                self.refusal = (f"log {self.path} keeps a torn record that could not be "
+                                f"cut away ({cut}); commits are refused")
+                raise StorageError(self.refusal) from exc
             raise StorageError(f"log {self.path}: append failed ({exc}); "
                                "the commit was not made") from exc
         self._log_size += len(data)

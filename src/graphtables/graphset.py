@@ -44,9 +44,6 @@ class GraphSet:
             raise StorageError(f"uid {uid} is in no graph component")
         return comp
 
-    def representative_of(self, uid: int) -> int:
-        return self.component_of(uid).representative
-
     # --- incremental maintenance ---
 
     def add_node(self, uid: int) -> None:

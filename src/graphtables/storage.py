@@ -3,19 +3,24 @@
 One logical base table per node/edge type.  Rows are version-stamped with the
 commit sequence numbers they became visible/invisible at, which is what gives
 readers snapshot isolation under the single-writer model.  A transaction
-stages row and schema changes privately.  Commit runs fixed rules in order:
-conflicts (first committer wins: the schema, if it changed, and each row the
-statements staged must be as they were at the snapshot), the rekey cascade,
-delete restrict or cascade, the reference write, then the checks of column
-types, keys, references, multiplicity and constraints over the post state.
-It then appends one self-contained log record, and only then publishes.
-That is snapshot isolation, which still allows write skew.
+stages row and schema changes privately; its statements read the snapshot
+plus that staging (`Transaction.view`), and only commit reads the latest
+state, in the one view `_Commit` builds under the lock.  Commit runs fixed
+rules in order: conflicts (first committer wins: the schema, if it changed,
+and each row the statements staged must be as they were at the snapshot),
+the rekey cascade, delete restrict or cascade, the reference write, then
+the checks of column types, keys, references, multiplicity and constraints
+over the post state.  It then appends one self-contained log record, and
+only then publishes; a failed publish refuses every later commit.  That is
+snapshot isolation, which still allows write skew.  A transaction that has
+not changed the schema reads the latest published catalog.
 
 Edge rows carry their endpoints' uids (`Row.ends`) from the moment they are
 staged: CREATE passes the matched nodes, and an inserted row or a `SET
 e.LEAVING/ARRIVING` retarget dereferences the key value once, at staging
-time.  The log records both the ends and the LEAVING/ARRIVING columns, which
-keep the endpoints' key values; replay restores the ends as logged.
+time, in the transaction's snapshot.  The log records both the ends and the
+LEAVING/ARRIVING columns, which keep the endpoints' key values; replay
+restores the ends as logged.
 `ReadView.value` derives the key values from the endpoint's current key, and
 one pass at commit writes that value into every staged edge.  A node whose
 key changes gets its committed edges staged for that pass, so a rekey never
@@ -445,10 +450,6 @@ class Transaction:
         """Reads at the transaction's begin snapshot plus its own staging."""
         return ReadView(self.db.store, self.snapshot, self.catalog, self.staged)
 
-    def post_view(self) -> ReadView:
-        """Reads at the latest committed state plus staging (validation view)."""
-        return ReadView(self.db.store, self.db.store.commit_seq, self.catalog, self.staged)
-
     def _type(self, ref, kinds=None) -> cat.TypeDescriptor:
         if isinstance(ref, int):
             desc = self.catalog.get(ref)
@@ -470,13 +471,12 @@ class Transaction:
             sup_id = self._type(supertype, (cat.KIND_NODE,)).type_id
         return catalog.define_node_type(label, make_columns(columns), sup_id)
 
-    def define_edge_type(self, label: str, columns, leaving, arriving,
-                         multiplicity: Multiplicity | None = None) -> cat.TypeDescriptor:
+    def define_edge_type(self, label: str, columns, leaving, arriving) -> cat.TypeDescriptor:
         self._check_open()
         catalog = self._mutable_catalog()
         ltid = self._type(leaving, (cat.KIND_NODE,)).type_id
         atid = self._type(arriving, (cat.KIND_NODE,)).type_id
-        return catalog.define_edge_type(label, make_columns(columns), ltid, atid, multiplicity)
+        return catalog.define_edge_type(label, make_columns(columns), ltid, atid)
 
     def define_plain_type(self, label: str, columns) -> cat.TypeDescriptor:
         self._check_open()
@@ -492,16 +492,24 @@ class Transaction:
     def retype_column(self, type_ref, name: str, data_type: str) -> None:
         self._check_open()
         desc = self._type(type_ref)
-        self._mutable_catalog().retype_column(desc.type_id, name, data_type)
+        catalog = self._mutable_catalog()
+        catalog.retype_column(desc.type_id, name, data_type)
+        self._retype_references({t for t in catalog.subtype_closure(desc.type_id)
+                                 if catalog.effective_key(t) == [name]}, data_type)
+
+    def _retype_references(self, node_tids: set[int], data_type: str) -> None:
+        """The edge columns that hold the key of `node_tids` take `data_type`."""
+        catalog = self._catalog
+        for edesc, side in catalog.edge_types_referencing(node_tids):
+            catalog.retype_column(catalog.column_owner(edesc.type_id, side), side, data_type)
 
     def drop_column(self, type_ref, name: str) -> int:
         """Drop a column and scrub its values; returns rows rewritten."""
         self._check_open()
         desc = self._type(type_ref)
         catalog = self._mutable_catalog()
-        post = self.post_view()
         scope = catalog.column_owner(desc.type_id, name) or desc.type_id
-        rewrites = [row for row in post.scan_type(scope, subtypes=True) if name in row.values]
+        rewrites = [r for r in self.view().scan_type(scope, subtypes=True) if name in r.values]
         catalog.drop_column(scope, name)   # validates, may raise
         for row in rewrites:
             new_values = dict(row.values)
@@ -520,11 +528,10 @@ class Transaction:
         for name in key_columns:
             if catalog.effective_column(desc.type_id, name) is None:
                 raise SchemaError(f"{desc.label} has no column {name}")
-        post = self.post_view()
 
         # every row of the scope must have a unique, non-null key value
         seen: dict[tuple, int] = {}
-        for row in post.scan_type(desc.type_id, subtypes=True):
+        for row in self.view().scan_type(desc.type_id, subtypes=True):
             key = tuple(row.values.get(c) for c in key_columns)
             if any(v is None for v in key):
                 raise SchemaError(f"{desc.label} row {row.uid} has a null value in "
@@ -543,9 +550,8 @@ class Transaction:
             raise SchemaError(f"{desc.label} is an edge endpoint and needs a single-column key")
 
         catalog.install_primary_key(desc.type_id, key_columns)
-        data_type = catalog.effective_column(desc.type_id, key_columns[0]).data_type
-        for edesc, side in edge_refs:
-            catalog.retype_column(catalog.column_owner(edesc.type_id, side), side, data_type)
+        self._retype_references(affected, catalog.effective_column(
+            desc.type_id, key_columns[0]).data_type)
 
     def retarget_endpoint(self, type_ref, side: str, node_type_id: int) -> None:
         self._check_open()
@@ -589,8 +595,8 @@ class Transaction:
 
     def insert_row(self, type_ref, values: dict, ends: tuple | None = None) -> int:
         """Stage a new row.  An edge given no `ends` binds the nodes its
-        LEAVING/ARRIVING values name now; commit writes their keys into
-        its LEAVING/ARRIVING."""
+        LEAVING/ARRIVING values name in the snapshot; commit writes their
+        keys into its LEAVING/ARRIVING."""
         self._check_open()
         desc = self._type(type_ref)
         if desc.kind == cat.KIND_PLAIN:
@@ -605,34 +611,33 @@ class Transaction:
                 staged_values[key[0]] = uid
         row = Row(uid, desc.type_id, staged_values, ends)
         if desc.kind == cat.KIND_EDGE and ends is None:
-            row.ends = self.post_view().resolve_endpoints(row)
+            row.ends = self.view().resolve_endpoints(row)
         self.staged.put(uid, row)
         return uid
 
     def update_row(self, uid: int, changes: dict) -> None:
         self._check_open()
-        row = self.post_view().get_row(uid)
+        view = self.view()
+        row = view.get_row(uid)
         if row is None:
             raise StorageError(f"unknown uid {uid}")
         desc = self.catalog.get(row.type_id)
-        new_values = dict(row.values)
+        # only the written values are checked here; commit checks the row
+        new_values = {**row.values, **self._stage_check_values(desc, changes)}
         for name, v in changes.items():
             if v is None:
                 new_values.pop(name, None)
-            else:
-                new_values[name] = v
-        new_values = self._stage_check_values(desc, new_values)
         new = Row(uid, row.type_id, new_values, row.ends)
         if desc.kind == cat.KIND_EDGE and (LEAVING in changes or ARRIVING in changes):
-            # a retarget binds the changed sides to the nodes their keys name now
-            found = self.post_view().resolve_endpoints(new)
+            # a retarget binds the changed sides in the transaction's snapshot
+            found = view.resolve_endpoints(new)
             new.ends = tuple(bound if side in changes else end
                              for side, bound, end in zip((LEAVING, ARRIVING), found, row.ends))
         self.staged.put(uid, new)
 
     def delete_row(self, uid: int, cascade: bool = False) -> None:
         self._check_open()
-        row = self.post_view().get_row(uid)
+        row = self.view().get_row(uid)
         if row is None:
             raise StorageError(f"unknown uid {uid}")
         self.staged.put(uid, None, (row.type_id, cascade))
@@ -686,7 +691,8 @@ class _Commit:
             if not self.changed:
                 tx._catalog = None  # an unchanged schema has nothing to publish
         self.catalog = catalog = tx.catalog
-        self.post = tx.post_view()
+        # the one view of the latest committed state, under the lock
+        self.post = ReadView(self.store, self.store.commit_seq, catalog, self.staged)
         self.node_tids = catalog.type_ids(cat.KIND_NODE)
         self.edge_tids = catalog.type_ids(cat.KIND_EDGE)
         # types whose rows are all checked again, not only the staged ones
@@ -931,8 +937,14 @@ class _Commit:
         schema = [catalog.descriptor_to_dict(catalog.get(tid)) for tid in sorted(self.changed)]
         next_uid = db.peek_uid()
         db.append_log_record(logmod.encode_record(seq, schema, self.staged, next_uid))
-        self.store.apply(seq, self.staged)
-        db.logged_next_uid = next_uid
-        if self.tx._catalog is not None:
-            db.catalog = self.tx._catalog
-        db.graphs.apply_delta(self.changes)
+        try:
+            self.store.apply(seq, self.staged)
+            db.logged_next_uid = next_uid
+            if self.tx._catalog is not None:
+                db.catalog = self.tx._catalog
+            db.graphs.apply_delta(self.changes)
+        except Exception as exc:
+            # memory and the log now differ; reopening the log recovers
+            db.refusal = (f"commit {seq} was logged but not applied ({exc!r}); "
+                          "commits are refused")
+            raise StorageError(db.refusal) from exc

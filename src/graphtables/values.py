@@ -41,12 +41,6 @@ class StructValue:
     type_id: int
     values: tuple  # tuple of (name, value) pairs, ordered
 
-    def get(self, name):
-        for k, v in self.values:
-            if k == name:
-                return v
-        return None
-
 
 def infer_data_type(value) -> str:
     """Data type a bare literal implies when a new column is created for it."""

@@ -43,6 +43,17 @@ def test_fractional_value_grows_integer_column(db):
     assert rows[1].get("WEIGHT") == Decimal("2.5")
 
 
+def test_fractional_key_grows_the_edge_columns_that_hold_it(db):
+    db.execute("CREATE (a:P {N: 1})-[:E]->(b:P {N: 2})")
+    db.execute("CREATE (c:P {ID: 2.5})")
+    edge = db.catalog.lookup_label("E")
+    assert {c.name: c.data_type for c in edge.columns if c.name != ID} == {
+        LEAVING: values.DECIMAL, ARRIVING: values.DECIMAL}
+    db.execute("MATCH (a:P {N: 1}), (c:P {ID: 2.5}) CREATE (a)-[:E]->(c)")
+    rows = db.execute("MATCH (a:P)-[e:E]->(b:P) RETURN e.LEAVING, e.ARRIVING").rows
+    assert rows == [[1, 2], [1, Decimal("2.5")]]
+
+
 def test_string_into_integer_column_is_refused(db):
     db.execute("CREATE (:Item {weight:2})")
     with pytest.raises(ExecutionError, match="holds integer values"):

@@ -527,6 +527,31 @@ def test_append_that_cannot_be_cut_away_refuses_later_commits(tmp_path):
     db2.close()
 
 
+@pytest.mark.parametrize("on_disk", [True, False])
+def test_commit_logged_but_not_applied_refuses_later_commits(tmp_path, monkeypatch, on_disk):
+    path = tmp_path / "unapplied.db"
+    db = Database(path if on_disk else None)
+    db.execute("CREATE (:Person {Name: 'Ada'})")
+    apply, failed = db.store.apply, []
+
+    def apply_failing_once(seq, final):
+        if not failed:
+            failed.append(seq)
+            raise MemoryError("stand-in apply failure")
+        apply(seq, final)
+    monkeypatch.setattr(db.store, "apply", apply_failing_once)
+    with pytest.raises(StorageError, match="commit 2 was logged but not applied"):
+        db.execute("CREATE (:Person {Name: 'Bea'})")
+    with pytest.raises(StorageError, match="commits are refused"):
+        db.execute("CREATE (:Person {Name: 'Cal'})")
+    assert names(db.execute("MATCH (x:Person) RETURN x.Name")) == {"Ada"}
+    db.close()
+    if on_disk:
+        db2 = Database(path)
+        assert names(db2.execute("MATCH (x:Person) RETURN x.Name")) == {"Ada", "Bea"}
+        db2.close()
+
+
 # --- rendering ---
 
 def test_render_row_shows_label_and_values(family):

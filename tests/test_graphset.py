@@ -53,9 +53,9 @@ def test_isolated_nodes_are_singleton_components():
 def test_edge_merges_and_keeps_smallest_representative():
     gs = GraphSet(Store())
     commit(gs, [1, 2, 3], [(10, 2, 3)], [], [])
-    assert gs.representative_of(3) == 2
+    assert gs.component_of(3).representative == 2
     commit(gs, [], [(11, 3, 1)], [], [])
-    assert gs.representative_of(2) == 1
+    assert gs.component_of(2).representative == 1
     assert gs.component_of(1).edges == {10, 11}
 
 

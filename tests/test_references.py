@@ -149,6 +149,81 @@ def test_retarget_away_from_a_node_checks_its_lower_bound(qdb):
     assert qdb.execute(EDGES).rows == [[1, 1, 2, 2], [2, 2, 1, 1]]
 
 
+# --- statements read their snapshot; COMMIT checks the latest state ---
+
+def test_dropped_column_scrubs_only_the_rows_of_the_snapshot(qdb):
+    qdb.execute("CREATE (:Q {N: 1, W: 10})")
+    sess = qdb.session()
+    sess.execute("BEGIN")
+    qdb.execute("CREATE (:Q {N: 2, W: 20})")
+    sess.execute("ALTER TABLE Q DROP COLUMN W")
+    assert sess.execute("MATCH (q:Q) RETURN q.N").rows == [[1]]
+    with pytest.raises(CommitError, match="undeclared column W") as err:
+        sess.execute("COMMIT")
+    assert err.value.rule == "type"
+    assert qdb.execute("MATCH (q:Q) RETURN q.N, q.W").rows == [[1, 10], [2, 20]]
+
+
+def test_set_on_a_row_deleted_after_begin_conflicts_at_commit(qdb):
+    qdb.execute("CREATE (:Q {N: 1})")
+    sess = qdb.session()
+    sess.execute("BEGIN")
+    qdb.execute("MATCH (q:Q {N: 1}) DELETE q")
+    sess.execute("MATCH (q:Q {N: 1}) SET q.W = 5")
+    with pytest.raises(CommitError, match="changed by a commit after") as err:
+        sess.execute("COMMIT")
+    assert err.value.rule == "conflict"
+    assert qdb.execute("MATCH (q:Q) RETURN q.N").rows == []
+
+
+def test_retarget_does_not_bind_a_node_committed_after_begin(qdb):
+    qdb.execute("CREATE (:Q {N: 1})-[:R]->(:Q {N: 2})")
+    sess = qdb.session()
+    sess.execute("BEGIN")
+    qdb.execute("CREATE (:Q {N: 3})")
+    sess.execute("MATCH ()-[e:R]->() SET e.ARRIVING = 3")
+    assert sess.execute("MATCH (x:Q)-[e:R]->(y:Q) RETURN x.N, y.N").rows == []
+    with pytest.raises(CommitError, match="ARRIVING value 3 matches no Q row") as err:
+        sess.execute("COMMIT")
+    assert err.value.rule == "reference"
+    assert qdb.execute(EDGES).rows == [[1, 1, 2, 2]]
+
+
+def test_new_key_refuses_a_duplicate_committed_before_the_alter(qdb):
+    qdb.execute("CREATE (:Q {N: 1, W: 10})")
+    sess = qdb.session()
+    sess.execute("BEGIN")
+    qdb.execute("CREATE (:Q {N: 2, W: 10})")
+    sess.execute("ALTER TABLE Q ADD PRIMARY KEY (W)")
+    with pytest.raises(CommitError, match="duplicate key") as err:
+        sess.execute("COMMIT")
+    assert err.value.rule == "key"
+    assert qdb.catalog.effective_key(qdb.catalog.lookup_label("Q").type_id) == ["N"]
+
+
+def test_set_on_a_row_whose_column_was_dropped_after_begin_conflicts(qdb):
+    qdb.execute("CREATE (:Q {N: 1, W: 10})")
+    sess = qdb.session()
+    sess.execute("BEGIN")
+    qdb.execute("ALTER TABLE Q DROP COLUMN W")
+    sess.execute("MATCH (q:Q {N: 1}) SET q.V = 5")
+    with pytest.raises(CommitError, match="changed by a commit after") as err:
+        sess.execute("COMMIT")
+    assert err.value.rule == "conflict"
+    assert qdb.execute("MATCH (q:Q) RETURN q.N").rows == [[1]]
+
+
+def test_set_on_an_edge_after_a_rekey_to_another_key_type_commits(db):
+    db.execute("create type Q as (N int, W string) nodetype")
+    db.execute("create type R as (X int) edgetype (leaving Q, arriving Q)")
+    db.execute("alter table Q add primary key(N)")
+    db.execute("CREATE (:Q {N: 1, W: 'a'})-[:R]->(:Q {N: 2, W: 'b'})")
+    run(db.session(), "BEGIN", "ALTER TABLE Q ADD PRIMARY KEY (W)",
+        "MATCH ()-[e:R]->() SET e.X = 1", "COMMIT")
+    assert db.execute("MATCH ()-[e:R]->() RETURN e.LEAVING, e.ARRIVING, e.X").rows == [
+        ["a", "b", 1]]
+
+
 # --- randomized three-session streams ---
 
 KEYS = range(1, 9)
