@@ -51,8 +51,10 @@ class Database:
         self.path = pathlib.Path(path) if path is not None else None
         self.name = self.path.stem if self.path is not None else "memory"
         self.fsync = fsync
-        self.catalog = Catalog()
         self.store = Store()
+        # the (seq, catalog) of the latest commit, published as one value so
+        # a reader never pairs one commit's rows with another's schema
+        self.published: tuple[int, Catalog] = (0, Catalog())
         self.graphs = GraphSet(self.store)
         self.commit_lock = threading.RLock()
         # token shape -> template, and the hashes of shapes parsed once
@@ -129,29 +131,31 @@ class Database:
     # --- opening an existing log ---
 
     def _apply_record(self, payload: dict) -> None:
+        catalog = self.catalog
         for data in payload["schema"]:
-            self.catalog.apply_descriptor_dict(data, parse_expression)
+            catalog.apply_descriptor_dict(data, parse_expression)
         final: dict[int, Row | None] = {}
         for op in logmod.decode_rows(payload):
             if op[0] == "del":
                 final[op[1]] = None
-            elif op[4] is None and self.catalog.get(op[2]).kind == cat.KIND_EDGE:
+            elif op[4] is None and catalog.get(op[2]).kind == cat.KIND_EDGE:
                 # one replay path: logs from before puts carried ends are not read
                 raise StorageError(f"log {self.path}: record {payload['seq']} puts edge "
                                    f"{op[1]} without its endpoint uids")
             else:
                 final[op[1]] = Row(*op[1:])
         self.store.apply(payload["seq"], final)
+        self.published = (payload["seq"], catalog)
         self.logged_next_uid = payload["next_uid"]
         self._next_uid = max(self._next_uid, self.logged_next_uid)
 
     def _rebuild_graphs(self) -> None:
-        seq = self.store.commit_seq
+        view = self.read_view()
         for desc in self.catalog.types(cat.KIND_NODE):
-            for row in self.store.scan_committed(desc.type_id, seq):
+            for row in view.scan_type(desc.type_id, subtypes=False):
                 self.graphs.add_node(row.uid)
         for desc in self.catalog.types(cat.KIND_EDGE):
-            for row in self.store.scan_committed(desc.type_id, seq):
+            for row in view.scan_type(desc.type_id, subtypes=False):
                 if None not in row.ends:
                     self.graphs.add_edge(row.uid, *row.ends)
 
@@ -184,8 +188,13 @@ class Database:
 
     # --- transactions and statements ---
 
+    @property
+    def catalog(self) -> Catalog:
+        """The latest published catalog."""
+        return self.published[1]
+
     def begin(self) -> Transaction:
-        return Transaction(self, self.store.commit_seq)
+        return Transaction(self, *self.published)
 
     def session(self) -> "Session":
         return Session(self)
@@ -195,17 +204,18 @@ class Database:
         return self.session().execute(text)
 
     def read_view(self) -> ReadView:
-        return ReadView(self.store, self.store.commit_seq, self.catalog)
+        return ReadView(self.store, *self.published)
 
     # --- state digest (durability checks) ---
 
     def state_hash(self) -> str:
-        seq = self.store.commit_seq
-        descriptors = [self.catalog.descriptor_to_dict(self.catalog.get(tid))
-                       for tid in sorted(d.type_id for d in self.catalog.types())]
+        view = self.read_view()
+        seq, catalog = view.snapshot, view.catalog
+        descriptors = [catalog.descriptor_to_dict(catalog.get(tid))
+                       for tid in sorted(d.type_id for d in catalog.types())]
         rows = []
-        for desc in self.catalog.types():
-            for row in self.store.scan_committed(desc.type_id, seq):
+        for desc in catalog.types():
+            for row in view.scan_type(desc.type_id, subtypes=False):
                 rows.append([row.uid, row.type_id,
                              {k: val.to_jsonable(v) for k, v in sorted(row.values.items())}])
         rows.sort(key=lambda r: r[0])

@@ -31,7 +31,6 @@ from .catalog import ARRIVING, LEAVING
 from .engine import Database
 from .errors import GraphTablesError
 from .lexer import LITERAL_TYPES, tokenize
-from .storage import ReadView
 
 DEFAULT_PORT = 8180
 
@@ -59,7 +58,7 @@ def _subgraph(db: Database, selector: tuple, depth: int | None):
     concurrent writer can tear neither the component nor the catalog it is
     rendered with, and the selector is matched in that view."""
     with db.commit_lock:
-        view = ReadView(db.store, db.store.commit_seq, db.catalog)
+        view = db.read_view()
         rows = view.lookup_by_value(*selector)
         if not rows:
             raise _AnchorGone(selector)

@@ -12,8 +12,10 @@ the rekey cascade, delete restrict or cascade, the reference write, then
 the checks of column types, keys, references, multiplicity and constraints
 over the post state.  It then appends one self-contained log record, and
 only then publishes; a failed publish refuses every later commit.  That is
-snapshot isolation, which still allows write skew.  A transaction that has
-not changed the schema reads the latest published catalog.
+snapshot isolation, which still allows write skew.  A transaction reads
+through the catalog published with its snapshot until it changes the
+schema; a schema commit landing after its BEGIN makes its own schema change
+conflict.
 
 Edge rows carry their endpoints' uids (`Row.ends`) from the moment they are
 staged: CREATE passes the matched nodes, and an inserted row or a `SET
@@ -24,24 +26,23 @@ restores the ends as logged.
 `ReadView.value` derives the key values from the endpoint's current key, and
 one pass at commit writes that value into every staged edge.  A node whose
 key changes gets its committed edges staged for that pass, so a rekey never
-rebinds an edge.  `leaving_at`/`arriving_at` map a node uid to every edge
-that ever touched it; like the value index they never shrink, because a
-reader at an older snapshot may still need an edge that has since been
-deleted or retargeted, and each reader re-checks the version it sees.
+rebinds an edge.
 
-A transaction stages rows in a `Staging` dict (uid -> row, None for a
-deletion) whose one writer, `put`, keeps the staged uids of each type, a
-value index, built per column on its first probe, and a per-side map from
-node uid to staged edges.  Readers re-check their candidates: the value and
-edge indexes never shrink, and the type index drops only an undone insert.
-Each savepoint starts a fresh journal of what `put` replaces, and undoing it
-takes back a failed statement.
+One index type, `_Index`, finds candidate uids: each type's uids, a value
+index per column built on its first probe, and per side a map from node uid
+to every edge that ever ended there.  The store keeps one over every
+version it applies, and a transaction's `Staging` dict (uid -> row, None
+for a deletion) one over every row its one writer, `put`, stages.  Neither
+ever shrinks, because a reader at an older snapshot may still need a row
+that has since changed, and an undone write leaves its entries behind: each
+`ReadView` read takes both indexes' candidates and re-checks each uid once
+through `get_row`.  Each savepoint starts a fresh journal of what `put`
+replaces, and undoing it takes back a failed statement.
 Commit finds the types whose schema changed by comparing catalogs.
 """
 
 from __future__ import annotations
 
-import heapq
 import threading
 from dataclasses import dataclass
 
@@ -77,28 +78,85 @@ class _Version:
         self.end: int | None = None
 
 
-class Store:
-    """Committed row versions plus derived value indexes and adjacency.
+class _Index:
+    """Candidate uids of one collection of rows: each type's uids, each
+    side's node uid -> edge uids, and per type and column, value -> uids,
+    a column from its first probe on.  Entries are never removed, so a
+    reader re-checks each candidate against the row it sees."""
 
-    Readers take no lock: they iterate a tuple copy of a live uid set, which
-    CPython makes in one step under the GIL.  `_lock` keeps the one-time
-    build of a value index and `apply` apart, since both walk and extend
-    the same tables."""
+    __slots__ = ("types", "unordered", "values", "ends")
+
+    def __init__(self):
+        # type id -> its uids, ascending but for the types in `unordered`
+        self.types: dict[int, dict[int, None]] = {}
+        self.unordered: set[int] = set()
+        # type id -> column -> value -> uids
+        self.values: dict[int, dict[str, dict]] = {}
+        # per side (0 leaving, 1 arriving), node uid -> uids of edges ending there
+        self.ends: tuple[dict, dict] = ({}, {})
+
+    def add(self, rows) -> None:
+        types, values, (leaving, arriving) = self.types, self.values, self.ends
+        for row in rows:
+            uid, tid, ends = row.uid, row.type_id, row.ends
+            members = types.get(tid)
+            if members is None:
+                types[tid] = {uid: None}
+            elif uid not in members:
+                if uid < next(reversed(members)):
+                    self.unordered.add(tid)
+                members[uid] = None
+            columns = values.get(tid)
+            if columns:
+                for column, index in columns.items():
+                    _add_value(index, row.values.get(column), uid)
+            if ends is not None:
+                leaving.setdefault(ends[0], set()).add(uid)
+                arriving.setdefault(ends[1], set()).add(uid)
+
+    def order(self) -> None:
+        """Put each type's uids back in ascending order."""
+        for tid in self.unordered:
+            self.types[tid] = dict.fromkeys(sorted(self.types[tid]))
+        self.unordered.clear()
+
+    def build(self, type_id: int, column: str, rows) -> None:
+        """Index `column` over `rows`, the rows of `type_id`, unless built."""
+        columns = self.values.setdefault(type_id, {})
+        if column not in columns:
+            index: dict = {}
+            for row in rows:
+                _add_value(index, row.values.get(column), row.uid)
+            columns[column] = index
+
+    def candidates(self, type_id: int, column: str, value) -> tuple[int, ...]:
+        """Uids of `type_id` whose built `column` may hold `value`."""
+        try:
+            return tuple(self.values[type_id][column].get(value, ()))
+        except TypeError:
+            return ()  # an unhashable probe equals no indexed value
+
+
+def _add_value(index: dict, value, uid: int) -> None:
+    if value is not None:
+        try:
+            index.setdefault(value, set()).add(uid)
+        except TypeError:
+            pass  # an unhashable value equals no hashable probe
+
+
+class Store:
+    """Committed row versions and one index over all of them.
+
+    Readers take no lock: they copy a live uid set or table in one step,
+    which CPython makes under the GIL.  `_lock` keeps the one-time build of
+    a value index and `apply` apart, since both walk and extend the index."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self.commit_seq = 0
         self._versions: dict[int, list[_Version]] = {}
-        # type id -> its uids, ascending
-        self._by_type: dict[int, dict[int, None]] = {}
-        # (type_id, column) -> value -> set of uids; entries are never removed,
-        # readers re-check value and visibility
-        self._value_index: dict[tuple[int, str], dict] = {}
-        self._indexed: dict[int, set[str]] = {}
-        # node uid -> uids of the edges any version of which left / arrived
-        # there; never shrinks either, readers re-check the visible version
-        self.leaving_at: dict[int, set[int]] = {}
-        self.arriving_at: dict[int, set[int]] = {}
+        self.index = _Index()
 
     # --- reads against a snapshot ---
 
@@ -108,82 +166,42 @@ class Store:
                 return version
         return None
 
-    def visible(self, uid: int, snapshot: int) -> Row | None:
-        version = self.version_at(uid, snapshot)
-        return version.row if version is not None else None
-
     def latest(self, uid: int) -> Row | None:
         """The row as of the last commit; only the newest version can be open."""
         versions = self._versions.get(uid)
-        if versions and versions[-1].end is None:
-            return versions[-1].row
-        return None
+        return versions[-1].row if versions and versions[-1].end is None else None
 
     def newest(self, uid: int) -> _Version | None:
         """The last version of `uid`, open or ended."""
         versions = self._versions.get(uid)
         return versions[-1] if versions else None
 
-    def scan_committed(self, type_id: int, snapshot: int):
-        for uid in list(self._by_type.get(type_id, ())):
-            row = self.visible(uid, snapshot)
-            if row is not None:
-                yield row
-
     def index_candidates(self, type_id: int, column: str, value) -> tuple[int, ...]:
         """Over-approximate uids; caller re-checks value and visibility."""
-        key = (type_id, column)
-        index = self._value_index.get(key)
-        if index is None:
+        index = self.index
+        if column not in index.values.get(type_id, ()):  # the column's first probe
             with self._lock:
-                index = self._value_index.get(key)
-                if index is None:
-                    index = self._build_index(type_id, column)
-        try:
-            return tuple(index.get(value, ()))
-        except TypeError:
-            return ()
-
-    def _build_index(self, type_id: int, column: str) -> dict:
-        index: dict = {}
-        for versions in (self._versions.get(uid, ()) for uid in self._by_type.get(type_id, ())):
-            for version in versions:
-                v = version.row.values.get(column)
-                if v is not None:
-                    index.setdefault(v, set()).add(version.row.uid)
-        self._value_index[(type_id, column)] = index
-        self._indexed.setdefault(type_id, set()).add(column)
-        return index
+                index.build(type_id, column, (version.row for uid in index.types.get(type_id, ())
+                                              for version in self._versions[uid]))
+        return index.candidates(type_id, column, value)
 
     # --- commit application (physical) ---
 
     def apply(self, seq: int, final: dict[int, Row | None]) -> None:
         """Publish one commit."""
         with self._lock:
-            unordered = set()
+            rows = []
             for uid in sorted(final):
                 row = final[uid]
                 versions = self._versions.setdefault(uid, [])
                 if versions and versions[-1].end is None:
                     versions[-1].end = seq
-                if row is None:
-                    continue
-                versions.append(_Version(row, seq))
-                members = self._by_type.setdefault(row.type_id, {})
-                if uid not in members:
-                    # a transaction that began earlier may commit lower uids later
-                    if members and uid < next(reversed(members)):
-                        unordered.add(row.type_id)
-                    members[uid] = None
-                for column in self._indexed.get(row.type_id, ()):
-                    v = row.values.get(column)
-                    if v is not None:
-                        self._value_index[(row.type_id, column)].setdefault(v, set()).add(uid)
-                if row.ends is not None and None not in row.ends:
-                    self.leaving_at.setdefault(row.ends[0], set()).add(uid)
-                    self.arriving_at.setdefault(row.ends[1], set()).add(uid)
-            for tid in unordered:
-                self._by_type[tid] = dict.fromkeys(sorted(self._by_type[tid]))
+                if row is not None:
+                    versions.append(_Version(row, seq))
+                    rows.append(row)
+            self.index.add(rows)
+            if self.index.unordered:  # an older transaction committed lower uids
+                self.index.order()
             self.commit_seq = seq
 
 
@@ -191,19 +209,16 @@ _ABSENT = object()
 
 
 class Staging(dict):
-    """Staged rows by uid, None for a deletion, written only through `put`."""
+    """Staged rows by uid, None for a deletion, written only through `put`,
+    which indexes each row it stages."""
 
-    __slots__ = ("deletes", "_by_type", "_by_value", "_ends", "journal")
+    __slots__ = ("deletes", "index", "journal")
 
     def __init__(self):
         # uid -> (type id, CASCADE?) of each row deleted by `delete_row`
         self.deletes: dict[int, tuple[int, bool]] = {}
-        # type id -> uids staged with a row of that type
-        self._by_type: dict[int, set[int]] = {}
-        # column -> type id -> value -> uids, a column from its first probe on
-        self._by_value: dict[str, dict] = {}
-        # per side, node uid -> uids of the staged edges ending there
-        self._ends: tuple[dict, dict] = ({}, {})
+        # reads sort staged candidates, so `index.order` never runs here
+        self.index = _Index()
         # (uid, replaced row or _ABSENT) per `put` since the latest savepoint,
         # None before the first; undoing a deletion also drops its record
         self.journal: list | None = None
@@ -215,17 +230,8 @@ class Staging(dict):
         if deletion is not None:
             self.deletes[uid] = deletion
         self[uid] = row
-        if row is None:
-            return
-        uids = self._by_type.get(row.type_id)
-        if uids is None:
-            uids = self._by_type[row.type_id] = set()
-        uids.add(uid)
-        for column, index in self._by_value.items():
-            _index_value(index, uid, row.type_id, row.values.get(column))
-        if row.ends is not None:
-            self._ends[0].setdefault(row.ends[0], set()).add(uid)
-            self._ends[1].setdefault(row.ends[1], set()).add(uid)
+        if row is not None:
+            self.index.add((row,))
 
     def undo(self) -> None:
         """Undo every journaled write, newest first."""
@@ -233,66 +239,26 @@ class Staging(dict):
         while journal:
             uid, row = journal.pop()
             if row is _ABSENT:
-                undone = self.pop(uid)
-                if undone is not None:
-                    self._by_type[undone.type_id].discard(uid)
+                del self[uid]
             else:
                 self.put(uid, row)
             if row is not None:
                 self.deletes.pop(uid, None)
         self.journal = journal
 
-    def rows_of(self, type_ids) -> list[Row]:
-        """Staged rows whose type is among `type_ids`, uid ascending."""
-        out = []
-        for tid in type_ids:
-            for uid in self._by_type.get(tid, ()):
-                row = self.get(uid)
-                if row is not None and row.type_id == tid:
-                    out.append(row)
-        out.sort(key=lambda r: r.uid)
-        return out
-
-    def rows_with(self, type_ids, column: str, value) -> list[Row]:
-        """Staged rows among `type_ids` whose `column` equals `value`."""
-        index = self._by_value.get(column)
-        if index is None:
-            index = self._by_value[column] = {}
-            for uid, row in self.items():
-                if row is not None:
-                    _index_value(index, uid, row.type_id, row.values.get(column))
-        out = []
-        for tid in type_ids:
-            by_value = index.get(tid)
-            if not by_value:
-                continue
-            try:
-                uids = by_value.get(value, ())
-            except TypeError:
-                continue  # an unhashable probe equals no indexed value
-            for uid in uids:
-                row = self.get(uid)
-                if (row is not None and row.type_id == tid
-                        and val.values_equal(row.values.get(column), value)):
-                    out.append(row)
-        return out
-
-    def edges_at(self, side: int, uid: int) -> list[Row]:
-        """Staged edges whose end on `side` (0 leaving, 1 arriving) is node `uid`."""
-        rows = (self.get(euid) for euid in self._ends[side].get(uid, ()))
-        return [r for r in rows if r is not None and r.ends[side] == uid]
-
-
-def _index_value(index: dict, uid: int, type_id: int, value) -> None:
-    if value is not None:
-        try:
-            index.setdefault(type_id, {}).setdefault(value, set()).add(uid)
-        except TypeError:
-            pass  # an unhashable value equals no hashable probe
+    def index_candidates(self, type_id: int, column: str, value) -> tuple[int, ...]:
+        """Over-approximate staged uids; caller re-checks each."""
+        index = self.index
+        if column not in index.values.get(type_id, ()):  # the column's first probe
+            index.build(type_id, column, (row for row in map(self.get, index.types.get(type_id, ()))
+                                          if row is not None))
+        return index.candidates(type_id, column, value)
 
 
 class ReadView:
-    """Committed state at one snapshot merged with a transaction's staging."""
+    """Committed state at one snapshot merged with a transaction's staging.
+    Each read takes the candidate uids of the store's index and the
+    staging's, and re-checks each uid once through `get_row`."""
 
     def __init__(self, store: Store, snapshot: int, catalog: Catalog,
                  staged: Staging | None = None):
@@ -304,18 +270,21 @@ class ReadView:
     def get_row(self, uid: int) -> Row | None:
         if uid in self.staged:
             return self.staged[uid]
-        return self.store.visible(uid, self.snapshot)
+        version = self.store.version_at(uid, self.snapshot)
+        return version.row if version is not None else None
 
     def scan_type(self, type_id: int, subtypes: bool = True):
         """Rows of the type (and subtypes), ascending by uid."""
-        tids = self.catalog.subtype_closure(type_id) if subtypes else [type_id]
-        streams = []
-        for tid in tids:
-            committed = [r for r in self.store.scan_committed(tid, self.snapshot)
-                         if r.uid not in self.staged]
-            streams.append(committed)
-        streams.append(self.staged.rows_of(tids))
-        return heapq.merge(*streams, key=lambda r: r.uid)
+        tids = self.catalog.subtype_closure(type_id) if subtypes else (type_id,)
+        groups = [g for g in map(self.store.index.types.get, tids) if g]
+        staged = [g for g in map(self.staged.index.types.get, tids) if g] if self.staged else []
+        if len(groups) == 1 and not staged:
+            uids = tuple(groups[0])  # the store keeps a type's uids ascending
+        else:
+            uids = sorted(set().union(*groups, *staged))
+        for row in map(self.get_row, uids):
+            if row is not None:
+                yield row
 
     def resolver(self, bindings: dict):
         """Resolve `alias` and `alias.column` references against `bindings`,
@@ -351,17 +320,16 @@ class ReadView:
         """Rows among `type_ids` whose `column` equals `value`, uid ascending."""
         if value is None:
             return []
-        out = []
+        store, staged, uids = self.store, self.staged, ()
         for tid in type_ids:
-            for uid in self.store.index_candidates(tid, column, value):
-                if uid in self.staged:
-                    continue
-                row = self.store.visible(uid, self.snapshot)
-                if row is not None and row.type_id == tid and val.values_equal(row.values.get(column), value):
-                    out.append(row)
-        if self.staged:
-            out.extend(self.staged.rows_with(type_ids, column, value))
-        out.sort(key=lambda r: r.uid)
+            uids += store.index_candidates(tid, column, value)
+            if staged:
+                uids += staged.index_candidates(tid, column, value)
+        out = []
+        for row in map(self.get_row, sorted(set(uids)) if len(uids) > 1 else uids):
+            if (row is not None and row.type_id in type_ids
+                    and val.values_equal(row.values.get(column), value)):
+                out.append(row)
         return out
 
     # --- graph navigation ---
@@ -390,18 +358,14 @@ class ReadView:
         """[(edge row, leaving uid, arriving uid)] touching node `uid` on
         `direction`, uid ascending."""
         side = 0 if direction == "leaving" else 1
-        store, staged, out = self.store, self.staged, []
-        for euid in tuple((store.leaving_at if side == 0 else store.arriving_at).get(uid, ())):
-            version = None if euid in staged else store.version_at(euid, self.snapshot)
-            if version is None or version.row.ends[side] != uid:
-                continue
-            if edge_type_ids is None or version.row.type_id in edge_type_ids:
-                out.append((version.row, *version.row.ends))
-        if staged:
-            for row in staged.edges_at(side, uid):
-                if edge_type_ids is None or row.type_id in edge_type_ids:
-                    out.append((row, *row.ends))
-        out.sort(key=lambda t: t[0].uid)
+        uids = self.store.index.ends[side].get(uid, ())
+        if self.staged:
+            uids = {*uids, *self.staged.index.ends[side].get(uid, ())}
+        out = []
+        for row in map(self.get_row, sorted(uids)):
+            if (row is not None and row.ends[side] == uid
+                    and (edge_type_ids is None or row.type_id in edge_type_ids)):
+                out.append((row, *row.ends))
         return out
 
 
@@ -421,25 +385,25 @@ class Transaction:
     """Stages schema and row changes against a snapshot; commit validates
     and publishes them atomically."""
 
-    def __init__(self, db, snapshot: int):
+    def __init__(self, db, snapshot: int, catalog: Catalog):
         self.db = db
         self.snapshot = snapshot
         self.status = "open"
+        # the catalog published with the snapshot, and this transaction's
+        # clone of it once a statement changes the schema
+        self._catalog_base = catalog
         self._catalog: Catalog | None = None
-        # the published catalog that `_catalog` was cloned from
-        self._catalog_base: Catalog | None = None
         self.staged = Staging()
 
     # --- catalog access ---
 
     @property
     def catalog(self) -> Catalog:
-        return self._catalog if self._catalog is not None else self.db.catalog
+        return self._catalog if self._catalog is not None else self._catalog_base
 
     def _mutable_catalog(self) -> Catalog:
         if self._catalog is None:
-            self._catalog_base = self.db.catalog
-            self._catalog = self.db.catalog.clone()
+            self._catalog = self._catalog_base.clone()
         return self._catalog
 
     def _check_open(self) -> None:
@@ -690,7 +654,8 @@ class _Commit:
                             if d != base.get(d.type_id)}
             if not self.changed:
                 tx._catalog = None  # an unchanged schema has nothing to publish
-        self.catalog = catalog = tx.catalog
+        # an unchanged schema is checked against the latest published one
+        self.catalog = catalog = tx._catalog if tx._catalog is not None else tx.db.catalog
         # the one view of the latest committed state, under the lock
         self.post = ReadView(self.store, self.store.commit_seq, catalog, self.staged)
         self.node_tids = catalog.type_ids(cat.KIND_NODE)
@@ -744,7 +709,7 @@ class _Commit:
         if tx._catalog is not None and tx.db.catalog is not tx._catalog_base:
             # publishing this catalog would revert the other commit's schema
             raise CommitError("conflict", "catalog", "another transaction changed "
-                              "the schema after this one began changing it")
+                              "the schema after this one began")
         for uid in self.staged:
             version = self.store.newest(uid)
             if version is not None and max(version.begin, version.end or 0) > tx.snapshot:
@@ -940,8 +905,7 @@ class _Commit:
         try:
             self.store.apply(seq, self.staged)
             db.logged_next_uid = next_uid
-            if self.tx._catalog is not None:
-                db.catalog = self.tx._catalog
+            db.published = (seq, catalog)
             db.graphs.apply_delta(self.changes)
         except Exception as exc:
             # memory and the log now differ; reopening the log recovers

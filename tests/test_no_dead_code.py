@@ -1,6 +1,7 @@
 """Every function, class, method and module-level name in the package is
 named somewhere outside its own definition: in the package, the tests or the
-bench harness.  Code that nothing calls is deleted, not kept in step."""
+bench harness, and every parameter is read by its function.  Code that
+nothing calls or reads is deleted, not kept in step."""
 
 import ast
 import pathlib
@@ -12,6 +13,10 @@ SEARCHED = [ROOT / "src", ROOT / "tests", ROOT / "perfbench"]
 
 # called by the standard library's HTTP server, never by name in this repo
 STDLIB_HOOKS = {"do_GET", "log_message"}
+# functions whose own or whose lambdas' signatures a caller fixes: the HTTP
+# server's logging hook, and the line reader `split_statements` hands to
+# `_statements`
+FIXED_SIGNATURES = {"log_message", "split_statements"}
 
 
 def _definitions(tree):
@@ -44,3 +49,30 @@ def test_every_definition_is_used_outside_its_own_body():
                        if not (src == path and i in own)):
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def _unread_parameters(node, owner: str):
+    """(owner, parameter) of each parameter under `node` that its function
+    or lambda never reads, `owner` naming the enclosing def."""
+    for child in ast.iter_child_nodes(node):
+        name = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) \
+                and name not in FIXED_SIGNATURES:
+            args = child.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                      + [a for a in (args.vararg, args.kwarg) if a is not None]]
+            body = child.body if isinstance(child.body, list) else [child.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            for param in params:
+                if param not in read and param not in ("self", "cls"):
+                    yield name, param
+        yield from _unread_parameters(child, name)
+
+
+def test_every_parameter_is_read():
+    unread = [f"{path.name} {owner}({param})"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for owner, param in _unread_parameters(
+                  ast.parse(path.read_text(encoding="utf-8")), "<module>")]
+    assert unread == []

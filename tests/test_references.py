@@ -7,6 +7,7 @@ import random
 import pytest
 
 from graphtables import Database
+from graphtables.engine import render_row
 from graphtables.errors import CommitError, GraphTablesError
 
 EDGES = "MATCH (a:Q)-[e:R]->(b:Q) RETURN a.N, e.LEAVING, b.N, e.ARRIVING"
@@ -164,6 +165,33 @@ def test_dropped_column_scrubs_only_the_rows_of_the_snapshot(qdb):
     assert qdb.execute("MATCH (q:Q) RETURN q.N, q.W").rows == [[1, 10], [2, 20]]
 
 
+def test_a_transaction_reads_the_catalog_of_its_begin(qdb):
+    qdb.execute("CREATE (:Q {N: 1, W: 10})")
+    sess = qdb.session()
+    sess.execute("BEGIN")
+    qdb.execute("ALTER TABLE Q DROP COLUMN W")
+    q_tid = qdb.catalog.lookup_label("Q").type_id
+    assert [c.name for c in sess.tx.catalog.effective_columns(q_tid)] == ["ID", "N", "W"]
+    assert sess.execute("MATCH (q:Q) RETURN q.N, q.W").rows == [[1, 10]]
+    [[row]] = sess.execute("MATCH (q:Q {W: 10}) RETURN q").rows
+    assert render_row(sess.view(), row) == "Q(N=1,W=10)"
+    sess.execute("COMMIT")
+    [[row]] = qdb.execute("MATCH (q:Q) RETURN q").rows
+    assert render_row(qdb.read_view(), row) == "Q(N=1)"
+
+
+def test_schema_change_after_another_schema_commit_conflicts(qdb):
+    sess = qdb.session()
+    sess.execute("BEGIN")
+    qdb.execute("ALTER TABLE Q ADD COLUMN Z int")
+    sess.execute("ALTER TABLE Q ADD COLUMN Y int")
+    with pytest.raises(CommitError, match="changed the schema") as err:
+        sess.execute("COMMIT")
+    assert err.value.rule == "conflict"
+    q_tid = qdb.catalog.lookup_label("Q").type_id
+    assert [c.name for c in qdb.catalog.effective_columns(q_tid)] == ["ID", "N", "W", "Z"]
+
+
 def test_set_on_a_row_deleted_after_begin_conflicts_at_commit(qdb):
     qdb.execute("CREATE (:Q {N: 1})")
     sess = qdb.session()
@@ -206,7 +234,7 @@ def test_set_on_a_row_whose_column_was_dropped_after_begin_conflicts(qdb):
     sess = qdb.session()
     sess.execute("BEGIN")
     qdb.execute("ALTER TABLE Q DROP COLUMN W")
-    sess.execute("MATCH (q:Q {N: 1}) SET q.V = 5")
+    sess.execute("MATCH (q:Q {N: 1}) SET q.W = 5")
     with pytest.raises(CommitError, match="changed by a commit after") as err:
         sess.execute("COMMIT")
     assert err.value.rule == "conflict"
