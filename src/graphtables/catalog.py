@@ -97,11 +97,12 @@ class Catalog:
         self._types: dict[int, TypeDescriptor] = {}
         self._by_label: dict[str, dict[str, int]] = {KIND_NODE: {}, KIND_EDGE: {}, KIND_PLAIN: {}}
         self._next_type_id = 1
-        # memos by type id: subtype closures, effective columns and key
-        # declarers, all cleared by _install, the one writer of _types
+        # memos cleared by _install, the one writer of _types: subtype closures,
+        # effective columns and key declarers by type id, label types by (labels, kind)
         self._closures: dict[int, tuple[int, ...]] = {}
         self._columns: dict[int, tuple[ColumnDescriptor, ...]] = {}
         self._declarers: dict[int, TypeDescriptor | None] = {}
+        self._label_types: dict[tuple, TypeDescriptor | None] = {}
 
     # --- lookup ---
 
@@ -119,6 +120,18 @@ class Catalog:
                 return self._types[tid]
         return None
 
+    def label_type(self, labels: tuple[str, ...], kind: str) -> TypeDescriptor | None:
+        """The type of a label chain like X:Y: the label whose supertype path
+        holds every label (so its subtype closure holds the types that carry
+        them all), or None when no `kind` type does."""
+        key = (labels, kind)
+        if key not in self._label_types:
+            tids = [self._by_label[kind].get(label) for label in labels]
+            paths = [self.supertype_chain(t) for t in tids if t is not None]
+            best = next((path[-1] for path in paths if all(t in path for t in tids)), None)
+            self._label_types[key] = None if best is None else self._types[best]
+        return self._label_types[key]
+
     def types(self, kind: str | None = None):
         for tid in sorted(self._types):
             desc = self._types[tid]
@@ -126,7 +139,7 @@ class Catalog:
                 yield desc
 
     def type_ids(self, kind: str) -> set[int]:
-        """Ids of the `kind` types, unordered."""
+        """Ids of the `kind` types, as a set."""
         return set(self._by_label[kind].values())
 
     def subtype_closure(self, type_id: int) -> tuple[int, ...]:
@@ -188,6 +201,11 @@ class Catalog:
         declarer = self.key_declarer(type_id)
         return list(declarer.primary_key) if declarer else []
 
+    def key_column(self, type_id: int) -> str | None:
+        """The column of a single-column key, which edges reference; else None."""
+        key = self.effective_key(type_id)
+        return key[0] if len(key) == 1 else None
+
     def edge_types_referencing(self, node_type_ids: set[int]):
         """[(edge descriptor, side)] for edges whose endpoint type is in the set."""
         out = []
@@ -237,6 +255,7 @@ class Catalog:
         self._closures.clear()
         self._columns.clear()
         self._declarers.clear()
+        self._label_types.clear()
         return desc
 
     def define_node_type(self, label: str, columns: list[ColumnDescriptor],
@@ -277,10 +296,10 @@ class Catalog:
         node = self.get(node_type_id)
         if node.kind != KIND_NODE:
             raise SchemaError(f"{node.label} is not a node type")
-        key = self.effective_key(node_type_id)
-        if len(key) != 1:
+        kcol = self.key_column(node_type_id)
+        if kcol is None:
             raise SchemaError(f"{node.label} needs a single-column key to be an edge endpoint")
-        col = self.effective_column(node_type_id, key[0])
+        col = self.effective_column(node_type_id, kcol)
         assert col is not None
         return col
 

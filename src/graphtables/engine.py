@@ -150,14 +150,11 @@ class Database:
         self._next_uid = max(self._next_uid, self.logged_next_uid)
 
     def _rebuild_graphs(self) -> None:
-        view = self.read_view()
-        for desc in self.catalog.types(cat.KIND_NODE):
-            for row in view.scan_type(desc.type_id, subtypes=False):
+        for row in self.read_view().scan_type([d.type_id for d in self.catalog.types()]):
+            if row.ends is None:
                 self.graphs.add_node(row.uid)
-        for desc in self.catalog.types(cat.KIND_EDGE):
-            for row in view.scan_type(desc.type_id, subtypes=False):
-                if None not in row.ends:
-                    self.graphs.add_edge(row.uid, *row.ends)
+            elif None not in row.ends:
+                self.graphs.add_edge(row.uid, *row.ends)
 
     # --- statement templates ---
 
@@ -211,14 +208,9 @@ class Database:
     def state_hash(self) -> str:
         view = self.read_view()
         seq, catalog = view.snapshot, view.catalog
-        descriptors = [catalog.descriptor_to_dict(catalog.get(tid))
-                       for tid in sorted(d.type_id for d in catalog.types())]
-        rows = []
-        for desc in catalog.types():
-            for row in view.scan_type(desc.type_id, subtypes=False):
-                rows.append([row.uid, row.type_id,
-                             {k: val.to_jsonable(v) for k, v in sorted(row.values.items())}])
-        rows.sort(key=lambda r: r[0])
+        descriptors = [catalog.descriptor_to_dict(d) for d in catalog.types()]
+        rows = [[r.uid, r.type_id, {k: val.to_jsonable(v) for k, v in sorted(r.values.items())}]
+                for r in view.scan_type([d.type_id for d in catalog.types()])]
         digest = {"seq": seq, "next_uid": self.logged_next_uid,
                   "catalog": descriptors, "rows": rows}
         blob = json.dumps(digest, sort_keys=True, separators=(",", ":")).encode("utf-8")

@@ -126,24 +126,6 @@ def exec_create(tx: Transaction, stmt: CreateStatement, params: tuple,
     return None
 
 
-def _most_specific(tx: Transaction, labels, kind: str) -> cat.TypeDescriptor:
-    """Resolve a label chain like X:Y to the most specific type; all labels
-    must lie on one supertype path."""
-    descs = []
-    for label in labels:
-        desc = tx.catalog.lookup_label(label, kind)
-        if desc is None:
-            raise ExecutionError(f"unknown {kind} type {label}")
-        descs.append(desc)
-    best = descs[0]
-    for desc in descs[1:]:
-        if best.type_id in tx.catalog.supertype_chain(desc.type_id):
-            best = desc
-        elif desc.type_id not in tx.catalog.supertype_chain(best.type_id):
-            raise ExecutionError(f"labels {':'.join(labels)} are not on one subtype path")
-    return best
-
-
 def _eval_doc(tx: Transaction, doc, params: tuple, bindings: dict) -> dict:
     out = {}
     for name, expr in doc or ():
@@ -206,28 +188,29 @@ def _create_node(tx: Transaction, pattern: NodePattern, params: tuple, bindings:
 
 
 def _resolve_or_define_node(tx: Transaction, labels, props: dict) -> cat.TypeDescriptor:
-    known = [tx.catalog.lookup_label(lbl, cat.KIND_NODE) for lbl in labels]
-    if all(d is None for d in known):
-        if len(labels) > 1:
-            raise ExecutionError(f"cannot define {':'.join(labels)} on the fly")
-        columns = [ColumnDescriptor(n, val.infer_data_type(v))
-                   for n, v in props.items() if v is not None]
-        return tx.define_node_type(labels[0], columns)
-    if any(d is None for d in known):
-        missing = [lbl for lbl, d in zip(labels, known) if d is None]
-        raise ExecutionError(f"unknown node type {missing[0]}")
-    return _most_specific(tx, labels, cat.KIND_NODE)
+    desc = tx.catalog.label_type(labels, cat.KIND_NODE)
+    if desc is not None:
+        return desc
+    missing = [lbl for lbl in labels if tx.catalog.lookup_label(lbl, cat.KIND_NODE) is None]
+    if len(missing) < len(labels):
+        raise ExecutionError(f"unknown node type {missing[0]}" if missing else
+                             f"labels {':'.join(labels)} are not on one subtype path")
+    if len(labels) > 1:
+        raise ExecutionError(f"cannot define {':'.join(labels)} on the fly")
+    columns = [ColumnDescriptor(n, val.infer_data_type(v))
+               for n, v in props.items() if v is not None]
+    return tx.define_node_type(labels[0], columns)
 
 
 def _check_endpoint_key(tx: Transaction, edge_desc: cat.TypeDescriptor,
                         side: str, node_row: Row) -> None:
     endpoint_tid = edge_desc.leaving_type if side == LEAVING else edge_desc.arriving_type
-    key = tx.catalog.effective_key(endpoint_tid)
-    if len(key) != 1:
+    kcol = tx.catalog.key_column(endpoint_tid)
+    if kcol is None:
         raise ExecutionError(f"{tx.catalog.get(endpoint_tid).label} needs a "
                              "single-column key to be referenced by edges")
-    if node_row.values.get(key[0]) is None:
-        raise ExecutionError(f"node {node_row.uid} has no value for key column {key[0]}")
+    if node_row.values.get(kcol) is None:
+        raise ExecutionError(f"node {node_row.uid} has no value for key column {kcol}")
 
 
 def _generalize_endpoint(tx: Transaction, edge_desc: cat.TypeDescriptor,

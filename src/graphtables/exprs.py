@@ -8,6 +8,7 @@ values of its literal tokens, in slot order."""
 from __future__ import annotations
 
 import datetime
+import sys
 from decimal import Decimal
 
 from .errors import ExecutionError
@@ -15,6 +16,7 @@ from .syntax import Binary, IsNull, Literal, Param, Ref, Unary
 from .values import Currency, values_equal
 
 _NUM = (int, Decimal)
+_max_str_digits = getattr(sys, "get_int_max_str_digits", int)  # int() = 0: no limit before 3.10.7
 
 
 def _is_row(v) -> bool:
@@ -73,7 +75,11 @@ def _arith(op: str, a, b):
                 q, r = divmod(a, b)
                 return q if r == 0 else Decimal(a) / Decimal(b)
             return Decimal(a) / Decimal(b)
-        x = {"+": a + b, "-": a - b, "*": a * b}[op]
+        x = a + b if op == "+" else a - b if op == "-" else a * b
+        limit = _max_str_digits()
+        # an int of at most 3 * limit bits is below 10**limit
+        if limit and isinstance(x, int) and x.bit_length() > 3 * limit and abs(x) >= 10 ** limit:
+            raise ExecutionError(f"integer result has more than {limit} digits")
         return x
     if isinstance(a, str) and isinstance(b, str) and op == "+":
         return a + b
@@ -127,7 +133,7 @@ def eval_expr(expr, resolve, params):
             if left is None or right is None:
                 return None
             a, b = _ordering_pair(left, right)
-            return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[op]
+            return a < b if op == "<" else a <= b if op == "<=" else a > b if op == ">" else a >= b
         if op in ("+", "-", "*", "/"):
             if left is None or right is None:
                 return None

@@ -111,12 +111,11 @@ def build_document(db: Database, selector: tuple, depth: int | None) -> dict:
         entry = types.get(type_id)
         if entry is None:
             desc = catalog.get(type_id)
-            key = catalog.effective_key(type_id)
             columns = [(c.name, encode_basestring(c.name) + ": ")
                        for c in catalog.effective_columns(type_id)
                        if desc.kind != cat.KIND_EDGE or c.name not in (LEAVING, ARRIVING)]
             entry = types[type_id] = (encode_basestring(desc.label),
-                                      key[0] if len(key) == 1 else None, columns)
+                                      catalog.key_column(type_id), columns)
         return entry
 
     def properties(values: dict, cols: list) -> str:

@@ -95,7 +95,10 @@ def tokenize(text: str) -> list[Token]:
         elif kind == "decimal":
             tokens.append(Token("decimal", Decimal(lexeme), lexeme, start, i, tok_line, col))
         elif kind == "int":
-            tokens.append(Token("int", int(lexeme), lexeme, start, i, tok_line, col))
+            try:
+                tokens.append(Token("int", int(lexeme), lexeme, start, i, tok_line, col))
+            except ValueError:  # more digits than the interpreter converts
+                raise LexError(f"{len(lexeme)}-digit integer is too long", tok_line, col) from None
         elif kind == "qident":
             name = lexeme[1:-1].replace('""', '"')
             tokens.append(Token("ident", name, lexeme, start, i, tok_line, col, exact=True))

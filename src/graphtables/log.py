@@ -17,6 +17,7 @@ import logging
 import struct
 import zlib
 
+from .errors import StorageError
 from .values import from_jsonable, to_jsonable
 
 log = logging.getLogger("graphtables")
@@ -36,10 +37,16 @@ def encode_record(seq: int, schema: list[dict], rows: dict, next_uid: int) -> by
             ops.append(["put", uid, row.type_id,
                         {k: to_jsonable(v) for k, v in row.values.items()}]
                        + ([] if row.ends is None else [row.ends]))
-    payload = json.dumps(
-        {"seq": seq, "schema": schema, "rows": ops, "next_uid": next_uid},
-        ensure_ascii=False, separators=(",", ":"),
-    ).encode("utf-8")
+    try:
+        payload = json.dumps({"seq": seq, "schema": schema, "rows": ops, "next_uid": next_uid},
+                             ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    except ValueError as exc:  # an int past the digit limit, or a string UTF-8 cannot hold
+        for op in ops:
+            try:
+                json.dumps(op, ensure_ascii=False).encode("utf-8")
+            except ValueError as row_exc:
+                raise StorageError(f"row {op[1]} cannot be logged: {row_exc}") from exc
+        raise StorageError(f"commit {seq} cannot be logged: {exc}") from exc
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 

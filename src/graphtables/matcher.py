@@ -1,7 +1,8 @@
 """Pattern matching for MATCH statements.
 
-Each item's chain is compiled once per statement into steps, with label
-closures and edge type ids resolved up front.  The search is one iterative
+Each item's chain is compiled once per statement into steps, with edge type
+ids resolved up front; a label chain reads the subtype closure of the type
+`Catalog.label_type` gives it, as CREATE does.  The search is one iterative
 depth-first walk over an explicit stack of frames, each holding a step's
 candidates and the undo record of the one it is on: a walk has no depth
 limit, and completing a binding costs O(1) at any depth.  Quantified path
@@ -22,8 +23,6 @@ returned as a table, or fed to the dependent statements.
 """
 
 from __future__ import annotations
-
-import heapq
 
 from . import catalog as cat
 from . import values as val
@@ -138,7 +137,6 @@ class _Matcher:
         self.emissions: list[list] = []  # [bindings dict, edge count]
         self.sel = stmt.items[0].sel_mode if stmt.items else None
         self.bound = float("inf")        # SHORTEST: fewest edges of a binding so far
-        self._tid_memo: dict[tuple, tuple[int, ...]] = {}
         self._hops: dict[tuple, list] = {}  # (node uid, side, edge type ids) -> _adjacent
         self.items = [self._compile(item.chain, [(_START, item.chain[0])], (_ITEM_END, i))
                       for i, item in enumerate(stmt.items)]
@@ -363,15 +361,8 @@ class _Matcher:
 
     def _tids(self, labels, kind: str) -> tuple[int, ...]:
         """Type ids carrying every one of `labels`, subtypes included, ascending."""
-        key = (labels, kind)
-        tids = self._tid_memo.get(key)
-        if tids is None:
-            for label in labels:
-                desc = self.catalog.lookup_label(label, kind)
-                closure = self.catalog.subtype_closure(desc.type_id) if desc else ()
-                tids = closure if tids is None else tuple(t for t in tids if t in closure)
-            self._tid_memo[key] = tids
-        return tids
+        desc = self.catalog.label_type(labels, kind)
+        return self.catalog.subtype_closure(desc.type_id) if desc else ()
 
     def _node_candidates(self, pattern: NodePattern):
         if pattern.alias is not None and pattern.alias in self.bindings:
@@ -380,15 +371,12 @@ class _Matcher:
                 return [v]
             return []
         tids = self._tids(pattern.labels, cat.KIND_NODE) if pattern.labels else \
-            [d.type_id for d in self.catalog.types(cat.KIND_NODE)]
-        if not tids:
-            return []
+            self.catalog.type_ids(cat.KIND_NODE)
         for name, expr in pattern.doc or ():
             v = constant(expr, self.params)
             if v is not None:
                 return self.view.lookup_by_value(tids, name, v)
-        streams = [self.view.scan_type(t, subtypes=False) for t in tids]
-        return heapq.merge(*streams, key=lambda r: r.uid)
+        return self.view.scan_type(tids)
 
     def _unify(self, pattern, row: Row, added: list[str]) -> bool:
         """Bind `row` to a node or edge pattern and check the pattern."""

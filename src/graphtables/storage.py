@@ -30,7 +30,9 @@ rebinds an edge.
 
 One index type, `_Index`, finds candidate uids: each type's uids, a value
 index per column built on its first probe, and per side a map from node uid
-to every edge that ever ended there.  The store keeps one over every
+to every edge that ever ended there, all held in sets.  Reads take a
+collection of type ids, which callers resolve through the catalog, and sort
+the uids they gather once.  The store keeps one over every
 version it applies, and a transaction's `Staging` dict (uid -> row, None
 for a deletion) one over every row its one writer, `put`, stages.  Neither
 ever shrinks, because a reader at an older snapshot may still need a row
@@ -84,12 +86,11 @@ class _Index:
     a column from its first probe on.  Entries are never removed, so a
     reader re-checks each candidate against the row it sees."""
 
-    __slots__ = ("types", "unordered", "values", "ends")
+    __slots__ = ("types", "values", "ends")
 
     def __init__(self):
-        # type id -> its uids, ascending but for the types in `unordered`
-        self.types: dict[int, dict[int, None]] = {}
-        self.unordered: set[int] = set()
+        # type id -> its uids
+        self.types: dict[int, set[int]] = {}
         # type id -> column -> value -> uids
         self.values: dict[int, dict[str, dict]] = {}
         # per side (0 leaving, 1 arriving), node uid -> uids of edges ending there
@@ -99,13 +100,7 @@ class _Index:
         types, values, (leaving, arriving) = self.types, self.values, self.ends
         for row in rows:
             uid, tid, ends = row.uid, row.type_id, row.ends
-            members = types.get(tid)
-            if members is None:
-                types[tid] = {uid: None}
-            elif uid not in members:
-                if uid < next(reversed(members)):
-                    self.unordered.add(tid)
-                members[uid] = None
+            types.setdefault(tid, set()).add(uid)
             columns = values.get(tid)
             if columns:
                 for column, index in columns.items():
@@ -113,12 +108,6 @@ class _Index:
             if ends is not None:
                 leaving.setdefault(ends[0], set()).add(uid)
                 arriving.setdefault(ends[1], set()).add(uid)
-
-    def order(self) -> None:
-        """Put each type's uids back in ascending order."""
-        for tid in self.unordered:
-            self.types[tid] = dict.fromkeys(sorted(self.types[tid]))
-        self.unordered.clear()
 
     def build(self, type_id: int, column: str, rows) -> None:
         """Index `column` over `rows`, the rows of `type_id`, unless built."""
@@ -200,8 +189,6 @@ class Store:
                     versions.append(_Version(row, seq))
                     rows.append(row)
             self.index.add(rows)
-            if self.index.unordered:  # an older transaction committed lower uids
-                self.index.order()
             self.commit_seq = seq
 
 
@@ -217,7 +204,6 @@ class Staging(dict):
     def __init__(self):
         # uid -> (type id, CASCADE?) of each row deleted by `delete_row`
         self.deletes: dict[int, tuple[int, bool]] = {}
-        # reads sort staged candidates, so `index.order` never runs here
         self.index = _Index()
         # (uid, replaced row or _ABSENT) per `put` since the latest savepoint,
         # None before the first; undoing a deletion also drops its record
@@ -273,16 +259,11 @@ class ReadView:
         version = self.store.version_at(uid, self.snapshot)
         return version.row if version is not None else None
 
-    def scan_type(self, type_id: int, subtypes: bool = True):
-        """Rows of the type (and subtypes), ascending by uid."""
-        tids = self.catalog.subtype_closure(type_id) if subtypes else (type_id,)
-        groups = [g for g in map(self.store.index.types.get, tids) if g]
-        staged = [g for g in map(self.staged.index.types.get, tids) if g] if self.staged else []
-        if len(groups) == 1 and not staged:
-            uids = tuple(groups[0])  # the store keeps a type's uids ascending
-        else:
-            uids = sorted(set().union(*groups, *staged))
-        for row in map(self.get_row, uids):
+    def scan_type(self, type_ids):
+        """Rows of the types in `type_ids`, ascending by uid."""
+        groups = [g for index in (self.store.index, self.staged.index)
+                  for g in map(index.types.get, type_ids) if g]
+        for row in map(self.get_row, sorted(set().union(*groups))):
             if row is not None:
                 yield row
 
@@ -311,7 +292,8 @@ class ReadView:
         desc = self.catalog.get(row.type_id)
         end = ends[0] if column == LEAVING else ends[1]
         node = None if end is None else self.get_row(end)
-        kcol = self.key_column(desc.leaving_type if column == LEAVING else desc.arriving_type)
+        kcol = self.catalog.key_column(desc.leaving_type if column == LEAVING
+                                       else desc.arriving_type)
         if node is None or kcol is None:
             return row.values.get(column)
         return node.values.get(kcol)
@@ -334,13 +316,9 @@ class ReadView:
 
     # --- graph navigation ---
 
-    def key_column(self, node_type_id: int) -> str | None:
-        key = self.catalog.effective_key(node_type_id)
-        return key[0] if len(key) == 1 else None
-
     def deref_node(self, node_type_id: int, key_value) -> Row | None:
         """Node of the type closure whose key equals `key_value`."""
-        column = self.key_column(node_type_id)
+        column = self.catalog.key_column(node_type_id)
         if column is None or key_value is None:
             return None
         rows = self.lookup_by_value(self.catalog.subtype_closure(node_type_id), column, key_value)
@@ -459,7 +437,7 @@ class Transaction:
         catalog = self._mutable_catalog()
         catalog.retype_column(desc.type_id, name, data_type)
         self._retype_references({t for t in catalog.subtype_closure(desc.type_id)
-                                 if catalog.effective_key(t) == [name]}, data_type)
+                                 if catalog.key_column(t) == name}, data_type)
 
     def _retype_references(self, node_tids: set[int], data_type: str) -> None:
         """The edge columns that hold the key of `node_tids` take `data_type`."""
@@ -473,7 +451,8 @@ class Transaction:
         desc = self._type(type_ref)
         catalog = self._mutable_catalog()
         scope = catalog.column_owner(desc.type_id, name) or desc.type_id
-        rewrites = [r for r in self.view().scan_type(scope, subtypes=True) if name in r.values]
+        rewrites = [r for r in self.view().scan_type(catalog.subtype_closure(scope))
+                    if name in r.values]
         catalog.drop_column(scope, name)   # validates, may raise
         for row in rewrites:
             new_values = dict(row.values)
@@ -495,7 +474,7 @@ class Transaction:
 
         # every row of the scope must have a unique, non-null key value
         seen: dict[tuple, int] = {}
-        for row in self.view().scan_type(desc.type_id, subtypes=True):
+        for row in self.view().scan_type(catalog.subtype_closure(desc.type_id)):
             key = tuple(row.values.get(c) for c in key_columns)
             if any(v is None for v in key):
                 raise SchemaError(f"{desc.label} row {row.uid} has a null value in "
@@ -567,12 +546,12 @@ class Transaction:
             raise StorageError(f"{desc.label} is a plain type; it has no rows of its own")
         staged_values = self._stage_check_values(desc, values)
         uid = self.db.allocate_uid()
-        key = self.catalog.effective_key(desc.type_id)
+        kcol = self.catalog.key_column(desc.type_id)
         # the automatic integer key takes the row uid when no value is supplied
-        if len(key) == 1 and key[0] not in staged_values:
-            col = self.catalog.effective_column(desc.type_id, key[0])
+        if kcol is not None and kcol not in staged_values:
+            col = self.catalog.effective_column(desc.type_id, kcol)
             if col is not None and col.data_type == val.INTEGER:
-                staged_values[key[0]] = uid
+                staged_values[kcol] = uid
         row = Row(uid, desc.type_id, staged_values, ends)
         if desc.kind == cat.KIND_EDGE and ends is None:
             row.ends = self.view().resolve_endpoints(row)
@@ -696,8 +675,7 @@ class _Commit:
         for _, _, row in self.changes:
             if row is not None:
                 yield row
-        for tid in sorted(full):
-            yield from self.post.scan_type(tid, subtypes=True)
+        yield from self.post.scan_type({t for f in full for t in self.catalog.subtype_closure(f)})
 
     # rules that raise or enlarge the staging
 
@@ -724,11 +702,11 @@ class _Commit:
         edges = []
         if self.rekeyed:
             rekeyed = {t for tid in self.rekeyed for t in self.catalog.subtype_closure(tid)}
-            for edesc, _side in self.catalog.edge_types_referencing(rekeyed):
-                edges.extend(self.post.scan_type(edesc.type_id))
+            edges.extend(self.post.scan_type(
+                {edesc.type_id for edesc, _side in self.catalog.edge_types_referencing(rekeyed)}))
         for uid, row in self.staged.items():
             if row is not None and row.type_id in self.node_tids:
-                kcol, old = self.post.key_column(row.type_id), self.store.latest(uid)
+                kcol, old = self.catalog.key_column(row.type_id), self.store.latest(uid)
                 if kcol and old is not None and old.values.get(kcol) != row.values.get(kcol):
                     edges.extend(self._incident(uid).values())
         for erow in edges:
@@ -814,7 +792,7 @@ class _Commit:
             closure = catalog.subtype_closure(scope_tid)
             if scope_tid in self.rekeyed:
                 seen: dict[tuple, int] = {}
-                for row in post.scan_type(scope_tid, subtypes=True):
+                for row in post.scan_type(closure):
                     kv = tuple(row.values.get(c) for c in key)
                     if None in kv:
                         continue
@@ -861,10 +839,10 @@ class _Commit:
                 affected.update(before.ends)
             if row is not None:
                 affected.update(row.ends if row.type_id in self.edge_tids else (uid,))
-        for edesc in constrained:
-            if edesc.type_id in self.full_mult:
-                for endpoint in (edesc.leaving_type, edesc.arriving_type):
-                    affected.update(row.uid for row in post.scan_type(endpoint, subtypes=True))
+        full = {t for edesc in constrained if edesc.type_id in self.full_mult
+                for endpoint in (edesc.leaving_type, edesc.arriving_type)
+                for t in catalog.subtype_closure(endpoint)}
+        affected.update(row.uid for row in post.scan_type(full))
         for node_uid in sorted(affected):
             node = post.get_row(node_uid)
             if node is None:

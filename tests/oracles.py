@@ -318,10 +318,10 @@ def graph_from_db(db) -> Graph:
     view = db.read_view()
     catalog = db.catalog
     for desc in catalog.types("node"):
-        for row in view.scan_type(desc.type_id, subtypes=False):
+        for row in view.scan_type({desc.type_id}):
             g.nodes[row.uid] = desc.label
     for desc in catalog.types("edge"):
-        for row in view.scan_type(desc.type_id, subtypes=False):
+        for row in view.scan_type({desc.type_id}):
             tail, head = view.resolve_endpoints(row)
             g.edges[row.uid] = (desc.label, tail, head)
     return g

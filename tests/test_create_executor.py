@@ -38,7 +38,7 @@ def test_fractional_value_grows_integer_column(db):
     db.execute("CREATE (:Item {weight:2})")
     db.execute("CREATE (:Item {weight:2.5})")
     assert db.catalog.lookup_label("ITEM").own_column("WEIGHT").data_type == values.DECIMAL
-    rows = list(db.read_view().scan_type(db.catalog.lookup_label("ITEM").type_id))
+    rows = list(db.read_view().scan_type(db.catalog.subtype_closure(db.catalog.lookup_label("ITEM").type_id)))
     assert rows[0].get("WEIGHT") == 2
     assert rows[1].get("WEIGHT") == Decimal("2.5")
 
@@ -110,7 +110,7 @@ def test_label_chain_resolves_most_specific(db):
     db.execute("create type PurchasedPart under Part as (SupplNo int)")
     db.execute("CREATE (:Part:PurchasedPart {PartID:'P01'})")
     bought = db.catalog.lookup_label("PURCHASEDPART")
-    assert next(db.read_view().scan_type(bought.type_id, subtypes=False)).type_id == bought.type_id
+    assert next(db.read_view().scan_type({bought.type_id})).type_id == bought.type_id
 
     db.execute("create type Other as (X char) nodetype")
     with pytest.raises(ExecutionError, match="not on one subtype path"):
@@ -169,7 +169,7 @@ def test_create_then_uses_fresh_bindings(db):
 
 def test_edge_reference_columns_hold_endpoint_keys(db):
     db.execute("CREATE (a:P {n:1})-[:E]->(b:P {n:2})")
-    edge = next(db.read_view().scan_type(db.catalog.lookup_label("E").type_id))
+    edge = next(db.read_view().scan_type(db.catalog.subtype_closure(db.catalog.lookup_label("E").type_id)))
     assert edge.get(LEAVING) == 1 and edge.get(ARRIVING) == 2
 
 

@@ -4,6 +4,7 @@ torn-tail tolerance, and state digests."""
 import json
 import os
 import struct
+import sys
 import zlib
 
 import pytest
@@ -212,7 +213,7 @@ def adjacency(db):
                         view.edges_adjacent(node.uid, direction)]
                        for direction in ("leaving", "arriving")]
             for desc in db.catalog.types("node")
-            for node in view.scan_type(desc.type_id, subtypes=False)}
+            for node in view.scan_type({desc.type_id})}
 
 
 def test_replay_restores_logged_ends_through_rekeys_retargets_and_cascades(tmp_path):
@@ -557,5 +558,32 @@ def test_commit_logged_but_not_applied_refuses_later_commits(tmp_path, monkeypat
 def test_render_row_shows_label_and_values(family):
     view = family.read_view()
     desc = family.catalog.lookup_label("PERSON")
-    row = next(r for r in view.scan_type(desc.type_id) if r.uid == 2)
+    row = next(r for r in view.scan_type(view.catalog.subtype_closure(desc.type_id)) if r.uid == 2)
     assert render_row(family.read_view(), row) == "PERSON(ID=2,NAME=Peter Smith)"
+
+
+@pytest.mark.parametrize("value", ["surrogate", "long int"])
+def test_a_row_the_log_cannot_encode_is_refused_with_its_uid(tmp_path, value):
+    path = tmp_path / "encode.db"
+    db = Database(path)
+    db.execute("CREATE (:P {K: 'a', N: 1, S: 'x'})")
+    before, size = db.state_hash(), path.stat().st_size
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        tx = db.begin()
+        uid = tx.insert_row("P", {"S": "\ud800"} if value == "surrogate" else {"N": 10 ** 5000})
+        with pytest.raises(StorageError, match=f"row {uid} cannot be logged"):
+            tx.commit()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert tx.status == "aborted"
+    assert db.state_hash() == before and path.stat().st_size == size
+    with pytest.raises(StorageError, match="cannot be logged"):
+        db.execute("CREATE (:P {K: 'b', S: '\ud800'})")
+    assert db.state_hash() == before and path.stat().st_size == size
+    db.execute("CREATE (:P {K: 'c', N: 3})")
+    db.close()
+    again = Database(path)
+    assert sorted(again.execute("MATCH (p:P) RETURN p.K").rows) == [["a"], ["c"]]
+    again.close()

@@ -13,7 +13,7 @@ import pytest
 
 from graphtables import Database
 from graphtables.storage import ReadView, Row
-from graphtables.errors import CommitError
+from graphtables.errors import CommitError, ExecutionError
 
 from conftest import names
 from generators import build_random_graph, random_chain
@@ -496,3 +496,66 @@ def test_matches_brute_force_oracle_on_random_graphs():
             short = db.execute(
                 "MATCH " + ((mode + " ") if mode else "") + "SHORTEST " + render_chain(chain))
             assert canon(short) == want_shortest, text
+
+
+# ---------------------------------------------------------------- label chains
+
+def _types_with_labels(catalog, labels, kind="node") -> set[int]:
+    """The oracle for a label chain: the type ids whose subtype closures
+    hold every one of `labels`, an unknown label holding none."""
+    tids = None
+    for label in labels:
+        desc = catalog.lookup_label(label, kind)
+        closure = set(catalog.subtype_closure(desc.type_id)) if desc else set()
+        tids = closure if tids is None else tids & closure
+    return tids
+
+
+def test_a_label_chain_matches_the_types_that_carry_every_label():
+    db = Database()
+    for text in ("create type A as (N int) nodetype",
+                 "create type B under A as (M int)",
+                 "create type C under A as (M int)",
+                 "create type R as (W int) edgetype (leaving A, arriving A)",
+                 "create type S as (W int) edgetype (leaving A, arriving A)"):
+        db.execute(text)
+    # a B row with a lower uid commits after an A row with a higher uid
+    early, late = db.session(), db.session()
+    early.execute("BEGIN")
+    early.execute("CREATE (:B {N: 1})")
+    late.execute("CREATE (:A {N: 2})")
+    early.execute("COMMIT")
+    db.execute("CREATE (:C {N: 4}), (:B {N: 3}), (:A {N: 5})")
+    for a, b in ((2, 1), (2, 4), (5, 3), (3, 4)):
+        db.execute(f"MATCH (a:A {{N: {a}}}), (b:A {{N: {b}}}) CREATE (a)-[:R {{W: 1}}]->(b)")
+        db.execute(f"MATCH (a:A {{N: {a}}}), (b:A {{N: {b}}}) CREATE (b)-[:S {{W: 1}}]->(a)")
+    catalog, view = db.catalog, db.read_view()
+    tid = {label: catalog.lookup_label(label).type_id for label in "ABCR"}
+    rows = [r for r in map(view.get_row, range(1, db.peek_uid())) if r is not None]
+    b_first = [r.uid for r in rows if r.type_id in (tid["A"], tid["B"])][:2]
+    assert [view.get_row(uid).type_id for uid in b_first] == [tid["B"], tid["A"]]
+    assert db.store.version_at(b_first[0], view.snapshot).begin > \
+        db.store.version_at(b_first[1], view.snapshot).begin
+
+    assert _types_with_labels(catalog, ("A",)) == {tid["A"], tid["B"], tid["C"]}
+    assert _types_with_labels(catalog, ("A", "B")) == _types_with_labels(catalog, ("B", "A")) \
+        == set(catalog.subtype_closure(tid["B"]))
+    assert _types_with_labels(catalog, ("B", "C")) == _types_with_labels(catalog, ("Z",)) == set()
+    for labels in (("A",), ("B",), ("C",), ("A", "B"), ("B", "A"), ("A", "B", "A"),
+                   ("B", "C"), ("Z",), ("A", "Z")):
+        chain = ":".join(labels)
+        tids = _types_with_labels(catalog, labels)
+        uids = [r.uid for r in rows if r.type_id in tids]
+        got = db.execute(f"MATCH (x:{chain}) RETURN x").rows
+        assert [x.uid for x, in got] == uids, chain
+        for n in range(1, 6):
+            got = db.execute(f"MATCH (x:{chain} {{N: {n}}}) RETURN x").rows
+            assert [x.uid for x, in got] == [u for u in uids if view.get_row(u).get("N") == n]
+        got = db.execute(f"MATCH (a)-[:R]->(x:{chain}) RETURN x").rows
+        assert sorted(x.uid for x, in got) == sorted(
+            r.ends[1] for r in rows if r.type_id == tid["R"]
+            and view.get_row(r.ends[1]).type_id in tids), chain
+    assert len(db.execute("MATCH (a)-[e:R]->(b) RETURN e").rows) == 4
+    assert db.execute("MATCH (a)-[e:R:S]->(b) RETURN e").rows == []
+    with pytest.raises(ExecutionError, match="not on one subtype path"):
+        db.execute("CREATE (:B:C {N: 9})")

@@ -38,7 +38,7 @@ def check(view, db):
     for label in "PQO":
         for subtypes in (True, False):
             closure = set(catalog.subtype_closure(tid[label])) if subtypes else {tid[label]}
-            assert (shown(view.scan_type(tid[label], subtypes))
+            assert (shown(view.scan_type(closure))
                     == shown(r for r in rows if r.type_id in closure)), (label, subtypes)
     probes = {column: {r.values.get(column) for r in rows} | {None, 99}
               for column in ("N", "V", "W")}

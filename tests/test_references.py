@@ -96,7 +96,7 @@ def test_new_key_rewrites_an_edge_committed_while_the_alter_was_open(qdb):
     qdb.execute("MATCH (a:Q {N: 1}), (b:Q {N: 2}) CREATE (a)-[:R]->(b)")
     sess.execute("COMMIT")
     view = qdb.read_view()
-    edge = next(view.scan_type(qdb.catalog.lookup_label("R").type_id))
+    edge = next(view.scan_type(qdb.catalog.subtype_closure(qdb.catalog.lookup_label("R").type_id)))
     assert (edge.get("LEAVING"), edge.get("ARRIVING")) == (10, 20)
     assert view.resolve_endpoints(edge) == edge.ends
 
@@ -304,7 +304,7 @@ def random_stream(rng: random.Random, length: int) -> list[tuple[int, str]]:
 def snapshot(db) -> tuple:
     rows = sorted((r.uid, r.type_id, sorted(r.values.items()))
                   for desc in db.catalog.types()
-                  for r in db.read_view().scan_type(desc.type_id, subtypes=False))
+                  for r in db.read_view().scan_type({desc.type_id}))
     components = sorted((sorted(c.nodes), sorted(c.edges)) for c in db.graphs.components())
     return rows, components, db.state_hash()
 
@@ -336,7 +336,7 @@ def test_random_streams_read_endpoint_keys_and_reopen_alike(tmp_path, seed):
                 pass
     view = db.read_view()
     for desc in db.catalog.types("edge"):
-        for edge in view.scan_type(desc.type_id, subtypes=False):
+        for edge in view.scan_type({desc.type_id}):
             assert view.resolve_endpoints(edge) == edge.ends
     before = snapshot(db)
     db.close()

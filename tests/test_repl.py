@@ -2,6 +2,9 @@
 and the interactive loop driven through StringIO."""
 
 import io
+import sys
+
+import pytest
 
 from graphtables import repl
 from graphtables.engine import Database, ResultTable
@@ -325,3 +328,24 @@ def test_repl_renders_an_edge_staged_in_the_open_transaction_with_its_endpoint_k
                                 "exit\n")
     assert rc == 0
     assert "|S(ID=3,LEAVING=1,ARRIVING=2,W=5)|" in out
+
+
+SQUARE = "MATCH (p:P {K: 'a'}) SET p.N = p.N * p.N\n"
+
+
+@pytest.mark.parametrize("setup, text", [
+    ("", "RETURN " + "1" * 5000 + "\n"),
+    ("", "RETURN " + "9" * 2500 + " * " + "9" * 2500 + "\n"),
+    # 10 squared 12 times has 4,097 digits, squared once more 8,193
+    ("CREATE (:P {K: 'a', N: 10})\n" + SQUARE * 12, SQUARE),
+], ids=["literal", "product", "stored square"])
+def test_repl_reports_integers_past_the_digit_limit_and_carries_on(setup, text):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        rc, out = drive(Database(), setup + text + "RETURN 'after'\nquit\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert rc == 0
+    assert out.count("error:") == 1
+    assert out.index("error:") < out.index("|after")

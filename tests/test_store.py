@@ -266,7 +266,7 @@ def test_update_of_committed_key_rewrites_committed_edges(db):
     tx.update_row(a.uid, {"PARTID": "A2"})
     tx.commit()
     view = db.read_view()
-    edge = next(view.scan_type(db.catalog.lookup_label("NEEDS").type_id))
+    edge = next(view.scan_type(db.catalog.subtype_closure(db.catalog.lookup_label("NEEDS").type_id)))
     assert edge.get(LEAVING) == "A2"
     assert view.resolve_endpoints(edge)[0] == a.uid
 
@@ -291,7 +291,7 @@ def test_drop_column_scrubs_values(db):
     rewritten = tx.drop_column("PERSON", ID)
     tx.commit()
     assert rewritten == 2
-    for row in db.read_view().scan_type(db.catalog.lookup_label("PERSON").type_id):
+    for row in db.read_view().scan_type(db.catalog.subtype_closure(db.catalog.lookup_label("PERSON").type_id)):
         assert ID not in row.values
 
 
@@ -326,10 +326,10 @@ def test_scan_of_a_type_skips_other_types_staged_rows(db):
     tx.insert_row("Q", {"N": -1})
     tx.restore(point)
     view = tx.view()
-    assert [r.uid for r in view.scan_type(p_tid)] == staged
+    assert [r.uid for r in view.scan_type(view.catalog.subtype_closure(p_tid))] == staged
     started = time.perf_counter()
     for _ in range(1000):
-        assert [r.uid for r in view.scan_type(q_tid)] == [q]
+        assert [r.uid for r in view.scan_type(view.catalog.subtype_closure(q_tid))] == [q]
     elapsed = time.perf_counter() - started
     # filtering all 20,000 staged rows per scan took about 1.2 s here
     assert elapsed < 0.4, f"1,000 scans of one Q row took {elapsed:.2f} s"

@@ -212,7 +212,7 @@ def content(db):
     """Committed rows per type label, without ID, which takes the uid."""
     out = {}
     for desc in db.catalog.types():
-        rows = db.read_view().scan_type(desc.type_id, subtypes=False)
+        rows = db.read_view().scan_type({desc.type_id})
         out[desc.label] = sorted(sorted((k, repr(v)) for k, v in row.values.items() if k != "ID")
                                  for row in rows)
     return out
