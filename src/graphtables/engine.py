@@ -1,10 +1,14 @@
 """Database facade: ties the catalog, row store, commit log, component
 registry and statement execution together behind one object.
 
-Each statement text is tokenized; texts of one token shape (`parser.shape`)
-run one parsed template with their own literal values.  A `Database` keeps
-the templates of shapes it has parsed twice, at most `_TEMPLATES` of them,
-so a statement shape used once, such as a bulk load, is never retained."""
+One regex pass over each statement text (`lexer.scan`) gives its template
+key and literal values; texts of one key run one parsed template with their
+own literal values, and tokens are built only when the key misses.  A
+`Database` keeps the templates of keys it has parsed twice, at most
+`_TEMPLATES` of them, so a statement shape used once, such as a bulk load,
+is never retained.  A MATCH template also keeps the match plan compiled for
+the latest catalog it ran under, so a repeated statement skips lexing,
+parsing and planning alike."""
 
 from __future__ import annotations
 
@@ -21,12 +25,13 @@ from . import values as val
 from .catalog import Catalog
 from .errors import ExecutionError, StorageError
 from .graphset import GraphSet
+from .lexer import scan
 from .parser import parse_expression, parse_statement
 from .storage import ReadView, Row, Store, Transaction
 from .syntax import (BeginStatement, CommitStatement, RollbackStatement, shareable)
 
 # the most statement templates a Database keeps, oldest admitted evicted
-# first, and the most shapes it remembers having parsed once
+# first, and the most keys it remembers having parsed once
 _TEMPLATES = 256
 _SIGHTINGS = 4096
 
@@ -57,7 +62,7 @@ class Database:
         self.published: tuple[int, Catalog] = (0, Catalog())
         self.graphs = GraphSet(self.store)
         self.commit_lock = threading.RLock()
-        # token shape -> template, and the hashes of shapes parsed once
+        # template key -> template, and the hashes of keys parsed once
         self._templates: dict[tuple, object] = {}
         self._sighted: set[int] = set()
         self._templates_lock = threading.Lock()
@@ -160,17 +165,17 @@ class Database:
 
     def statement(self, text: str) -> tuple[object, tuple]:
         """`text`'s parsed template and the values of its literal slots."""
-        tokens = parser.tokenize(text)
-        key, params = parser.shape(tokens)
+        scanned = scan(text)
+        key, params, _matches = scanned
         stmt = self._templates.get(key)
         if stmt is None:
-            stmt = parse_statement(text, tokens)
+            stmt = parse_statement(text, parser.tokenize(text, scanned))
             if shareable(stmt):
                 self._admit(key, stmt)
         return stmt, params
 
     def _admit(self, key: tuple, stmt) -> None:
-        """Keep `stmt` for its shape on the shape's second sighting."""
+        """Keep `stmt` for its key on the key's second sighting."""
         sighting = hash(key)
         with self._templates_lock:
             if sighting not in self._sighted:

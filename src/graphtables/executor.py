@@ -22,8 +22,7 @@ from .storage import Row, Transaction
 from .syntax import (AlterAddCheck, AlterAddColumn, AlterAddKey, AlterCardinality,
                      AlterDropColumn, CreateStatement, CreateTypeStatement,
                      DeleteStatement, EdgePattern, MatchStatement, NodePattern,
-                     PathPattern, Ref, ReturnStatement, RoleStatement,
-                     SetStatement, ShowGraphsStatement)
+                     ReturnStatement, RoleStatement, SetStatement, ShowGraphsStatement)
 
 # SQL-ish column type names accepted in CREATE TYPE / ALTER ADD
 _TYPE_NAMES = {

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import datetime
 import sys
-from decimal import Decimal
+from decimal import Decimal, DecimalException
 
 from .errors import ExecutionError
 from .syntax import Binary, IsNull, Literal, Param, Ref, Unary
@@ -137,7 +137,10 @@ def eval_expr(expr, resolve, params):
         if op in ("+", "-", "*", "/"):
             if left is None or right is None:
                 return None
-            return _arith(op, left, right)
+            try:
+                return _arith(op, left, right)
+            except DecimalException as exc:  # past the context's exponent limits, say
+                raise ExecutionError(f"decimal {type(exc).__name__} in {op}") from None
         raise ExecutionError(f"unknown operator {op}")
     if isinstance(expr, Literal):
         return expr.value

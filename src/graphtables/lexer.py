@@ -5,8 +5,13 @@ exact spelling (and may contain characters like the euro sign).  Strings are
 single-quoted with '' as the escape.  DATE'2023-03-22' is a date literal and
 a number directly followed by a currency symbol is a currency literal.
 
-Tokens keep their source offsets, so the concatenation of lexemes plus the
-skipped whitespace/comments reconstructs the input exactly.
+`scan` reads a text in one regex pass, one match per token with the
+whitespace and comments before it folded in.  It yields the text's template
+key and literal values straight from the matches, so a text whose template
+is cached never builds a `Token`; `tokenize` builds tokens from the same
+matches on a miss.  Tokens keep their source offsets, so the concatenation
+of lexemes plus the skipped whitespace/comments reconstructs the input
+exactly.
 """
 
 from __future__ import annotations
@@ -19,32 +24,34 @@ from decimal import Decimal
 from .errors import LexError
 from .values import CURRENCY_SYMBOLS, Currency
 
-# Alternation order matters: longest and most specific first.
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>//[^\n]*)
-  | (?P<date>[Dd][Aa][Tt][Ee]'[^']*')
-  | (?P<currency>\d+(?:\.\d+)?[€$£])
-  | (?P<decimal>\d+\.\d+)
-  | (?P<int>\d+)
-  | (?P<qident>"(?:[^"]|"")*")
-  | (?P<string>'(?:[^']|'')*')
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<arrow><-\[|\]->|-\[|\]-)
-  | (?P<punct2>\.\.|<=|>=|<>|!=)
-  | (?P<punct>[()\[\]{},:.=<>+\-*/?;])
-    """,
-    re.VERBOSE,
-)
+# Leading trivia, then one token.  Alternation order matters: longest and
+# most specific first.  A comment must run to the end of its line and `/`
+# never starts `//`, so a match cannot end a comment early and lex the rest
+# of it as tokens: the one match at each offset is the token there.
+_TRIVIA = r"(?:[ \t\r\n]+|//[^\n]*(?![^\n]))*"
+_TOKEN_RE = re.compile(_TRIVIA + r"""(?:
+    ([Dd][Aa][Tt][Ee]'[^']*')
+  | (\d+(?:\.\d+)?[€$£])
+  | (\d+\.\d+)
+  | (\d+)
+  | ("(?:[^"]|"")*")
+  | ('(?:[^']|'')*')
+  | ([A-Za-z_][A-Za-z0-9_]*)
+  | (<-\[|\]->|-\[|\]-|\.\.|<=|>=|<>|!=|[()\[\]{},:.=<>+\-*?;]|/(?!/))
+  | (\Z))""", re.VERBOSE)
+_TRIVIA_RE = re.compile(_TRIVIA)
+# the group of each token kind in `_TOKEN_RE`
+_DATE, _CURRENCY, _DECIMAL, _INT, _QIDENT, _STRING, _IDENT, _PUNCT, _END = range(1, 10)
+_KINDS = {_DATE: "date", _CURRENCY: "currency", _DECIMAL: "decimal", _INT: "int",
+          _STRING: "string"}
 
 
 # token types whose value is a literal; a statement's literals are numbered
 # in source order, which is what `syntax.Param.slot` counts
-LITERAL_TYPES = frozenset(("int", "decimal", "string", "currency", "date"))
+LITERAL_TYPES = frozenset(_KINDS.values())
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     type: str          # 'ident', 'string', 'int', 'decimal', 'currency', 'date', 'end', or the punctuation itself
     value: object
@@ -59,55 +66,103 @@ class Token:
         return self.type == "ident" and not self.exact and self.value in names
 
 
-def tokenize(text: str) -> list[Token]:
+def _error(message: str, text: str, at: int) -> LexError:
+    line_start = text.rfind("\n", 0, at) + 1
+    return LexError(message, text.count("\n", 0, at) + 1, at - line_start + 1)
+
+
+def _literal(group: int, lexeme: str, text: str, at: int):
+    """The value of a literal lexeme of kind `group` starting at `at`."""
+    if group == _INT:
+        try:
+            return int(lexeme)
+        except ValueError:  # more digits than the interpreter converts
+            raise _error(f"{len(lexeme)}-digit integer is too long", text, at) from None
+    if group == _STRING:
+        return lexeme[1:-1].replace("''", "'")
+    if group == _DECIMAL:
+        return Decimal(lexeme)
+    if group == _CURRENCY:
+        return Currency(Decimal(lexeme[:-1]), CURRENCY_SYMBOLS[lexeme[-1]])
+    body = lexeme[5:-1]
+    try:
+        return datetime.date.fromisoformat(body)
+    except ValueError:
+        raise _error(f"bad date literal {body!r}", text, at) from None
+
+
+def scan(text: str) -> tuple[tuple, tuple, list]:
+    """`text`'s template key, its literal values in slot order, and the
+    matches `tokenize` builds tokens from.
+
+    The key has one item per token.  A literal stands as its kind ("int",
+    "string", ...), except an int right after `{` or `,`: that is where
+    `{m,n}` quantifier bounds stand, which the parser reads as structure, so
+    the key keeps (kind, value).  Any other token stands as its value (an
+    upper-cased name or keyword, the punctuation itself, None at the end), or
+    as the 1-tuple of its spelling when quoted, so `"match"` and `MATCH`
+    differ.  Strings hash once, which keeps long keys cheap."""
+    key: list = []
+    values: list = []
+    matches: list = []
+    match, pos = _TOKEN_RE.match, 0
+    while (m := match(text, pos)) is not None:  # each match starts where the last ended
+        matches.append(m)
+        pos = m.end()
+        group = m.lastindex
+        if group == _IDENT:
+            key.append(m[group].upper())
+        elif group == _PUNCT:
+            key.append(m[group])
+        elif group == _END:
+            key.append(None)
+            return tuple(key), tuple(values), matches
+        elif group == _QIDENT:
+            key.append((m[group][1:-1].replace('""', '"'),))
+        else:
+            v = _literal(group, m[group], text, m.start(group))
+            key.append((_KINDS[group], v) if group == _INT and key and key[-1] in ("{", ",")
+                       else _KINDS[group])
+            values.append(v)
+    at = _TRIVIA_RE.match(text, pos).end()
+    if text[at] in "'\"":
+        raise _error("unterminated literal", text, at)
+    raise _error(f"unexpected character {text[at]!r}", text, at)
+
+
+def tokenize(text: str, scanned: tuple | None = None) -> list[Token]:
+    """The tokens of `text`, built from `scanned`, its `scan`, when the
+    caller has it; a name's value is its key item."""
+    key, values, matches = scan(text) if scanned is None else scanned
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
+    append = tokens.append
+    literals = iter(values)
+    multiline = "\n" in text
     line, line_start = 1, 0  # current line number and the offset where it starts
-    while i < n:
-        m = _TOKEN_RE.match(text, i)
-        col = i - line_start + 1
-        if m is None:
-            ch = text[i]
-            if ch in "'\"":
-                raise LexError("unterminated literal", line, col)
-            raise LexError(f"unexpected character {ch!r}", line, col)
-        kind = m.lastgroup
-        lexeme = m.group()
-        start, i = i, m.end()
-        tok_line = line
-        if "\n" in lexeme:
-            line += lexeme.count("\n")
-            line_start = start + lexeme.rindex("\n") + 1
-        if kind in ("ws", "comment"):
-            continue
-        if kind == "date":
-            body = lexeme[5:-1]
-            try:
-                value = datetime.date.fromisoformat(body)
-            except ValueError:
-                raise LexError(f"bad date literal {body!r}", tok_line, col) from None
-            tokens.append(Token("date", value, lexeme, start, i, tok_line, col))
-        elif kind == "currency":
-            code = CURRENCY_SYMBOLS[lexeme[-1]]
-            tokens.append(Token("currency", Currency(Decimal(lexeme[:-1]), code),
-                                lexeme, start, i, tok_line, col))
-        elif kind == "decimal":
-            tokens.append(Token("decimal", Decimal(lexeme), lexeme, start, i, tok_line, col))
-        elif kind == "int":
-            try:
-                tokens.append(Token("int", int(lexeme), lexeme, start, i, tok_line, col))
-            except ValueError:  # more digits than the interpreter converts
-                raise LexError(f"{len(lexeme)}-digit integer is too long", tok_line, col) from None
-        elif kind == "qident":
-            name = lexeme[1:-1].replace('""', '"')
-            tokens.append(Token("ident", name, lexeme, start, i, tok_line, col, exact=True))
-        elif kind == "string":
-            value = lexeme[1:-1].replace("''", "'")
-            tokens.append(Token("string", value, lexeme, start, i, tok_line, col))
-        elif kind == "ident":
-            tokens.append(Token("ident", lexeme.upper(), lexeme, start, i, tok_line, col))
-        else:  # arrow, punct2, punct
-            tokens.append(Token(lexeme, lexeme, lexeme, start, i, tok_line, col))
-    tokens.append(Token("end", None, "", n, n, line, n - line_start + 1))
+    for m, item in zip(matches, key):
+        group = m.lastindex
+        start, end = m.span(group)
+        lexeme = m[group]
+        if multiline:
+            trivia = m.start()
+            breaks = text.count("\n", trivia, start)
+            if breaks:
+                line += breaks
+                line_start = text.rindex("\n", trivia, start) + 1
+            tok_line, col = line, start - line_start + 1
+            if "\n" in lexeme:  # strings, quoted names and dates may span lines
+                line += lexeme.count("\n")
+                line_start = start + lexeme.rindex("\n") + 1
+        else:
+            tok_line, col = 1, start + 1
+        if group == _IDENT:
+            append(Token("ident", item, lexeme, start, end, tok_line, col))
+        elif group == _PUNCT:
+            append(Token(lexeme, lexeme, lexeme, start, end, tok_line, col))
+        elif group == _QIDENT:
+            append(Token("ident", item[0], lexeme, start, end, tok_line, col, exact=True))
+        elif group == _END:
+            append(Token("end", None, "", start, end, tok_line, col))
+        else:
+            append(Token(_KINDS[group], next(literals), lexeme, start, end, tok_line, col))
     return tokens

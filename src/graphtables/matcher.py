@@ -1,8 +1,9 @@
 """Pattern matching for MATCH statements.
 
-Each item's chain is compiled once per statement into steps, with edge type
-ids resolved up front; a label chain reads the subtype closure of the type
-`Catalog.label_type` gives it, as CREATE does.  The search is one iterative
+A `Plan` compiles each item's chain into steps once per template and
+published catalog, with every label chain resolved to the subtype closure of
+the type `Catalog.label_type` gives it, as CREATE does; a statement keeps the
+plan of the latest catalog it ran under.  The search is one iterative
 depth-first walk over an explicit stack of frames, each holding a step's
 candidates and the undo record of the one it is on: a walk has no depth
 limit, and completing a binding costs O(1) at any depth.  Quantified path
@@ -18,115 +19,159 @@ node with a constant doc entry leaves only on rows one index lookup found;
 SHORTEST skips hops past its best binding so far; ANY stops at its first.
 
 Completed bindings are filtered by WHERE, deduplicated on the statement's
-identifiers, narrowed by SHORTEST/ANY if requested, and finally projected,
-returned as a table, or fed to the dependent statements.
+identifiers (rows by uid), narrowed by SHORTEST/ANY if requested, and
+finally projected, returned as a table, or fed to the dependent statements.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 from . import catalog as cat
 from . import values as val
 from .engine import ResultTable
 from .exprs import constant, eval_expr, eval_predicate
 from .storage import Row, Transaction
-from .syntax import (EdgePattern, MatchStatement, NodePattern, PathPattern, Ref,
+from .syntax import (EdgePattern, Literal, MatchStatement, Param, PathPattern, Ref,
                      ReturnStatement)
 
 
 def run_match(tx: Transaction, stmt: MatchStatement, params: tuple):
-    return _Matcher(tx, stmt, params).run()
+    plan = stmt.plan[0]
+    if plan is None or plan.catalog is not tx.catalog:
+        plan = Plan(stmt, tx.catalog)
+        if plan.catalog is tx.db.catalog:  # published; a transaction's own catalog may change
+            stmt.plan[0] = plan
+    return _Matcher(tx, stmt, plan, params).run()
 
 
-def chain_names(elements) -> list[str]:
-    """Identifiers a chain can bind, in source order: aliases plus bare
-    identifiers in doc value position."""
-    out: list[str] = []
-    seen: set[str] = set()
-
-    def add(name):
-        if name and name not in seen:
-            seen.add(name)
-            out.append(name)
-
-    def walk(element):
+def _bound(elements, depth: int = 0):
+    """(identifier, quantifier depth, whether it binds a row) of each binding
+    a chain makes, in walk order: aliases and bare identifiers as doc values."""
+    for element in elements:
         if isinstance(element, PathPattern):
-            for e in element.chain:
-                walk(e)
-            return
-        add(element.alias)
+            yield from _bound(element.chain, depth + 1)
+            continue
+        if element.alias:
+            yield element.alias, depth, True
         for _name, expr in element.doc or ():
             if isinstance(expr, Ref) and len(expr.path) == 1:
-                add(expr.path[0])
-
-    for element in elements:
-        walk(element)
-    return out
+                yield expr.path[0], depth, False
 
 
-def statement_names(stmt: MatchStatement) -> list[str]:
-    out: list[str] = []
-    seen: set[str] = set()
-    for item in stmt.items:
-        if item.path_alias and item.path_alias not in seen:
-            seen.add(item.path_alias)
-            out.append(item.path_alias)
-        for name in chain_names(item.chain):
-            if name not in seen:
-                seen.add(name)
-                out.append(name)
-    return out
-
-
-def _canon(v):
-    if isinstance(v, Row):
-        return ("#row", v.uid)
-    if isinstance(v, list):
-        return ("#arr", tuple(_canon(x) for x in v))
-    if isinstance(v, bool):
-        return ("#bool", v)
-    return v
+def _dedup_key(depth: int, row: bool):
+    """How a binding of an identifier keys for deduplication: a row by its
+    uid, a value as itself (tagged when a bool, as True == 1), an array of
+    `depth` levels as nested tuples."""
+    if depth:
+        inner = _dedup_key(depth - 1, row)
+        return lambda v: tuple(map(inner, v))
+    return attrgetter("uid") if row else lambda v: (bool, v) if isinstance(v, bool) else v
 
 
 # Compiled steps are tuples headed by their kind:
-#   (_START, first node pattern)
-#   (_HOP, edge pattern, follow pattern, edge type ids or None, the side of
+#   (_START, alias, checks, checks left on the rows read, the type ids read,
+#    the doc entry an index lookup answers or None for a scan)
+#   (_HOP, edge checks, follow checks, edge type ids or None, the side of
 #    the current node, "leaving" or "arriving")
-#   (_QUANT, path pattern, follow pattern, inner steps, inner first pattern,
-#    inner names, the uids the follow pattern's constant doc entry allows or
-#    None)
-# A pattern in a hop or an inner first pattern that checks nothing is None.
+#   (_QUANT, path pattern, follow checks, inner steps, inner first checks,
+#    inner names, the index in `Plan.keyed` of the follow pattern's lookup)
 #   (_ITER_END,) closes one quantifier iteration; (_ITEM_END, item index)
+# Checks are (alias, type ids or None, doc entries as (column, expression,
+# the identifier it binds or None), where), or None when there are none.
 # The first three choose among candidates, so they get frames.  A frame is a
 # list, cheaper to build than an object: [alts, added, undo, steps, k, ctx,
 # crow, on_leave, loop, count].  `alts` yields the candidates of `steps[k]`,
 # entered on row `crow` within quantifier iteration `ctx`.  `added` and `undo`
 # record what the current candidate changed, `on_leave` what entering the
 # step changed.  A quantifier's frame also holds its `loop` (names, arrays)
-# and the `count` of iterations so far; an iteration `ctx` is (steps, k, ctx,
-# loop, count, trace length) of the quantifier frame that began it.
+# and the `count` of iterations so far, a start frame in `loop` the checks
+# its candidates need; an iteration `ctx` is (steps, k, ctx, loop, count,
+# trace length) of the quantifier frame that began it.
 _START, _HOP, _QUANT, _ITER_END, _ITEM_END = range(5)
 _UNDO = 2
 _STOP, _AGAIN = "stop", "again"   # the candidates of a quantifier frame
 
 
-def _checked(pattern):
-    """`pattern`, or None when unifying a row with it checks and binds
-    nothing (an edge's labels already chose the edge type ids it is read from)."""
-    if pattern.alias is None and not pattern.doc and pattern.where is None and \
-            not (pattern.labels and isinstance(pattern, NodePattern)):
-        return None
-    return pattern
+class Plan:
+    """What the runs of a MATCH template under one catalog share: compiled
+    steps, identifiers in column order with their dedup keys, and RETURN
+    items as (identifier, column or None) if each reads a plain name or a
+    column of a row bound outside quantifiers."""
+
+    def __init__(self, stmt: MatchStatement, catalog: cat.Catalog):
+        self.catalog = catalog
+        self.keyed: list[tuple] = []   # (type ids, doc entry) of each keyed quantifier exit
+        self.items = [self._compile(item.chain, [(_START, item.chain[0].alias,
+                                                  *self._node(item.chain[0]))], (_ITEM_END, i))
+                      for i, item in enumerate(stmt.items)]
+        # identifier -> (depth, binds a row) where first bound, in column order;
+        # a path alias bound by its own or an earlier item's chain emits nothing
+        roles: dict[str, tuple] = {}
+        for item in stmt.items:
+            path = [(item.path_alias, 1, True)] if item.path_alias else []
+            for name, depth, row in path + list(_bound(item.chain)):
+                roles.setdefault(name, (depth, row))
+        self.names = list(roles)
+        self.keys = [(name, _dedup_key(*role)) for name, role in roles.items()]
+        self.returns = None
+        if isinstance(stmt.dependent, ReturnStatement):
+            paths = [e.path if isinstance(e, Ref) else () for _h, e in stmt.dependent.items]
+            if all(p and p[0] in roles and (len(p) == 1 or roles[p[0]] == (0, True)) for p in paths):
+                self.returns = [(*p, None)[:2] for p in paths]
+
+    def _tids(self, pattern, kind: str) -> tuple[int, ...]:
+        """Type ids carrying every label of `pattern`, subtypes included, ascending."""
+        desc = self.catalog.label_type(pattern.labels, kind)
+        return self.catalog.subtype_closure(desc.type_id) if desc else ()
+
+    def _checks(self, pattern, tids, skip=None):
+        """The checks of `pattern` on a row, leaving out doc entry `skip`."""
+        doc = tuple((name, expr, expr.path[0] if isinstance(expr, Ref) and len(expr.path) == 1
+                     else None) for name, expr in (e for e in pattern.doc or () if e is not skip))
+        if pattern.alias is None and not doc and pattern.where is None and tids is None:
+            return None
+        return pattern.alias, tids, doc, pattern.where
+
+    def _node(self, pattern) -> tuple:
+        """A node pattern's checks, the checks left on rows read from its type
+        ids, those type ids, and its first literal doc entry, which an index
+        lookup answers (None: a scan reads them)."""
+        tids = self._tids(pattern, cat.KIND_NODE) if pattern.labels else None
+        probe = next((e for e in pattern.doc or () if isinstance(e[1], Param) or
+                      isinstance(e[1], Literal) and e[1].value is not None), None)
+        every = tuple(sorted(self.catalog.type_ids(cat.KIND_NODE))) if tids is None else tids
+        return self._checks(pattern, tids), self._checks(pattern, None, probe), every, probe
+
+    def _compile(self, chain, steps: list, tail: tuple) -> list:
+        for k in range(1, len(chain), 2):
+            conn, follow = chain[k], chain[k + 1]
+            checks, _left, tids, probe = self._node(follow)
+            if isinstance(conn, EdgePattern):
+                # an edge's labels already chose the edge type ids it is read from
+                etids = self._tids(conn, cat.KIND_EDGE) if conn.labels else None
+                side = "leaving" if conn.direction == "out" else "arriving"
+                steps.append((_HOP, self._checks(conn, None), checks, etids, side))
+            else:
+                inner = conn.chain
+                if probe is not None:   # the exit reads only rows one index lookup found
+                    self.keyed.append((tids, probe))
+                steps.append((_QUANT, conn, checks, self._compile(inner, [], (_ITER_END,)),
+                              self._node(inner[0])[0], [*dict.fromkeys(b[0] for b in _bound(inner))],
+                              None if probe is None else len(self.keyed) - 1))
+        steps.append(tail)
+        return steps
 
 
 class _Matcher:
-    def __init__(self, tx: Transaction, stmt: MatchStatement, params: tuple):
+    def __init__(self, tx: Transaction, stmt: MatchStatement, plan: Plan, params: tuple):
         self.tx = tx
-        self.view = tx.view()
-        self.catalog = tx.catalog
+        self.view = view = tx.view()
         self.stmt = stmt
+        self.plan = plan
         self.params = params
         self.bindings: dict[str, object] = {}
-        self._resolve = self.view.resolver(self.bindings)
+        self._resolve = view.resolver(self.bindings)
         # per item: the walked uids, each uid's positions in that list, the
         # trace lengths where open quantifiers began, the repetition mode
         self.trace: list[int] = []
@@ -138,34 +183,14 @@ class _Matcher:
         self.sel = stmt.items[0].sel_mode if stmt.items else None
         self.bound = float("inf")        # SHORTEST: fewest edges of a binding so far
         self._hops: dict[tuple, list] = {}  # (node uid, side, edge type ids) -> _adjacent
-        self.items = [self._compile(item.chain, [(_START, item.chain[0])], (_ITEM_END, i))
-                      for i, item in enumerate(stmt.items)]
-
-    def _compile(self, chain, steps: list, tail: tuple) -> list:
-        for k in range(1, len(chain), 2):
-            conn, follow = chain[k], chain[k + 1]
-            if isinstance(conn, EdgePattern):
-                etids = self._tids(conn.labels, cat.KIND_EDGE) if conn.labels else None
-                side = "leaving" if conn.direction == "out" else "arriving"
-                steps.append((_HOP, _checked(conn), _checked(follow), etids, side))
-            else:
-                inner = conn.chain
-                # nothing is bound yet, so a constant doc entry is an index lookup
-                keyed = any(constant(e, self.params) is not None for _n, e in follow.doc or ())
-                steps.append((_QUANT, conn, follow, self._compile(inner, [], (_ITER_END,)),
-                              _checked(inner[0]), chain_names(inner),
-                              {r.uid for r in self._node_candidates(follow)} if keyed else None))
-        steps.append(tail)
-        return steps
+        self.keyed = [{r.uid for r in view.lookup_by_value(tids, name, constant(expr, params))}
+                      for tids, (name, expr) in plan.keyed]
 
     # --- drive ---
 
     def run(self):
         self._search()
-        columns = [n for n in statement_names(self.stmt)
-                   if any(n in b for b, _ in self.emissions)] if self.emissions else \
-                  statement_names(self.stmt)
-        kept = self._dedup_and_select(columns)
+        kept = self._dedup_and_select()
         dependent = self.stmt.dependent
         if isinstance(dependent, ReturnStatement):
             table = self._project(dependent, kept)
@@ -174,7 +199,8 @@ class _Matcher:
         if dependent is not None or self.stmt.then_block:
             self._run_effects(dependent, kept)
             return None
-        return ResultTable(columns, [[b.get(c) for c in columns] for b in kept])
+        columns = self.plan.names
+        return ResultTable(columns, [[b[c] for c in columns] for b in kept])
 
     def _search(self) -> None:
         """Each round undoes the top frame's current candidate, then takes
@@ -235,27 +261,26 @@ class _Matcher:
                 trace += euid, tuid
                 self.edge_count += 1
                 f[_UNDO] = True
-                epat, npat = step[1], step[2]
-                if (epat is None or self._unify(epat, erow, added)) and \
-                        (npat is None or self._unify(npat, trow, added)):
+                if (step[1] is None or self._unify(step[1], erow, added)) and \
+                        (step[2] is None or self._unify(step[2], trow, added)):
                     self._enter(stack, steps, k + 1, ctx, trow)
             elif kind == _START:
                 self.trace.append(alt.uid)
                 self.seen[alt.uid] = [0]
                 f[_UNDO] = True
-                if self._unify(step[1], alt, added):
+                if loop is None or self._unify(loop, alt, added):
                     self._enter(stack, steps, 1, None, alt)
             elif alt is _STOP:
                 # leave the quantifier, if the follow pattern's keyed rows
                 # allow: bind the accumulated arrays and go on
-                if step[6] is not None and crow.uid not in step[6]:
+                if step[6] is not None and crow.uid not in self.keyed[step[6]]:
                     continue
                 f[_UNDO] = self.marks.pop()
                 names, arrays = loop
                 for a in names:
                     bindings[a] = list(arrays[a])
                     added.append(a)
-                if self._unify(step[2], crow, added):
+                if step[2] is None or self._unify(step[2], crow, added):
                     self._enter(stack, steps, k + 1, ctx, crow)
             elif step[4] is None or self._unify(step[4], crow, added):
                 self._enter(stack, step[3], 0, (steps, k, ctx, loop, count, len(self.trace)), crow)
@@ -312,12 +337,19 @@ class _Matcher:
             for a in p_added:
                 del self.bindings[a]
             return
-        steps = self.items[i]
+        steps = self.plan.items[i]
         saved = (self.trace, self.seen, self.marks, self.rep_mode, p_added)
         self.trace, self.seen, self.marks = [], {}, []
         self.rep_mode = self.stmt.items[i].rep_mode
-        alts = iter(self._node_candidates(steps[0][1]))
-        stack.append([alts, [], None, steps, 0, None, None, saved, None, 0])
+        _kind, alias, checks, checks_left, tids, probe = steps[0]
+        if alias is not None and alias in self.bindings:
+            v = self.bindings[alias]
+            alts = [v] if isinstance(v, Row) and v.type_id in tids else []
+        else:
+            checks = checks_left
+            alts = self.view.scan_type(tids) if probe is None else \
+                self.view.lookup_by_value(tids, probe[0], constant(probe[1], self.params))
+        stack.append([iter(alts), [], None, steps, 0, None, None, saved, checks, 0])
 
     def _emit(self) -> None:
         if self.stmt.where is not None and \
@@ -331,13 +363,9 @@ class _Matcher:
     def _adjacent(self, uid: int, side: str, etids) -> list[tuple]:
         """[(edge row, target uid, target row)] of the visible targets one hop
         from node `uid`; staging cannot change while the search runs."""
-        out = []
-        for erow, luid, auid in self.view.edges_adjacent(uid, side, etids):
-            tuid = auid if side == "leaving" else luid
-            trow = self.view.get_row(tuid)
-            if trow is not None:
-                out.append((erow, tuid, trow))
-        return out
+        get_row, at = self.view.get_row, 2 if side == "leaving" else 1
+        return [(hop[0], hop[at], trow) for hop in self.view.edges_adjacent(uid, side, etids)
+                if (trow := get_row(hop[at])) is not None]
 
     # --- the trace and repetition checks ---
 
@@ -359,74 +387,44 @@ class _Matcher:
 
     # --- candidates and unification ---
 
-    def _tids(self, labels, kind: str) -> tuple[int, ...]:
-        """Type ids carrying every one of `labels`, subtypes included, ascending."""
-        desc = self.catalog.label_type(labels, kind)
-        return self.catalog.subtype_closure(desc.type_id) if desc else ()
-
-    def _node_candidates(self, pattern: NodePattern):
-        if pattern.alias is not None and pattern.alias in self.bindings:
-            v = self.bindings[pattern.alias]
-            if isinstance(v, Row) and self.catalog.get(v.type_id).kind == cat.KIND_NODE:
-                return [v]
-            return []
-        tids = self._tids(pattern.labels, cat.KIND_NODE) if pattern.labels else \
-            self.catalog.type_ids(cat.KIND_NODE)
-        for name, expr in pattern.doc or ():
-            v = constant(expr, self.params)
-            if v is not None:
-                return self.view.lookup_by_value(tids, name, v)
-        return self.view.scan_type(tids)
-
-    def _unify(self, pattern, row: Row, added: list[str]) -> bool:
-        """Bind `row` to a node or edge pattern and check the pattern."""
-        if pattern.alias is not None:
-            if pattern.alias in self.bindings:
-                bound = self.bindings[pattern.alias]
-                if not (isinstance(bound, Row) and bound.uid == row.uid):
-                    return False
-            else:
-                self.bindings[pattern.alias] = row
-                added.append(pattern.alias)
-        # an edge's labels already chose the edge type ids it is read from
-        if pattern.labels and isinstance(pattern, NodePattern) and \
-                row.type_id not in self._tids(pattern.labels, cat.KIND_NODE):
+    def _unify(self, checks, row: Row, added: list[str]) -> bool:
+        """Bind `row` to a pattern and run the pattern's checks."""
+        alias, tids, doc, where = checks
+        bindings = self.bindings
+        if alias is not None:
+            if alias not in bindings:
+                bindings[alias] = row
+                added.append(alias)
+            elif not (isinstance(bindings[alias], Row) and bindings[alias].uid == row.uid):
+                return False
+        if tids is not None and row.type_id not in tids:
             return False
-        if pattern.doc and not self._unify_doc(pattern.doc, row, added):
-            return False
-        if pattern.where is not None and \
-                not eval_predicate(pattern.where, self._resolve, self.params):
-            return False
-        return True
-
-    def _unify_doc(self, doc, row: Row, added: list[str]) -> bool:
-        for name, expr in doc:
+        for name, expr, ref in doc:
             prop = self.view.value(row, name)
-            if isinstance(expr, Ref) and len(expr.path) == 1 and expr.path[0] not in self.bindings:
+            if ref is not None and ref not in bindings:
                 if prop is None:
                     return False
-                self.bindings[expr.path[0]] = prop
-                added.append(expr.path[0])
-                continue
-            v = eval_expr(expr, self._resolve, self.params)
-            if prop is None or v is None or not val.values_equal(v, prop):
+                bindings[ref] = prop
+                added.append(ref)
+            elif (v := eval_expr(expr, self._resolve, self.params)) is None or prop is None \
+                    or not val.values_equal(v, prop):
                 return False
-        return True
+        return where is None or eval_predicate(where, self._resolve, self.params)
 
     # --- results ---
 
-    def _dedup_and_select(self, columns) -> list[dict]:
+    def _dedup_and_select(self) -> list[dict]:
         """One binding per key, in the order of its first emission (ANY emits
         once); SHORTEST keeps the keys of fewest edges, in the order of their
         first walk that short."""
+        keys = self.plan.keys
         seen: dict[tuple, list] = {}
         order: list[list] = []   # [bindings, fewest edges, index of that emission]
         for i, (b, edges) in enumerate(self.emissions):
-            key = tuple(_canon(b.get(c)) for c in columns)
+            key = tuple([f(b[c]) for c, f in keys])
             rec = seen.get(key)
             if rec is None:
-                rec = [b, edges, i]
-                seen[key] = rec
+                seen[key] = rec = [b, edges, i]
                 order.append(rec)
             elif edges < rec[1]:
                 rec[:] = b, edges, i
@@ -437,11 +435,13 @@ class _Matcher:
 
     def _project(self, ret: ReturnStatement, kept) -> ResultTable:
         headers = [header for header, _ in ret.items]
-        rows = []
-        for b in kept:
-            resolve = self.view.resolver(b)
-            rows.append([eval_expr(expr, resolve, self.params) for _h, expr in ret.items])
-        return ResultTable(headers, rows)
+        refs, value, params = self.plan.returns, self.view.value, self.params
+        if refs is None:   # an item is an expression: evaluate each through a resolver
+            return ResultTable(headers, [[eval_expr(expr, resolve, params) for _h, expr in ret.items]
+                                         for resolve in map(self.view.resolver, kept)])
+        # rows bound here are as this view reads them
+        return ResultTable(headers, [[b[a] if c is None else value(b[a], c) for a, c in refs]
+                                     for b in kept])
 
     def _run_effects(self, dependent, kept) -> None:
         from . import executor

@@ -5,8 +5,8 @@ case-folded unquoted identifiers, so quoted names like "MATCH" stay usable as
 identifiers.  Errors carry line/column and the token set that was expected.
 
 The result is a template: a literal in an expression position becomes a
-`Param` slot, and `shape` gives the key under which texts share a template
-together with the values that fill its slots.
+`Param` slot, and `lexer.scan` gives the key under which texts share a
+template together with the values that fill its slots.
 """
 
 from __future__ import annotations
@@ -516,31 +516,9 @@ class _Parser:
         raise self.error("expression expected", ("literal", "identifier", "("))
 
 
-def shape(tokens: list[Token]) -> tuple[tuple, tuple]:
-    """The template key of a token stream and its literal values in slot
-    order.  A literal stands in the key as its kind ("int", "string", ...),
-    except an int right after `{` or `,`: that is where `{m,n}` quantifier
-    bounds stand, which the parser reads as structure, so the key keeps
-    (kind, value).  Every other token keeps its type, value and quoting, in
-    one item: its value (an upper-cased name or keyword, the punctuation
-    itself, None at the end), or the 1-tuple of its spelling when quoted, so
-    `"match"` and `MATCH` differ.  Strings hash once, which keeps long keys
-    cheap."""
-    key, values = [], []
-    prev = None
-    for t in tokens:
-        if t.type in LITERAL_TYPES:
-            key.append((t.type, t.value) if t.type == "int" and prev in ("{", ",") else t.type)
-            values.append(t.value)
-        else:
-            key.append((t.value,) if t.exact else t.value)
-        prev = t.type
-    return tuple(key), tuple(values)
-
-
 def parse_statement(text: str, tokens: list[Token] | None = None):
     """Parse exactly one statement from `text`, whose tokens the caller may
-    pass when it has them; the result is a template (see `shape`)."""
+    pass when it has them; the result is a template (see `lexer.scan`)."""
     return _Parser(text, tokens).parse()
 
 

@@ -126,6 +126,9 @@ class MatchStatement:
     where: object = None
     dependent: object = None
     then_block: tuple = ()
+    # a cell holding the matcher's plan for the latest published catalog the
+    # statement ran under; not part of the statement's value
+    plan: list = field(default_factory=lambda: [None], init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -219,7 +222,7 @@ def shareable(stmt) -> bool:
     token shape: it holds no copy of its source text (a RETURN header of a
     non-reference, a CHECK's text, a role statement) and no cardinality
     range.  `{m,n}` bounds, the other literals read as structure, are part
-    of the shape (`parser.shape`)."""
+    of the template key (`lexer.scan`)."""
     stack = [stmt]
     while stack:
         node = stack.pop()

@@ -1,7 +1,8 @@
 """Every function, class, method and module-level name in the package is
 named somewhere outside its own definition: in the package, the tests or the
-bench harness, and every parameter is read by its function.  Code that
-nothing calls or reads is deleted, not kept in step."""
+bench harness; every parameter is read by its function, and every imported
+name by its module.  Code that nothing calls or reads is deleted, not kept
+in step."""
 
 import ast
 import pathlib
@@ -75,4 +76,29 @@ def test_every_parameter_is_read():
               for path in sorted(PACKAGE.glob("*.py"))
               for owner, param in _unread_parameters(
                   ast.parse(path.read_text(encoding="utf-8")), "<module>")]
+    assert unread == []
+
+
+def _imported(tree):
+    """(line, name) of each name an import statement binds, `from __future__` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((node.lineno, a.asname or a.name) for a in node.names)
+        elif isinstance(node, ast.Import):
+            yield from ((node.lineno, a.asname or a.name.split(".")[0]) for a in node.names)
+
+
+def test_every_import_is_read():
+    """A name a module imports is read in it.  `__init__.py` re-exports.  The
+    names `perfbench/tracer.py` replaces by module attribute, such as
+    `matcher.eval_expr`, get no exemption: the code the tracer wraps reads them."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{path.name}:{line} {name}"
+                   for line, name in _imported(tree) if name not in read]
     assert unread == []

@@ -349,3 +349,15 @@ def test_repl_reports_integers_past_the_digit_limit_and_carries_on(setup, text):
     assert rc == 0
     assert out.count("error:") == 1
     assert out.index("error:") < out.index("|after")
+
+
+def test_a_decimal_overflow_is_an_error_line_not_a_traceback():
+    """Squaring 10.5 over and over passes the decimal context's largest
+    exponent; the shell reports that as an error and reads on."""
+    text = "CREATE (:P {K: 'a', N: 10.5})\n" + "MATCH (p:P {K: 'a'}) SET p.N = p.N * p.N\n" * 25
+    rc, out = drive(Database(), text)
+    assert rc == 0
+    replies = [line for line in out.splitlines() if line.strip() != "SQL>"]
+    assert replies[-1] == "SQL> error: decimal Overflow in *"
+    assert all(line.endswith("error: decimal Overflow in *")
+               for line in replies if "error" in line)

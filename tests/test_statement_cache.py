@@ -11,7 +11,26 @@ import pytest
 from graphtables import engine
 from graphtables.engine import Database
 from graphtables.errors import ExecutionError, GraphTablesError
-from graphtables.parser import parse_statement, shape, tokenize
+from graphtables.errors import LexError
+from graphtables.lexer import LITERAL_TYPES, scan
+from graphtables.parser import parse_statement, tokenize
+
+
+def shape(tokens):
+    """The reference template key of a token stream and its literal values
+    in slot order, as `lexer.scan` must give them: each literal as its kind,
+    an int right after `{` or `,` (a quantifier bound) as (kind, value); any
+    other token as its value, or as the 1-tuple of its spelling when quoted."""
+    key, values = [], []
+    prev = None
+    for t in tokens:
+        if t.type in LITERAL_TYPES:
+            key.append((t.type, t.value) if t.type == "int" and prev in ("{", ",") else t.type)
+            values.append(t.value)
+        else:
+            key.append((t.value,) if t.exact else t.value)
+        prev = t.type
+    return tuple(key), tuple(values)
 
 
 def run_fresh(session, text):
@@ -262,3 +281,129 @@ def test_random_streams_match_a_fresh_parse(seed):
         text = random_statement(rng)
         texts += [text] * rng.choice([1, 1, 2])
     differential(texts, Database(), Database())
+
+
+# --- the one-pass key against the token-built reference ---
+
+FRAGMENTS = ["MATCH", "match", "(a:N {K: ", "})", "-[:E]->", "<-[e:E]-", "(b)", "RETURN", "a.V",
+             ",", "[()-[:E]->()]{", "1,3}", "{0,", "2}", "]->", "-[", "]-", "..", "0..*",
+             "1..1", "=", "<>", "!=", "<=", ">=", "+", "-", "*", "/", "?", ";", ":", ".",
+             "-5", "- 7", "-2.50", "12", "007", "3.25", "0.5", "12.50€", "7€", "3$", "1.5£",
+             "date'2023-03-22'", "DATE'2024-01-02'", "DaTe'2020-02-29'", "'s'", "''",
+             "'O''Hara'", "'two\nlines'", '"N"', '"match"', '"say ""hi"""', '""',
+             '"Sum€"', "TRUE", "NULL", "_x1", "WHERE"]
+SEPARATORS = ["", " ", "  ", "\t", "\n", "\r\n", " // note\n", "//x\r\n", "\n\n  "]
+HAND_CASES = [
+    "MATCH (a:N {K: 1}) RETURN a.V // trailing comment with no newline",
+    "//", "// only a comment\r\n", "", "   ", "\r\n",
+    "MATCH (a:N {D: dAtE'2023-03-22'}) SET a.C = 12.50€, a.U = 3$, a.G = 0.5£",
+    "MATCH (a:N {S: 'it''s'}) RETURN a.\"odd \"\"name\"\"\"",
+    "MATCH (a:N {K: 0}) [()-[:E]->()]{1,3} (b) RETURN b.K",
+    "MATCH (a:N {K: 0}) [()<-[:E]-()]{2,} (b), (c)-[:E]->(d) RETURN {1, 2}",
+    "ALTER TYPE E SET CARDINALITY LEAVING 0..1 ARRIVING 1..*",
+    "MATCH (a:N {K: -5}) SET a.V = - -3.75 - a.V",
+    "MATCH (a:N)\r\n  WHERE a.K >= 2 // two\r\n  RETURN a.K;",
+]
+
+
+def random_text(rng) -> str:
+    return "".join(rng.choice(FRAGMENTS) + rng.choice(SEPARATORS)
+                   for _ in range(rng.randrange(1, 25)))
+
+
+def assert_scan_matches_tokens(text):
+    key, values, _matches = scanned = scan(text)
+    assert (key, values) == shape(tokenize(text)), text
+    rebuilt = [(t.type, t.value, t.start, t.end, t.line, t.col) for t in tokenize(text, scanned)]
+    assert rebuilt == [(t.type, t.value, t.start, t.end, t.line, t.col) for t in tokenize(text)]
+
+
+@pytest.mark.parametrize("text", HAND_CASES)
+def test_the_one_pass_key_equals_the_token_key_by_hand(text):
+    assert_scan_matches_tokens(text)
+
+
+def test_the_one_pass_key_equals_the_token_key_on_generated_texts():
+    rng = random.Random(1717)
+    lexed = 0
+    for _ in range(3000):
+        text = random_text(rng)
+        try:
+            scan(text)
+        except LexError as exc:   # a fragment glued onto a currency symbol, say
+            with pytest.raises(LexError) as again:
+                tokenize(text)
+            assert (str(again.value), again.value.line, again.value.col) == \
+                (str(exc), exc.line, exc.col)
+            continue
+        assert_scan_matches_tokens(text)
+        lexed += 1
+    assert lexed > 2400
+
+
+def test_bounds_key_by_value_and_other_literals_by_kind():
+    one, two, three = (scan(f"MATCH (a {{K: {k}}}) [()-[:E]->()]{{{k},3}} (b)") for k in (1, 2, 1))
+    assert one[0] == three[0] != two[0]
+    assert ("int", 1) in one[0] and ("int", 3) in one[0] and one[1] == (1, 1, 3)
+    assert scan("RETURN 'a'")[0] == scan("RETURN 'b'")[0] == ("RETURN", "string", None)
+    assert scan('"match"')[0] == (("match",), None) != scan("match")[0]
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    ("MATCH (a {S: 'open", "unterminated literal", 1, 14),
+    ('RETURN "open', "unterminated literal", 1, 8),
+    ("MATCH (a)\r\n RETURN @", "unexpected character '@'", 2, 9),
+    ("RETURN 1 // fine\n  #", "unexpected character '#'", 2, 3),
+    ("RETURN 1 // it's\n#'", "unexpected character '#'", 2, 1),   # no string from a comment
+    ("RETURN 1 //'\n#'", "unexpected character '#'", 2, 1),
+    ("RETURN 1 % 2", "unexpected character '%'", 1, 10),
+    ("RETURN 'a\nb' DATE'2023-13-99'", "bad date literal '2023-13-99'", 2, 4),
+    ("RETURN\n  " + "9" * 5000, "5000-digit integer is too long", 2, 3),
+])
+def test_lex_errors_keep_their_message_and_position(text, message, line, col):
+    for run in (scan, tokenize):
+        with pytest.raises(LexError) as err:
+            run(text)
+        assert (str(err.value), err.value.line, err.value.col) == (
+            f"line {line}:{col}: {message}", line, col)
+
+
+# --- one match plan per template and published catalog ---
+
+def test_a_template_plans_once_per_published_catalog(monkeypatch):
+    from graphtables import matcher
+    db = Database()
+    for text in SCHEMA + CHAIN:
+        db.execute(text)
+    plans = []
+
+    class CountedPlan(matcher.Plan):
+        def __init__(self, stmt, catalog):
+            plans.append(catalog)
+            super().__init__(stmt, catalog)
+
+    monkeypatch.setattr(matcher, "Plan", CountedPlan)
+    read = "MATCH (a:N {{K: {0}}}) RETURN a.K, a.V"
+    db.execute(read.format(100))   # a first sighting is parsed, planned and let go
+    plans.clear()
+    for k in range(100):
+        assert db.execute(read.format(k % 7)).rows == [[k % 7, 10 * (k % 7)]]
+    template = db._templates[scan(read.format(1))[0]]
+    assert plans == [db.catalog] and template.plan[0].catalog is db.catalog
+
+    db.session().execute("ALTER TABLE N ADD COLUMN X INT")
+    for k in range(100):
+        db.execute(read.format(k % 7))
+    assert plans == [plans[0], db.catalog] and plans[0] is not db.catalog
+
+    # a transaction's own catalog plans privately; the template keeps the published plan
+    published, session = template.plan[0], db.session()
+    session.execute("BEGIN")
+    session.execute("CREATE TYPE M UNDER N AS (W INT)")
+    session.execute("CREATE (:M {K: 100, V: 1})")
+    assert session.execute(read.format(100)).rows == [[100, 1]]
+    assert len(plans) == 3 and plans[-1] is session.tx.catalog is not db.catalog
+    assert template.plan[0] is published
+    session.execute("ROLLBACK")
+    assert db.execute(read.format(100)).rows == []
+    assert len(plans) == 3 and template.plan[0] is published and published.catalog is db.catalog
