@@ -27,8 +27,10 @@ from .values import CURRENCY_SYMBOLS, Currency
 # Leading trivia, then one token.  Alternation order matters: longest and
 # most specific first.  A comment must run to the end of its line and `/`
 # never starts `//`, so a match cannot end a comment early and lex the rest
-# of it as tokens: the one match at each offset is the token there.
-_TRIVIA = r"(?:[ \t\r\n]+|//[^\n]*(?![^\n]))*"
+# of it as tokens: the one match at each offset is the token there.  Trivia
+# takes one blank per repetition, so a failed match backs off over a run of
+# blanks in linear time (a `+` inside the `*` would try every split of it).
+_TRIVIA = r"(?:[ \t\r\n]|//[^\n]*(?![^\n]))*"
 _TOKEN_RE = re.compile(_TRIVIA + r"""(?:
     ([Dd][Aa][Tt][Ee]'[^']*')
   | (\d+(?:\.\d+)?[€$£])
@@ -130,6 +132,16 @@ def scan(text: str) -> tuple[tuple, tuple, list]:
     raise _error(f"unexpected character {text[at]!r}", text, at)
 
 
+def _newlines(text: str):
+    """The offsets of `text`'s newlines, then its length, which no token
+    starts after."""
+    at = text.find("\n")
+    while at >= 0:
+        yield at
+        at = text.find("\n", at + 1)
+    yield len(text)
+
+
 def tokenize(text: str, scanned: tuple | None = None) -> list[Token]:
     """The tokens of `text`, built from `scanned`, its `scan`, when the
     caller has it; a name's value is its key item."""
@@ -137,32 +149,24 @@ def tokenize(text: str, scanned: tuple | None = None) -> list[Token]:
     tokens: list[Token] = []
     append = tokens.append
     literals = iter(values)
-    multiline = "\n" in text
+    newlines = _newlines(text)
+    nl = next(newlines)
     line, line_start = 1, 0  # current line number and the offset where it starts
     for m, item in zip(matches, key):
         group = m.lastindex
         start, end = m.span(group)
         lexeme = m[group]
-        if multiline:
-            trivia = m.start()
-            breaks = text.count("\n", trivia, start)
-            if breaks:
-                line += breaks
-                line_start = text.rindex("\n", trivia, start) + 1
-            tok_line, col = line, start - line_start + 1
-            if "\n" in lexeme:  # strings, quoted names and dates may span lines
-                line += lexeme.count("\n")
-                line_start = start + lexeme.rindex("\n") + 1
-        else:
-            tok_line, col = 1, start + 1
+        while nl < start:  # the newlines since the last token, in trivia or lexeme
+            line, line_start, nl = line + 1, nl + 1, next(newlines)
+        col = start - line_start + 1
         if group == _IDENT:
-            append(Token("ident", item, lexeme, start, end, tok_line, col))
+            append(Token("ident", item, lexeme, start, end, line, col))
         elif group == _PUNCT:
-            append(Token(lexeme, lexeme, lexeme, start, end, tok_line, col))
+            append(Token(lexeme, lexeme, lexeme, start, end, line, col))
         elif group == _QIDENT:
-            append(Token("ident", item[0], lexeme, start, end, tok_line, col, exact=True))
+            append(Token("ident", item[0], lexeme, start, end, line, col, exact=True))
         elif group == _END:
-            append(Token("end", None, "", start, end, tok_line, col))
+            append(Token("end", None, "", start, end, line, col))
         else:
-            append(Token(_KINDS[group], next(literals), lexeme, start, end, tok_line, col))
+            append(Token(_KINDS[group], next(literals), lexeme, start, end, line, col))
     return tokens

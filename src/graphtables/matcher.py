@@ -363,9 +363,13 @@ class _Matcher:
     def _adjacent(self, uid: int, side: str, etids) -> list[tuple]:
         """[(edge row, target uid, target row)] of the visible targets one hop
         from node `uid`; staging cannot change while the search runs."""
-        get_row, at = self.view.get_row, 2 if side == "leaving" else 1
-        return [(hop[0], hop[at], trow) for hop in self.view.edges_adjacent(uid, side, etids)
-                if (trow := get_row(hop[at])) is not None]
+        out = []
+        for erow, luid, auid in self.view.edges_adjacent(uid, side, etids):
+            tuid = auid if side == "leaving" else luid
+            trow = self.view.get_row(tuid)
+            if trow is not None:
+                out.append((erow, tuid, trow))
+        return out
 
     # --- the trace and repetition checks ---
 
@@ -424,7 +428,8 @@ class _Matcher:
             key = tuple([f(b[c]) for c, f in keys])
             rec = seen.get(key)
             if rec is None:
-                seen[key] = rec = [b, edges, i]
+                rec = [b, edges, i]
+                seen[key] = rec
                 order.append(rec)
             elif edges < rec[1]:
                 rec[:] = b, edges, i

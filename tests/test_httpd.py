@@ -3,7 +3,11 @@ error table."""
 
 import datetime
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.parse
@@ -39,6 +43,19 @@ def test_parse_anchor_value_literals(text, expected):
 def test_parse_anchor_value_rejects_non_literals(text):
     with pytest.raises(ValueError):
         parse_anchor_value(text)
+
+
+def test_blanks_before_a_bad_character_are_rejected_in_bounded_time():
+    """A selector value with thousands of blanks before a character no token
+    starts with is refused promptly.  The regex engine keeps the interpreter
+    while it backtracks, so the time bound is put on a child process."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = ("from graphtables.httpd import parse_anchor_value\n"
+            "try:\n    parse_anchor_value('1' + ' ' * 4000 + '@')\n"
+            "except Exception as exc:\n    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert proc.stdout.strip() == "line 1:4002: unexpected character '@'"
 
 
 # --- a served family database ---
@@ -351,6 +368,7 @@ def test_anchor_matches_any_column_value(served):
     (anchor_path(selector="NAME"), 400, "anchor selector"),
     (anchor_path(selector="NAME=Peter"), 400, "unsupported anchor value"),
     (anchor_path(selector="NAME='a' 'b'"), 400, "single literal"),
+    # a lexical error after a long run of blanks is answered within the fetch timeout
     # lookups that miss
     (anchor_path(db="other"), 404, "unknown database"),
     (anchor_path(type_="Robot"), 404, "unknown node type"),

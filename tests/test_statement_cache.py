@@ -359,6 +359,13 @@ def test_bounds_key_by_value_and_other_literals_by_kind():
     ("RETURN 1 % 2", "unexpected character '%'", 1, 10),
     ("RETURN 'a\nb' DATE'2023-13-99'", "bad date literal '2023-13-99'", 2, 4),
     ("RETURN\n  " + "9" * 5000, "5000-digit integer is too long", 2, 3),
+    # long runs of blanks and comments before an error are backed off in linear time
+    pytest.param("RETURN 1" + " " * 5000 + "@", "unexpected character '@'", 1, 5009,
+                 id="5000-blanks-then-bad-character"),
+    pytest.param("RETURN" + "\n" * 3000 + " " * 3000 + "'open", "unterminated literal",
+                 3001, 3001, id="6000-blanks-then-unterminated"),
+    pytest.param("RETURN 1" + " \r\n// c\n" * 2000 + "%", "unexpected character '%'",
+                 4001, 1, id="2000-comments-then-bad-character"),
 ])
 def test_lex_errors_keep_their_message_and_position(text, message, line, col):
     for run in (scan, tokenize):
