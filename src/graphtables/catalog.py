@@ -224,10 +224,13 @@ class Catalog:
 
     # --- definition ---
 
-    def _claim_type_id(self, label: str, kind: str) -> int:
-        """The id of a new `kind` type named `label`; `_install` takes it up."""
-        if label in self._by_label[kind]:
-            raise SchemaError(f"{kind} type {label} already exists")
+    def _claim_type_id(self, label: str) -> int:
+        """The id of a new type named `label`, which no type of any kind
+        holds, since ALTER and HTTP name a type by its label alone;
+        `_install` takes the id up."""
+        existing = self.lookup_label(label)
+        if existing is not None:
+            raise SchemaError(f"{existing.kind} type {label} already exists")
         return self._next_type_id
 
     def _check_new_columns(self, columns: list[ColumnDescriptor],
@@ -260,7 +263,7 @@ class Catalog:
 
     def define_node_type(self, label: str, columns: list[ColumnDescriptor],
                          supertype: int | None = None) -> TypeDescriptor:
-        type_id = self._claim_type_id(label, KIND_NODE)
+        type_id = self._claim_type_id(label)
         inherited: tuple[ColumnDescriptor, ...] = ()
         if supertype is not None:
             sup = self.get(supertype)
@@ -281,7 +284,7 @@ class Catalog:
 
     def define_edge_type(self, label: str, columns: list[ColumnDescriptor],
                          leaving_type: int, arriving_type: int) -> TypeDescriptor:
-        type_id = self._claim_type_id(label, KIND_EDGE)
+        type_id = self._claim_type_id(label)
         builtin = [ColumnDescriptor(ID, values.INTEGER, nullable=False)]
         for name, endpoint in ((LEAVING, leaving_type), (ARRIVING, arriving_type)):
             ref_col = self._endpoint_reference_column(endpoint)
@@ -304,7 +307,7 @@ class Catalog:
         return col
 
     def define_plain_type(self, label: str, columns: list[ColumnDescriptor]) -> TypeDescriptor:
-        type_id = self._claim_type_id(label, KIND_PLAIN)
+        type_id = self._claim_type_id(label)
         self._check_new_columns(columns, ())
         return self._install(TypeDescriptor(type_id, label, KIND_PLAIN, list(columns)))
 
@@ -358,14 +361,15 @@ class Catalog:
         self._install(replace(desc, primary_key=list(key), unique_keys=unique_keys))
 
     def retarget_endpoint(self, type_id: int, side: str, node_type_id: int) -> None:
-        """Generalize one endpoint of an edge type to a supertype."""
+        """Generalize one endpoint of an edge type to a supertype; the
+        side's reference column takes the data type of that type's key."""
         desc = self.get(type_id)
         if desc.kind != KIND_EDGE:
             raise SchemaError(f"{desc.label} is not an edge type")
-        if side == LEAVING:
-            self._install(replace(desc, leaving_type=node_type_id))
-        else:
-            self._install(replace(desc, arriving_type=node_type_id))
+        data_type = self._endpoint_reference_column(node_type_id).data_type
+        columns = [replace(c, data_type=data_type) if c.name == side else c for c in desc.columns]
+        endpoint = "leaving_type" if side == LEAVING else "arriving_type"
+        self._install(replace(desc, columns=columns, **{endpoint: node_type_id}))
 
     def set_multiplicity(self, type_id: int, mult: Multiplicity) -> None:
         desc = self.get(type_id)

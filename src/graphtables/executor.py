@@ -201,17 +201,6 @@ def _resolve_or_define_node(tx: Transaction, labels, props: dict) -> cat.TypeDes
     return tx.define_node_type(labels[0], columns)
 
 
-def _check_endpoint_key(tx: Transaction, edge_desc: cat.TypeDescriptor,
-                        side: str, node_row: Row) -> None:
-    endpoint_tid = edge_desc.leaving_type if side == LEAVING else edge_desc.arriving_type
-    kcol = tx.catalog.key_column(endpoint_tid)
-    if kcol is None:
-        raise ExecutionError(f"{tx.catalog.get(endpoint_tid).label} needs a "
-                             "single-column key to be referenced by edges")
-    if node_row.values.get(kcol) is None:
-        raise ExecutionError(f"node {node_row.uid} has no value for key column {kcol}")
-
-
 def _generalize_endpoint(tx: Transaction, edge_desc: cat.TypeDescriptor,
                          side: str, node_tid: int) -> cat.TypeDescriptor:
     declared = edge_desc.leaving_type if side == LEAVING else edge_desc.arriving_type
@@ -248,8 +237,6 @@ def _create_edge(tx: Transaction, pattern: EdgePattern, left_row: Row,
         desc = _generalize_endpoint(tx, desc, LEAVING, tail_row.type_id)
         desc = _generalize_endpoint(tx, desc, ARRIVING, head_row.type_id)
     _fit_properties(tx, desc, props)
-    _check_endpoint_key(tx, desc, LEAVING, tail_row)
-    _check_endpoint_key(tx, desc, ARRIVING, head_row)
     uid = tx.insert_row(desc.type_id, props, (tail_row.uid, head_row.uid))
     row = tx.view().get_row(uid)
     if pattern.alias is not None:

@@ -44,6 +44,9 @@ _TOKEN_RE = re.compile(_TRIVIA + r"""(?:
 _TRIVIA_RE = re.compile(_TRIVIA)
 # the group of each token kind in `_TOKEN_RE`
 _DATE, _CURRENCY, _DECIMAL, _INT, _QIDENT, _STRING, _IDENT, _PUNCT, _END = range(1, 10)
+# the one shape of a date literal's body; `date.fromisoformat` takes more
+# shapes on Python 3.11 and later
+_DATE_BODY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _KINDS = {_DATE: "date", _CURRENCY: "currency", _DECIMAL: "decimal", _INT: "int",
           _STRING: "string"}
 
@@ -88,9 +91,11 @@ def _literal(group: int, lexeme: str, text: str, at: int):
         return Currency(Decimal(lexeme[:-1]), CURRENCY_SYMBOLS[lexeme[-1]])
     body = lexeme[5:-1]
     try:
-        return datetime.date.fromisoformat(body)
-    except ValueError:
-        raise _error(f"bad date literal {body!r}", text, at) from None
+        if _DATE_BODY.fullmatch(body):
+            return datetime.date.fromisoformat(body)
+    except ValueError:  # a month or day out of range
+        pass
+    raise _error(f"bad date literal {body!r}", text, at)
 
 
 def scan(text: str) -> tuple[tuple, tuple, list]:

@@ -10,7 +10,11 @@ rules in order: conflicts (first committer wins: the schema, if it changed,
 and each row the statements staged must be as they were at the snapshot),
 the rekey cascade, delete restrict or cascade, the reference write, then
 the checks of column types, keys, references, multiplicity and constraints
-over the post state.  It then appends one self-contained log record, and
+over the post state.  These checks are the only judges of row integrity:
+a new primary key (`alter_primary_key`) is judged here over every row of
+its scope, and the reference rule also refuses an edge whose LEAVING or
+ARRIVING is still NULL, its endpoint holding no value in the key the edge
+references.  Commit then appends one self-contained log record, and
 only then publishes; a failed publish refuses every later commit.  That is
 snapshot isolation, which still allows write skew.  A transaction reads
 through the catalog published with its snapshot until it changes the
@@ -25,8 +29,8 @@ LEAVING/ARRIVING columns, which keep the endpoints' key values; replay
 restores the ends as logged.
 `ReadView.value` derives the key values from the endpoint's current key, and
 one pass at commit writes that value into every staged edge.  A node whose
-key changes gets its committed edges staged for that pass, so a rekey never
-rebinds an edge.
+key changes, or an edge type whose endpoint type changes, gets its committed
+edges staged for that pass, so a rekey never rebinds an edge.
 
 One index type, `_Index`, finds candidate uids: each type's uids, a value
 index per column built on its first probe, and per side a map from node uid
@@ -461,29 +465,12 @@ class Transaction:
         return len(rewrites)
 
     def alter_primary_key(self, type_ref, key_columns) -> None:
-        """Install a new primary key; commit rewrites the key columns of
-        the edges that reference it."""
+        """Install a new primary key; commit judges every row of its scope
+        and rewrites the key columns of the edges that reference it."""
         self._check_open()
         desc = self._type(type_ref, (cat.KIND_NODE,))
         key_columns = list(key_columns)
         catalog = self._mutable_catalog()
-        desc = catalog.get(desc.type_id)
-        for name in key_columns:
-            if catalog.effective_column(desc.type_id, name) is None:
-                raise SchemaError(f"{desc.label} has no column {name}")
-
-        # every row of the scope must have a unique, non-null key value
-        seen: dict[tuple, int] = {}
-        for row in self.view().scan_type(catalog.subtype_closure(desc.type_id)):
-            key = tuple(row.values.get(c) for c in key_columns)
-            if any(v is None for v in key):
-                raise SchemaError(f"{desc.label} row {row.uid} has a null value in "
-                                  f"({', '.join(key_columns)})")
-            if key in seen:
-                raise SchemaError(f"{desc.label} values in ({', '.join(key_columns)}) "
-                                  f"are not unique (rows {seen[key]}, {row.uid})")
-            seen[key] = row.uid
-
         # node types whose effective key will change
         old_declarer = catalog.key_declarer(desc.type_id)
         affected = {t for t in catalog.subtype_closure(desc.type_id)
@@ -639,13 +626,18 @@ class _Commit:
         self.post = ReadView(self.store, self.store.commit_seq, catalog, self.staged)
         self.node_tids = catalog.type_ids(cat.KIND_NODE)
         self.edge_tids = catalog.type_ids(cat.KIND_EDGE)
-        # types whose rows are all checked again, not only the staged ones
+        # types whose rows are all checked again, not only the staged ones,
+        # and edge types whose endpoint type changed
         self.rekeyed, self.full_type, self.full_mult, self.full_constraint = (
             set(), set(), set(), set())
+        self.retargeted: set[int] = set()
         for tid, old in self.changed.items():
             desc = catalog.get(tid)
             if old is not None and desc.primary_key != old.primary_key:
                 self.rekeyed.add(tid)
+            if old is not None and (desc.leaving_type, desc.arriving_type) != (
+                    old.leaving_type, old.arriving_type):
+                self.retargeted.add(tid)
             if tid in self.rekeyed or (old and any(c not in desc.columns for c in old.columns)):
                 self.full_type.add(tid)
             if desc.multiplicity != (old.multiplicity if old else None):
@@ -697,13 +689,14 @@ class _Commit:
 
     def rekey_cascade(self) -> None:
         """Stage the committed edges of every node whose key value changes,
-        and of every edge type whose endpoint got a new primary key, so
-        that `write_references` rewrites their reference columns."""
-        edges = []
+        and of every edge type whose endpoint got a new primary key or
+        type, so that `write_references` rewrites their reference columns."""
+        edge_tids = set(self.retargeted)
         if self.rekeyed:
             rekeyed = {t for tid in self.rekeyed for t in self.catalog.subtype_closure(tid)}
-            edges.extend(self.post.scan_type(
-                {edesc.type_id for edesc, _side in self.catalog.edge_types_referencing(rekeyed)}))
+            edge_tids.update(edesc.type_id for edesc, _side
+                             in self.catalog.edge_types_referencing(rekeyed))
+        edges = list(self.post.scan_type(edge_tids)) if edge_tids else []
         for uid, row in self.staged.items():
             if row is not None and row.type_id in self.node_tids:
                 kcol, old = self.catalog.key_column(row.type_id), self.store.latest(uid)
@@ -728,15 +721,18 @@ class _Commit:
 
     def write_references(self) -> None:
         """Every staged edge takes its endpoints' keys in LEAVING/ARRIVING
-        (left as they are on a side with no endpoint).  The staging is
-        final from here on, so this also lists its changes."""
+        (NULL for an endpoint with no key value, left as they are on a side
+        with no endpoint).  The staging is final from here on, so this also
+        lists its changes."""
         post, staged, latest = self.post, self.staged, self.store.latest
         for uid, row in sorted(staged.items()):
             if row is not None and row.type_id in self.edge_tids:
                 values = dict(row.values)
                 for column in (LEAVING, ARRIVING):
                     v = post.value(row, column)
-                    if v is not None:
+                    if v is None:
+                        values.pop(column, None)
+                    else:
                         values[column] = v
                 row = Row(uid, row.type_id, values, row.ends)
                 staged.put(uid, row)
@@ -777,7 +773,9 @@ class _Commit:
     def check_keys(self) -> None:
         """Key scopes, each a type that declares a primary or unique key with
         its subtypes, of every staged row's type and every rekeyed type hold
-        unique keys.  A key value with a NULL in it conflicts with nothing."""
+        unique keys: each staged row, and each row of a rekeyed scope, is
+        probed against the scope.  A key value with a NULL in it conflicts
+        with nothing."""
         catalog, post = self.catalog, self.post
         rows = [row for _, _, row in self.changes if row is not None]
         scopes: dict[tuple[int, tuple[str, ...]], None] = {}
@@ -790,18 +788,7 @@ class _Commit:
                     scopes[ancestor, tuple(key)] = None
         for scope_tid, key in scopes:
             closure = catalog.subtype_closure(scope_tid)
-            if scope_tid in self.rekeyed:
-                seen: dict[tuple, int] = {}
-                for row in post.scan_type(closure):
-                    kv = tuple(row.values.get(c) for c in key)
-                    if None in kv:
-                        continue
-                    if kv in seen:
-                        raise CommitError("key", catalog.get(scope_tid).label,
-                                          f"duplicate key {kv!r}", (seen[kv], row.uid))
-                    seen[kv] = row.uid
-                continue
-            for row in rows:
+            for row in post.scan_type(closure) if scope_tid in self.rekeyed else rows:
                 if row.type_id not in closure:
                     continue
                 kv = tuple(row.values.get(c) for c in key)
@@ -825,6 +812,10 @@ class _Commit:
                     raise CommitError("reference", desc.label,
                                       f"{side} value {row.values.get(side)!r} matches no "
                                       f"{catalog.get(endpoint_tid).label} row", (uid,))
+                if row.values.get(side) is None:
+                    raise CommitError("reference", desc.label,
+                                      f"{side} is null: node {end} has no value in the key "
+                                      f"of {catalog.get(endpoint_tid).label}", (uid,))
 
     def check_multiplicity(self) -> None:
         catalog, post = self.catalog, self.post

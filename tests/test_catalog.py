@@ -84,6 +84,20 @@ def test_label_and_column_collisions(cat):
         cat.define_node_type("BAD", [ColumnDescriptor("X", "float")])
 
 
+def test_a_label_names_one_type_of_any_kind(db):
+    """ALTER and HTTP name a type by its label alone, so no two types of any
+    kinds share one."""
+    db.execute("create type X as (A int) nodetype")
+    with pytest.raises(SchemaError, match="node type X already exists"):
+        db.execute("create type X as () edgetype (leaving X, arriving X)")
+    db.execute("create type Address as (City char)")
+    with pytest.raises(SchemaError, match="plain type ADDRESS already exists"):
+        db.execute("CREATE (:Address {City: 'Bonn'})")
+    db.execute("create type E as () edgetype (leaving X, arriving X)")
+    db.execute("ALTER TYPE E SET CARDINALITY LEAVING 0..1 ARRIVING 0..*")
+    assert [d.label for d in db.catalog.types()] == ["X", "ADDRESS", "E"]
+
+
 def test_edge_type_cannot_redeclare_its_built_in_columns(cat):
     db = Database()
     db.execute("create type P as (Name char) nodetype")
@@ -306,3 +320,38 @@ def test_failed_statements_and_rollback_leave_published_descriptors_alone():
     assert db.catalog is catalog
     assert all(catalog.get(tid) is desc for tid, desc in published.items())
     assert [d.type_id for d in catalog.types()] == sorted(published)
+
+
+# --- a new primary key is judged at commit, over the rows commit sees ---
+
+@pytest.mark.parametrize("rows, message", [
+    ("CREATE (:Q {N: 1, W: 10}), (:Q {N: 2, W: 10})", "duplicate key"),
+    ("CREATE (:Q {N: 1, W: 10}), (:Q {N: 2})", "key column W is null"),
+])
+@pytest.mark.parametrize("in_transaction", [False, True])
+def test_new_key_over_bad_rows_is_refused_at_commit(rows, message, in_transaction):
+    db = Database()
+    db.execute(rows)
+    published = db.catalog
+    with pytest.raises(CommitError, match=message) as err:
+        if in_transaction:
+            session = db.session()
+            for text in ("BEGIN", "ALTER TABLE Q ADD PRIMARY KEY (W)", "COMMIT"):
+                session.execute(text)
+        else:
+            db.execute("ALTER TABLE Q ADD PRIMARY KEY (W)")
+    assert err.value.rule == "key"
+    assert db.catalog is published
+    assert db.catalog.effective_key(db.catalog.lookup_label("Q").type_id) == [ID]
+
+
+def test_new_key_commits_once_the_transaction_repairs_its_duplicates():
+    db = Database()
+    db.execute("CREATE (:Q {N: 1, W: 10})-[:R]->(:Q {N: 2, W: 10})")
+    session = db.session()
+    for text in ("BEGIN", "ALTER TABLE Q ADD PRIMARY KEY (W)",
+                 "MATCH (q:Q {N: 2}) SET q.W = 20", "COMMIT"):
+        session.execute(text)
+    assert db.catalog.effective_key(db.catalog.lookup_label("Q").type_id) == ["W"]
+    assert db.execute("MATCH (a:Q)-[e:R]->(b:Q) RETURN a.N, e.LEAVING, b.N, e.ARRIVING").rows == [
+        [1, 10, 2, 20]]

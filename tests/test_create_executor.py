@@ -6,7 +6,7 @@ import pytest
 
 from graphtables import Database, values
 from graphtables.catalog import ARRIVING, ID, LEAVING
-from graphtables.errors import ExecutionError, ParseError, SchemaError
+from graphtables.errors import CommitError, ExecutionError, ParseError, SchemaError
 
 from oracles import fold_arrows, graph_from_db
 
@@ -152,6 +152,53 @@ def test_edge_endpoint_generalizes_to_common_supertype(db):
     assert holds.arriving_type == db.catalog.lookup_label("PURCHASEDPART").type_id
     db.execute("MATCH (s:Stock) THEN CREATE (s)-[:Holds]->(:InHouseProduct {PartID:'P02'}) END")
     assert db.catalog.lookup_label("HOLDS").arriving_type == db.catalog.lookup_label("PART").type_id
+
+
+@pytest.mark.parametrize("keys", [(1, 2, 3), ("a", "b", "c")])
+def test_generalized_endpoint_rewrites_the_committed_edges(tmp_path, keys):
+    """Generalizing R's arriving side from S1 (keyed on X) to Root (keyed on
+    K) retypes ARRIVING after K and rewrites the edge already committed."""
+    path = tmp_path / "retarget.log"
+    db = Database(path)
+    k_type = "int" if isinstance(keys[0], int) else "char"
+    for text in (f"create type Root as (K {k_type}) nodetype", "alter table Root add primary key(K)",
+                 "create type S1 under Root as (X int)", "alter table S1 add primary key(X)",
+                 "create type S2 under Root as (Y int)", "alter table S2 add primary key(Y)",
+                 f"CREATE (:S1 {{K: {keys[0]!r}, X: 100}})-[:R]->(:S1 {{K: {keys[1]!r}, X: 200}})",
+                 f"MATCH (a:S1 {{X: 100}}) CREATE (a)-[:R]->(:S2 {{K: {keys[2]!r}, Y: 300}})"):
+        db.execute(text)
+    for reopened in (False, True):
+        if reopened:
+            db.close()
+            db = Database(path)
+        r = db.catalog.lookup_label("R")
+        assert r.arriving_type == db.catalog.lookup_label("ROOT").type_id
+        assert r.own_column(ARRIVING).data_type == db.catalog.lookup_label("ROOT").own_column("K").data_type
+        view = db.read_view()
+        edges = list(view.scan_type([r.type_id]))
+        assert [(e.get(LEAVING), e.get(ARRIVING)) for e in edges] == [(100, keys[1]), (100, keys[2])]
+        assert [view.resolve_endpoints(e) for e in edges] == [e.ends for e in edges]
+    db.close()
+
+
+def test_edge_to_a_node_without_the_referenced_key_is_refused_at_commit(db):
+    """S1 rows are keyed on X and need no K, the key of Root."""
+    for text in ("create type Root as (K int) nodetype", "alter table Root add primary key(K)",
+                 "create type S1 under Root as (X int)", "alter table S1 add primary key(X)",
+                 "create type S2 under Root as (Y int)", "alter table S2 add primary key(Y)",
+                 "create type E as () edgetype (leaving Root, arriving Root)",
+                 "CREATE (:S1 {X: 100})-[:R]->(:S1 {X: 200})"):  # uids 1-3
+        db.execute(text)
+    with pytest.raises(CommitError, match="ARRIVING is null: node 5 has no value in the key "
+                                          "of ROOT") as err:
+        db.execute("CREATE (:Root {K: 1})-[:E]->(:S1 {X: 5})")
+    assert err.value.rule == "reference"
+    # generalizing R's arriving side to Root leaves the committed edge no K to hold
+    with pytest.raises(CommitError, match="ARRIVING is null: node 2 has no value in the key "
+                                          "of ROOT") as err:
+        db.execute("MATCH (a:S1 {X: 100}) CREATE (a)-[:R]->(:S2 {K: 3, Y: 300})")
+    assert err.value.rule == "reference"
+    assert db.execute("MATCH (s:S1) RETURN s.X").rows == [[100], [200]]
 
 
 def test_unrelated_endpoint_is_rejected(db):

@@ -55,7 +55,9 @@ def test_no_reserved_words():
     assert toks[0].type == "ident" and toks[0].value == "FROM"
 
 
-@pytest.mark.parametrize("bad", ["'open", '"open', "DATE'2023-13-99'", "@"])
+@pytest.mark.parametrize("bad", ["'open", '"open', "DATE'2023-13-99'", "@",
+                                 # shapes other than YYYY-MM-DD, on every Python version
+                                 "DATE'20230322'", "DATE'2023-W12-3'", "DATE'2023W123'"])
 def test_lex_errors(bad):
     with pytest.raises(LexError):
         tokenize(bad)
