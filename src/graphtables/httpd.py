@@ -10,11 +10,27 @@ component registry supplies membership only: the selector is matched and the
 document read in one store snapshot, with the catalog of that snapshot, and a
 `depth` walk follows the store's edge adjacency out from the anchor.
 
-Each node and edge is rendered straight to its JSON text in one pass over the
-rows: every type's label and `"COLUMN": ` prefixes are encoded once per
-document, ints and strings are written directly, and other values go through
-`json.dumps` of `values.http_value`.  The body is the text `json.dumps(doc,
+The type and column segments are names in statement syntax: one identifier,
+folded to upper case unless double-quoted, so `/"Teil"/"Nr"=1` reaches a type
+created as `:"Teil"`.  A segment that is not one identifier is the name's
+exact spelling.
+
+Each node and edge is rendered straight to its JSON text: a type's label and
+`"COLUMN": ` prefixes are encoded once per document, ints and strings are
+written directly, and other values go through `json.dumps` of
+`values.http_value`.  The body is the text `json.dumps(doc,
 ensure_ascii=False)` gives for the document's dict form, UTF-8 encoded.
+
+A row's text depends only on the row and the catalog it is read with (label,
+key column, column order), so each database keeps one memo of the texts made
+under one catalog: `uid -> (row, text)`.  A document reuses a text only when
+the row its snapshot reads `is` the row the text was made from and its
+catalog `is` the memo's.  This is sound because committed rows are never
+mutated (SET, a restaged edge, DROP COLUMN and a rekey each stage a new
+`Row`) and every schema commit publishes a new `Catalog` (replay, which
+changes one catalog in place, ends before a database can serve); a document
+read under another catalog starts a new memo, and a changed row's text replaces
+its uid's entry, so the memo holds at most one text per uid.
 """
 
 from __future__ import annotations
@@ -22,6 +38,7 @@ from __future__ import annotations
 import json
 import threading
 import urllib.parse
+import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from json.encoder import encode_basestring
 
@@ -29,10 +46,13 @@ from . import catalog as cat
 from . import values as val
 from .catalog import ARRIVING, LEAVING
 from .engine import Database
-from .errors import GraphTablesError
+from .errors import GraphTablesError, LexError
 from .lexer import LITERAL_TYPES, tokenize
 
 DEFAULT_PORT = 8180
+
+# database -> (catalog, {uid: (row, its text under that catalog)})
+_texts: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def parse_anchor_value(text: str):
@@ -45,6 +65,16 @@ def parse_anchor_value(text: str):
     if tok.type in LITERAL_TYPES:
         return tok.value
     raise ValueError(f"unsupported anchor value {text!r}")
+
+
+def segment_name(text: str) -> str:
+    """A type or column segment: one identifier in statement syntax, folded
+    to upper case unless double-quoted, or else the name's exact spelling."""
+    try:
+        tokens = tokenize(text)
+    except LexError:
+        return text
+    return tokens[0].value if len(tokens) == 2 and tokens[0].type == "ident" else text
 
 
 class _AnchorGone(LookupError):
@@ -103,6 +133,12 @@ def build_document(db: Database, selector: tuple, depth: int | None) -> dict:
     ids, column, value)` triple, matches in the document's snapshot."""
     anchor_uid, nodes, edges, representative, view = _subgraph(db, selector, depth)
     catalog = view.catalog
+    memo = _texts.get(db)
+    # a concurrent document may swap in a map of its own catalog; each map
+    # only ever holds texts made under its catalog, so a race costs reuse only
+    if memo is None or memo[0] is not catalog:
+        memo = _texts[db] = (catalog, {})
+    texts = memo[1]
     types: dict[int, tuple] = {}
 
     def described(type_id: int) -> tuple:
@@ -124,16 +160,23 @@ def build_document(db: Database, selector: tuple, depth: int | None) -> dict:
     node_docs = []
     for uid in sorted(nodes):
         row = view.get_row(uid)
-        label, key, columns = described(row.type_id)
-        node_docs.append(f'{{"uid": {uid}, "type": {label}, "key": {_json(row.values.get(key))}, '
-                         f'"properties": {{{properties(row.values, columns)}}}}}')
+        entry = texts.get(uid)
+        if entry is None or entry[0] is not row:
+            label, key, columns = described(row.type_id)
+            entry = texts[uid] = (row, f'{{"uid": {uid}, "type": {label}, '
+                                  f'"key": {_json(row.values.get(key))}, '
+                                  f'"properties": {{{properties(row.values, columns)}}}}}')
+        node_docs.append(entry[1])
     edge_docs = []
     for row in sorted(edges, key=lambda r: r.uid):
-        label, _key, columns = described(row.type_id)
-        edge_docs.append(f'{{"uid": {row.uid}, "type": {label}, '
-                         f'"leaving": {_json(row.values.get(LEAVING))}, '
-                         f'"arriving": {_json(row.values.get(ARRIVING))}, '
-                         f'"properties": {{{properties(row.values, columns)}}}}}')
+        entry = texts.get(row.uid)
+        if entry is None or entry[0] is not row:
+            label, _key, columns = described(row.type_id)
+            entry = texts[row.uid] = (row, f'{{"uid": {row.uid}, "type": {label}, '
+                                      f'"leaving": {_json(row.values.get(LEAVING))}, '
+                                      f'"arriving": {_json(row.values.get(ARRIVING))}, '
+                                      f'"properties": {{{properties(row.values, columns)}}}}}')
+        edge_docs.append(entry[1])
     return {"anchor": anchor_uid, "representative": representative,
             "nodes": node_docs, "edges": edge_docs}
 
@@ -194,13 +237,13 @@ class _Handler(BaseHTTPRequestHandler):
         if "=" not in selector:
             return 400, {"error": "anchor selector must look like COL='value'"}
         column, _, value_text = selector.partition("=")
-        column = column.strip().upper()
+        column = segment_name(column.strip())
         try:
             value = parse_anchor_value(value_text.strip())
         except (ValueError, GraphTablesError) as exc:
             return 400, {"error": str(exc)}
 
-        desc = self.db.catalog.lookup_label(type_name.upper(), cat.KIND_NODE)
+        desc = self.db.catalog.lookup_label(segment_name(type_name), cat.KIND_NODE)
         if desc is None:
             return 404, {"error": f"unknown node type {type_name}"}
         closure = self.db.catalog.subtype_closure(desc.type_id)

@@ -363,6 +363,11 @@ def make_columns(columns) -> list[ColumnDescriptor]:
     return out
 
 
+def _a(kind: str) -> str:
+    """`kind` with its indefinite article: "a node", "an edge"."""
+    return ("an " if kind == cat.KIND_EDGE else "a ") + kind
+
+
 class Transaction:
     """Stages schema and row changes against a snapshot; commit validates
     and publishes them atomically."""
@@ -396,15 +401,17 @@ class Transaction:
         """Reads at the transaction's begin snapshot plus its own staging."""
         return ReadView(self.db.store, self.snapshot, self.catalog, self.staged)
 
-    def _type(self, ref, kinds=None) -> cat.TypeDescriptor:
+    def _type(self, ref, kind: str | None = None) -> cat.TypeDescriptor:
+        """The type `ref` (a type id or label) names, which must be of `kind`
+        when one is given."""
         if isinstance(ref, int):
             desc = self.catalog.get(ref)
         else:
             desc = self.catalog.lookup_label(ref)
             if desc is None:
                 raise SchemaError(f"unknown type {ref}")
-        if kinds and desc.kind not in kinds:
-            raise SchemaError(f"{desc.label} is a {desc.kind} type")
+        if kind is not None and desc.kind != kind:
+            raise SchemaError(f"{desc.label} is {_a(desc.kind)} type, not {_a(kind)} type")
         return desc
 
     # --- schema operations ---
@@ -414,14 +421,14 @@ class Transaction:
         catalog = self._mutable_catalog()
         sup_id = None
         if supertype is not None:
-            sup_id = self._type(supertype, (cat.KIND_NODE,)).type_id
+            sup_id = self._type(supertype, cat.KIND_NODE).type_id
         return catalog.define_node_type(label, make_columns(columns), sup_id)
 
     def define_edge_type(self, label: str, columns, leaving, arriving) -> cat.TypeDescriptor:
         self._check_open()
         catalog = self._mutable_catalog()
-        ltid = self._type(leaving, (cat.KIND_NODE,)).type_id
-        atid = self._type(arriving, (cat.KIND_NODE,)).type_id
+        ltid = self._type(leaving, cat.KIND_NODE).type_id
+        atid = self._type(arriving, cat.KIND_NODE).type_id
         return catalog.define_edge_type(label, make_columns(columns), ltid, atid)
 
     def define_plain_type(self, label: str, columns) -> cat.TypeDescriptor:
@@ -468,7 +475,7 @@ class Transaction:
         """Install a new primary key; commit judges every row of its scope
         and rewrites the key columns of the edges that reference it."""
         self._check_open()
-        desc = self._type(type_ref, (cat.KIND_NODE,))
+        desc = self._type(type_ref, cat.KIND_NODE)
         key_columns = list(key_columns)
         catalog = self._mutable_catalog()
         # node types whose effective key will change
@@ -485,12 +492,12 @@ class Transaction:
 
     def retarget_endpoint(self, type_ref, side: str, node_type_id: int) -> None:
         self._check_open()
-        desc = self._type(type_ref, (cat.KIND_EDGE,))
+        desc = self._type(type_ref, cat.KIND_EDGE)
         self._mutable_catalog().retarget_endpoint(desc.type_id, side, node_type_id)
 
     def set_cardinality(self, type_ref, multiplicity: Multiplicity) -> None:
         self._check_open()
-        desc = self._type(type_ref, (cat.KIND_EDGE,))
+        desc = self._type(type_ref, cat.KIND_EDGE)
         self._mutable_catalog().set_multiplicity(desc.type_id, multiplicity)
 
     def add_constraint(self, type_ref, text: str) -> None:
@@ -773,22 +780,28 @@ class _Commit:
     def check_keys(self) -> None:
         """Key scopes, each a type that declares a primary or unique key with
         its subtypes, of every staged row's type and every rekeyed type hold
-        unique keys: each staged row, and each row of a rekeyed scope, is
-        probed against the scope.  A key value with a NULL in it conflicts
-        with nothing."""
+        unique keys: each staged row is probed against its scopes, and each
+        row of a rekeyed type's scope against its new primary key.  The key
+        a rekey demotes was unique at the last commit, and rows committed
+        after BEGIN were checked under it, so it, like any other unique key,
+        needs only the staged rows probed.  A key value with a NULL in it
+        conflicts with nothing."""
         catalog, post = self.catalog, self.post
         rows = [row for _, _, row in self.changes if row is not None]
-        scopes: dict[tuple[int, tuple[str, ...]], None] = {}
-        for tid in sorted({r.type_id for r in rows} | self.rekeyed):
+        # (scope type id, key) -> whether every row of the scope is probed
+        scopes: dict[tuple[int, tuple[str, ...]], bool] = {}
+        for tid in sorted({r.type_id for r in rows}):
             declarer = catalog.key_declarer(tid)
             if declarer is not None:
-                scopes[declarer.type_id, tuple(declarer.primary_key)] = None
+                scopes[declarer.type_id, tuple(declarer.primary_key)] = False
             for ancestor in catalog.supertype_chain(tid):
                 for key in catalog.get(ancestor).unique_keys:
-                    scopes[ancestor, tuple(key)] = None
-        for scope_tid, key in scopes:
+                    scopes[ancestor, tuple(key)] = False
+        for tid in sorted(self.rekeyed):
+            scopes[tid, tuple(catalog.get(tid).primary_key)] = True
+        for (scope_tid, key), every_row in scopes.items():
             closure = catalog.subtype_closure(scope_tid)
-            for row in post.scan_type(closure) if scope_tid in self.rekeyed else rows:
+            for row in post.scan_type(closure) if every_row else rows:
                 if row.type_id not in closure:
                     continue
                 kv = tuple(row.values.get(c) for c in key)

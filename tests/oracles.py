@@ -96,7 +96,17 @@ def oracle_match(g: Graph, chain, rep_mode: str | None = None):
     ALL/default behaviour, `shortest_rows` the subset a SHORTEST selection
     keeps (bindings attaining the globally minimal edge count).
     """
+    columns, rows, shortest = oracle_rows(g, chain, rep_mode)
+    return columns, set(rows), set(shortest)
+
+
+def oracle_rows(g: Graph, chain, rep_mode: str | None = None):
+    """`oracle_match`'s rows as lists in first-emission order, walking nodes
+    and edges in uid order: each row where its first walk emits it, and each
+    SHORTEST row where its first walk of the fewest edges does.  ANY keeps
+    the first of `rows`."""
     columns = binder_names(chain)
+    edge_uids = sorted(g.edges)
     emissions: list[tuple[tuple, int]] = []  # (canonical row, edge count)
     connectors = list(zip(chain[1::2], chain[2::2]))
 
@@ -132,7 +142,7 @@ def oracle_match(g: Graph, chain, rep_mode: str | None = None):
             interior = nvisits[1:-1]
             if len(set(interior)) != len(interior) or nvisits[0] in interior:
                 return
-        row = tuple(_canon(bindings[c]) for c in columns)
+        row = tuple(bindings[c] for c in columns)
         emissions.append((row, len(etrace)))
 
     def walk(idx, cur, bindings, nvisits, etrace):
@@ -141,7 +151,7 @@ def oracle_match(g: Graph, chain, rep_mode: str | None = None):
             return
         conn, nspec = connectors[idx]
         if isinstance(conn, EdgeSpec):
-            for euid in g.edges:
+            for euid in edge_uids:
                 nxt = edge_other(conn, euid, cur)
                 if nxt is None:
                     continue
@@ -205,7 +215,7 @@ def oracle_match(g: Graph, chain, rep_mode: str | None = None):
                     walk(idx + 1, cur2, after, nvisits, etrace)
             if conn.hi is not None and count >= conn.hi:
                 return
-            for euid in g.edges:
+            for euid in edge_uids:
                 if euid in used:
                     continue
                 step = body_step(cur2, euid, bindings)
@@ -219,35 +229,26 @@ def oracle_match(g: Graph, chain, rep_mode: str | None = None):
         iterate(0, cur, {a: [] for a in loop}, nvisits, etrace, frozenset())
 
     first = chain[0]
-    for uid in g.nodes:
+    for uid in sorted(g.nodes):
         start = node_ok(first, uid, {})
         if start is not None:
             walk(0, uid, start, [uid], [])
 
-    rows: dict[tuple, int] = {}
-    for row, count in emissions:
-        if row not in rows or count < rows[row]:
-            rows[row] = count
-    all_rows = set(rows)
-    shortest = set()
-    if rows:
-        best = min(rows.values())
-        shortest = {row for row, count in rows.items() if count == best}
-    return columns, all_rows, shortest
+    best = min((count for _row, count in emissions), default=None)
+    rows = list(dict.fromkeys(row for row, _count in emissions))
+    shortest = list(dict.fromkeys(row for row, count in emissions if count == best))
+    return columns, rows, shortest
 
 
-def _canon(value):
-    if isinstance(value, tuple):
-        return value
-    return value
+def table_rows(table) -> list[tuple]:
+    """Engine ResultTable rows -> the oracle's canonical tuples (uids), in
+    the table's order."""
+    return [tuple(_canon_value(v) for v in row) for row in table.rows]
 
 
 def canon_table(table) -> set[tuple]:
-    """Engine ResultTable rows -> the oracle's canonical tuples (uids)."""
-    out = set()
-    for row in table.rows:
-        out.add(tuple(_canon_value(v) for v in row))
-    return out
+    """`table_rows` as a set."""
+    return set(table_rows(table))
 
 
 def _canon_value(value):

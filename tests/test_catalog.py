@@ -13,6 +13,7 @@ from graphtables.catalog import (
     Multiplicity,
 )
 from graphtables.errors import CommitError, GraphTablesError, SchemaError
+from graphtables.storage import ReadView
 
 
 def col(name, data_type=values.STRING):
@@ -355,3 +356,45 @@ def test_new_key_commits_once_the_transaction_repairs_its_duplicates():
     assert db.catalog.effective_key(db.catalog.lookup_label("Q").type_id) == ["W"]
     assert db.execute("MATCH (a:Q)-[e:R]->(b:Q) RETURN a.N, e.LEAVING, b.N, e.ARRIVING").rows == [
         [1, 10, 2, 20]]
+
+
+def test_a_new_key_probes_every_row_for_the_new_key_only(monkeypatch):
+    """The key a rekey demotes was unique at the last commit, so only the
+    new primary key is probed over the whole scope."""
+    db = Database()
+    db.execute("CREATE " + ", ".join(f"(:Q {{N: {i}, W: {i}}})" for i in range(100)))
+    probes = []
+    lookup = ReadView.lookup_by_value
+
+    def counted(self, type_ids, column, value):
+        probes.append(column)
+        return lookup(self, type_ids, column, value)
+    monkeypatch.setattr(ReadView, "lookup_by_value", counted)
+    db.execute("ALTER TABLE Q ADD PRIMARY KEY (W)")
+    assert probes == ["W"] * 100
+
+
+@pytest.mark.parametrize("change", ["MATCH (q:Q {N: 2}) SET q.W = 1",
+                                    "MATCH (q:Q {N: 2}) SET q.ID = 1"])
+def test_a_new_key_refuses_a_duplicate_of_the_new_or_the_demoted_key(change):
+    db = Database()
+    db.execute("CREATE (:Q {N: 1, W: 1}), (:Q {N: 2, W: 2})")
+    session = db.session()
+    for text in ("BEGIN", "ALTER TABLE Q ADD PRIMARY KEY (W)", change):
+        session.execute(text)
+    with pytest.raises(CommitError, match="duplicate key") as err:
+        session.execute("COMMIT")
+    assert err.value.rule == "key"
+
+
+@pytest.mark.parametrize("statement, message", [
+    ("ALTER TABLE R ADD PRIMARY KEY (N)", "R is an edge type, not a node type"),
+    ("ALTER TYPE P SET CARDINALITY LEAVING 0..1 ARRIVING 0..*",
+     "P is a node type, not an edge type"),
+])
+def test_a_statement_on_the_wrong_kind_of_type_names_the_kind_it_needs(statement, message):
+    db = Database()
+    db.execute("CREATE (:P {N: 1})-[:R {N: 2}]->(:P {N: 3})")
+    with pytest.raises(SchemaError) as err:
+        db.execute(statement)
+    assert str(err.value) == message

@@ -2,6 +2,7 @@
 error table."""
 
 import datetime
+import gc
 import json
 import os
 import pathlib
@@ -12,13 +13,14 @@ import threading
 import urllib.error
 import urllib.parse
 import urllib.request
+import weakref
 from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphtables import values
+from graphtables import httpd, values
 from graphtables.catalog import ColumnDescriptor
 from graphtables.engine import Database
 from graphtables.httpd import build_document, parse_anchor_value, serve_in_thread
@@ -388,6 +390,153 @@ def test_percent_encoded_quotes_and_spaces(served):
     status, doc = fetch(port, path)
     assert status == 200
     assert doc["anchor"] == 2
+
+
+def test_segments_follow_the_identifier_rule():
+    db = Database()
+    db.execute('CREATE (:"Teil" {"Nr": 1})-[:R]->(:"Teil" {"Nr": 2})')
+    server = serve_in_thread(db, 0)
+    try:
+        port = server.server_address[1]
+        status, doc = fetch(port, "/memory/r/%22Teil%22/%22Nr%22=1?NODE")
+        assert (status, doc["anchor"]) == (200, 1)
+        assert [n["type"] for n in doc["nodes"]] == ["Teil", "Teil"]
+        status, doc = fetch(port, "/memory/r/Teil/Nr=1?NODE")
+        assert status == 404 and "unknown node type" in doc["error"]
+        status, doc = fetch(port, "/memory/r/%22Teil%22/Nr=1?NODE")
+        assert status == 404 and "has no column NR" in doc["error"]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+# --- the memo of row texts ---
+
+def _cold_document(log, tmp_path, selector, depth):
+    """The document a freshly reopened copy of the log at `log` serves."""
+    copy = tmp_path / "cold.db"
+    copy.write_bytes(log.read_bytes())
+    cold = Database(copy)
+    try:
+        return build_document(cold, selector, depth)
+    finally:
+        cold.close()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_documents_equal_the_documents_of_a_reopened_log(tmp_path, seed):
+    """Along a seeded history of row and schema changes, every document
+    equals the one a reopened copy of the log renders cold: a text is
+    reused only for the same row version under the same catalog."""
+    rng = random.Random(8800 + seed)
+    log = tmp_path / "live.db"
+    db = Database(log)
+    serial = iter(range(100, 10**6))
+    db.execute("CREATE (:P {N: 1, V: 'a'})-[:S]->(:P {N: 2, V: 'b'})-[:S]->(:P {N: 3, V: 'c'}), "
+               "(:P {N: 4, V: 'd'})")
+    schema = {12: "ALTER TABLE P ADD COLUMN W INT", 24: "ALTER TABLE P ADD PRIMARY KEY (N)",
+              36: "ALTER TABLE P DROP COLUMN V"}
+
+    def rows(label):
+        return list(db.read_view().scan_type({db.catalog.lookup_label(label).type_id}))
+
+    def compare(anchors, depths):
+        """Anchors are named by N, which stays unique (IDs after the rekey
+        are NULL)."""
+        for n in anchors:
+            for depth in depths:
+                selector = ([db.catalog.lookup_label("P").type_id], "N", n)
+                assert build_document(db, selector, depth) == \
+                    _cold_document(log, tmp_path, selector, depth), (n, depth)
+
+    for step in range(48):
+        if step in schema:
+            compare([r.values["N"] for r in rows("P")], [None])
+            db.execute(schema[step])
+            compare([r.values["N"] for r in rows("P")], [None])
+            continue
+        live, roll = [r.values["N"] for r in rows("P")], rng.random()
+        n = rng.choice(live)
+        if roll < 0.15 or len(live) < 3:
+            db.execute(f"MATCH (a:P {{N: {n}}}) CREATE (a)-[:S]->(:P {{N: {next(serial)}}})")
+        elif roll < 0.35:
+            column = rng.choice(["V"] * (step < 36) + ["W"] * (step > 12))
+            value = f"'{rng.choice('xyz')}'" if column == "V" else rng.randint(0, 9)
+            db.execute(f"MATCH (a:P {{N: {n}}}) SET a.{column} = {value}")
+        elif roll < 0.5:
+            db.execute(f"MATCH (a:P {{N: {n}}}) SET a.N = {next(serial)}")
+        elif roll < 0.7:
+            db.execute(f"MATCH (a:P {{N: {n}}}), (b:P {{N: {rng.choice(live)}}}) "
+                       "CREATE (a)-[:S]->(b)")
+        elif roll < 0.85 and rows("S"):
+            db.execute(f"MATCH ()-[e:S]->() WHERE e.Id = {rng.choice(rows('S')).uid} DELETE e")
+        else:
+            db.execute(f"MATCH (a:P {{N: {n}}}) DELETE a CASCADE")
+        live = [r.values["N"] for r in rows("P")]
+        compare(rng.sample(live, min(3, len(live))), [rng.choice([None, 1, 2])])
+    db.close()
+
+
+def test_the_memo_holds_one_text_per_uid_and_one_map_per_database():
+    db = Database()
+    db.execute("CREATE (:P {N: 1, V: 0})-[:S]->(:P {N: 2, V: 0})")
+    for i in range(1, 1001):
+        db.execute(f"MATCH (p:P {{N: 1}}) SET p.V = {i}")
+        doc = build_document(db, by_id(db, 1), None)
+    assert json.loads(doc["nodes"][0])["properties"]["V"] == 1000
+    catalog, texts = httpd._texts[db]
+    assert catalog is db.catalog and sorted(texts) == [1, 2, 3]
+    db.execute("ALTER TABLE P ADD COLUMN W INT")
+    build_document(db, by_id(db, 2), 0)
+    catalog, texts = httpd._texts[db]
+    assert catalog is db.catalog and sorted(texts) == [2]
+    # the memo keeps no database alive, so a dropped one takes its map along
+    dropped = weakref.ref(db)
+    del db, catalog, texts
+    gc.collect()
+    assert dropped() is None
+
+
+def test_documents_racing_a_writer_share_the_memo_soundly():
+    """Readers share one memo while a writer commits row and schema
+    changes: no reader sees node 1's counter go back, and afterwards a
+    document from the memo equals one rendered cold."""
+    db = Database()
+    db.execute("CREATE (:P {N: 1, V: 0})-[:S]->(:P {N: 2, V: 0})")
+    stop, faults = threading.Event(), []
+
+    def read():
+        last = -1
+        try:
+            while not stop.is_set():
+                seen = document(db, 1, None)["nodes"][0]["properties"]["V"]
+                if seen < last:
+                    faults.append((last, seen))
+                last = seen
+        except Exception as exc:  # reported by the assertion below
+            faults.append(exc)
+
+    readers = [threading.Thread(target=read, daemon=True) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for reader in readers:
+            reader.start()
+        for i in range(1, 301):
+            db.execute(f"MATCH (p:P {{N: 1}}) SET p.V = {i}")
+            if i % 100 == 50:
+                db.execute(f"ALTER TABLE P ADD COLUMN W{i} INT")
+    finally:
+        stop.set()
+        for reader in readers:
+            reader.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not any(reader.is_alive() for reader in readers)
+    assert faults == []
+    warm = build_document(db, by_id(db, 1), None)
+    del httpd._texts[db]
+    assert warm == build_document(db, by_id(db, 1), None)
+    assert json.loads(warm["nodes"][0])["properties"]["V"] == 300
 
 
 # --- rendered bodies over every value kind ---

@@ -17,7 +17,7 @@ from graphtables.errors import CommitError, ExecutionError
 
 from conftest import names
 from generators import build_random_graph, random_chain
-from oracles import canon_table, graph_from_db, oracle_match, render_chain
+from oracles import canon_table, graph_from_db, oracle_rows, render_chain, table_rows
 
 
 def canon(table):
@@ -481,21 +481,23 @@ def test_return_projects_expressions(family):
 # ------------------------------------------------------- oracle equivalence
 
 def test_matches_brute_force_oracle_on_random_graphs():
+    """Rows, and their order, equal the oracle's in every mode: with no
+    selector, under SHORTEST and under ANY."""
     rng = random.Random(20230322)
     for _ in range(120):
         db, g, nlabels, elabels = build_random_graph(rng)
         for _ in range(2):
             chain = random_chain(rng, nlabels, elabels, bounded=len(g.edges) > 7)
-            mode = rng.choice([None, "TRAIL", "ACYCLIC"])
-            text = "MATCH " + ((mode + " ") if mode else "") + render_chain(chain)
-            cols, want_all, want_shortest = oracle_match(g, chain, mode)
-            table = db.execute(text)
-            assert canon(table) == want_all, text
-            if want_all:
-                assert table.columns == cols, text
-            short = db.execute(
-                "MATCH " + ((mode + " ") if mode else "") + "SHORTEST " + render_chain(chain))
-            assert canon(short) == want_shortest, text
+            for rep_mode in (None, "TRAIL", "ACYCLIC", "SIMPLE"):
+                cols, want_all, want_shortest = oracle_rows(g, chain, rep_mode)
+                for selector, want in (("", want_all), ("SHORTEST ", want_shortest),
+                                       ("ANY ", want_all[:1])):
+                    text = "MATCH " + (rep_mode + " " if rep_mode else "") + selector + \
+                        render_chain(chain)
+                    table = db.execute(text)
+                    assert table_rows(table) == want, text
+                    if want:
+                        assert table.columns == cols, text
 
 
 # ---------------------------------------------------------------- label chains
