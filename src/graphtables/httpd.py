@@ -12,8 +12,8 @@ document read in one store snapshot, with the catalog of that snapshot, and a
 
 The type and column segments are names in statement syntax: one identifier,
 folded to upper case unless double-quoted, so `/"Teil"/"Nr"=1` reaches a type
-created as `:"Teil"`.  A segment that is not one identifier is the name's
-exact spelling.
+created as `:"Teil"`.  A segment that is not one identifier is upper-cased
+whole.
 
 Each node and edge is rendered straight to its JSON text: a type's label and
 `"COLUMN": ` prefixes are encoded once per document, ints and strings are
@@ -30,7 +30,10 @@ mutated (SET, a restaged edge, DROP COLUMN and a rekey each stage a new
 `Row`) and every schema commit publishes a new `Catalog` (replay, which
 changes one catalog in place, ends before a database can serve); a document
 read under another catalog starts a new memo, and a changed row's text replaces
-its uid's entry, so the memo holds at most one text per uid.
+its uid's entry, so the memo holds at most one text per uid.  Nothing drops
+the entry of a deleted row before the next schema commit, so between schema
+commits the memo grows with the uids ever served, as the store itself keeps
+every row version.
 """
 
 from __future__ import annotations
@@ -69,12 +72,12 @@ def parse_anchor_value(text: str):
 
 def segment_name(text: str) -> str:
     """A type or column segment: one identifier in statement syntax, folded
-    to upper case unless double-quoted, or else the name's exact spelling."""
+    to upper case unless double-quoted, or else the whole segment upper-cased."""
     try:
         tokens = tokenize(text)
     except LexError:
-        return text
-    return tokens[0].value if len(tokens) == 2 and tokens[0].type == "ident" else text
+        return text.upper()
+    return tokens[0].value if len(tokens) == 2 and tokens[0].type == "ident" else text.upper()
 
 
 class _AnchorGone(LookupError):

@@ -363,11 +363,6 @@ def make_columns(columns) -> list[ColumnDescriptor]:
     return out
 
 
-def _a(kind: str) -> str:
-    """`kind` with its indefinite article: "a node", "an edge"."""
-    return ("an " if kind == cat.KIND_EDGE else "a ") + kind
-
-
 class Transaction:
     """Stages schema and row changes against a snapshot; commit validates
     and publishes them atomically."""
@@ -411,7 +406,9 @@ class Transaction:
             if desc is None:
                 raise SchemaError(f"unknown type {ref}")
         if kind is not None and desc.kind != kind:
-            raise SchemaError(f"{desc.label} is {_a(desc.kind)} type, not {_a(kind)} type")
+            article = {cat.KIND_EDGE: "an"}
+            raise SchemaError(f"{desc.label} is {article.get(desc.kind, 'a')} {desc.kind} type, "
+                              f"not {article.get(kind, 'a')} {kind} type")
         return desc
 
     # --- schema operations ---
@@ -781,12 +778,13 @@ class _Commit:
         """Key scopes, each a type that declares a primary or unique key with
         its subtypes, of every staged row's type and every rekeyed type hold
         unique keys: each staged row is probed against its scopes, and each
-        row of a rekeyed type's scope against its new primary key.  The key
-        a rekey demotes was unique at the last commit, and rows committed
-        after BEGIN were checked under it, so it, like any other unique key,
-        needs only the staged rows probed.  A key value with a NULL in it
-        conflicts with nothing."""
-        catalog, post = self.catalog, self.post
+        row of a rekeyed type's scope against each of the type's keys that
+        was not unique over that whole scope at the last commit.  The key a
+        rekey demotes was, unless a subtype declared a key of its own: that
+        subtype's rows were held to its own key only, and join the demoted
+        key's scope now.  A key value with a NULL in it conflicts with
+        nothing."""
+        catalog, post, base = self.catalog, self.post, self.tx._catalog_base
         rows = [row for _, _, row in self.changes if row is not None]
         # (scope type id, key) -> whether every row of the scope is probed
         scopes: dict[tuple[int, tuple[str, ...]], bool] = {}
@@ -798,7 +796,13 @@ class _Commit:
                 for key in catalog.get(ancestor).unique_keys:
                     scopes[ancestor, tuple(key)] = False
         for tid in sorted(self.rekeyed):
-            scopes[tid, tuple(catalog.get(tid).primary_key)] = True
+            desc, old = catalog.get(tid), self.changed[tid]
+            held = list(old.unique_keys)
+            if all(base.key_declarer(t) is old for t in base.subtype_closure(tid)):
+                held.append(old.primary_key)
+            for key in (desc.primary_key, *desc.unique_keys):
+                if key not in held:
+                    scopes[tid, tuple(key)] = True
         for (scope_tid, key), every_row in scopes.items():
             closure = catalog.subtype_closure(scope_tid)
             for row in post.scan_type(closure) if every_row else rows:

@@ -359,8 +359,8 @@ def test_new_key_commits_once_the_transaction_repairs_its_duplicates():
 
 
 def test_a_new_key_probes_every_row_for_the_new_key_only(monkeypatch):
-    """The key a rekey demotes was unique at the last commit, so only the
-    new primary key is probed over the whole scope."""
+    """The key a rekey demotes was unique over its whole scope at the last
+    commit, so only the new primary key is probed over every row."""
     db = Database()
     db.execute("CREATE " + ", ".join(f"(:Q {{N: {i}, W: {i}}})" for i in range(100)))
     probes = []
@@ -381,6 +381,31 @@ def test_a_new_key_refuses_a_duplicate_of_the_new_or_the_demoted_key(change):
     db.execute("CREATE (:Q {N: 1, W: 1}), (:Q {N: 2, W: 2})")
     session = db.session()
     for text in ("BEGIN", "ALTER TABLE Q ADD PRIMARY KEY (W)", change):
+        session.execute(text)
+    with pytest.raises(CommitError, match="duplicate key") as err:
+        session.execute("COMMIT")
+    assert err.value.rule == "key"
+
+
+def test_a_demoted_key_is_probed_over_the_rows_a_subtype_kept_to_its_own_key():
+    """U's rows were held to U's own key, not to R's; once R's key is
+    demoted to a unique key of R and its subtypes, they join its scope."""
+    db = Database()
+    for text in ("CREATE (:R {ID: 0, W: 0})", "CREATE TYPE U UNDER R AS (X INT)",
+                 "ALTER TABLE U ADD PRIMARY KEY (X)",
+                 "CREATE (:R {ID: 5, W: 5})", "CREATE (:U {ID: 5, X: 1})"):
+        db.execute(text)
+    with pytest.raises(CommitError, match="duplicate key") as err:
+        db.execute("ALTER TABLE R ADD PRIMARY KEY (W)")
+    assert err.value.rule == "key"
+    assert db.catalog.effective_key(db.catalog.lookup_label("R").type_id) == ["ID"]
+
+
+def test_a_key_installed_and_demoted_in_one_transaction_is_probed_over_every_row():
+    db = Database()
+    db.execute("CREATE (:Q {N: 1, W: 1, X: 1}), (:Q {N: 2, W: 1, X: 2})")
+    session = db.session()
+    for text in ("BEGIN", "ALTER TABLE Q ADD PRIMARY KEY (W)", "ALTER TABLE Q ADD PRIMARY KEY (X)"):
         session.execute(text)
     with pytest.raises(CommitError, match="duplicate key") as err:
         session.execute("COMMIT")

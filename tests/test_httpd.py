@@ -405,6 +405,10 @@ def test_segments_follow_the_identifier_rule():
         assert status == 404 and "unknown node type" in doc["error"]
         status, doc = fetch(port, "/memory/r/%22Teil%22/Nr=1?NODE")
         assert status == 404 and "has no column NR" in doc["error"]
+        # a segment that is not one identifier is upper-cased whole
+        db.execute('CREATE (:"A B" {"C D": 1})')
+        status, doc = fetch(port, "/memory/r/a%20b/c%20d=1?NODE")
+        assert (status, [n["type"] for n in doc["nodes"]]) == (200, ["A B"])
     finally:
         server.shutdown()
         server.server_close()
