@@ -126,10 +126,8 @@ def exec_create(tx: Transaction, stmt: CreateStatement, params: tuple,
 
 
 def _eval_doc(tx: Transaction, doc, params: tuple, bindings: dict) -> dict:
-    out = {}
-    for name, expr in doc or ():
-        out[name] = _storable(name, eval_value(tx, expr, params, bindings))
-    return out
+    resolve = tx.view().resolver(bindings)  # nothing is staged between the entries
+    return {name: _storable(name, eval_expr(expr, resolve, params)) for name, expr in doc or ()}
 
 
 def _storable(name: str, v):

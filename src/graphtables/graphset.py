@@ -3,16 +3,16 @@
 Maintained incrementally from commit deltas.  The registry holds membership
 only: node and edge uids per component, named by its smallest member uid.
 Edge endpoints live in the store (`Row.ends`); a commit passes each uid it
-wrote with its row before and after, and the registry tells nodes from edges
-and added from removed itself.  Edge removal dissolves every touched
-component and rebuilds it from the surviving members, reading each surviving
-edge's ends from the store's latest version.  That keeps the update code
-short at the cost of some rework on deletes.
+wrote with its row before and after.  A removal drops its uid; every piece
+it cuts off holds a surviving end of a removed edge, so only a component
+with two such seeds is searched, from each in turn until at most one search
+can grow (Even and Shiloach 1981): a split costs about twice its smaller side.
 """
 
 from __future__ import annotations
 
 from .errors import StorageError
+from .storage import ReadView
 
 
 class GraphComponent:
@@ -80,25 +80,53 @@ class GraphSet:
         moved = [(uid, before, after) for uid, before, after in changes
                  if before is None or after is None or before.ends != after.ends]
         gone = {uid: before.ends for uid, before, _ in moved if before is not None}
-        if gone:
-            touched: dict[int, GraphComponent] = {}
-            for uid, ends in gone.items():
-                # an edge lies in the component of either of its ends
-                comp = self._comp_of.get(uid if ends is None else ends[0])
-                if comp is not None:
-                    touched[comp.representative] = comp
-            latest = self.store.latest
-            for comp in touched.values():
-                del self._components[comp.representative]
-                for uid in comp.nodes:
-                    del self._comp_of[uid]
-                for uid in comp.nodes - gone.keys():
-                    self.add_node(uid)
-                for edge_uid in comp.edges - gone.keys():
-                    self.add_edge(edge_uid, *latest(edge_uid).ends)
-        for uid, _, after in moved:
-            if after is not None and after.ends is None:
-                self.add_node(uid)
-        for uid, _, after in moved:
-            if after is not None and after.ends is not None:
-                self.add_edge(uid, *after.ends)
+        touched: dict[GraphComponent, set[int]] = {}  # -> surviving ends of removed edges
+        for uid, ends in sorted(gone.items(), key=lambda item: item[1] is None):  # edges first
+            comp = self._comp_of.pop(uid, None) if ends is None else self._comp_of.get(ends[0])
+            if comp is not None:
+                (comp.nodes if ends is None else comp.edges).discard(uid)
+                touched.setdefault(comp, set()).update(e for e in ends or () if e not in gone)
+        for comp, seeds in touched.items():
+            del self._components[comp.representative]
+            if len(seeds) > 1:
+                self._split(comp, seeds)
+            if comp.nodes:
+                if comp.representative not in comp.nodes:
+                    comp.representative = min(comp.nodes)
+                self._components[comp.representative] = comp
+        for uid, _, after in moved:  # add_edge adds the nodes it ends at
+            if after is not None:
+                self.add_edge(uid, *after.ends) if after.ends else self.add_node(uid)
+
+    def _split(self, comp: GraphComponent, seeds: set[int]) -> None:
+        """Move each piece cut off `comp` to a component of its own.  Searches
+        are (nodes, edges, frontier); a turn expands a node of each that can grow."""
+        view = ReadView(self.store, self.store.commit_seq, None)
+        owner = {seed: ({seed}, set(), {seed}) for seed in seeds}
+        searches = growing = list(owner.values())
+        while len(growing) > 1:
+            for uid in [search[2].pop() for search in growing]:
+                for side, direction in ((1, "leaving"), (0, "arriving")):  # side of the other end
+                    for edge, *ends in view.edges_adjacent(uid, direction):
+                        if edge.uid not in comp.edges:
+                            continue  # added by this commit
+                        mine = owner[uid]  # a node no search reached is a search of its own
+                        theirs = owner.get(ends[side]) or ({ends[side]}, set(), {ends[side]})
+                        if theirs is not mine:  # the smaller search joins the larger
+                            if len(theirs[0]) > len(mine[0]):
+                                mine, theirs = theirs, mine
+                            owner.update(dict.fromkeys(theirs[0], mine))
+                            for part, joined in zip(mine, theirs):
+                                part |= joined
+                                joined.clear()
+                        mine[1].add(edge.uid)
+            growing = [search for search in searches if search[2]]
+        stay = max(searches, key=lambda search: (bool(search[2]), len(search[0])))
+        for nodes, edges, _ in searches:
+            if nodes and nodes is not stay[0]:
+                part = GraphComponent(min(nodes))
+                part.nodes, part.edges = nodes, edges
+                comp.nodes -= nodes
+                comp.edges -= edges
+                self._comp_of.update(dict.fromkeys(nodes, part))
+                self._components[part.representative] = part

@@ -58,10 +58,10 @@ DEFAULT_PORT = 8180
 _texts: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def parse_anchor_value(text: str):
-    """The {COL}='{value}' right-hand side: a quoted string or a bare
-    literal in statement syntax."""
-    tokens = tokenize(text)
+def parse_anchor_value(text: str, tokens=None):
+    """The {COL}='{value}' right-hand side (or its `tokens`): a quoted
+    string or a bare literal in statement syntax."""
+    tokens = tokenize(text) if tokens is None else tokens
     if len(tokens) != 2:  # literal + end marker
         raise ValueError("anchor value must be a single literal")
     tok = tokens[0]
@@ -70,11 +70,11 @@ def parse_anchor_value(text: str):
     raise ValueError(f"unsupported anchor value {text!r}")
 
 
-def segment_name(text: str) -> str:
-    """A type or column segment: one identifier in statement syntax, folded
-    to upper case unless double-quoted, or else the whole segment upper-cased."""
+def segment_name(text: str, tokens=None) -> str:
+    """A type or column segment (or its `tokens` and one more): one identifier
+    in statement syntax, folded unless double-quoted, else the whole upper-cased."""
     try:
-        tokens = tokenize(text)
+        tokens = tokenize(text) if tokens is None else tokens
     except LexError:
         return text.upper()
     return tokens[0].value if len(tokens) == 2 and tokens[0].type == "ident" else text.upper()
@@ -237,13 +237,15 @@ class _Handler(BaseHTTPRequestHandler):
         if not saw_node:
             return 400, {"error": "only ?NODE queries are supported"}
 
-        if "=" not in selector:
+        tokens = tokenize(selector)  # split at the first `=` token: "A=B"=1 is one column
+        at = next((i for i, token in enumerate(tokens) if token.type == "="), None)
+        if at is None:
             return 400, {"error": "anchor selector must look like COL='value'"}
-        column, _, value_text = selector.partition("=")
-        column = segment_name(column.strip())
+        column = segment_name(selector[:tokens[at].start].strip(), tokens[:at + 1])
+        value_text = selector[tokens[at].end:].strip()
         try:
-            value = parse_anchor_value(value_text.strip())
-        except (ValueError, GraphTablesError) as exc:
+            value = parse_anchor_value(value_text, tokens[at + 1:])
+        except ValueError as exc:
             return 400, {"error": str(exc)}
 
         desc = self.db.catalog.lookup_label(segment_name(type_name), cat.KIND_NODE)

@@ -43,8 +43,9 @@ ever shrinks, because a reader at an older snapshot may still need a row
 that has since changed, and an undone write leaves its entries behind: each
 `ReadView` read takes both indexes' candidates and re-checks each uid once
 through `get_row`.  Each savepoint starts a fresh journal of what `put`
-replaces, and undoing it takes back a failed statement.
-Commit finds the types whose schema changed by comparing catalogs.
+replaces, and undoing it takes back a failed statement.  Commit finds the
+types whose schema changed by comparing catalogs, and its key check reads
+only the store's index, at most once per distinct staged key value.
 """
 
 from __future__ import annotations
@@ -777,16 +778,16 @@ class _Commit:
     def check_keys(self) -> None:
         """Key scopes, each a type that declares a primary or unique key with
         its subtypes, of every staged row's type and every rekeyed type hold
-        unique keys: each staged row is probed against its scopes, and each
-        row of a rekeyed type's scope against each of the type's keys that
-        was not unique over that whole scope at the last commit.  The key a
-        rekey demotes was, unless a subtype declared a key of its own: that
-        subtype's rows were held to its own key only, and join the demoted
-        key's scope now.  A key value with a NULL in it conflicts with
-        nothing."""
-        catalog, post, base = self.catalog, self.post, self.tx._catalog_base
+        unique keys.  A scope groups its staged rows by key value, each group
+        probing the store once, or, for each key of a rekeyed type not unique
+        over the scope at the last commit (the demoted key was, unless a
+        subtype declared its own), all its rows.  A commit that changed no
+        descriptor skips a row alone in its group whose committed version held
+        its key, where the scope checks every row each time: a unique key, or
+        no subtype keyed apart.  A key with a NULL conflicts with nothing."""
+        catalog, post, base, store = self.catalog, self.post, self.tx._catalog_base, self.store
         rows = [row for _, _, row in self.changes if row is not None]
-        # (scope type id, key) -> whether every row of the scope is probed
+        # (scope type id, key) -> whether every row of the scope is checked
         scopes: dict[tuple[int, tuple[str, ...]], bool] = {}
         for tid in sorted({r.type_id for r in rows}):
             declarer = catalog.key_declarer(tid)
@@ -805,16 +806,27 @@ class _Commit:
                     scopes[tid, tuple(key)] = True
         for (scope_tid, key), every_row in scopes.items():
             closure = catalog.subtype_closure(scope_tid)
+            # key value -> rows to check, uid ascending; `check_types` left one
+            # kind of value in each key column, for which `==` is `values_equal`
+            groups: dict[tuple, list[Row]] = {}
             for row in post.scan_type(closure) if every_row else rows:
-                if row.type_id not in closure:
+                kv = tuple(map(row.values.get, key))
+                if row.type_id in closure and None not in kv:
+                    groups.setdefault(kv, []).append(row)
+            for kv, (row, *others) in groups.items():  # by the lowest uid in each
+                old = None if others or every_row or self.changed else store.latest(row.uid)
+                if old is not None and tuple(map(old.values.get, key)) == kv and (
+                        list(key) in catalog.get(scope_tid).unique_keys
+                        or all(catalog.key_declarer(t).type_id == scope_tid for t in closure)):
                     continue
-                kv = tuple(row.values.get(c) for c in key)
-                if None in kv:
-                    continue
-                for other in post.lookup_by_value(closure, key[0], kv[0]):
-                    if other.uid != row.uid and tuple(other.values.get(c) for c in key) == kv:
-                        raise CommitError("key", catalog.get(row.type_id).label,
-                                          f"duplicate key {kv!r}", (other.uid, row.uid))
+                if not every_row:  # the committed rows not staged that hold `kv`
+                    committed = [uid for tid in closure for uid in store.index_candidates(
+                        tid, key[0], kv[0]) if uid not in self.staged]
+                    others += [other for other in map(store.latest, committed) if other is not None
+                               and tuple(map(other.values.get, key)) == kv]
+                if others:
+                    raise CommitError("key", catalog.get(row.type_id).label,
+                                      f"duplicate key {kv!r}", (min(o.uid for o in others), row.uid))
 
     def check_references(self) -> None:
         catalog = self.catalog

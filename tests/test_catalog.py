@@ -13,7 +13,7 @@ from graphtables.catalog import (
     Multiplicity,
 )
 from graphtables.errors import CommitError, GraphTablesError, SchemaError
-from graphtables.storage import ReadView
+from graphtables.storage import ReadView, Store, _Commit
 
 
 def col(name, data_type=values.STRING):
@@ -360,18 +360,32 @@ def test_new_key_commits_once_the_transaction_repairs_its_duplicates():
 
 def test_a_new_key_probes_every_row_for_the_new_key_only(monkeypatch):
     """The key a rekey demotes was unique over its whole scope at the last
-    commit, so only the new primary key is probed over every row."""
+    commit, so only the new primary key is checked over every row: by one
+    scan of the scope grouped by key value, with no lookup per row."""
     db = Database()
     db.execute("CREATE " + ", ".join(f"(:Q {{N: {i}, W: {i}}})" for i in range(100)))
-    probes = []
-    lookup = ReadView.lookup_by_value
+    scans, probes, checking = [], [], []
+    scan, lookup, check = ReadView.scan_type, Store.index_candidates, _Commit.check_keys
 
-    def counted(self, type_ids, column, value):
+    def scanned(self, type_ids):
+        if checking:
+            scans.append(sorted(type_ids))
+        return scan(self, type_ids)
+
+    def probed(self, type_id, column, value):
         probes.append(column)
-        return lookup(self, type_ids, column, value)
-    monkeypatch.setattr(ReadView, "lookup_by_value", counted)
+        return lookup(self, type_id, column, value)
+
+    def check_keys(self):
+        checking.append(True)
+        check(self)
+        checking.clear()
+    monkeypatch.setattr(ReadView, "scan_type", scanned)
+    monkeypatch.setattr(Store, "index_candidates", probed)
+    monkeypatch.setattr(_Commit, "check_keys", check_keys)
     db.execute("ALTER TABLE Q ADD PRIMARY KEY (W)")
-    assert probes == ["W"] * 100
+    assert scans == [[db.catalog.lookup_label("Q").type_id]]
+    assert probes == []
 
 
 @pytest.mark.parametrize("change", ["MATCH (q:Q {N: 2}) SET q.W = 1",

@@ -8,8 +8,8 @@ import random
 
 import pytest
 
-from graphtables import Database
-from graphtables.errors import StorageError
+from graphtables import Database, storage
+from graphtables.errors import GraphTablesError, StorageError
 from graphtables.graphset import GraphSet
 from graphtables.storage import Row, Store
 
@@ -145,3 +145,74 @@ def test_registry_follows_committed_statements():
     db.execute("MATCH (b {n:2}) DELETE b CASCADE")
     reps = {c.representative: set(c.nodes) for c in db.graphs.components()}
     assert reps == {1: {1, 3}}
+
+
+def test_cutting_a_bridge_searches_about_twice_the_small_side(monkeypatch):
+    """Deleting the edge between an 800-node and a 5-node component adds no
+    edge back, expands about twice the small side's nodes, and leaves the
+    large side in its old component object."""
+    gs = GraphSet(Store())
+    big, small = range(1, 801), range(801, 806)
+    commit(gs, [*big, *small],
+           [(1000 + u, u, u + 1) for u in [*big[:-1], *small[:-1]]] + [(2000, 400, 801)])
+    old = gs.component_of(1)
+    added, expanded = [], set()
+    monkeypatch.setattr(gs, "add_edge", lambda *args: added.append(args))
+    real = storage.ReadView.edges_adjacent
+    monkeypatch.setattr(storage.ReadView, "edges_adjacent",
+                        lambda view, uid, *rest: expanded.add(uid) or real(view, uid, *rest))
+    commit(gs, removed_edges=[2000])
+    assert added == []
+    assert len(expanded) <= 2 * len(small) + 2
+    assert gs.component_of(400) is old and old.nodes == set(big)
+    assert snapshot(gs)[801] == (frozenset(small), frozenset(range(1801, 1805)))
+
+
+GRAPH_SCHEMA = ("create type N as (K int) nodetype",
+                "alter table N add primary key(K)",
+                "create type E as (W int) edgetype (leaving N, arriving N)")
+
+
+def graph_statement(rng):
+    i, j, w = rng.randint(0, 11), rng.randint(0, 11), rng.randint(0, 3)
+    return rng.choice([
+        f"CREATE (:N {{K: {i}}})",
+        f"CREATE (:N {{K: {i}}})-[:E {{W: {w}}}]->(:N {{K: {j}}})",
+        f"MATCH (a:N {{K: {i}}}), (b:N {{K: {j}}}) CREATE (a)-[:E {{W: {w}}}]->(b)",
+        f"MATCH (a:N {{K: {i}}}), (b:N {{K: {j}}}) CREATE (a)-[:E {{W: {w}}}]->(b)",
+        f"MATCH (a:N {{K: {i}}}) CREATE (a)-[:E {{W: {w}}}]->(a)",  # a self-loop
+        f"MATCH (a:N {{K: {i}}}), (b:N) CREATE (a)-[:E {{W: {w}}}]->(b)",  # a hub
+        f"MATCH ()-[e:E {{W: {w}}}]->() DELETE e",  # several edges in one commit
+        f"MATCH (a:N {{K: {i}}}) DELETE a CASCADE",
+        f"MATCH ()-[e:E {{W: {w}}}]->() SET e.LEAVING = {i}",
+        f"MATCH ()-[e:E]->(b:N {{K: {i}}}) SET e.ARRIVING = {j}, e.W = {w}",
+        f"MATCH (a:N {{K: {i}}}) SET a.K = {j + 20}",
+    ])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_committed_statements_match_union_find(seed):
+    """After every commit of a seeded stream of auto-commit statements and
+    BEGIN blocks, the registry equals a union-find over the committed rows,
+    and every node's component is the object that lists it."""
+    rng = random.Random(seed)
+    db = Database()
+    for text in GRAPH_SCHEMA:
+        db.execute(text)
+    session = db.session()
+    for _ in range(150):
+        block = [graph_statement(rng) for _ in range(rng.choice([1, 1, 1, 2, 4]))]
+        if len(block) > 1:
+            block = ["BEGIN", *block, rng.choice(["COMMIT", "COMMIT", "ROLLBACK"])]
+        for text in block:
+            try:
+                session.execute(text)
+            except GraphTablesError:
+                pass
+        view = db.read_view()
+        rows = [row for row in map(view.get_row, range(1, db.peek_uid())) if row is not None]
+        nodes = {row.uid for row in rows if row.ends is None}
+        edges = {row.uid: row.ends for row in rows if row.ends is not None}
+        assert snapshot(db.graphs) == oracle_snapshot(nodes, edges)
+        for comp in db.graphs.components():
+            assert all(db.graphs.component_of(uid) is comp for uid in comp.nodes)

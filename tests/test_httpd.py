@@ -414,6 +414,24 @@ def test_segments_follow_the_identifier_rule():
         server.server_close()
 
 
+def test_a_quoted_column_may_hold_an_equals_sign():
+    """The selector splits at its first `=` token, so a double-quoted
+    column name may hold `=`, plain or percent-encoded."""
+    db = Database()
+    db.execute('CREATE (:P {"A=B": 1, "C": \'x=y\'})')
+    server = serve_in_thread(db, 0)
+    try:
+        port = server.server_address[1]
+        for selector in ("%22A=B%22=1", "%22A%3DB%22%3D1", "C='x=y'", "C%20=%20'x=y'"):
+            status, doc = fetch(port, f"/memory/r/P/{selector}?NODE")
+            assert (status, doc["anchor"]) == (200, 1), selector
+        status, doc = fetch(port, "/memory/r/P/%22A=B%22=%271?NODE")
+        assert status == 400 and "unterminated" in doc["error"]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 # --- the memo of row texts ---
 
 def _cold_document(log, tmp_path, selector, depth):
