@@ -137,6 +137,24 @@ def scan(text: str) -> tuple[tuple, tuple, list]:
     raise _error(f"unexpected character {text[at]!r}", text, at)
 
 
+def bracket_depth(text: str) -> tuple[int, int | None]:
+    """The count of `[` less the count of `]` over `text`'s tokens, and the
+    offset of a quoted literal still open at its end, or None.  A character
+    that starts no token counts as nothing."""
+    depth = pos = 0
+    while (m := _TOKEN_RE.match(text, pos)) is None or m.lastindex != _END:
+        if m is None:
+            at = _TRIVIA_RE.match(text, pos).end()
+            if text[at] in "'\"":
+                return depth, at
+            pos = at + 1
+            continue
+        if m.lastindex == _PUNCT:
+            depth += m[_PUNCT].count("[") - m[_PUNCT].count("]")
+        pos = m.end()
+    return depth, None
+
+
 def _newlines(text: str):
     """The offsets of `text`'s newlines, then its length, which no token
     starts after."""

@@ -5,14 +5,17 @@ published catalog, with every label chain resolved to the subtype closure of
 the type `Catalog.label_type` gives it, as CREATE does; a statement keeps the
 plan of the latest catalog it ran under.  The search is one iterative
 depth-first walk over an explicit stack of frames, each holding a step's
-candidates and the undo record of the one it is on: a walk has no depth
+candidates and what the one it is on bound: a walk has no depth
 limit, and completing a binding costs O(1) at any depth.  Quantified path
-patterns iterate their inner chain; identifiers that were unbound when the
-quantifier was entered accumulate one value per iteration and come out as
-arrays.  Repetition modes prune during traversal (a post-filter would not
-terminate on cyclic data); the default rule refuses to reuse an edge within
-one quantified expansion, which bounds every walk by the edge count.  A map
-from each walked uid to its trace positions makes these checks O(1) per hop.
+patterns iterate their inner chain, one frame per iteration of a body that
+begins with a hop from a node without checks; identifiers
+that were unbound when the quantifier was entered accumulate one value per
+iteration and come out as arrays.  Repetition modes prune during traversal
+(a post-filter would not terminate on cyclic data); the default rule refuses
+to reuse an edge within one quantified expansion, which bounds every walk by
+the edge count.  A map from each walked uid to its last trace position, the
+position before it kept beside the trace, makes these checks O(1) per hop
+with no allocation per uid.
 
 Each node's adjacency is read once per statement; a quantifier followed by a
 node with a constant doc entry leaves only on rows one index lookup found;
@@ -80,17 +83,28 @@ def _dedup_key(depth: int, row: bool):
 # Checks are (alias, type ids or None, doc entries as (column, expression,
 # the identifier it binds or None), where), or None when there are none.
 # The first three choose among candidates, so they get frames.  A frame is a
-# list, cheaper to build than an object: [alts, added, undo, steps, k, ctx,
-# crow, on_leave, loop, count].  `alts` yields the candidates of `steps[k]`,
-# entered on row `crow` within quantifier iteration `ctx`.  `added` and `undo`
-# record what the current candidate changed, `on_leave` what entering the
-# step changed.  A quantifier's frame also holds its `loop` (names, arrays)
-# and the `count` of iterations so far, a start frame in `loop` the checks
-# its candidates need; an iteration `ctx` is (steps, k, ctx, loop, count,
-# trace length) of the quantifier frame that began it.
+# list, cheaper to build than an object: [alts, added, steps, k, ctx, crow,
+# on_leave, loop, count, at].  `alts` yields the candidates of `steps[k]`,
+# entered on row `crow` at trace length `at` in the iteration that
+# quantifier frame `ctx` began; a candidate that walked a row leaves the
+# trace longer.  `added` records the names the current candidate bound,
+# `on_leave` what entering the step changed.  A quantifier's frame holds its
+# `loop` (names, arrays, the trace length where it began) and the `count` of
+# iterations so far, and offers `_STOP` if the count and a keyed exit admit
+# `crow`, then `_AGAIN`.  For a body that begins with a hop from a node
+# without checks, `_AGAIN` gives way to that hop's candidates, read once the
+# exit is done: one frame per iteration.  A start frame holds in `loop` the
+# checks its candidates need.
 _START, _HOP, _QUANT, _ITER_END, _ITEM_END = range(5)
-_UNDO = 2
+_ALTS, _CTX, _LOOP = 0, 4, 7   # frame fields
 _STOP, _AGAIN = "stop", "again"   # the candidates of a quantifier frame
+
+
+def _began(ctx: list) -> int:
+    """The trace length where the outermost quantifier open in iteration `ctx` began."""
+    while ctx[_CTX] is not None:
+        ctx = ctx[_CTX]
+    return ctx[_LOOP][2]
 
 
 class Plan:
@@ -172,17 +186,17 @@ class _Matcher:
         self.params = params
         self.bindings: dict[str, object] = {}
         self._resolve = view.resolver(self.bindings)
-        # per item: the walked uids, each uid's positions in that list, the
-        # trace lengths where open quantifiers began, the repetition mode
+        # per item: the walked uids, the position before each one's in that
+        # list (-1: none), each uid's last position, the repetition mode
         self.trace: list[int] = []
-        self.seen: dict[int, list[int]] = {}
-        self.marks: list[int] = []
+        self.prev: list[int] = []
+        self.seen: dict[int, int] = {}
         self.rep_mode: str | None = None
         self.edge_count = 0
         self.emissions: list[list] = []  # [bindings dict, edge count]
         self.sel = stmt.items[0].sel_mode if stmt.items else None
         self.bound = float("inf")        # SHORTEST: fewest edges of a binding so far
-        self._hops: dict[tuple, list] = {}  # (node uid, side, edge type ids) -> _adjacent
+        self._adjacency: dict[tuple, list] = {}  # (node uid, side, edge type ids) -> _hops
         self.keyed = [{r.uid for r in view.lookup_by_value(tids, name, constant(expr, params))}
                       for tids, (name, expr) in plan.keyed]
 
@@ -191,16 +205,21 @@ class _Matcher:
     def run(self):
         self._search()
         kept = self._dedup_and_select()
-        dependent = self.stmt.dependent
+        dependent, effects = self.stmt.dependent, self.stmt.then_block
         if isinstance(dependent, ReturnStatement):
             table = self._project(dependent, kept)
-            self._run_effects(None, kept)
-            return table
-        if dependent is not None or self.stmt.then_block:
-            self._run_effects(dependent, kept)
-            return None
-        columns = self.plan.names
-        return ResultTable(columns, [[b[c] for c in columns] for b in kept])
+        elif dependent is not None or effects:
+            table, effects = None, (dependent, *effects) if dependent is not None else effects
+        else:
+            columns = self.plan.names
+            return ResultTable(columns, [[b[c] for c in columns] for b in kept])
+        if effects:   # a dependent statement, then the THEN block, per binding
+            from . import executor
+            for b in kept:
+                scope = dict(b)
+                for stmt in effects:
+                    executor.run_statement(self.tx, stmt, self.params, scope)
+        return table
 
     def _search(self) -> None:
         """Each round undoes the top frame's current candidate, then takes
@@ -210,124 +229,119 @@ class _Matcher:
         self._next_item(stack, 0, [])
         while stack:
             f = stack[-1]
-            alts, added, undo, steps, k, ctx, crow, on_leave, loop, count = f
+            alts, added, steps, k, ctx, crow, on_leave, loop, count, at = f
             if added:
                 for a in added:
                     del bindings[a]
                 added.clear()
             step = steps[k]
             kind = step[0]
-            if undo is not None:
-                if kind == _HOP:
-                    seen = self.seen
-                    for uid in (self.trace.pop(), self.trace.pop()):
-                        at = seen[uid]
-                        at.pop()
-                        if not at:
-                            del seen[uid]
+            if len(self.trace) > at:   # the candidate was a start row or a hop
+                trace, prev, seen = self.trace, self.prev, self.seen
+                while len(trace) > at:
+                    uid, before = trace.pop(), prev.pop()
+                    if before < 0:
+                        del seen[uid]
+                    else:
+                        seen[uid] = before
+                if kind != _START:
                     self.edge_count -= 1
-                elif kind == _START:
-                    # every deeper frame is undone, so the start is all there is
-                    self.trace.pop()
-                    self.seen.clear()
-                else:
-                    self.marks.append(undo)
-                f[_UNDO] = None
             alt = next(alts, None)
+            if alt is _AGAIN and step[4] is None and step[3][0][0] == _HOP:
+                f[_ALTS] = alts = iter(self._hops(crow, step[3][0]))   # the next iteration's first hops
+                alt = next(alts, None)
             if alt is None:
                 # leave the frame, undoing what entering its step changed
                 stack.pop()
                 if kind == _START:
-                    self.trace, self.seen, self.marks, self.rep_mode, p_added = on_leave
+                    self.trace, self.prev, self.seen, self.rep_mode, p_added = on_leave
                     for a in p_added:
                         del bindings[a]
-                elif kind == _QUANT and count == 0:
-                    self.marks.pop()
-                elif kind == _QUANT:
+                elif kind == _QUANT and count:
                     for a in loop[0]:
                         loop[1][a].pop()
                     bindings.update(on_leave)
-            elif kind == _HOP:
-                if self.edge_count >= self.bound:
-                    stack.pop()   # SHORTEST has a binding with no more edges
-                    continue
-                erow, tuid, trow = alt
-                euid = erow.uid
-                if not self._hop_allowed(euid, tuid):
-                    continue
-                trace, seen = self.trace, self.seen
-                seen.setdefault(euid, []).append(len(trace))
-                seen.setdefault(tuid, []).append(len(trace) + 1)
-                trace += euid, tuid
-                self.edge_count += 1
-                f[_UNDO] = True
-                if (step[1] is None or self._unify(step[1], erow, added)) and \
-                        (step[2] is None or self._unify(step[2], trow, added)):
-                    self._enter(stack, steps, k + 1, ctx, trow)
             elif kind == _START:
                 self.trace.append(alt.uid)
-                self.seen[alt.uid] = [0]
-                f[_UNDO] = True
+                self.prev.append(-1)
+                self.seen[alt.uid] = 0
                 if loop is None or self._unify(loop, alt, added):
                     self._enter(stack, steps, 1, None, alt)
             elif alt is _STOP:
-                # leave the quantifier, if the follow pattern's keyed rows
-                # allow: bind the accumulated arrays and go on
-                if step[6] is not None and crow.uid not in self.keyed[step[6]]:
-                    continue
-                f[_UNDO] = self.marks.pop()
-                names, arrays = loop
+                # leave the quantifier: bind the accumulated arrays and go on
+                names, arrays, _at = loop
                 for a in names:
                     bindings[a] = list(arrays[a])
                     added.append(a)
                 if step[2] is None or self._unify(step[2], crow, added):
                     self._enter(stack, steps, k + 1, ctx, crow)
-            elif step[4] is None or self._unify(step[4], crow, added):
-                self._enter(stack, step[3], 0, (steps, k, ctx, loop, count, len(self.trace)), crow)
+            elif alt is _AGAIN:   # a body that is one node, checks its first node or begins with a quantifier
+                if step[4] is None or self._unify(step[4], crow, added):
+                    self._enter(stack, step[3], 0, f, crow)
+            else:
+                if kind == _QUANT:   # the first hop of the next iteration
+                    steps, k, ctx, step = step[3], 0, f, step[3][0]
+                if self.edge_count >= self.bound:
+                    f[_ALTS] = iter(())   # SHORTEST has a binding with no more edges
+                    continue
+                erow, tuid, trow = alt
+                euid = erow.uid
+                trace, prev, seen, mode = self.trace, self.prev, self.seen, self.rep_mode
+                before = seen.get(euid, -1)
+                # the default rule: no edge twice since the outermost open quantifier
+                if before >= 0 and (mode == "TRAIL" or ctx is not None and before >= _began(ctx)) \
+                        or mode == "ACYCLIC" and tuid in seen \
+                        or mode == "SIMPLE" and tuid in seen and tuid != trace[0]:
+                    continue
+                prev += before, seen.get(tuid, -1)
+                seen[euid], seen[tuid] = at, at + 1
+                trace += euid, tuid
+                self.edge_count += 1
+                if (step[1] is None or self._unify(step[1], erow, added)) and \
+                        (step[2] is None or self._unify(step[2], trow, added)):
+                    self._enter(stack, steps, k + 1, ctx, trow)
 
     def _enter(self, stack: list, steps: list, k: int, ctx, crow: Row) -> None:
         """Arrive at `steps[k]` on `crow`: push its frame, or run a step without choices."""
         step = steps[k]
         kind = step[0]
         if kind == _HOP:
-            etids = step[3]
-            if (etids is None or etids) and self.edge_count < self.bound:
-                key = (crow.uid, step[4], etids)
-                hops = self._hops.get(key)
-                if hops is None:
-                    hops = self._hops[key] = self._adjacent(*key)
-                stack.append([iter(hops), [], None, steps, k, ctx, crow, None, None, 0])
-        elif kind == _QUANT:
+            hops = self._hops(crow, step)
+            if hops:
+                stack.append([iter(hops), [], steps, k, ctx, crow, None, None, 0, len(self.trace)])
+            return
+        if kind == _ITEM_END:
+            if self.rep_mode != "SIMPLE" or self.prev[-1] == 0:
+                # SIMPLE: a closed walk that repeats only its start (hops refuse others)
+                alias = self.stmt.items[step[1]].path_alias
+                if alias is None:
+                    self._next_item(stack, step[1] + 1, [])
+                elif alias not in self.bindings:
+                    self.bindings[alias] = [self.view.get_row(uid) for uid in self.trace]
+                    self._next_item(stack, step[1] + 1, [alias])
+            return
+        if kind == _QUANT:
             names = [n for n in step[5] if n not in self.bindings]
-            self.marks.append(len(self.trace))
-            self._loop(stack, steps, k, ctx, crow, (names, {a: [] for a in names}), 0, None, True)
-        elif kind == _ITER_END:
-            q_steps, q_k, q_ctx, loop, count, before = ctx
-            names, arrays = loop
+            loop = (names, {a: [] for a in names}, len(self.trace))
+            count, vals, moved = 0, None, True
+        else:
+            # _ITER_END: the iteration that quantifier frame `ctx` began is done
+            _alts, _added, steps, k, ctx, _crow, _leave, loop, count, at = ctx
+            step = steps[k]
             vals = {}
-            for a in names:
+            for a in loop[0]:
                 if a in self.bindings:
                     vals[a] = self.bindings.pop(a)
-                arrays[a].append(vals.get(a))
+                loop[1][a].append(vals.get(a))
             # an iteration that consumed nothing cannot be stacked, but it
             # may still satisfy the count
-            self._loop(stack, q_steps, q_k, q_ctx, crow, loop, count + 1, vals,
-                       len(self.trace) > before)
-        elif self.rep_mode != "SIMPLE" or self._closed_simple_walk():
-            alias = self.stmt.items[step[1]].path_alias
-            if alias is None:
-                self._next_item(stack, step[1] + 1, [])
-            elif alias not in self.bindings:
-                self.bindings[alias] = [self.view.get_row(uid) for uid in self.trace]
-                self._next_item(stack, step[1] + 1, [alias])
-
-    def _loop(self, stack, steps, k, ctx, crow, loop, count, vals, moved) -> None:
-        """Push a quantifier's frame after `count` iterations: stop, then go on."""
-        path = steps[k][1]
-        alts = [_STOP] if count >= path.lo else []
-        if moved and (path.hi is None or count < path.hi):
-            alts.append(_AGAIN)
-        stack.append([iter(alts), [], None, steps, k, ctx, crow, vals, loop, count])
+            count, moved = count + 1, len(self.trace) > at
+        path = step[1]
+        stop = count >= path.lo and (step[6] is None or crow.uid in self.keyed[step[6]])
+        again = moved and (path.hi is None or count < path.hi)
+        alts = (_STOP, _AGAIN) if stop and again else (_STOP,) if stop else \
+            (_AGAIN,) if again else ()
+        stack.append([iter(alts), [], steps, k, ctx, crow, vals, loop, count, len(self.trace)])
 
     def _next_item(self, stack: list, i: int, p_added: list[str]) -> None:
         if i == len(self.stmt.items):
@@ -338,8 +352,8 @@ class _Matcher:
                 del self.bindings[a]
             return
         steps = self.plan.items[i]
-        saved = (self.trace, self.seen, self.marks, self.rep_mode, p_added)
-        self.trace, self.seen, self.marks = [], {}, []
+        saved = (self.trace, self.prev, self.seen, self.rep_mode, p_added)
+        self.trace, self.prev, self.seen = [], [], {}
         self.rep_mode = self.stmt.items[i].rep_mode
         _kind, alias, checks, checks_left, tids, probe = steps[0]
         if alias is not None and alias in self.bindings:
@@ -349,7 +363,7 @@ class _Matcher:
             checks = checks_left
             alts = self.view.scan_type(tids) if probe is None else \
                 self.view.lookup_by_value(tids, probe[0], constant(probe[1], self.params))
-        stack.append([iter(alts), [], None, steps, 0, None, None, saved, checks, 0])
+        stack.append([iter(alts), [], steps, 0, None, None, saved, checks, 0, 0])
 
     def _emit(self) -> None:
         if self.stmt.where is not None and \
@@ -360,34 +374,23 @@ class _Matcher:
             # hops stop here, so no walk longer than a binding is walked
             self.bound = self.edge_count
 
-    def _adjacent(self, uid: int, side: str, etids) -> list[tuple]:
-        """[(edge row, target uid, target row)] of the visible targets one hop
-        from node `uid`; staging cannot change while the search runs."""
-        out = []
-        for erow, luid, auid in self.view.edges_adjacent(uid, side, etids):
-            tuid = auid if side == "leaving" else luid
-            trow = self.view.get_row(tuid)
-            if trow is not None:
-                out.append((erow, tuid, trow))
-        return out
-
-    # --- the trace and repetition checks ---
-
-    def _hop_allowed(self, euid: int, tuid: int) -> bool:
-        seen, mode = self.seen, self.rep_mode
-        at = seen.get(euid)
-        # the default rule: no edge twice since the outermost open quantifier
-        if at is not None and (mode == "TRAIL" or self.marks and at[-1] >= self.marks[0]):
-            return False
-        if mode == "ACYCLIC":
-            return tuid not in seen
-        return mode != "SIMPLE" or tuid not in seen or tuid == self.trace[0]
-
-    def _closed_simple_walk(self) -> bool:
-        """SIMPLE needs a closed walk whose only repeated node is its start
-        (hops already refuse to repeat any other node)."""
-        trace = self.trace
-        return len(trace) > 1 and trace[-1] == trace[0] and len(self.seen[trace[0]]) == 2
+    def _hops(self, crow: Row, step: tuple):
+        """[(edge row, target uid, target row)] of hop `step` from `crow`, read
+        once per statement (staging cannot change while the search runs), or
+        none if SHORTEST has a binding with no more edges."""
+        etids, side = step[3], step[4]
+        if etids is not None and not etids or self.edge_count >= self.bound:
+            return ()
+        key = (crow.uid, side, etids)
+        hops = self._adjacency.get(key)
+        if hops is None:
+            hops = self._adjacency[key] = []
+            for erow, luid, auid in self.view.edges_adjacent(crow.uid, side, etids):
+                tuid = auid if side == "leaving" else luid
+                trow = self.view.get_row(tuid)
+                if trow is not None:
+                    hops.append((erow, tuid, trow))
+        return hops
 
     # --- candidates and unification ---
 
@@ -447,12 +450,3 @@ class _Matcher:
         # rows bound here are as this view reads them
         return ResultTable(headers, [[b[a] if c is None else value(b[a], c) for a, c in refs]
                                      for b in kept])
-
-    def _run_effects(self, dependent, kept) -> None:
-        from . import executor
-        for b in kept:
-            scope = dict(b)
-            if dependent is not None and not isinstance(dependent, ReturnStatement):
-                executor.run_statement(self.tx, dependent, self.params, scope)
-            for stmt in self.stmt.then_block:
-                executor.run_statement(self.tx, stmt, self.params, scope)

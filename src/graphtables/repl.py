@@ -14,6 +14,7 @@ import time
 
 from .engine import Database, ResultTable, render_row
 from .errors import GraphTablesError
+from .lexer import bracket_depth
 from .storage import ReadView, Row
 from . import values as val
 
@@ -55,11 +56,13 @@ def _statements(read_line):
     """Yield (starting line number, statement) for the lines that
     `read_line(in_block)` returns until it returns None.  Blank and `//`
     lines between statements are skipped; a line starting with `[` opens a
-    block that runs until its brackets balance, and the block's outer
-    brackets are stripped; any other line is one statement.  A block still
-    open at the end of input is a statement too."""
+    block that runs until the statement lexer finds its `[` and `]` tokens
+    balanced and no literal open, and the block's outer brackets are
+    stripped; any other line is one statement.  A block still open at the
+    end of input is a statement too."""
     block: list[str] = []
     depth = start = line_no = 0
+    pending = ""   # a literal still open at the end of the block so far
     while (line := read_line(bool(block))) is not None:
         line_no += 1
         stripped = line.strip()
@@ -71,8 +74,11 @@ def _statements(read_line):
                 continue
             start = line_no
         block.append(line.rstrip("\n"))
-        depth += _bracket_delta(line)
-        if depth <= 0:
+        text = pending + "\n" + block[-1] if pending else block[-1]
+        delta, open_at = bracket_depth(text)
+        depth += delta
+        pending = "" if open_at is None else text[open_at:]
+        if depth <= 0 and not pending:
             yield start, _block_body(block)
             block, depth = [], 0
     if block:
@@ -82,31 +88,6 @@ def _statements(read_line):
 def _block_body(block: list[str]) -> str:
     body = "\n".join(block).strip()
     return body[1:-1] if body.startswith("[") and body.endswith("]") else body
-
-
-def _bracket_delta(line: str) -> int:
-    """Net [ ] nesting change, ignoring brackets inside strings and comments."""
-    delta = 0
-    quote = None
-    k = 0
-    while k < len(line):
-        ch = line[k]
-        if quote:
-            if ch == quote:
-                if k + 1 < len(line) and line[k + 1] == quote:
-                    k += 1  # doubled quote stays inside the string
-                else:
-                    quote = None
-        elif ch in ("'", '"'):
-            quote = ch
-        elif ch == "/" and line[k:k + 2] == "//":
-            break
-        elif ch == "[":
-            delta += 1
-        elif ch == "]":
-            delta -= 1
-        k += 1
-    return delta
 
 
 def run_repl(db: Database, stdin=None, stdout=None) -> int:

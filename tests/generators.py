@@ -13,7 +13,7 @@ from graphtables import Database
 
 from oracles import EdgeSpec, Graph, NodeSpec, QuantSpec, graph_from_db
 
-QUANTS = [(0, 1), (0, None), (1, None), (1, 2)]
+QUANTS = [(0, 1), (0, None), (1, None), (1, 2), (2, 3)]
 NODE_ALIASES = ["X", "Y", "Z", "W"]
 EDGE_ALIASES = ["P", "Q", "R"]
 
@@ -58,11 +58,13 @@ def random_chain(rng: random.Random, node_labels, edge_labels,
                  bounded: bool = False):
     """A chain of 1..3 node positions with edges or quantified hops between.
 
-    With `bounded` set, only quantifiers with a finite upper bound are drawn;
-    callers pass it for dense graphs, where the number of edge-distinct walks
-    (and with an alias in the body, the number of result rows) grows
-    factorially and an unbounded repetition would swamp engine and oracle
-    alike.
+    With `bounded` set, only quantifiers with a finite upper bound and a
+    one-edge body are drawn; callers pass it for dense graphs, where the
+    number of edge-distinct walks (and with an alias in the body, the number
+    of result rows) grows factorially and an unbounded repetition would swamp
+    engine and oracle alike.  Otherwise a body may take two edges, so an
+    iteration can end on a hop that is not its first; its bounds are finite
+    for the same reason.
     """
     used_nodes: list[str] = []
     used_edges: list[str] = []
@@ -101,6 +103,9 @@ def random_chain(rng: random.Random, node_labels, edge_labels,
         if rng.random() < 0.45:
             lo, hi = rng.choice(quants)
             inner = (node_spec(), edge_spec(), node_spec())
+            if not bounded and rng.random() < 0.35:
+                inner += (edge_spec(), node_spec())
+                lo, hi = rng.choice([q for q in QUANTS if q[1] is not None])
             chain.append(QuantSpec(inner, lo, hi))
         else:
             chain.append(edge_spec())

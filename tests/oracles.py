@@ -51,7 +51,7 @@ class EdgeSpec:
 
 @dataclass(frozen=True)
 class QuantSpec:
-    chain: tuple  # (NodeSpec, EdgeSpec, NodeSpec)
+    chain: tuple  # (NodeSpec, EdgeSpec, NodeSpec), then (EdgeSpec, NodeSpec) per further edge
     lo: int
     hi: int | None
 
@@ -169,41 +169,47 @@ def oracle_rows(g: Graph, chain, rep_mode: str | None = None):
                 walk(idx + 1, nxt, b, nvisits + [nxt], etrace + [euid])
             return
 
-        # quantified segment: the body is a single-edge chain
-        na, ee, nb = conn.chain
-        body_aliases = [s.alias for s in (na, ee, nb) if s.alias]
+        # quantified segment: the body is a chain of one or more edges
+        body = conn.chain
         loop = []
-        for a in body_aliases:
-            if a not in bindings and a not in loop:
-                loop.append(a)
+        for spec in body:
+            if spec.alias and spec.alias not in bindings and spec.alias not in loop:
+                loop.append(spec.alias)
         loopset = set(loop)
 
-        def body_step(cur2, euid, bindings):
-            """One iteration from cur2 over euid; None or (next, loop values)."""
-            it: dict[str, int] = {}
+        def local(alias, val, it):
+            """`it` with `alias` bound to `val` for this iteration, or None
+            when it clashes; an alias bound outside must already be `val`."""
+            if alias is None:
+                return it
+            if alias in loopset:
+                if alias in it:
+                    return it if it[alias] == val else None
+                return {**it, alias: val}
+            return it if bindings.get(alias) == val else None
 
-            def local(alias, val):
-                if alias is None:
-                    return True
-                if alias in loopset:
-                    if alias in it and it[alias] != val:
-                        return False
-                    it[alias] = val
-                    return True
-                return bindings.get(alias) == val
-
-            if na.label is not None and g.nodes.get(cur2) != na.label:
-                return None
-            if not local(na.alias, cur2):
-                return None
-            nxt = edge_other(ee, euid, cur2)
-            if nxt is None or not local(ee.alias, euid):
-                return None
-            if nb.label is not None and g.nodes.get(nxt) != nb.label:
-                return None
-            if not local(nb.alias, nxt):
-                return None
-            return nxt, it
+        def body_step(j, cur2, it, used):
+            """One iteration's walks on from body position j at cur2, edges
+            in uid order, none in `used`: (end node, loop values, nodes
+            visited, edges walked)."""
+            spec = body[j]
+            if spec.label is not None and g.nodes.get(cur2) != spec.label:
+                return
+            it = local(spec.alias, cur2, it)
+            if it is None:
+                return
+            if j == len(body) - 1:
+                yield cur2, it, [], []
+                return
+            for euid in edge_uids:
+                nxt = edge_other(body[j + 1], euid, cur2)
+                if euid in used or nxt is None:
+                    continue
+                it2 = local(body[j + 1].alias, euid, it)
+                if it2 is None:
+                    continue
+                for end, it3, nodes, edges in body_step(j + 2, nxt, it2, used | {euid}):
+                    yield end, it3, [nxt] + nodes, [euid] + edges
 
         def iterate(count, cur2, arrays, nvisits, etrace, used):
             if count >= conn.lo:
@@ -215,16 +221,10 @@ def oracle_rows(g: Graph, chain, rep_mode: str | None = None):
                     walk(idx + 1, cur2, after, nvisits, etrace)
             if conn.hi is not None and count >= conn.hi:
                 return
-            for euid in edge_uids:
-                if euid in used:
-                    continue
-                step = body_step(cur2, euid, bindings)
-                if step is None:
-                    continue
-                nxt, it = step
+            for nxt, it, nodes, edges in body_step(0, cur2, {}, used):
                 arrays2 = {a: arrays[a] + [it[a]] for a in loop}
                 iterate(count + 1, nxt, arrays2,
-                        nvisits + [nxt], etrace + [euid], used | {euid})
+                        nvisits + nodes, etrace + edges, used | set(edges))
 
         iterate(0, cur, {a: [] for a in loop}, nvisits, etrace, frozenset())
 

@@ -11,7 +11,8 @@ import time
 
 import pytest
 
-from graphtables import Database
+from graphtables import Database, matcher
+from graphtables.matcher import _Matcher
 from graphtables.storage import ReadView, Row
 from graphtables.errors import CommitError, ExecutionError
 
@@ -436,6 +437,42 @@ def test_a_keyed_quantifier_exit_costs_one_lookup(monkeypatch):
     assert len(db.execute(CORNER_SHORTEST).rows) == math.comb(12, 6)
     # the exit's rows, for all 3,431 exits, and the start node's candidates
     assert sorted(calls) == ["0_0", "6_6"]
+
+
+def test_a_quantifier_iteration_costs_one_frame(monkeypatch):
+    """Along the chain the stack holds the start frame and one frame per
+    iteration begun, each offering the exit and then the next iteration's
+    first hops; a frame for the hop as well doubled it."""
+    hops = 1999
+    depths = []
+    next_item = _Matcher._next_item
+
+    def counted(matcher, stack, i, p_added):
+        depths.append(len(stack))
+        return next_item(matcher, stack, i, p_added)
+
+    monkeypatch.setattr(_Matcher, "_next_item", counted)
+    table = chain_db(hops).execute("MATCH (:Link {N: 0}) [()-[:Next]->()]+ (x)")
+    assert len(table.rows) == hops
+    # the deepest binding: the start frame, the frame the quantifier is
+    # entered with, and one frame per iteration
+    assert max(depths) <= 1 + 1 + hops
+
+
+def test_a_quantified_body_checks_its_first_node_once_per_iteration(monkeypatch):
+    hops = 100
+    evals = []
+    predicate = matcher.eval_predicate
+
+    def counted(expr, resolve, params):
+        evals.append(expr)
+        return predicate(expr, resolve, params)
+
+    monkeypatch.setattr(matcher, "eval_predicate", counted)
+    table = chain_db(hops).execute("MATCH (:Link {N: 0}) [(c WHERE c.N >= 0)-[:Next]->()]+ (x)")
+    assert len(table.rows) == hops
+    # each node 0..hops begins an iteration; the last has no hop to take
+    assert len(evals) == hops + 1
 
 
 # ------------------------------------------------------- dependent effects

@@ -48,6 +48,11 @@ def test_brackets_inside_strings_and_comments_do_not_count():
     assert body.endswith("(:A {S: ']'})")
 
 
+def test_a_string_may_span_the_lines_of_a_block():
+    text = "[CREATE (:P {S: 'a\n]'}),\n (:Q {N: 1})]\n"
+    assert split_statements(text) == [(1, "CREATE (:P {S: 'a\n]'}),\n (:Q {N: 1})")]
+
+
 def test_unclosed_block_at_the_end_is_one_statement():
     text = "// c\n[CREATE (:A {N: 1}),\n  (:A {N: 2})\n"
     assert split_statements(text) == [(2, "[CREATE (:A {N: 1}),\n  (:A {N: 2})")]
