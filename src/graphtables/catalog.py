@@ -97,11 +97,12 @@ class Catalog:
         self._types: dict[int, TypeDescriptor] = {}
         self._by_label: dict[str, dict[str, int]] = {KIND_NODE: {}, KIND_EDGE: {}, KIND_PLAIN: {}}
         self._next_type_id = 1
-        # memos cleared by _install, the one writer of _types: subtype closures,
-        # effective columns and key declarers by type id, label types by (labels, kind)
+        # memos cleared by _install, the one writer of _types: subtype closures, effective
+        # columns, key declarers and key scopes by type id, label types by (labels, kind)
         self._closures: dict[int, tuple[int, ...]] = {}
         self._columns: dict[int, tuple[ColumnDescriptor, ...]] = {}
         self._declarers: dict[int, TypeDescriptor | None] = {}
+        self._scopes: dict[int, tuple] = {}
         self._label_types: dict[tuple, TypeDescriptor | None] = {}
 
     # --- lookup ---
@@ -201,6 +202,16 @@ class Catalog:
         declarer = self.key_declarer(type_id)
         return list(declarer.primary_key) if declarer else []
 
+    def key_scopes(self, type_id: int) -> tuple[tuple[int, tuple[str, ...], tuple[int, ...]], ...]:
+        """(declaring type id, key, member type ids) of each primary and unique
+        key on `type_id`'s supertype chain, root first.  The members are the
+        declarer's subtype closure, every node an edge into it may reach."""
+        if type_id not in self._scopes:
+            self._scopes[type_id] = tuple(dict.fromkeys(
+                (tid, tuple(key), self.subtype_closure(tid)) for tid in self.supertype_chain(type_id)
+                for key in (self.get(tid).primary_key, *self.get(tid).unique_keys) if key))
+        return self._scopes[type_id]
+
     def key_column(self, type_id: int) -> str | None:
         """The column of a single-column key, which edges reference; else None."""
         key = self.effective_key(type_id)
@@ -258,6 +269,7 @@ class Catalog:
         self._closures.clear()
         self._columns.clear()
         self._declarers.clear()
+        self._scopes.clear()
         self._label_types.clear()
         return desc
 

@@ -29,8 +29,9 @@ LEAVING/ARRIVING columns, which keep the endpoints' key values; replay
 restores the ends as logged.
 `ReadView.value` derives the key values from the endpoint's current key, and
 one pass at commit writes that value into every staged edge.  A node whose
-key changes, or an edge type whose endpoint type changes, gets its committed
-edges staged for that pass, so a rekey never rebinds an edge.
+value changes in the key column of any type on its supertype chain, or an
+edge type whose endpoint type changes, gets its committed edges staged for
+that pass, so a rekey never rebinds an edge.
 
 One index type, `_Index`, finds candidate uids: each type's uids, a value
 index per column built on its first probe, and per side a map from node uid
@@ -693,9 +694,9 @@ class _Commit:
                                   "transaction began", (uid,))
 
     def rekey_cascade(self) -> None:
-        """Stage the committed edges of every node whose key value changes,
-        and of every edge type whose endpoint got a new primary key or
-        type, so that `write_references` rewrites their reference columns."""
+        """Stage the committed edges of every node whose value changes in the
+        key column of a type on its chain, and of every edge type whose endpoint
+        got a new primary key or type, so that `write_references` rewrites them."""
         edge_tids = set(self.retargeted)
         if self.rekeyed:
             rekeyed = {t for tid in self.rekeyed for t in self.catalog.subtype_closure(tid)}
@@ -704,8 +705,9 @@ class _Commit:
         edges = list(self.post.scan_type(edge_tids)) if edge_tids else []
         for uid, row in self.staged.items():
             if row is not None and row.type_id in self.node_tids:
-                kcol, old = self.catalog.key_column(row.type_id), self.store.latest(uid)
-                if kcol and old is not None and old.values.get(kcol) != row.values.get(kcol):
+                old, catalog = self.store.latest(uid), self.catalog
+                cols = {catalog.key_column(t) for t in catalog.supertype_chain(row.type_id)} - {None}
+                if old is not None and any(old.values.get(c) != row.values.get(c) for c in cols):
                     edges.extend(self._incident(uid).values())
         for erow in edges:
             if erow.uid not in self.staged:
@@ -776,51 +778,37 @@ class _Commit:
                     raise CommitError("key", desc.label, f"key column {kcol} is null", (row.uid,))
 
     def check_keys(self) -> None:
-        """Key scopes, each a type that declares a primary or unique key with
-        its subtypes, of every staged row's type and every rekeyed type hold
-        unique keys.  A scope groups its staged rows by key value, each group
-        probing the store once, or, for each key of a rekeyed type not unique
-        over the scope at the last commit (the demoted key was, unless a
-        subtype declared its own), all its rows.  A commit that changed no
-        descriptor skips a row alone in its group whose committed version held
-        its key, where the scope checks every row each time: a unique key, or
-        no subtype keyed apart.  A key with a NULL conflicts with nothing."""
-        catalog, post, base, store = self.catalog, self.post, self.tx._catalog_base, self.store
+        """Each key scope (`Catalog.key_scopes`) of a staged row's type holds
+        unique keys over its members.  A scope groups its staged members by
+        key value, each group probing the store once; a key its declarer
+        lacked at BEGIN checks all its members (a scope gains members only
+        by new types, whose rows are all staged).  A row alone in its group
+        whose committed version held its key is skipped, as every committed
+        state holds every such key unique.  A NULL conflicts with nothing."""
+        catalog, post, store = self.catalog, self.post, self.store
         rows = [row for _, _, row in self.changes if row is not None]
-        # (scope type id, key) -> whether every row of the scope is checked
-        scopes: dict[tuple[int, tuple[str, ...]], bool] = {}
-        for tid in sorted({r.type_id for r in rows}):
-            declarer = catalog.key_declarer(tid)
-            if declarer is not None:
-                scopes[declarer.type_id, tuple(declarer.primary_key)] = False
-            for ancestor in catalog.supertype_chain(tid):
-                for key in catalog.get(ancestor).unique_keys:
-                    scopes[ancestor, tuple(key)] = False
-        for tid in sorted(self.rekeyed):
-            desc, old = catalog.get(tid), self.changed[tid]
-            held = list(old.unique_keys)
-            if all(base.key_declarer(t) is old for t in base.subtype_closure(tid)):
-                held.append(old.primary_key)
-            for key in (desc.primary_key, *desc.unique_keys):
-                if key not in held:
-                    scopes[tid, tuple(key)] = True
-        for (scope_tid, key), every_row in scopes.items():
-            closure = catalog.subtype_closure(scope_tid)
-            # key value -> rows to check, uid ascending; `check_types` left one
-            # kind of value in each key column, for which `==` is `values_equal`
+        # scope -> whether every member row is checked
+        scopes = dict.fromkeys((scope for tid in sorted({r.type_id for r in rows})
+                                for scope in catalog.key_scopes(tid)), False)
+        for tid in self.changed:
+            for scope in catalog.key_scopes(tid):
+                had = self.changed.get(scope[0], catalog.get(scope[0]))  # at BEGIN
+                if had is None or list(scope[1]) not in (had.primary_key, *had.unique_keys):
+                    scopes[scope] = True
+        for (_, key, members), every_row in scopes.items():
+            # key value -> member rows to check, uid ascending; `check_types` left
+            # one kind of value in each key column, for which `==` is `values_equal`
             groups: dict[tuple, list[Row]] = {}
-            for row in post.scan_type(closure) if every_row else rows:
+            for row in post.scan_type(members) if every_row else rows:
                 kv = tuple(map(row.values.get, key))
-                if row.type_id in closure and None not in kv:
+                if row.type_id in members and None not in kv:
                     groups.setdefault(kv, []).append(row)
             for kv, (row, *others) in groups.items():  # by the lowest uid in each
-                old = None if others or every_row or self.changed else store.latest(row.uid)
-                if old is not None and tuple(map(old.values.get, key)) == kv and (
-                        list(key) in catalog.get(scope_tid).unique_keys
-                        or all(catalog.key_declarer(t).type_id == scope_tid for t in closure)):
-                    continue
-                if not every_row:  # the committed rows not staged that hold `kv`
-                    committed = [uid for tid in closure for uid in store.index_candidates(
+                if not every_row:
+                    old = None if others else store.latest(row.uid)
+                    if old is not None and tuple(map(old.values.get, key)) == kv:
+                        continue
+                    committed = [uid for tid in members for uid in store.index_candidates(
                         tid, key[0], kv[0]) if uid not in self.staged]
                     others += [other for other in map(store.latest, committed) if other is not None
                                and tuple(map(other.values.get, key)) == kv]

@@ -4,7 +4,9 @@ Nothing in here imports the package's matcher or graph registry.  The match
 oracle enumerates walks directly over a plain dict graph and applies the
 documented rules (per-expansion edge reuse ban, TRAIL/ACYCLIC/SIMPLE filters,
 binding-row dedup) in a materialized, non-backtracking style. The partition
-oracle is a textbook union-find.
+oracle is a textbook union-find.  The whole-state judge alone uses the
+engine: it runs the engine's own commit with no committed rows, so that no
+incremental shortcut applies.
 """
 
 from __future__ import annotations
@@ -326,3 +328,20 @@ def graph_from_db(db) -> Graph:
             tail, head = view.resolve_endpoints(row)
             g.edges[row.uid] = (desc.label, tail, head)
     return g
+
+
+def whole_state_judge(db) -> None:
+    """Commit every live row of `db` as one transaction of a fresh database
+    with the same catalog: a committed state must satisfy the rules commit
+    applies when it has to check everything.  Raises what that commit raises."""
+    from graphtables import Database
+    from graphtables.storage import Row
+
+    fresh = Database()
+    fresh.published = (0, db.catalog)
+    fresh._next_uid = db._next_uid
+    tx = fresh.begin()
+    view = db.read_view()
+    for row in view.scan_type([desc.type_id for desc in db.catalog.types()]):
+        tx.staged.put(row.uid, Row(row.uid, row.type_id, dict(row.values), row.ends))
+    tx.commit()

@@ -171,6 +171,19 @@ def test_rekey_demotes_the_old_key_to_unique(cat):
     assert cat.get(part.type_id).unique_keys == []
 
 
+def test_key_scopes_are_every_key_on_the_chain_over_its_declarers_closure(cat):
+    part = cat.define_node_type("PART", [col("PARTID")]).type_id
+    cat.install_primary_key(part, ["PARTID"])
+    sub = cat.define_node_type("SUB", [col("CODE")], supertype=part).type_id
+    cat.install_primary_key(sub, ["CODE"])
+    assert cat.key_scopes(sub) == ((part, ("PARTID",), (part, sub)), (part, (ID,), (part, sub)),
+                                   (sub, ("CODE",), (sub,)))
+    other = cat.define_node_type("OTHER", [], supertype=part).type_id
+    assert cat.key_scopes(part) == ((part, ("PARTID",), (part, sub, other)),
+                                    (part, (ID,), (part, sub, other)))
+    assert cat.key_scopes(other) == cat.key_scopes(part)
+
+
 def test_subtype_key_leaves_supertype_key_alone(cat):
     part = cat.define_node_type("PART", [col("PARTID")])
     sub = cat.define_node_type("SUB", [col("CODE")], supertype=part.type_id)
@@ -358,12 +371,9 @@ def test_new_key_commits_once_the_transaction_repairs_its_duplicates():
         [1, 10, 2, 20]]
 
 
-def test_a_new_key_probes_every_row_for_the_new_key_only(monkeypatch):
-    """The key a rekey demotes was unique over its whole scope at the last
-    commit, so only the new primary key is checked over every row: by one
-    scan of the scope grouped by key value, with no lookup per row."""
-    db = Database()
-    db.execute("CREATE " + ", ".join(f"(:Q {{N: {i}, W: {i}}})" for i in range(100)))
+def key_check_reads(monkeypatch, db, text):
+    """The type-id lists `check_keys` scans and the columns it probes in the
+    store while `text` commits."""
     scans, probes, checking = [], [], []
     scan, lookup, check = ReadView.scan_type, Store.index_candidates, _Commit.check_keys
 
@@ -383,9 +393,27 @@ def test_a_new_key_probes_every_row_for_the_new_key_only(monkeypatch):
     monkeypatch.setattr(ReadView, "scan_type", scanned)
     monkeypatch.setattr(Store, "index_candidates", probed)
     monkeypatch.setattr(_Commit, "check_keys", check_keys)
-    db.execute("ALTER TABLE Q ADD PRIMARY KEY (W)")
+    db.execute(text)
+    return scans, probes
+
+
+def test_a_new_key_probes_every_row_for_the_new_key_only(monkeypatch):
+    """The key a rekey demotes was unique over its whole scope at the last
+    commit, so only the new primary key is checked over every row: by one
+    scan of the scope grouped by key value, with no lookup per row."""
+    db = Database()
+    db.execute("CREATE " + ", ".join(f"(:Q {{N: {i}, W: {i}}})" for i in range(100)))
+    scans, probes = key_check_reads(monkeypatch, db, "ALTER TABLE Q ADD PRIMARY KEY (W)")
     assert scans == [[db.catalog.lookup_label("Q").type_id]]
     assert probes == []
+
+
+def test_a_new_subtype_checks_no_row(monkeypatch):
+    """A new subtype joins the scope of its supertype's key with no rows of
+    its own, and the key's declarer had it at BEGIN, so no row is checked."""
+    db = Database()
+    db.execute("CREATE " + ", ".join(f"(:Q {{N: {i}, W: {i}}})" for i in range(100)))
+    assert key_check_reads(monkeypatch, db, "CREATE TYPE U UNDER Q AS (X INT)") == ([], [])
 
 
 @pytest.mark.parametrize("change", ["MATCH (q:Q {N: 2}) SET q.W = 1",
@@ -402,17 +430,31 @@ def test_a_new_key_refuses_a_duplicate_of_the_new_or_the_demoted_key(change):
 
 
 def test_a_demoted_key_is_probed_over_the_rows_a_subtype_kept_to_its_own_key():
-    """U's rows were held to U's own key, not to R's; once R's key is
-    demoted to a unique key of R and its subtypes, they join its scope."""
+    """U's rows hold U's own key and R's as well, so a U row may not repeat
+    an R row's ID; and R's new key W is judged over U's rows too."""
     db = Database()
     for text in ("CREATE (:R {ID: 0, W: 0})", "CREATE TYPE U UNDER R AS (X INT)",
-                 "ALTER TABLE U ADD PRIMARY KEY (X)",
-                 "CREATE (:R {ID: 5, W: 5})", "CREATE (:U {ID: 5, X: 1})"):
+                 "ALTER TABLE U ADD PRIMARY KEY (X)", "CREATE (:R {ID: 5, W: 5})"):
         db.execute(text)
-    with pytest.raises(CommitError, match="duplicate key") as err:
+    with pytest.raises(CommitError, match=r"duplicate key \(5,\)") as err:
+        db.execute("CREATE (:U {ID: 5, X: 1})")
+    assert err.value.rule == "key"
+    db.execute("CREATE (:U {ID: 6, X: 1, W: 5})")
+    with pytest.raises(CommitError, match=r"duplicate key \(5,\)") as err:
         db.execute("ALTER TABLE R ADD PRIMARY KEY (W)")
     assert err.value.rule == "key"
     assert db.catalog.effective_key(db.catalog.lookup_label("R").type_id) == ["ID"]
+
+
+def test_the_rows_of_a_subtype_created_in_their_transaction_hold_the_supertypes_key():
+    db = Database()
+    db.execute("CREATE (:R {ID: 5})")
+    session = db.session()
+    for text in ("BEGIN", "CREATE TYPE U UNDER R AS (X INT)", "CREATE (:U {ID: 5, X: 1})"):
+        session.execute(text)
+    with pytest.raises(CommitError, match=r"duplicate key \(5,\)") as err:
+        session.execute("COMMIT")
+    assert err.value.rule == "key"
 
 
 def test_a_key_installed_and_demoted_in_one_transaction_is_probed_over_every_row():

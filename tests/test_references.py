@@ -254,22 +254,75 @@ def test_set_on_an_edge_after_a_rekey_to_another_key_type_commits(db):
 
 # --- randomized three-session streams ---
 
+def test_a_subtype_nodes_edges_take_the_supertype_key_it_changes():
+    """E references A's key K; a B node keyed on its own X still changes
+    the K its E edges hold, and a later A keyed alike does not take them."""
+    db = Database()
+    for text in ("create type A as (K int) nodetype", "alter table A add primary key(K)",
+                 "create type B under A as (X int) nodetype", "alter table B add primary key(X)",
+                 "create type P as (N int) nodetype",
+                 "create type E as () edgetype (leaving P, arriving A)",
+                 "CREATE (:P {N: 1})", "CREATE (:B {K: 1, X: 7})",
+                 "MATCH (p:P), (b:B) CREATE (p)-[:E]->(b)", "MATCH (b:B) SET b.K = 9"):
+        db.execute(text)
+    view = db.read_view()
+    [edge] = view.scan_type({db.catalog.lookup_label("E").type_id})
+    assert edge.values["ARRIVING"] == 9
+    db.execute("CREATE (:A {K: 1})")
+    view = db.read_view()
+    [edge] = view.scan_type({db.catalog.lookup_label("E").type_id})
+    assert view.resolve_endpoints(edge) == edge.ends == (1, 2)
+
+
+def test_a_unique_key_set_beside_a_concurrent_edge_set_both_commit(db):
+    """Edges reference a primary key column only, so a SET of the ID key that
+    ADD PRIMARY KEY demoted rewrites no edge and conflicts with no edge write."""
+    for text in ("create type Q as (N int) nodetype",
+                 "create type R as (X int) edgetype (leaving Q, arriving Q)",
+                 "alter table Q add primary key(N)", "CREATE (:Q {N: 1})-[:R {X: 0}]->(:Q {N: 2})"):
+        db.execute(text)
+    one, two = db.session(), db.session()
+    run(one, "BEGIN", "MATCH (a:Q {N: 1}) SET a.ID = 100")
+    run(two, "BEGIN", "MATCH ()-[e:R]->() SET e.X = 5")
+    run(one, "COMMIT")
+    run(two, "COMMIT")
+    assert db.execute("MATCH (a:Q)-[e:R]->(b:Q) RETURN a.ID, e.X, e.LEAVING, e.ARRIVING").rows == [
+        [100, 5, 1, 2]]
+
+
 KEYS = range(1, 9)
+S_KEYS = range(9, 13)  # the N of S nodes, apart from Q's
+# the share of steps that are S statements; the others keep their own shares
+# of the rest, the edge read 20% of them
+S_SHARE = 0.2
 
 
 def random_stream(rng: random.Random, length: int) -> list[tuple[int, str]]:
-    """[(session, statement)] over Q/R: creates, rekeys of either column,
-    retargets, edge and node deletes with and without CASCADE, key swaps
-    between N and W, one cardinality rule, and edge reads; sessions open and
-    close transactions at random.  W starts as 10 * N, so a retarget value
-    may name a node under one key and nothing under the other."""
+    """[(session, statement)] over Q/R and S, a subtype of Q keyed on its
+    own Y: creates, rekeys of either column, retargets, edge and node
+    deletes with and without CASCADE, key swaps between N and W, one
+    cardinality rule, and edge reads; sessions open and close transactions
+    at random.  W starts as 10 * N, so a retarget value may name a node
+    under one key and nothing under the other.  An R edge at an S node holds
+    the S node's N or W, Q's key, which SETs of S nodes change; S nodes
+    take N from `S_KEYS`, so that Q nodes leave them room."""
     open_tx = [False, False, False]
     out = []
     for _ in range(length):
         s = rng.randrange(3)
         i, j = rng.choice(KEYS), rng.choice(KEYS)
         roll = rng.random()
-        if roll < 0.12:
+        if rng.random() < S_SHARE:
+            y, n, k = rng.choice(KEYS[:4]), rng.choice(S_KEYS), rng.choice(S_KEYS)
+            text = rng.choice([f"CREATE (:S {{N: {n}, W: {10 * n}, Y: {y}}})",
+                               f"CREATE (:S {{N: {n}, W: {10 * n}, Y: {y}}})-[:R]->"
+                               f"(:Q {{N: {j}, W: {10 * j}}})",
+                               f"MATCH (a:Q {{N: {i}}}), (b:S {{Y: {y}}}) CREATE (a)-[:R]->(b)",
+                               f"MATCH (a:S {{Y: {y}}}), (b:Q {{N: {i}}}) CREATE (a)-[:R]->(b)",
+                               f"MATCH (a:S {{Y: {y}}}) SET a.N = {k}",
+                               f"MATCH (a:S {{Y: {y}}}) SET a.W = {10 * k}",
+                               f"MATCH (a:S {{Y: {y}}}) SET a.N = {k}, a.W = {10 * k}"])
+        elif roll < 0.12:
             text = ("COMMIT" if rng.random() < 0.75 else "ROLLBACK") if open_tx[s] else "BEGIN"
             open_tx[s] = text == "BEGIN"
         elif roll < 0.22:
@@ -309,18 +362,30 @@ def snapshot(db) -> tuple:
     return rows, components, db.state_hash()
 
 
+def assert_edges_resolve_to_their_ends(db) -> None:
+    """Each committed edge's stored LEAVING/ARRIVING name the nodes it binds."""
+    view = db.read_view()
+    for desc in db.catalog.types("edge"):
+        for edge in view.scan_type({desc.type_id}):
+            assert view.resolve_endpoints(edge) == edge.ends, edge
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_random_streams_read_endpoint_keys_and_reopen_alike(tmp_path, seed):
     rng = random.Random(8100 + seed)
     db = keyed(Database(tmp_path / "stream.db"))
+    db.execute("create type S under Q as (Y int) nodetype")
+    db.execute("alter table S add primary key(Y)")
     sessions = [db.session() for _ in range(3)]
     reads = 0
-    for s, text in random_stream(rng, 160):
-        sess = sessions[s]
+    for s, text in random_stream(rng, 200):  # 160 steps not on S, as many as before S
+        sess, seq = sessions[s], db.store.commit_seq
         try:
             result = sess.execute(text)
         except GraphTablesError:
             continue
+        if db.store.commit_seq != seq:
+            assert_edges_resolve_to_their_ends(db)
         if text.startswith("MATCH (a:Q)-[e:R]->(b:Q) RETURN"):
             catalog = sess.tx.catalog if sess.tx is not None else db.catalog
             key = catalog.effective_key(catalog.lookup_label("Q").type_id)[0]
@@ -334,10 +399,7 @@ def test_random_streams_read_endpoint_keys_and_reopen_alike(tmp_path, seed):
                 sess.execute("COMMIT")
             except GraphTablesError:
                 pass
-    view = db.read_view()
-    for desc in db.catalog.types("edge"):
-        for edge in view.scan_type({desc.type_id}):
-            assert view.resolve_endpoints(edge) == edge.ends
+    assert_edges_resolve_to_their_ends(db)
     before = snapshot(db)
     db.close()
     reopened = Database(tmp_path / "stream.db")
