@@ -11,6 +11,8 @@ cloned catalog shares every descriptor it has not replaced since.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import Mapping
 
 from . import values
 from .errors import SchemaError
@@ -90,6 +92,27 @@ class TypeDescriptor:
         return None
 
 
+@dataclass(frozen=True, slots=True)
+class TypeFacts:
+    """What a type's descriptor and its supertypes' imply, as `Catalog.facts`
+    memoises it.  Every container is immutable, so no reader can change it."""
+
+    chain: tuple[int, ...]                  # root-first supertypes, ending with the type
+    closure: tuple[int, ...]                # the type and its transitive subtypes, ascending
+    columns: tuple[ColumnDescriptor, ...]   # inherited first, the root type's first of all
+    column: Mapping[str, ColumnDescriptor]  # the same columns by name
+    declarer: TypeDescriptor | None         # nearest ancestor (or self) with a primary key
+    key: tuple[str, ...]                    # the declarer's primary key
+    key_columns: tuple[str, ...]            # each single-column key column on the chain
+    # (declaring type id, key, member type ids) of each primary and unique key on the chain,
+    # root first, over the declarer's closure: every node an edge into the declarer may reach
+    scopes: tuple[tuple[int, tuple[str, ...], tuple[int, ...]], ...]
+    constraints: tuple[Constraint, ...]     # the chain's, the root type's first
+
+
+_ROOT_UP = TypeFacts((), (), (), MappingProxyType({}), None, (), (), (), ())  # a root inherits
+
+
 class Catalog:
     """All live type descriptors plus lookup and evolution operations."""
 
@@ -97,13 +120,10 @@ class Catalog:
         self._types: dict[int, TypeDescriptor] = {}
         self._by_label: dict[str, dict[str, int]] = {KIND_NODE: {}, KIND_EDGE: {}, KIND_PLAIN: {}}
         self._next_type_id = 1
-        # memos cleared by _install, the one writer of _types: subtype closures, effective
-        # columns, key declarers and key scopes by type id, label types by (labels, kind)
-        self._closures: dict[int, tuple[int, ...]] = {}
-        self._columns: dict[int, tuple[ColumnDescriptor, ...]] = {}
-        self._declarers: dict[int, TypeDescriptor | None] = {}
-        self._scopes: dict[int, tuple] = {}
-        self._label_types: dict[tuple, TypeDescriptor | None] = {}
+        # facts that depend only on the descriptors, cleared by `_install`, their one
+        # writer: type id -> TypeFacts, kind -> its type ids, (labels, kind) -> label
+        # type, and "constrained" -> the constrained edge types
+        self._memo: dict = {}
 
     # --- lookup ---
 
@@ -114,10 +134,8 @@ class Catalog:
             raise SchemaError(f"unknown type id {type_id}") from None
 
     def lookup_label(self, label: str, kind: str | None = None) -> TypeDescriptor | None:
-        kinds = (kind,) if kind else (KIND_NODE, KIND_EDGE, KIND_PLAIN)
-        for k in kinds:
-            tid = self._by_label[k].get(label)
-            if tid is not None:
+        for k in (kind,) if kind else (KIND_NODE, KIND_EDGE, KIND_PLAIN):
+            if (tid := self._by_label[k].get(label)) is not None:
                 return self._types[tid]
         return None
 
@@ -126,63 +144,67 @@ class Catalog:
         holds every label (so its subtype closure holds the types that carry
         them all), or None when no `kind` type does."""
         key = (labels, kind)
-        if key not in self._label_types:
+        if key not in self._memo:
             tids = [self._by_label[kind].get(label) for label in labels]
             paths = [self.supertype_chain(t) for t in tids if t is not None]
             best = next((path[-1] for path in paths if all(t in path for t in tids)), None)
-            self._label_types[key] = None if best is None else self._types[best]
-        return self._label_types[key]
+            self._memo[key] = None if best is None else self._types[best]
+        return self._memo[key]
 
     def types(self, kind: str | None = None):
-        for tid in sorted(self._types):
-            desc = self._types[tid]
-            if kind is None or desc.kind == kind:
-                yield desc
+        """The `kind` types, or all types, by type id."""
+        return (d for _, d in sorted(self._types.items()) if kind is None or d.kind == kind)
 
-    def type_ids(self, kind: str) -> set[int]:
-        """Ids of the `kind` types, as a set."""
-        return set(self._by_label[kind].values())
+    def type_ids(self, kind: str) -> frozenset[int]:
+        """Ids of the `kind` types."""
+        if kind not in self._memo:
+            self._memo[kind] = frozenset(self._by_label[kind].values())
+        return self._memo[kind]
+
+    def constrained_edge_types(self) -> tuple[TypeDescriptor, ...]:
+        """The edge types whose multiplicity bounds anything, by type id."""
+        if "constrained" not in self._memo:
+            self._memo["constrained"] = tuple(d for d in self.types(KIND_EDGE)
+                                              if d.multiplicity and not d.multiplicity.is_default())
+        return self._memo["constrained"]
+
+    def facts(self, type_id: int) -> TypeFacts:
+        facts = self._memo.get(type_id)
+        if facts is None:
+            facts = self._memo[type_id] = self._derive(type_id)
+        return facts
+
+    def _derive(self, type_id: int) -> TypeFacts:
+        desc = self.get(type_id)
+        up = _ROOT_UP if desc.supertype is None else self.facts(desc.supertype)
+        closure, frontier = [type_id], {type_id}
+        while frontier:
+            frontier = {d.type_id for d in self._types.values() if d.supertype in frontier}
+            closure.extend(frontier)
+        closure = tuple(sorted(closure))
+        columns = up.columns + tuple(desc.columns)
+        declarer = desc if desc.primary_key else up.declarer
+        key = tuple(declarer.primary_key) if declarer else ()
+        key_columns = up.key_columns
+        if len(key) == 1 and key[0] not in key_columns:
+            key_columns += key
+        scopes = dict.fromkeys((type_id, tuple(k), closure)
+                               for k in (desc.primary_key, *desc.unique_keys) if k)
+        return TypeFacts(up.chain + (type_id,), closure, columns,
+                         MappingProxyType({c.name: c for c in columns}), declarer, key, key_columns,
+                         up.scopes + tuple(scopes), up.constraints + tuple(desc.constraints))
 
     def subtype_closure(self, type_id: int) -> tuple[int, ...]:
-        """type_id plus all transitive subtypes, ascending by type id."""
-        closure = self._closures.get(type_id)
-        if closure is not None:
-            return closure
-        out = [type_id]
-        frontier = {type_id}
-        while frontier:
-            nxt = set()
-            for desc in self._types.values():
-                if desc.supertype in frontier and desc.type_id not in out:
-                    out.append(desc.type_id)
-                    nxt.add(desc.type_id)
-            frontier = nxt
-        closure = self._closures[type_id] = tuple(sorted(out))
-        return closure
+        return self.facts(type_id).closure
 
-    def supertype_chain(self, type_id: int) -> list[int]:
-        """Root-first chain of ancestors ending with type_id itself."""
-        chain = []
-        cur: int | None = type_id
-        while cur is not None:
-            chain.append(cur)
-            cur = self.get(cur).supertype
-        chain.reverse()
-        return chain
+    def supertype_chain(self, type_id: int) -> tuple[int, ...]:
+        return self.facts(type_id).chain
 
     def effective_columns(self, type_id: int) -> tuple[ColumnDescriptor, ...]:
-        """Inherited columns first, root type's first of all."""
-        cols = self._columns.get(type_id)
-        if cols is None:
-            cols = self._columns[type_id] = tuple(
-                col for tid in self.supertype_chain(type_id) for col in self.get(tid).columns)
-        return cols
+        return self.facts(type_id).columns
 
     def effective_column(self, type_id: int, name: str) -> ColumnDescriptor | None:
-        for col in self.effective_columns(type_id):
-            if col.name == name:
-                return col
-        return None
+        return self.facts(type_id).column.get(name)
 
     def column_owner(self, type_id: int, name: str) -> int | None:
         """The type, on `type_id`'s supertype chain, whose own column
@@ -191,47 +213,24 @@ class Catalog:
                      if self.get(tid).own_column(name) is not None), None)
 
     def key_declarer(self, type_id: int) -> TypeDescriptor | None:
-        """Nearest ancestor (or self) that declares a primary key."""
-        if type_id not in self._declarers:
-            self._declarers[type_id] = next(
-                (self.get(tid) for tid in reversed(self.supertype_chain(type_id))
-                 if self.get(tid).primary_key), None)
-        return self._declarers[type_id]
+        return self.facts(type_id).declarer
 
     def effective_key(self, type_id: int) -> list[str]:
-        declarer = self.key_declarer(type_id)
-        return list(declarer.primary_key) if declarer else []
+        return list(self.facts(type_id).key)
 
     def key_scopes(self, type_id: int) -> tuple[tuple[int, tuple[str, ...], tuple[int, ...]], ...]:
-        """(declaring type id, key, member type ids) of each primary and unique
-        key on `type_id`'s supertype chain, root first.  The members are the
-        declarer's subtype closure, every node an edge into it may reach."""
-        if type_id not in self._scopes:
-            self._scopes[type_id] = tuple(dict.fromkeys(
-                (tid, tuple(key), self.subtype_closure(tid)) for tid in self.supertype_chain(type_id)
-                for key in (self.get(tid).primary_key, *self.get(tid).unique_keys) if key))
-        return self._scopes[type_id]
+        return self.facts(type_id).scopes
 
     def key_column(self, type_id: int) -> str | None:
         """The column of a single-column key, which edges reference; else None."""
-        key = self.effective_key(type_id)
+        key = self.facts(type_id).key
         return key[0] if len(key) == 1 else None
 
     def edge_types_referencing(self, node_type_ids: set[int]):
         """[(edge descriptor, side)] for edges whose endpoint type is in the set."""
-        out = []
-        for desc in self.types(KIND_EDGE):
-            if desc.leaving_type in node_type_ids:
-                out.append((desc, LEAVING))
-            if desc.arriving_type in node_type_ids:
-                out.append((desc, ARRIVING))
-        return out
-
-    def constraints_for(self, type_id: int) -> list[Constraint]:
-        out: list[Constraint] = []
-        for tid in self.supertype_chain(type_id):
-            out.extend(self.get(tid).constraints)
-        return out
+        return [(desc, side) for desc in self.types(KIND_EDGE) for side, endpoint
+                in ((LEAVING, desc.leaving_type), (ARRIVING, desc.arriving_type))
+                if endpoint in node_type_ids]
 
     # --- definition ---
 
@@ -266,11 +265,7 @@ class Catalog:
         self._types[desc.type_id] = desc
         self._by_label[desc.kind][desc.label] = desc.type_id
         self._next_type_id = max(self._next_type_id, desc.type_id + 1)
-        self._closures.clear()
-        self._columns.clear()
-        self._declarers.clear()
-        self._scopes.clear()
-        self._label_types.clear()
+        self._memo.clear()
         return desc
 
     def define_node_type(self, label: str, columns: list[ColumnDescriptor],
@@ -402,11 +397,13 @@ class Catalog:
     # --- copying and serialization ---
 
     def clone(self) -> "Catalog":
-        """A catalog of its own that shares this one's descriptors."""
+        """A catalog of its own that shares this one's descriptors and the
+        facts found so far, which hold for it until its first `_install`."""
         other = Catalog()
         other._types = dict(self._types)
         other._by_label = {kind: dict(table) for kind, table in self._by_label.items()}
         other._next_type_id = self._next_type_id
+        other._memo = dict(self._memo)
         return other
 
     def descriptor_to_dict(self, desc: TypeDescriptor) -> dict:

@@ -11,7 +11,9 @@ key and literal values straight from the matches, so a text whose template
 is cached never builds a `Token`; `tokenize` builds tokens from the same
 matches on a miss.  Tokens keep their source offsets, so the concatenation
 of lexemes plus the skipped whitespace/comments reconstructs the input
-exactly.
+exactly.  Of the pattern's alternatives, only a date before a name and a
+currency before a decimal before an int must keep their order; the commonest
+kinds, punctuation and names, are tried first.
 """
 
 from __future__ import annotations
@@ -24,26 +26,26 @@ from decimal import Decimal
 from .errors import LexError
 from .values import CURRENCY_SYMBOLS, Currency
 
-# Leading trivia, then one token.  Alternation order matters: longest and
-# most specific first.  A comment must run to the end of its line and `/`
-# never starts `//`, so a match cannot end a comment early and lex the rest
-# of it as tokens: the one match at each offset is the token there.  Trivia
-# takes one blank per repetition, so a failed match backs off over a run of
-# blanks in linear time (a `+` inside the `*` would try every split of it).
+# Leading trivia, then one token.  A comment must run to the end of its
+# line and `/` never starts `//`, so a match cannot end a comment early and
+# lex the rest of it as tokens: the one match at each offset is the token
+# there.  Trivia takes one blank per repetition, so a failed match backs off
+# over a run of blanks in linear time (a `+` inside the `*` would try every
+# split of it).
 _TRIVIA = r"(?:[ \t\r\n]|//[^\n]*(?![^\n]))*"
 _TOKEN_RE = re.compile(_TRIVIA + r"""(?:
-    ([Dd][Aa][Tt][Ee]'[^']*')
+    (<-\[|\]->|-\[|\]-|\.\.|<=|>=|<>|!=|[()\[\]{},:.=<>+\-*?;]|/(?!/))
+  | ([Dd][Aa][Tt][Ee]'[^']*')
+  | ([A-Za-z_][A-Za-z0-9_]*)
   | (\d+(?:\.\d+)?[€$£])
   | (\d+\.\d+)
   | (\d+)
   | ("(?:[^"]|"")*")
   | ('(?:[^']|'')*')
-  | ([A-Za-z_][A-Za-z0-9_]*)
-  | (<-\[|\]->|-\[|\]-|\.\.|<=|>=|<>|!=|[()\[\]{},:.=<>+\-*?;]|/(?!/))
   | (\Z))""", re.VERBOSE)
 _TRIVIA_RE = re.compile(_TRIVIA)
 # the group of each token kind in `_TOKEN_RE`
-_DATE, _CURRENCY, _DECIMAL, _INT, _QIDENT, _STRING, _IDENT, _PUNCT, _END = range(1, 10)
+_PUNCT, _DATE, _IDENT, _CURRENCY, _DECIMAL, _INT, _QIDENT, _STRING, _END = range(1, 10)
 # the one shape of a date literal's body; `date.fromisoformat` takes more
 # shapes on Python 3.11 and later
 _DATE_BODY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")

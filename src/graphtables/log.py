@@ -23,6 +23,8 @@ from .values import from_jsonable, to_jsonable
 log = logging.getLogger("graphtables")
 
 _HEADER = struct.Struct(">II")
+# one encoder for every payload, which holds no cycles (`json.dumps` builds one per call)
+_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), check_circular=False)
 
 
 def encode_record(seq: int, schema: list[dict], rows: dict, next_uid: int) -> bytes:
@@ -34,16 +36,16 @@ def encode_record(seq: int, schema: list[dict], rows: dict, next_uid: int) -> by
         if row is None:
             ops.append(["del", uid])
         else:
-            ops.append(["put", uid, row.type_id,
-                        {k: to_jsonable(v) for k, v in row.values.items()}]
-                       + ([] if row.ends is None else [row.ends]))
+            values = {k: v if type(v) is int or type(v) is str else to_jsonable(v)
+                      for k, v in row.values.items()}
+            ops.append(["put", uid, row.type_id, values] + ([] if row.ends is None else [row.ends]))
     try:
-        payload = json.dumps({"seq": seq, "schema": schema, "rows": ops, "next_uid": next_uid},
-                             ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+        payload = _ENCODER.encode({"seq": seq, "schema": schema, "rows": ops,
+                                   "next_uid": next_uid}).encode("utf-8")
     except ValueError as exc:  # an int past the digit limit, or a string UTF-8 cannot hold
         for op in ops:
             try:
-                json.dumps(op, ensure_ascii=False).encode("utf-8")
+                _ENCODER.encode(op).encode("utf-8")
             except ValueError as row_exc:
                 raise StorageError(f"row {op[1]} cannot be logged: {row_exc}") from exc
         raise StorageError(f"commit {seq} cannot be logged: {exc}") from exc

@@ -516,7 +516,7 @@ class Transaction:
     # --- row staging ---
 
     def _stage_check_values(self, desc: cat.TypeDescriptor, values: dict) -> dict:
-        columns = {c.name: c for c in self.catalog.effective_columns(desc.type_id)}
+        columns = self.catalog.facts(desc.type_id).column
         out = {}
         for name, v in values.items():
             if v is None:
@@ -634,9 +634,8 @@ class _Commit:
         self.edge_tids = catalog.type_ids(cat.KIND_EDGE)
         # types whose rows are all checked again, not only the staged ones,
         # and edge types whose endpoint type changed
-        self.rekeyed, self.full_type, self.full_mult, self.full_constraint = (
-            set(), set(), set(), set())
-        self.retargeted: set[int] = set()
+        self.rekeyed, self.retargeted, self.full_type, self.full_mult, self.full_constraint = (
+            set(), set(), set(), set(), set())
         for tid, old in self.changed.items():
             desc = catalog.get(tid)
             if old is not None and desc.primary_key != old.primary_key:
@@ -673,7 +672,8 @@ class _Commit:
         for _, _, row in self.changes:
             if row is not None:
                 yield row
-        yield from self.post.scan_type({t for f in full for t in self.catalog.subtype_closure(f)})
+        if full:
+            yield from self.post.scan_type(set().union(*map(self.catalog.subtype_closure, full)))
 
     # rules that raise or enlarge the staging
 
@@ -703,12 +703,12 @@ class _Commit:
             edge_tids.update(edesc.type_id for edesc, _side
                              in self.catalog.edge_types_referencing(rekeyed))
         edges = list(self.post.scan_type(edge_tids)) if edge_tids else []
+        facts, latest = self.catalog.facts, self.store.latest
         for uid, row in self.staged.items():
-            if row is not None and row.type_id in self.node_tids:
-                old, catalog = self.store.latest(uid), self.catalog
-                cols = {catalog.key_column(t) for t in catalog.supertype_chain(row.type_id)} - {None}
-                if old is not None and any(old.values.get(c) != row.values.get(c) for c in cols):
-                    edges.extend(self._incident(uid).values())
+            old = latest(uid) if row is not None and row.type_id in self.node_tids else None
+            if old is not None and any(old.values.get(c) != row.values.get(c)
+                                       for c in facts(row.type_id).key_columns):
+                edges.extend(self._incident(uid).values())
         for erow in edges:
             if erow.uid not in self.staged:
                 self.staged.put(erow.uid, erow)
@@ -750,10 +750,9 @@ class _Commit:
     def check_types(self) -> None:
         """Staged rows, and every row of a type whose key or columns changed,
         hold only declared, conforming values and a non-null key."""
-        catalog = self.catalog
+        catalog, facts = self.catalog, self.catalog.facts
         for row in self._rows_to_check(self.full_type):
-            desc = catalog.get(row.type_id)
-            columns = {c.name: c for c in catalog.effective_columns(row.type_id)}
+            desc, columns = catalog.get(row.type_id), facts(row.type_id).column
             for name, v in row.values.items():
                 col = columns.get(name)
                 if col is None:
@@ -767,13 +766,13 @@ class _Commit:
                 if v.type_id != col.struct_type_id:
                     raise CommitError("type", desc.label,
                                       f"column {name} holds the wrong structured type", (row.uid,))
-                fields = {c.name: c for c in catalog.get(col.struct_type_id).columns}
+                fields = facts(col.struct_type_id).column
                 for k, fv in v.values:
                     fcol = fields.get(k)
                     if fcol is None or (fv is not None and not val.conforms(fv, fcol.data_type)):
                         raise CommitError("type", desc.label,
                                           f"structured value field {k} is invalid", (row.uid,))
-            for kcol in catalog.effective_key(row.type_id):
+            for kcol in facts(row.type_id).key:
                 if row.values.get(kcol) is None:
                     raise CommitError("key", desc.label, f"key column {kcol} is null", (row.uid,))
 
@@ -784,7 +783,8 @@ class _Commit:
         lacked at BEGIN checks all its members (a scope gains members only
         by new types, whose rows are all staged).  A row alone in its group
         whose committed version held its key is skipped, as every committed
-        state holds every such key unique.  A NULL conflicts with nothing."""
+        state holds every such key unique.  A NULL conflicts with nothing, and
+        a duplicate names the key's declaring type."""
         catalog, post, store = self.catalog, self.post, self.store
         rows = [row for _, _, row in self.changes if row is not None]
         # scope -> whether every member row is checked
@@ -795,7 +795,7 @@ class _Commit:
                 had = self.changed.get(scope[0], catalog.get(scope[0]))  # at BEGIN
                 if had is None or list(scope[1]) not in (had.primary_key, *had.unique_keys):
                     scopes[scope] = True
-        for (_, key, members), every_row in scopes.items():
+        for (declarer, key, members), every_row in scopes.items():
             # key value -> member rows to check, uid ascending; `check_types` left
             # one kind of value in each key column, for which `==` is `values_equal`
             groups: dict[tuple, list[Row]] = {}
@@ -813,7 +813,7 @@ class _Commit:
                     others += [other for other in map(store.latest, committed) if other is not None
                                and tuple(map(other.values.get, key)) == kv]
                 if others:
-                    raise CommitError("key", catalog.get(row.type_id).label,
+                    raise CommitError("key", catalog.get(declarer).label,
                                       f"duplicate key {kv!r}", (min(o.uid for o in others), row.uid))
 
     def check_references(self) -> None:
@@ -836,8 +836,7 @@ class _Commit:
 
     def check_multiplicity(self) -> None:
         catalog, post = self.catalog, self.post
-        constrained = [d for d in map(catalog.get, sorted(self.edge_tids))
-                       if d.multiplicity is not None and not d.multiplicity.is_default()]
+        constrained = catalog.constrained_edge_types()
         if not constrained:
             return
         affected: set[int] = set()
@@ -876,7 +875,7 @@ class _Commit:
     def check_constraints(self) -> None:
         catalog = self.catalog
         for row in self._rows_to_check(self.full_constraint):
-            for constraint in catalog.constraints_for(row.type_id):
+            for constraint in catalog.facts(row.type_id).constraints:
                 if not constraint_passes(constraint.expr, row.values, constraint.params):
                     raise CommitError("constraint", catalog.get(row.type_id).label,
                                       f"check ({constraint.text}) failed", (row.uid,))

@@ -330,15 +330,28 @@ def graph_from_db(db) -> Graph:
     return g
 
 
+def rebuilt_catalog(catalog):
+    """A new catalog installed from `catalog`'s descriptors, as log replay
+    installs them, so it holds none of the facts `catalog` memoised."""
+    from graphtables.catalog import Catalog
+    from graphtables.parser import parse_expression
+
+    fresh = Catalog()
+    for desc in catalog.types():
+        fresh.apply_descriptor_dict(catalog.descriptor_to_dict(desc), parse_expression)
+    return fresh
+
+
 def whole_state_judge(db) -> None:
     """Commit every live row of `db` as one transaction of a fresh database
-    with the same catalog: a committed state must satisfy the rules commit
-    applies when it has to check everything.  Raises what that commit raises."""
+    with the same catalog, rebuilt from its descriptors: a committed state
+    must satisfy the rules commit applies when it has to check everything.
+    Raises what that commit raises."""
     from graphtables import Database
     from graphtables.storage import Row
 
     fresh = Database()
-    fresh.published = (0, db.catalog)
+    fresh.published = (0, rebuilt_catalog(db.catalog))
     fresh._next_uid = db._next_uid
     tx = fresh.begin()
     view = db.read_view()

@@ -1,4 +1,6 @@
+import random
 from dataclasses import FrozenInstanceError
+from types import MappingProxyType
 
 import pytest
 
@@ -6,6 +8,9 @@ from graphtables import Database, values
 from graphtables.catalog import (
     ARRIVING,
     ID,
+    KIND_EDGE,
+    KIND_NODE,
+    KIND_PLAIN,
     LEAVING,
     Catalog,
     ColumnDescriptor,
@@ -13,7 +18,9 @@ from graphtables.catalog import (
     Multiplicity,
 )
 from graphtables.errors import CommitError, GraphTablesError, SchemaError
+from graphtables.parser import parse_expression
 from graphtables.storage import ReadView, Store, _Commit
+from oracles import rebuilt_catalog
 
 
 def col(name, data_type=values.STRING):
@@ -250,6 +257,85 @@ def test_subtype_closure_is_an_immutable_memo_renewed_by_new_types(cat):
     assert cat.subtype_closure(part.type_id) is first
     bought = cat.define_node_type("PURCHASEDPART", [], supertype=part.type_id)
     assert cat.subtype_closure(part.type_id) == (part.type_id, bought.type_id)
+
+
+def memoised_facts(catalog) -> dict:
+    """Every fact `catalog` memoises, read through it."""
+    types = list(catalog.types())
+    nodes = [d.label for d in types if d.kind == KIND_NODE]
+    labels = [((d.label,), d.kind) for d in types] + [((a, b), KIND_NODE) for a in nodes for b in nodes]
+    return {"facts": {d.type_id: catalog.facts(d.type_id) for d in types},
+            "type ids": [catalog.type_ids(kind) for kind in (KIND_NODE, KIND_EDGE, KIND_PLAIN)],
+            "constrained": catalog.constrained_edge_types(),
+            "labels": {key: catalog.label_type(*key) for key in labels}}
+
+
+def schema_step(rng, catalog, n: int) -> None:
+    """One random schema change to `catalog`; it may be refused."""
+    nodes, edges = list(catalog.types(KIND_NODE)), list(catalog.types(KIND_EDGE))
+    desc = rng.choice(nodes + edges)
+    names = [c.name for c in catalog.effective_columns(desc.type_id)]
+    step = rng.choice(["node", "node", "edge", "widen", "drop", "key", "check", "cardinality",
+                       "retarget"])
+    if step == "node":
+        catalog.define_node_type(f"N{n}", [col(f"A{n}", values.INTEGER)],
+                                 rng.choice([None, *(d.type_id for d in nodes)]))
+    elif step == "edge":
+        catalog.define_edge_type(f"E{n}", [col("W", values.INTEGER)],
+                                 rng.choice(nodes).type_id, rng.choice(nodes).type_id)
+    elif step == "widen":
+        catalog.widen_type(desc.type_id, col(f"C{n}", values.INTEGER))
+    elif step == "drop":
+        catalog.drop_column(desc.type_id, rng.choice(names))
+    elif step == "key" and desc.kind == KIND_NODE:
+        catalog.install_primary_key(desc.type_id, rng.sample(names, rng.randint(1, min(2, len(names)))))
+    elif step == "check":
+        text = f"{rng.choice(names)} {rng.choice(['< 3', 'IS NOT NULL', '<> 0'])}"
+        catalog.add_constraint(desc.type_id, Constraint(text, *parse_expression(text)),
+                               {text.split()[0]})
+    elif step == "cardinality" and edges:
+        lo, hi = rng.randint(0, 1), rng.choice([None, 1, 2])
+        catalog.set_multiplicity(rng.choice(edges).type_id, Multiplicity(lo, hi, 0, rng.choice([None, 1])))
+    elif step == "retarget" and edges:
+        edge = rng.choice(edges)
+        side = rng.choice([LEAVING, ARRIVING])
+        endpoint = edge.leaving_type if side == LEAVING else edge.arriving_type
+        catalog.retarget_endpoint(edge.type_id, side, rng.choice(catalog.supertype_chain(endpoint)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_memoised_facts_equal_a_rebuilt_catalogs_and_are_immutable(seed):
+    """Seeded schema histories on a long-lived catalog and on clones taken
+    along the way: after every step, each catalog's memoised facts equal a
+    catalog's rebuilt from its descriptors, and no memoised container can
+    be changed by its reader."""
+    rng = random.Random(seed)
+    catalogs = [Catalog()]
+    catalogs[0].define_node_type("ROOT", [col("K", values.INTEGER)])
+    refused = 0
+    for n in range(80):
+        catalog = rng.choice(catalogs)
+        if rng.random() < 0.1:
+            catalogs.append(catalog.clone())
+        try:
+            schema_step(rng, catalog, n)
+        except SchemaError:
+            refused += 1
+        for catalog in catalogs:
+            found = memoised_facts(catalog)
+            assert found == memoised_facts(rebuilt_catalog(catalog))
+            for facts in found["facts"].values():
+                for name in ("chain", "closure", "columns", "key", "key_columns", "scopes",
+                             "constraints"):
+                    assert isinstance(getattr(facts, name), tuple)
+                    hash(getattr(facts, name))  # so every item is immutable too
+                assert isinstance(facts.column, MappingProxyType)
+                with pytest.raises(FrozenInstanceError):
+                    facts.key = ()
+            assert all(isinstance(ids, frozenset) for ids in found["type ids"])
+            assert isinstance(found["constrained"], tuple)
+    assert len(catalogs) > 2 and refused < 60
+    assert sum(len(list(c.types())) for c in catalogs) > 3 * len(catalogs)
 
 
 def test_replayed_subtype_is_matched_by_its_supertype_label(tmp_path):

@@ -587,3 +587,41 @@ def test_a_row_the_log_cannot_encode_is_refused_with_its_uid(tmp_path, value):
     again = Database(path)
     assert sorted(again.execute("MATCH (p:P) RETURN p.K").rows) == [["a"], ["c"]]
     again.close()
+
+
+# One record of every value kind, as encoded before the encoder took ints and
+# strings straight through: the log format is a file format, so it stays.
+PINNED_RECORD = (
+    b'\x00\x00\x02\x96\'\xde&{{"seq":7,"schema":[{"type_id":2,"label":"E","kind":"edge",'
+    b'"columns":[["ID","integer",null,false]],"supertype":null,"primary_key":["ID"],'
+    b'"unique_keys":[],"leaving_type":1,"arriving_type":1,"multiplicity":[0,null,1,2],'
+    b'"constraints":["N < 3"]}],"rows":[["put",1,1,{"ID":1,"NAME":"Zo\xc3\xab \\"q\\" \\\\ \\n",'
+    b'"OK":true,"NO":false,"BIG":-12345678901234567890}],["put",2,1,{"ID":2,'
+    b'"PRICE":{"$dec":"12.50"},"BORN":{"$date":"2023-03-22"},"COST":{"$cur":["3.10","EUR"]},'
+    b'"HOME":{"$struct":[3,[["CITY","K\xc3\xb6ln"],["ZIP",50667],["SINCE",{"$date":"1999-01-02"}],'
+    b'["NOTE",null]]]}}],["del",3],["put",4,2,{"ID":4,"LEAVING":1,"ARRIVING":"x\xe2\x82\xac"},'
+    b'[1,null]],["put",5,2,{},[2,1]]],"next_uid":99}')
+
+
+def test_a_record_of_every_value_kind_keeps_its_bytes():
+    import datetime
+    from decimal import Decimal
+
+    from graphtables.log import encode_record
+    from graphtables.storage import Row
+    rows = {
+        1: Row(1, 1, {"ID": 1, "NAME": 'Zoë "q" \\ \n', "OK": True, "NO": False,
+                      "BIG": -12345678901234567890}),
+        2: Row(2, 1, {"ID": 2, "PRICE": Decimal("12.50"), "BORN": datetime.date(2023, 3, 22),
+                      "COST": values.Currency(Decimal("3.10"), "EUR"),
+                      "HOME": values.StructValue(3, (("CITY", "Köln"), ("ZIP", 50667),
+                                                     ("SINCE", datetime.date(1999, 1, 2)),
+                                                     ("NOTE", None)))}),
+        3: None,
+        4: Row(4, 2, {"ID": 4, "LEAVING": 1, "ARRIVING": "x€"}, (1, None)),
+        5: Row(5, 2, {}, (2, 1)),
+    }
+    schema = [{"type_id": 2, "label": "E", "kind": "edge", "columns": [["ID", "integer", None, False]],
+               "supertype": None, "primary_key": ["ID"], "unique_keys": [], "leaving_type": 1,
+               "arriving_type": 1, "multiplicity": [0, None, 1, 2], "constraints": ["N < 3"]}]
+    assert encode_record(7, schema, rows, 99) == PINNED_RECORD

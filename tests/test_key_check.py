@@ -18,7 +18,7 @@ def reference_check_keys(commit):
     unique over the declaring type and its subtypes; a key that its
     declarer did not have in the BEGIN catalog is checked over every row it
     covers.  Each checked row looks its key up in the post view and is
-    refused at the first other row that holds it."""
+    refused at the first other row that holds it, naming the declaring type."""
     catalog, post, base = commit.catalog, commit.post, commit.tx._catalog_base
 
     def declared(cat, tid):
@@ -49,7 +49,7 @@ def reference_check_keys(commit):
                 continue
             for other in post.lookup_by_value(closure, key[0], kv[0]):
                 if other.uid != row.uid and tuple(other.values.get(c) for c in key) == kv:
-                    raise CommitError("key", catalog.get(row.type_id).label,
+                    raise CommitError("key", catalog.get(scope_tid).label,
                                       f"duplicate key {kv!r}", (other.uid, row.uid))
 
 
@@ -172,15 +172,39 @@ def test_a_commit_reads_no_staged_value_index(monkeypatch):
 
 # row constraints, so that a commit that adds one must judge every row
 CHECKS = ("ALTER TABLE A ADD CHECK (V < 3)", "ALTER TABLE O ADD CHECK (V <> 2)")
+# multiplicities, so that a commit that sets one must judge every endpoint, and
+# that one edge deletion may leave a node short of its minimum
+CARDINALITIES = tuple(f"ALTER TYPE C SET CARDINALITY LEAVING {leaving} ARRIVING {arriving}"
+                      for leaving, arriving in (("0..*", "0..*"), ("1..*", "0..*"),
+                                                ("0..*", "1..*"), ("0..2", "0..*"),
+                                                ("0..*", "0..1"), ("1..2", "1..*")))
+# column changes, which rewrite every row that held the dropped column
+COLUMNS = tuple(f"ALTER TABLE {label} {change}" for label in "ABOC"
+                for change in ("ADD COLUMN Z int", "DROP COLUMN Z", "DROP COLUMN L",
+                               "DROP COLUMN W", "DROP COLUMN V"))
+
+
+def schema_statement(rng):
+    """A statement of the whole-state streams beside `key_statement`'s."""
+    k, v, roll = rng.randint(0, 5), rng.randint(0, 3), rng.random()
+    if roll < 0.5:
+        return rng.choice(CARDINALITIES if roll < 0.25 else COLUMNS)
+    return rng.choice([
+        f"MATCH (a:O) CREATE (a)-[:C {{W: {v}}}]->(a)",
+        f"MATCH ()-[e:C {{W: {v}}}]->() DELETE e",
+        f"MATCH (a:A {{K: {k}}}) SET a.Z = {v}",
+        f"MATCH (a:O {{K: {k}}}) SET a.Z = {v}",
+    ])
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_every_committed_state_commits_whole(seed):
     """Nicolas (1982): an incremental check is correct only if it equals
     checking the whole state, so each state a commit leaves must commit
-    whole on an empty store.  The streams also add row constraints and
-    rekey more often; in a transaction, a rekey is a pair on one type, so a
-    key installed there may be demoted before COMMIT."""
+    whole on an empty store.  The streams also add row constraints, set
+    multiplicities, add and drop columns, delete edges, and rekey more
+    often; in a transaction, a rekey is a pair on one type, so a key
+    installed there may be demoted before COMMIT."""
     rng = random.Random(7700 + seed)
     db = Database()
     for text in SCHEMA:
@@ -194,10 +218,12 @@ def test_every_committed_state_commits_whole(seed):
             texts = [rng.choice(["COMMIT", "COMMIT", "ROLLBACK"])]
         elif roll > 0.99:
             texts = [rng.choice(CHECKS)]
-        elif roll > 0.93 and session.tx is not None:
+        elif roll > 0.85:
+            texts = [schema_statement(rng)]
+        elif roll > 0.79 and session.tx is not None:
             label = rng.choice("ABO")
             texts = rng.sample([text for text in REKEYS if f" {label} " in text], 2)
-        elif roll > 0.93:
+        elif roll > 0.79:
             texts = [rng.choice(REKEYS)]
         else:
             texts = [key_statement(rng)]
@@ -240,6 +266,19 @@ def test_a_subtype_row_holds_its_supertypes_key_whatever_the_commit_touches():
     db.execute("CREATE (:B {K: 2, X: 1, V: 5})")
     db.execute("MATCH (a:A {V: 2}) SET a.V = 3")
     assert db.execute("MATCH (a:A) RETURN a.K, a.V").rows == [[1, 3], [2, 5]]
+
+
+def test_a_key_violation_names_the_type_that_declares_the_key():
+    """A B row that repeats an A row's K breaks A's key, not B's own X."""
+    db = keyed_apart()
+    db.execute("CREATE (:A {K: 1})")
+    with pytest.raises(CommitError) as err:
+        db.execute("CREATE (:B {K: 1, X: 1})")
+    assert str(err.value) == "key violation on A: duplicate key (1,) (uid 1, 2)"
+    db.execute("CREATE (:B {K: 2, X: 1})")
+    with pytest.raises(CommitError) as err:
+        db.execute("CREATE (:B {K: 3, X: 1})")
+    assert str(err.value) == "key violation on B: duplicate key (1,) (uid 3, 4)"
 
 
 def test_setting_an_edge_reference_to_the_value_it_holds_keeps_its_endpoint():

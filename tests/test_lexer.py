@@ -1,4 +1,6 @@
 import datetime
+import random
+import re
 from decimal import Decimal
 
 import pytest
@@ -110,3 +112,65 @@ def test_offsets_reconstruct_the_input(text):
         pos = tok.end
     assert "".join(rebuilt) + text[pos:] == text
     assert tokens[-1].type == "end" and tokens[-1].end == len(text)
+
+
+# The token pattern as it stood before its alternatives were reordered
+# (dates, numbers, quoted names, strings, names, punctuation, end): a
+# reorder may change how soon a token is found, never which token it is.
+_REFERENCE = re.compile(r"(?:[ \t\r\n]|//[^\n]*(?![^\n]))*" + r"""(?:
+    ([Dd][Aa][Tt][Ee]'[^']*')
+  | (\d+(?:\.\d+)?[€$£])
+  | (\d+\.\d+)
+  | (\d+)
+  | ("(?:[^"]|"")*")
+  | ('(?:[^']|'')*')
+  | ([A-Za-z_][A-Za-z0-9_]*)
+  | (<-\[|\]->|-\[|\]-|\.\.|<=|>=|<>|!=|[()\[\]{},:.=<>+\-*?;]|/(?!/))
+  | (\Z))""", re.VERBOSE)
+_REFERENCE_KINDS = (None, "date", "currency", "decimal", "int", "ident", "string", "ident",
+                    None, "end")
+
+_PIECES = ("MATCH", "date", "Date", "DATE'2023-03-22'", "date'1999-01-02'", "DATE'2023-13-99'",
+           "DATE''", "1.5€", "3$", "2.25£", "1..3", "1.5", "42", "007", "..", ".", "/", "//c\n",
+           "// two words", "'s'", "'it''s'", "''", '"quoted name"', '"a""b"', '"date"', "@",
+           "#", "-[", "]->", "<-[", "]-", "-", "<=", ">=", "<>", "!=", "<", "=", "(", ")", "[",
+           "]", "{", "}", ",", ":", "*", "+", "?", ";", "_x1", "a", "'open", '"open')
+
+
+def _reference_tokens(text):
+    """(kind, start, end) of each token the reference pattern finds, then
+    the (line, col) of a character that starts no token, or None."""
+    out, pos = [], 0
+    while (m := _REFERENCE.match(text, pos)) is not None:
+        group = m.lastindex
+        kind = _REFERENCE_KINDS[group] or m[group]
+        out.append((kind, *m.span(group)))
+        if kind == "end":
+            return out, None
+        pos = m.end()
+    at = re.compile(r"(?:[ \t\r\n]|//[^\n]*(?![^\n]))*").match(text, pos).end()
+    return out, (text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tokens_match_the_pattern_before_its_reorder(seed):
+    """Seeded texts over the token alphabet, pieces joined with or without
+    blanks, lex to the reference's kinds and spans; a text the reference
+    cannot lex, or whose date literal is bad, fails at the same line and
+    column."""
+    rng = random.Random(seed)
+    for _ in range(300):
+        text = "".join(rng.choice(_PIECES) + rng.choice(("", "", " ", "\n", "\t"))
+                       for _ in range(rng.randint(1, 12)))
+        want, stuck = _reference_tokens(text)
+        bad_dates = [start for kind, start, end in want
+                     if kind == "date" and text[start + 5:end - 1] not in ("2023-03-22", "1999-01-02")]
+        try:
+            got = [(t.type, t.start, t.end) for t in tokenize(text)]
+        except LexError as exc:
+            if bad_dates:
+                at = bad_dates[0]
+                stuck = (text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
+            assert (exc.line, exc.col) == stuck, text
+            continue
+        assert stuck is None and not bad_dates and got == want, text
