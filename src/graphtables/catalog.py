@@ -16,6 +16,7 @@ from typing import Mapping
 
 from . import values
 from .errors import SchemaError
+from .syntax import expr_refs
 
 KIND_NODE = "node"
 KIND_EDGE = "edge"
@@ -351,6 +352,10 @@ class Catalog:
             sub = self.get(sub_tid)
             if name in sub.primary_key:
                 raise SchemaError(f"column {name} is the primary key of {sub.label}")
+            for constraint in sub.constraints:
+                if (name,) in expr_refs(constraint.expr):
+                    raise SchemaError(f"column {name} is read by check ({constraint.text}) "
+                                      f"of {sub.label}")
         self._install(replace(desc, columns=[c for c in desc.columns if c.name != name],
                               unique_keys=[k for k in desc.unique_keys if name not in k]))
 

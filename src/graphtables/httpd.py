@@ -34,15 +34,25 @@ its uid's entry, so the memo holds at most one text per uid.  Nothing drops
 the entry of a deleted row before the next schema commit, so between schema
 commits the memo grows with the uids ever served, as the store itself keeps
 every row version.
+
+The server hands each accepted connection to a handler thread that waits for
+one on a queue, and starts a new daemon thread only when no thread waits, so
+a client that sends one request at a time is served by one or two threads and
+no connection waits behind a busy or stalled one.  A thread that finishes its connection waits for the next;
+`server_close` queues one None per thread and joins only the threads that
+took one, so a stalled client never holds the close (Welsh et al., "SEDA: An
+Architecture for Well-Conditioned, Scalable Internet Services", SOSP 2001,
+on the cost of a thread per connection).
 """
 
 from __future__ import annotations
 
 import json
+import queue
 import threading
 import urllib.parse
 import weakref
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from json.encoder import encode_basestring
 
 from . import catalog as cat
@@ -264,11 +274,66 @@ def make_handler(db: Database):
     return type("BoundHandler", (_Handler,), {"db": db})
 
 
-def serve(db: Database, port: int = DEFAULT_PORT) -> ThreadingHTTPServer:
-    return ThreadingHTTPServer(("127.0.0.1", port), make_handler(db))
+class _Server(HTTPServer):
+    """An HTTP server that hands each accepted connection to a handler thread
+    waiting on one queue, and starts a daemon thread only when none waits."""
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self._connections = queue.SimpleQueue()  # (socket, address), or None to end a thread
+        self._lock = threading.Condition()
+        self._started = self._idle = 0  # handler threads started; waiting and not yet promised one
+        self._ended: list[threading.Thread] = []
+
+    def process_request(self, request, client_address):
+        with self._lock:
+            start = not self._idle
+            if start:
+                self._started += 1
+            else:
+                self._idle -= 1
+        if start:
+            threading.Thread(target=self._serve_connections, daemon=True).start()
+        self._connections.put((request, client_address))
+
+    def _serve_connections(self):
+        while (connection := self._connections.get()) is not None:
+            try:
+                self.finish_request(*connection)
+            except Exception:
+                self.handle_error(*connection)
+            # idle before the close, which does not block: a client that sends
+            # its next request once it has read the reply then finds this
+            # thread idle more often
+            with self._lock:
+                self._idle += 1
+            self.shutdown_request(connection[0])
+        with self._lock:
+            self._ended.append(threading.current_thread())
+            self._lock.notify_all()
+
+    def server_close(self):
+        """Close the socket and end every handler thread that waits: one None
+        per thread, and a join of only those threads that took one, so a
+        stalled connection never holds the close."""
+        super().server_close()
+        with self._lock:
+            for _ in range(self._started):
+                self._connections.put(None)
+            # the threads counted idle now are the ones that take a None now (a
+            # busy thread takes its None after its connection), and an ended
+            # thread stays counted, so this waits until each of them has ended
+            self._lock.wait_for(lambda: len(self._ended) >= self._idle)
+            ended = list(self._ended)
+        for thread in ended:
+            thread.join()
 
 
-def serve_in_thread(db: Database, port: int = DEFAULT_PORT) -> ThreadingHTTPServer:
+def serve(db: Database, port: int = DEFAULT_PORT) -> HTTPServer:
+    return _Server(("127.0.0.1", port), make_handler(db))
+
+
+def serve_in_thread(db: Database, port: int = DEFAULT_PORT) -> HTTPServer:
     server = serve(db, port)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

@@ -120,6 +120,9 @@ def _execute_line(session, text: str, stdout) -> None:
         stdout.write(f"error: {exc}\n")
 
 
+HEAD_WIDTH = 40  # characters of a statement that a `--time` line shows
+
+
 def run_script(db: Database, path: str, keep_going: bool = False,
                timing: bool = False, out=None) -> int:
     out = out or sys.stdout
@@ -146,7 +149,10 @@ def run_script(db: Database, path: str, keep_going: bool = False,
                 return 1
             continue
         if timing:
-            out.write(f"-- {elapsed_ms:.3f} ms\n")
+            head = " ".join(stmt_text.split())
+            if len(head) > HEAD_WIDTH:
+                head = head[:HEAD_WIDTH - 1] + "…"
+            out.write(f"-- line {line_no}: {head} {elapsed_ms:.3f} ms\n")
         if shown is not None:
             out.write(shown + "\n")
     elapsed = time.perf_counter() - started

@@ -209,6 +209,27 @@ def test_unique_keys_scrubbed_when_member_column_dropped(cat):
     assert ["A"] not in cat.get(t.type_id).unique_keys
 
 
+@pytest.mark.parametrize("checks,drop,message", [
+    (["ALTER TABLE A ADD CHECK (V < 3)"], "A DROP COLUMN V", r"check \(V < 3\) of A"),
+    (["ALTER TABLE B ADD CHECK (V + X > 0)"], "A DROP COLUMN V", r"check \(V \+ X > 0\) of B"),
+    (["ALTER TABLE B ADD CHECK (V + X > 0)"], "B DROP COLUMN X", r"check \(V \+ X > 0\) of B"),
+], ids=["own check", "subtype check on the inherited column", "subtype check on its own column"])
+def test_a_column_a_check_reads_is_not_dropped(checks, drop, message):
+    """A CHECK on the type, or on a subtype that reads the inherited column,
+    keeps its column: the drop is refused and the CHECK still judges rows."""
+    db = Database()
+    for text in ("CREATE (:A {K: 1, V: 1, W: 1})", "ALTER TABLE A ADD PRIMARY KEY (K)",
+                 "CREATE TYPE B UNDER A AS (X INT)", "CREATE (:B {K: 2, V: 1, X: 1})", *checks):
+        db.execute(text)
+    b_checks = db.catalog.facts(db.catalog.lookup_label("B").type_id).constraints
+    with pytest.raises(SchemaError, match=f"column {drop[-1]} is read by {message}"):
+        db.execute(f"ALTER TABLE {drop}")
+    assert db.catalog.facts(db.catalog.lookup_label("B").type_id).constraints == b_checks
+    with pytest.raises(CommitError, match="check"):
+        db.execute("CREATE (:B {K: 3, V: 5, X: -9})")
+    db.execute("ALTER TABLE A DROP COLUMN W")
+
+
 def test_multiplicity_validation(cat):
     person = cat.define_node_type("PERSON", [col("NAME")])
     edge = cat.define_edge_type("CHILD", [], person.type_id, person.type_id)

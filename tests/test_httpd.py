@@ -7,6 +7,7 @@ import json
 import os
 import pathlib
 import random
+import socket
 import subprocess
 import sys
 import threading
@@ -430,6 +431,82 @@ def test_a_quoted_column_may_hold_an_equals_sign():
     finally:
         server.shutdown()
         server.server_close()
+
+
+# --- the serving model ---
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """Every thread started while the test runs, in start order."""
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread)
+        start(thread)
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return started
+
+
+def _in_thread(*calls):
+    """Run `calls` in turn on a daemon thread; the thread, so that a test can
+    bound the wait with a join timeout instead of hanging."""
+    thread = threading.Thread(target=lambda: [call() for call in calls], daemon=True)
+    thread.start()
+    return thread
+
+
+def test_sequential_requests_reuse_a_handler_thread(started_threads):
+    db = Database()
+    db.execute(FAMILY_CREATE)
+    server = serve_in_thread(db, 0)
+    port = server.server_address[1]
+    try:
+        del started_threads[:]  # the serving loop's own thread
+        for _ in range(50):
+            assert fetch(port, anchor_path())[0] == 200
+        assert len(started_threads) <= 2
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_a_silent_connection_delays_neither_other_clients_nor_close():
+    db = Database()
+    db.execute(FAMILY_CREATE)
+    server = serve_in_thread(db, 0)
+    port = server.server_address[1]
+    silent = [socket.create_connection(("127.0.0.1", port)) for _ in range(3)]
+    try:
+        answered = []
+        fetcher = _in_thread(lambda: answered.append(fetch(port, anchor_path())[0]))
+        fetcher.join(timeout=10)
+        assert answered == [200]
+        closer = _in_thread(server.shutdown, server.server_close)
+        closer.join(timeout=10)
+        assert not closer.is_alive()
+    finally:
+        for sock in silent:
+            sock.close()
+
+
+def test_close_ends_every_handler_thread(started_threads):
+    db = Database()
+    db.execute(FAMILY_CREATE)
+    server = serve_in_thread(db, 0)
+    port = server.server_address[1]
+    statuses = []
+    fetchers = [_in_thread(*[lambda: statuses.append(fetch(port, anchor_path())[0])] * 5)
+                for _ in range(4)]
+    for fetcher in fetchers:
+        fetcher.join(timeout=30)
+    assert statuses == [200] * 20
+    handlers = [t for t in started_threads[1:] if t not in fetchers]
+    assert handlers
+    closer = _in_thread(server.shutdown, server.server_close)
+    closer.join(timeout=10)
+    assert not closer.is_alive()
+    assert [t for t in handlers if t.is_alive()] == []
 
 
 # --- the memo of row texts ---

@@ -13,7 +13,7 @@ PACKAGE = ROOT / "src" / "graphtables"
 SEARCHED = [ROOT / "src", ROOT / "tests", ROOT / "perfbench"]
 
 # called by the standard library's HTTP server, never by name in this repo
-STDLIB_HOOKS = {"do_GET", "log_message"}
+STDLIB_HOOKS = {"do_GET", "log_message", "process_request"}
 # functions whose own or whose lambdas' signatures a caller fixes: the HTTP
 # server's logging hook, and the line reader `split_statements` hands to
 # `_statements`

@@ -2,6 +2,7 @@
 and the interactive loop driven through StringIO."""
 
 import io
+import re
 import sys
 
 import pytest
@@ -189,6 +190,21 @@ def test_run_script_timing_output(tmp_path):
     assert len(per_stmt) == 2
     assert lines[-1].startswith("2 statements in ")
     assert lines[-1].endswith("statements/s)")
+
+
+def test_timing_lines_name_the_script_line_and_the_statement_head(tmp_path):
+    path = write(tmp_path, "timed.sql",
+                 "// a comment\n"
+                 "CREATE (:Person {Name: 'Ada'})\n"
+                 "\n"
+                 "[MATCH (x:Person {Name: 'Ada'})\n"
+                 "   SET x.Name = 'Ada Augusta King, Countess of Lovelace']\n")
+    out = io.StringIO()
+    assert run_script(Database(), path, timing=True, out=out) == 0
+    heads = [re.fullmatch(r"(-- line \d+: .*) \d+\.\d{3} ms", line).group(1)
+             for line in out.getvalue().splitlines()[:-1]]
+    assert heads == ["-- line 2: CREATE (:Person {Name: 'Ada'})",
+                     "-- line 4: MATCH (x:Person {Name: 'Ada'}) SET x.Na…"]
 
 
 # --- the interactive loop ---
