@@ -399,6 +399,18 @@ class Catalog:
                               f"{', '.join(sorted(missing))}")
         self._install(replace(desc, constraints=[*desc.constraints, constraint]))
 
+    def drop_unreadable_checks(self) -> list[tuple[str, str]]:
+        """Drop each check that reads a column its type no longer has, as a log from
+        before `drop_column` refused that may hold; the (label, text) of each."""
+        dropped = []
+        for desc in list(self.types()):
+            names = self.facts(desc.type_id).column
+            gone = [c for c in desc.constraints if any(p[0] not in names for p in expr_refs(c.expr))]
+            if gone:
+                self._install(replace(desc, constraints=[c for c in desc.constraints if c not in gone]))
+                dropped += [(desc.label, c.text) for c in gone]
+        return dropped
+
     # --- copying and serialization ---
 
     def clone(self) -> "Catalog":

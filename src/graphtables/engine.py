@@ -88,6 +88,9 @@ class Database:
                     # trim the torn tail so our own appends stay readable
                     with open(self.path, "r+b") as fh:
                         fh.truncate(valid)
+                for label, text in self.catalog.drop_unreadable_checks():
+                    logmod.log.warning(f"commit log keeps check ({text}) of {label} on a "
+                                       "column it no longer has; dropping the check")
                 self._rebuild_graphs()
             # unbuffered: a failed append leaves no bytes behind for a later write
             self._log_fh = open(self.path, "ab", buffering=0)

@@ -7,6 +7,8 @@ wrote with its row before and after.  A removal drops its uid; every piece
 it cuts off holds a surviving end of a removed edge, so only a component
 with two such seeds is searched, from each in turn until at most one search
 can grow (Even and Shiloach 1981): a split costs about twice its smaller side.
+A component's `seq` is the seq of the last commit that changed its membership
+or wrote one of its rows, or of the commit it was made in.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from .storage import ReadView
 class GraphComponent:
     """One weakly connected component: node uids plus the edges inside it."""
 
-    def __init__(self, representative: int):
+    def __init__(self, representative: int, seq: int):
         self.representative = representative
+        self.seq = seq
         self.nodes: set[int] = {representative}
         self.edges: set[int] = set()
 
@@ -49,7 +52,7 @@ class GraphSet:
     def add_node(self, uid: int) -> None:
         if uid in self._comp_of:
             return
-        comp = GraphComponent(uid)
+        comp = GraphComponent(uid, self.store.commit_seq)
         self._components[uid] = comp
         self._comp_of[uid] = comp
 
@@ -77,9 +80,8 @@ class GraphSet:
         """Follow one commit, after the store has published it.  `changes`
         holds (uid, row before, row after) per written uid, None where a
         row is absent; a row with `ends` is an edge."""
-        moved = [(uid, before, after) for uid, before, after in changes
-                 if before is None or after is None or before.ends != after.ends]
-        gone = {uid: before.ends for uid, before, _ in moved if before is not None}
+        gone = {uid: before.ends for uid, before, after in changes  # deleted or moved
+                if before is not None and (after is None or before.ends != after.ends)}
         touched: dict[GraphComponent, set[int]] = {}  # -> surviving ends of removed edges
         for uid, ends in sorted(gone.items(), key=lambda item: item[1] is None):  # edges first
             comp = self._comp_of.pop(uid, None) if ends is None else self._comp_of.get(ends[0])
@@ -87,6 +89,7 @@ class GraphSet:
                 (comp.nodes if ends is None else comp.edges).discard(uid)
                 touched.setdefault(comp, set()).update(e for e in ends or () if e not in gone)
         for comp, seeds in touched.items():
+            comp.seq = self.store.commit_seq  # a piece a split cuts off is made with it
             del self._components[comp.representative]
             if len(seeds) > 1:
                 self._split(comp, seeds)
@@ -94,9 +97,11 @@ class GraphSet:
                 if comp.representative not in comp.nodes:
                     comp.representative = min(comp.nodes)
                 self._components[comp.representative] = comp
-        for uid, _, after in moved:  # add_edge adds the nodes it ends at
+        for uid, before, after in changes:  # add_edge adds the nodes it ends at
             if after is not None:
-                self.add_edge(uid, *after.ends) if after.ends else self.add_node(uid)
+                if before is None or before.ends != after.ends:
+                    self.add_edge(uid, *after.ends) if after.ends else self.add_node(uid)
+                self._comp_of[after.ends[0] if after.ends else uid].seq = self.store.commit_seq
 
     def _split(self, comp: GraphComponent, seeds: set[int]) -> None:
         """Move each piece cut off `comp` to a component of its own.  Searches
@@ -124,7 +129,7 @@ class GraphSet:
         stay = max(searches, key=lambda search: (bool(search[2]), len(search[0])))
         for nodes, edges, _ in searches:
             if nodes and nodes is not stay[0]:
-                part = GraphComponent(min(nodes))
+                part = GraphComponent(min(nodes), self.store.commit_seq)
                 part.nodes, part.edges = nodes, edges
                 comp.nodes -= nodes
                 comp.edges -= edges

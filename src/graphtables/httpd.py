@@ -21,19 +21,19 @@ written directly, and other values go through `json.dumps` of
 `values.http_value`.  The body is the text `json.dumps(doc,
 ensure_ascii=False)` gives for the document's dict form, UTF-8 encoded.
 
-A row's text depends only on the row and the catalog it is read with (label,
-key column, column order), so each database keeps one memo of the texts made
-under one catalog: `uid -> (row, text)`.  A document reuses a text only when
-the row its snapshot reads `is` the row the text was made from and its
-catalog `is` the memo's.  This is sound because committed rows are never
-mutated (SET, a restaged edge, DROP COLUMN and a rekey each stage a new
-`Row`) and every schema commit publishes a new `Catalog` (replay, which
-changes one catalog in place, ends before a database can serve); a document
-read under another catalog starts a new memo, and a changed row's text replaces
-its uid's entry, so the memo holds at most one text per uid.  Nothing drops
-the entry of a deleted row before the next schema commit, so between schema
-commits the memo grows with the uids ever served, as the store itself keeps
-every row version.
+A document depends only on its members' rows and the catalog it is read with
+(label, key column, column order).  So each database keeps one memo of the
+texts made under one catalog, one entry per component (held weakly): its `seq`
+(see `graphset`), its texts `uid -> (row, text)` and, at that seq, its whole
+document's node and edge texts, which a whole document serves while the seq
+holds, reading no member (as an entity tag validates a cached response, RFC
+9110 §8.8).  A miss reuses a text only when the row its snapshot reads `is`
+the text's row, and keeps only its members' texts; a `depth` document adds
+texts to its anchor component's entry.  This is sound because committed rows
+are never mutated (SET, a restaged edge, DROP COLUMN and a rekey each stage a
+new `Row`), a commit that writes a member or moves one stamps the component
+with its seq, and every schema commit publishes a new `Catalog` (replay, which
+changes one catalog in place, ends before a database can serve).
 
 The server hands each accepted connection to a handler thread that waits for
 one on a queue, and starts a new daemon thread only when no thread waits, so
@@ -64,7 +64,7 @@ from .lexer import LITERAL_TYPES, tokenize
 
 DEFAULT_PORT = 8180
 
-# database -> (catalog, {uid: (row, its text under that catalog)})
+# database -> (catalog, {component: [seq, {uid: (row, text)}, whole node texts, edge texts]})
 _texts: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -95,11 +95,10 @@ class _AnchorGone(LookupError):
 
 
 def _subgraph(db: Database, selector: tuple, depth: int | None):
-    """The anchor's uid, the response's node uids, edge rows and
-    representative, plus the view they are read in.  Membership and the
-    view (store, seq and catalog) are captured under the commit lock, so a
-    concurrent writer can tear neither the component nor the catalog it is
-    rendered with, and the selector is matched in that view."""
+    """The anchor's uid, the representative, the view, the anchor component's
+    memo entry, and the node uids and edge rows (None when the entry holds the
+    whole document), with seq, membership and view captured under the commit
+    lock so a writer can tear neither; the selector is matched in that view."""
     with db.commit_lock:
         view = db.read_view()
         rows = view.lookup_by_value(*selector)
@@ -107,11 +106,19 @@ def _subgraph(db: Database, selector: tuple, depth: int | None):
             raise _AnchorGone(selector)
         anchor_uid = rows[0].uid
         component = db.graphs.component_of(anchor_uid)
-        nodes = set(component.nodes)
-        edges = set(component.edges)
-        representative = component.representative
+        memo = _texts.get(db)
+        if memo is None or memo[0] is not view.catalog:
+            memo = _texts[db] = (view.catalog, weakref.WeakKeyDictionary())
+        entry = memo[1].get(component)
+        if entry is None or entry[0] != component.seq:
+            entry = memo[1][component] = [component.seq, entry[1] if entry else {}, None, None]
+        head = anchor_uid, component.representative, view, entry
+        if depth is None:
+            if entry[2] is not None:
+                return *head, None, None
+            nodes, edges = set(component.nodes), set(component.edges)
     if depth is None:
-        return anchor_uid, nodes, [view.get_row(e) for e in edges], representative, view
+        return *head, nodes, [view.get_row(e) for e in edges]
     # breadth-first from the anchor, expanding each kept node once; an edge
     # is kept when both its ends are
     keep, frontier, rows = {anchor_uid}, [anchor_uid], {}
@@ -129,7 +136,7 @@ def _subgraph(db: Database, selector: tuple, depth: int | None):
         if not nxt:
             break
         frontier = nxt
-    return anchor_uid, keep, list(rows.values()), representative, view
+    return *head, keep, list(rows.values())
 
 
 def _json(value) -> str:
@@ -143,29 +150,28 @@ def _json(value) -> str:
 
 def build_document(db: Database, selector: tuple, depth: int | None) -> dict:
     """The component document of the first node that `selector`, a `(type
-    ids, column, value)` triple, matches in the document's snapshot."""
-    anchor_uid, nodes, edges, representative, view = _subgraph(db, selector, depth)
-    catalog = view.catalog
-    memo = _texts.get(db)
-    # a concurrent document may swap in a map of its own catalog; each map
-    # only ever holds texts made under its catalog, so a race costs reuse only
-    if memo is None or memo[0] is not catalog:
-        memo = _texts[db] = (catalog, {})
-    texts = memo[1]
+    ids, column, value)` triple, matches in the document's snapshot; its
+    lists may be the memo's, so a caller must not change them."""
+    anchor_uid, representative, view, entry, nodes, edges = _subgraph(db, selector, depth)
+    if nodes is None:
+        return {"anchor": anchor_uid, "representative": representative,
+                "nodes": entry[2], "edges": entry[3]}
+    catalog, known = view.catalog, entry[1]
+    texts = known if depth is not None else {}  # a whole document keeps its members' texts
     types: dict[int, tuple] = {}
 
     def described(type_id: int) -> tuple:
         """The encoded label, single key column (or None) and (name, `"NAME": `)
         property columns of a type, looked up once per document."""
-        entry = types.get(type_id)
-        if entry is None:
+        found = types.get(type_id)
+        if found is None:
             desc = catalog.get(type_id)
             columns = [(c.name, encode_basestring(c.name) + ": ")
                        for c in catalog.effective_columns(type_id)
                        if desc.kind != cat.KIND_EDGE or c.name not in (LEAVING, ARRIVING)]
-            entry = types[type_id] = (encode_basestring(desc.label),
+            found = types[type_id] = (encode_basestring(desc.label),
                                       catalog.key_column(type_id), columns)
-        return entry
+        return found
 
     def properties(values: dict, cols: list) -> str:
         return ", ".join([prefix + _json(values[name]) for name, prefix in cols if name in values])
@@ -173,23 +179,27 @@ def build_document(db: Database, selector: tuple, depth: int | None) -> dict:
     node_docs = []
     for uid in sorted(nodes):
         row = view.get_row(uid)
-        entry = texts.get(uid)
-        if entry is None or entry[0] is not row:
+        text = known.get(uid)
+        if text is None or text[0] is not row:
             label, key, columns = described(row.type_id)
-            entry = texts[uid] = (row, f'{{"uid": {uid}, "type": {label}, '
-                                  f'"key": {_json(row.values.get(key))}, '
-                                  f'"properties": {{{properties(row.values, columns)}}}}}')
-        node_docs.append(entry[1])
+            text = (row, f'{{"uid": {uid}, "type": {label}, '
+                    f'"key": {_json(row.values.get(key))}, '
+                    f'"properties": {{{properties(row.values, columns)}}}}}')
+        texts[uid] = text
+        node_docs.append(text[1])
     edge_docs = []
     for row in sorted(edges, key=lambda r: r.uid):
-        entry = texts.get(row.uid)
-        if entry is None or entry[0] is not row:
+        text = known.get(row.uid)
+        if text is None or text[0] is not row:
             label, _key, columns = described(row.type_id)
-            entry = texts[row.uid] = (row, f'{{"uid": {row.uid}, "type": {label}, '
-                                      f'"leaving": {_json(row.values.get(LEAVING))}, '
-                                      f'"arriving": {_json(row.values.get(ARRIVING))}, '
-                                      f'"properties": {{{properties(row.values, columns)}}}}}')
-        edge_docs.append(entry[1])
+            text = (row, f'{{"uid": {row.uid}, "type": {label}, '
+                    f'"leaving": {_json(row.values.get(LEAVING))}, '
+                    f'"arriving": {_json(row.values.get(ARRIVING))}, '
+                    f'"properties": {{{properties(row.values, columns)}}}}}')
+        texts[row.uid] = text
+        edge_docs.append(text[1])
+    if depth is None:  # one slice store: a racing document of this seq stores the same texts
+        entry[1:] = texts, node_docs, edge_docs
     return {"anchor": anchor_uid, "representative": representative,
             "nodes": node_docs, "edges": edge_docs}
 

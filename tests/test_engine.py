@@ -625,3 +625,33 @@ def test_a_record_of_every_value_kind_keeps_its_bytes():
                "supertype": None, "primary_key": ["ID"], "unique_keys": [], "leaving_type": 1,
                "arriving_type": 1, "multiplicity": [0, None, 1, 2], "constraints": ["N < 3"]}]
     assert encode_record(7, schema, rows, 99) == PINNED_RECORD
+
+
+def test_reopen_drops_a_logged_check_on_a_column_its_type_no_longer_has(tmp_path, caplog):
+    """A log written before DROP COLUMN refused to drop a column a check
+    reads may hold that check: reopen drops it with a warning naming the type
+    and the check, whether the column was the type's own or inherited, and
+    keeps every check whose columns remain."""
+    from graphtables.log import encode_record
+    source = Database()
+    for text in ("CREATE TYPE A AS (K INT, V INT) NODETYPE", "CREATE TYPE B UNDER A AS (X INT)",
+                 "ALTER TABLE A ADD CHECK (V < 3)", "ALTER TABLE B ADD CHECK (V + X > 0)",
+                 "ALTER TABLE B ADD CHECK (X > 0)"):
+        source.execute(text)
+    a, b = (source.catalog.descriptor_to_dict(source.catalog.lookup_label(label)) for label in "AB")
+    a_without_v = {**a, "columns": [c for c in a["columns"] if c[0] != "V"]}
+    log = tmp_path / "old.db"
+    log.write_bytes(encode_record(1, [a, b], {}, 1) + encode_record(2, [a_without_v], {}, 1))
+    with caplog.at_level("WARNING", logger="graphtables"):
+        db = Database(log)
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert len(warnings) == 2
+    assert "check (V < 3) of A" in warnings[0] and "check (V + X > 0) of B" in warnings[1]
+    assert [[c.text for c in db.catalog.lookup_label(label).constraints] for label in "AB"] == \
+        [[], ["X > 0"]]
+    db.execute("ALTER TABLE A ADD COLUMN V INT")
+    db.execute("CREATE (:A {K: 2, V: 7})")
+    db.execute("CREATE (:B {K: 3, V: -9, X: 1})")
+    with pytest.raises(CommitError):
+        db.execute("CREATE (:B {K: 4, X: 0})")
+    db.close()

@@ -216,3 +216,48 @@ def test_committed_statements_match_union_find(seed):
         assert snapshot(db.graphs) == oracle_snapshot(nodes, edges)
         for comp in db.graphs.components():
             assert all(db.graphs.component_of(uid) is comp for uid in comp.nodes)
+
+
+def test_a_commit_stamps_each_component_it_changes_with_its_seq():
+    """`seq` is the seq of the last commit that changed a component's
+    membership or wrote one of its rows: a link, both pieces of an unlink,
+    a node or edge SET, an edge delete and a DELETE ... CASCADE stamp it, and a
+    rolled-back or refused commit stamps nothing."""
+    db = Database()
+    for text in GRAPH_SCHEMA:
+        db.execute(text)
+    db.execute("CREATE (:N {K: 1})-[:E {W: 0}]->(:N {K: 2}), (:N {K: 3})-[:E {W: 0}]->(:N {K: 4}), "
+               "(:N {K: 5})")
+    uid = {row.values["K"]: row.uid
+           for row in db.read_view().scan_type({db.catalog.lookup_label("N").type_id})}
+
+    def stamps():
+        """Node K -> its component's seq."""
+        return {k: db.graphs.component_of(u).seq for k, u in uid.items()}
+
+    def stamped(text):
+        """The nodes whose component `text`'s commit stamped with its seq;
+        every other stamp stays as it was."""
+        old = stamps()
+        db.execute(text)
+        new, seq = stamps(), db.store.commit_seq
+        assert all(new[k] in (old[k], seq) for k in new)
+        return {k for k in new if new[k] == seq != old[k]}
+
+    assert stamped("MATCH (a:N {K: 2}), (b:N {K: 3}) CREATE (a)-[:E {W: 1}]->(b)") == {1, 2, 3, 4}
+    assert stamped("MATCH ()-[e:E {W: 1}]->() DELETE e") == {1, 2, 3, 4}
+    assert db.graphs.component_of(uid[1]) is not db.graphs.component_of(uid[3])
+    assert stamped("MATCH (a:N {K: 5}) SET a.K = 6") == {5}
+    assert stamped("MATCH (:N {K: 3})-[e:E]->() SET e.W = 5") == {3, 4}
+    assert stamped("MATCH (a:N {K: 6}) CREATE (a)-[:E {W: 2}]->(a)") == {5}
+    assert stamped("MATCH ()-[e:E {W: 2}]->() DELETE e") == {5}
+    del uid[2]
+    assert stamped("MATCH (a:N {K: 2}) DELETE a CASCADE") == {1}
+    session, old = db.session(), stamps()
+    for text in ("BEGIN", "MATCH (a:N {K: 1}) SET a.K = 7", "MATCH (a:N {K: 3}) DELETE a CASCADE",
+                 "ROLLBACK"):
+        session.execute(text)
+    assert stamps() == old
+    with pytest.raises(GraphTablesError):
+        db.execute("MATCH (a:N {K: 1}) SET a.K = 4")  # K is the key
+    assert stamps() == old

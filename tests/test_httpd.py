@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphtables import httpd, values
+from graphtables import httpd, storage, values
 from graphtables.catalog import ColumnDescriptor
 from graphtables.engine import Database
 from graphtables.httpd import build_document, parse_anchor_value, serve_in_thread
@@ -526,7 +526,8 @@ def _cold_document(log, tmp_path, selector, depth):
 def test_documents_equal_the_documents_of_a_reopened_log(tmp_path, seed):
     """Along a seeded history of row and schema changes, every document
     equals the one a reopened copy of the log renders cold: a text is
-    reused only for the same row version under the same catalog."""
+    reused only for the same row version under the same catalog, and a
+    whole document only while its component's seq and the catalog hold."""
     rng = random.Random(8800 + seed)
     log = tmp_path / "live.db"
     db = Database(log)
@@ -539,14 +540,15 @@ def test_documents_equal_the_documents_of_a_reopened_log(tmp_path, seed):
     def rows(label):
         return list(db.read_view().scan_type({db.catalog.lookup_label(label).type_id}))
 
-    def compare(anchors, depths):
+    def compare(anchors, depths, times=1):
         """Anchors are named by N, which stays unique (IDs after the rekey
-        are NULL)."""
+        are NULL); each document is fetched `times` times."""
         for n in anchors:
             for depth in depths:
                 selector = ([db.catalog.lookup_label("P").type_id], "N", n)
-                assert build_document(db, selector, depth) == \
-                    _cold_document(log, tmp_path, selector, depth), (n, depth)
+                cold = _cold_document(log, tmp_path, selector, depth)
+                for _ in range(times):
+                    assert build_document(db, selector, depth) == cold, (n, depth)
 
     for step in range(48):
         if step in schema:
@@ -573,6 +575,7 @@ def test_documents_equal_the_documents_of_a_reopened_log(tmp_path, seed):
             db.execute(f"MATCH (a:P {{N: {n}}}) DELETE a CASCADE")
         live = [r.values["N"] for r in rows("P")]
         compare(rng.sample(live, min(3, len(live))), [rng.choice([None, 1, 2])])
+        compare(rng.sample(live, min(1, len(live))), [None], times=2)  # a miss, then a hit
     db.close()
 
 
@@ -583,17 +586,70 @@ def test_the_memo_holds_one_text_per_uid_and_one_map_per_database():
         db.execute(f"MATCH (p:P {{N: 1}}) SET p.V = {i}")
         doc = build_document(db, by_id(db, 1), None)
     assert json.loads(doc["nodes"][0])["properties"]["V"] == 1000
-    catalog, texts = httpd._texts[db]
-    assert catalog is db.catalog and sorted(texts) == [1, 2, 3]
+    catalog, entries = httpd._texts[db]
+    component = db.graphs.component_of(1)
+    assert catalog is db.catalog and list(entries) == [component]
+    seq, texts, nodes, edges = entries[component]
+    assert seq == component.seq and sorted(texts) == [1, 2, 3]
+    assert [texts[uid][1] for uid in (1, 2)] == nodes and [texts[3][1]] == edges
     db.execute("ALTER TABLE P ADD COLUMN W INT")
     build_document(db, by_id(db, 2), 0)
-    catalog, texts = httpd._texts[db]
-    assert catalog is db.catalog and sorted(texts) == [2]
+    catalog, entries = httpd._texts[db]
+    assert catalog is db.catalog and list(entries) == [component]
+    assert sorted(entries[component][1]) == [2] and entries[component][2] is None
     # the memo keeps no database alive, so a dropped one takes its map along
     dropped = weakref.ref(db)
-    del db, catalog, texts
+    del db, catalog, entries, component
     gc.collect()
     assert dropped() is None
+
+
+def test_a_whole_document_keeps_no_text_of_a_deleted_row():
+    """Rows deleted from a component that stays whole leave no text behind
+    once the component is fetched whole again."""
+    db = Database()
+    db.execute("CREATE (:P {N: 1})-[:S]->(:P {N: 2})-[:S]->(:P {N: 3})-[:S]->(:P {N: 4})")
+    db.execute("MATCH (a:P {N: 1}), (b:P {N: 2}) CREATE (a)-[:S]->(b)")
+    p_type = db.catalog.lookup_label("P").type_id
+    uids = {row.values["N"]: row.uid for row in db.read_view().scan_type({p_type})}
+    parallel = max(db.graphs.component_of(uids[1]).edges)
+    for depth in (None, 0, 1):
+        build_document(db, by_id(db, uids[4]), depth)
+    db.execute(f"MATCH ()-[e:S]->() WHERE e.Id = {parallel} DELETE e")
+    db.execute("MATCH (a:P {N: 4}) DELETE a CASCADE")
+    component = db.graphs.component_of(uids[1])
+    doc = build_document(db, by_id(db, uids[1]), None)
+    assert len(doc["nodes"]) == 3 and len(doc["edges"]) == 2
+    _catalog, entries = httpd._texts[db]
+    assert sorted(entries[component][1]) == sorted(component.nodes | component.edges)
+    assert not any({parallel, uids[4]} & set(texts) for _seq, texts, *_ in entries.values())
+
+
+def test_an_unchanged_component_is_served_without_reading_its_rows(monkeypatch):
+    """A second whole document of an unchanged 500-node component reads no
+    more rows than the anchor's lookup, while a commit elsewhere leaves it
+    unchanged and a commit inside it does not."""
+    db = Database()
+    db.execute("CREATE " + ", ".join(["(p0:P {N: 0})"] + [f"(p{n}:P {{N: {n}}})-[:S]->(p{n // 2})"
+                                                          for n in range(1, 500)]))
+    db.execute("CREATE (:P {N: 1000})")
+    selector = ([db.catalog.lookup_label("P").type_id], "N", 7)
+    first = build_document(db, selector, None)
+    calls = []
+    real = storage.ReadView.get_row
+    monkeypatch.setattr(storage.ReadView, "get_row",
+                        lambda view, uid: calls.append(uid) or real(view, uid))
+    db.read_view().lookup_by_value(*selector)
+    lookup = len(calls)
+    calls.clear()
+    assert build_document(db, selector, None) == first and len(first["nodes"]) == 500
+    assert len(calls) <= lookup
+    db.execute("MATCH (a:P {N: 1000}) SET a.N = 1001")  # another component
+    calls.clear()
+    assert build_document(db, selector, None) == first and len(calls) <= lookup
+    db.execute("MATCH (a:P {N: 3}) SET a.N = 2000")
+    calls.clear()
+    assert build_document(db, selector, None) != first and len(calls) > 500
 
 
 def test_documents_racing_a_writer_share_the_memo_soundly():
