@@ -17,7 +17,8 @@ the edge count.  A map from each walked uid to its last trace position, the
 position before it kept beside the trace, makes these checks O(1) per hop
 with no allocation per uid.
 
-Each node's adjacency is read once per statement; a quantifier followed by a
+Each node's adjacency is read once per published commit, by whichever
+statement without staged rows reads it first; a quantifier followed by a
 node with a constant doc entry leaves only on rows one index lookup found;
 SHORTEST skips hops past its best binding so far; ANY stops at its first.
 
@@ -196,7 +197,8 @@ class _Matcher:
         self.emissions: list[list] = []  # [bindings dict, edge count]
         self.sel = stmt.items[0].sel_mode if stmt.items else None
         self.bound = float("inf")        # SHORTEST: fewest edges of a binding so far
-        self._adjacency: dict[tuple, list] = {}  # (node uid, side, edge type ids) -> _hops
+        seq, memo = view.store.memo   # (node uid, side, edge type ids) -> _hops
+        self._adjacency: dict[tuple, list] = memo if seq == view.snapshot and not view.staged else {}
         self.keyed = [{r.uid for r in view.lookup_by_value(tids, name, constant(expr, params))}
                       for tids, (name, expr) in plan.keyed]
 
@@ -281,9 +283,6 @@ class _Matcher:
             else:
                 if kind == _QUANT:   # the first hop of the next iteration
                     steps, k, ctx, step = step[3], 0, f, step[3][0]
-                if self.edge_count >= self.bound:
-                    f[_ALTS] = iter(())   # SHORTEST has a binding with no more edges
-                    continue
                 erow, tuid, trow = alt
                 euid = erow.uid
                 trace, prev, seen, mode = self.trace, self.prev, self.seen, self.rep_mode
@@ -375,21 +374,22 @@ class _Matcher:
             self.bound = self.edge_count
 
     def _hops(self, crow: Row, step: tuple):
-        """[(edge row, target uid, target row)] of hop `step` from `crow`, read
-        once per statement (staging cannot change while the search runs), or
-        none if SHORTEST has a binding with no more edges."""
+        """[(edge row, target uid, target row)] of hop `step` from `crow`, or
+        none if SHORTEST has a binding with no more edges.  Readers of one
+        commit share them (`Store.memo`), so a list is stored whole and never
+        changed; a view with staged rows or an older snapshot keeps its own."""
         etids, side = step[3], step[4]
         if etids is not None and not etids or self.edge_count >= self.bound:
             return ()
         key = (crow.uid, side, etids)
         hops = self._adjacency.get(key)
         if hops is None:
-            hops = self._adjacency[key] = []
+            hops = []
             for erow, luid, auid in self.view.edges_adjacent(crow.uid, side, etids):
                 tuid = auid if side == "leaving" else luid
-                trow = self.view.get_row(tuid)
-                if trow is not None:
+                if (trow := self.view.get_row(tuid)) is not None:
                     hops.append((erow, tuid, trow))
+            self._adjacency[key] = hops
         return hops
 
     # --- candidates and unification ---

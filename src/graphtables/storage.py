@@ -145,13 +145,22 @@ class Store:
 
     Readers take no lock: they copy a live uid set or table in one step,
     which CPython makes under the GIL.  `_lock` keeps the one-time build of
-    a value index and `apply` apart, since both walk and extend the index."""
+    a value index and `apply` apart, since both walk and extend the index.
+
+    `memo` is (seq, dict) of the latest commit: the matcher's hop lists read
+    at that snapshot, shared by every reader of it without staged rows.
+    What a snapshot sees never changes, and a list depends on nothing but
+    the snapshot and its edge type ids, so it stays true; each reader stores
+    a list only once it is whole and never changes it after.  The dict holds
+    one entry per (node, side, edge type set) read at the latest commit, and
+    `apply` drops it with the commit it belonged to."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self.commit_seq = 0
         self._versions: dict[int, list[_Version]] = {}
         self.index = _Index()
+        self.memo: tuple[int, dict] = (0, {})
 
     # --- reads against a snapshot ---
 
@@ -196,6 +205,7 @@ class Store:
                     rows.append(row)
             self.index.add(rows)
             self.commit_seq = seq
+            self.memo = (seq, {})
 
 
 _ABSENT = object()

@@ -1,11 +1,13 @@
 """Database lifecycle: session transaction statements, commit-log replay,
 torn-tail tolerance, and state digests."""
 
+import datetime
 import json
 import os
 import struct
 import sys
 import zlib
+from decimal import Decimal
 
 import pytest
 
@@ -160,6 +162,40 @@ def test_structured_column_survives_reopen(tmp_path):
     column = db.catalog.lookup_label("HOME").own_column("PLACE")
     assert (column.data_type, column.struct_type_id) == (values.STRUCTURED, addr.type_id)
     assert db.execute("MATCH (h:Home) RETURN h.Place").rows == [[place]]
+    db.close()
+
+
+def test_every_value_kind_survives_reopen(tmp_path):
+    """Decimal, date, currency, bool and big-int values written by
+    statements, and a structured value (which has no literal), reopen as
+    they were committed."""
+    path = tmp_path / "kinds.db"
+    db = Database(path)
+    db.execute("create type Addr as (City char, Zip int)")
+    db.execute("create type V as (N int, D decimal, Flag bool, Day date, Price currency, "
+               "Big int, Place Addr) nodetype")
+    db.execute("CREATE (:V {N: 1, D: 2.5, Flag: TRUE, Day: DATE'2023-03-22', Price: 12.50€, "
+               "Big: 123456789012345678901234567890})")
+    db.execute("CREATE (:V {N: 2, D: 0.001, Flag: FALSE, Day: DATE'1999-12-31', "
+               "Price: '0.04 GBP', Big: -1})")
+    db.execute("MATCH (v:V {N: 1}) SET v.Big = v.Big * v.Big, v.D = v.D / 4")
+    addr = db.catalog.lookup_label("ADDR", "plain")
+    place = values.StructValue(addr.type_id, (("CITY", "Graz"), ("ZIP", 8010)))
+    tx = db.begin()
+    tx.insert_row("V", {"N": 3, "PLACE": place})
+    tx.commit()
+    query = "MATCH (v:V) RETURN v.N, v.D, v.Flag, v.Day, v.Price, v.Big, v.Place"
+    before, rows = db.state_hash(), db.execute(query).rows
+    db.close()
+
+    db = Database(path)
+    assert db.state_hash() == before
+    assert db.execute(query).rows == rows == [
+        [1, Decimal("0.625"), True, datetime.date(2023, 3, 22),
+         values.Currency(Decimal("12.50"), "EUR"), 123456789012345678901234567890 ** 2, None],
+        [2, Decimal("0.001"), False, datetime.date(1999, 12, 31),
+         values.Currency(Decimal("0.04"), "GBP"), -1, None],
+        [3, None, None, None, None, None, place]]
     db.close()
 
 

@@ -80,3 +80,22 @@ def test_currency_column_filters_by_amount():
     db.execute("CREATE (:Item {Name: 'a', Price: 3€}), (:Item {Name: 'b', Price: 12€})")
     assert db.execute("MATCH (i:Item) WHERE i.Price > 10€ RETURN i.Name").rows == [["b"]]
     assert db.execute("MATCH (i:Item) WHERE i.Price * 2 <= 6€ RETURN i.Name").rows == [["a"]]
+
+
+def test_division_and_string_concatenation_on_columns():
+    db = Database()
+    db.execute("CREATE (:V {D: 2.5, K: 1, S: 'x'})")
+    assert db.execute("MATCH (v:V) RETURN v.D / 2, v.K / 2, v.S + 'y'").rows == [
+        [Decimal("1.25"), Decimal("0.5"), "xy"]]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1 / 0", "division by zero"),
+    ("1.5 / 0", "division by zero"),
+    ("TRUE < FALSE", "booleans have no ordering"),
+    ("TRUE + 1", "arithmetic on booleans"),
+    ("-'x'", "unary minus needs a number"),
+])
+def test_refusals_of_arithmetic_and_ordering(text, message):
+    with pytest.raises(ExecutionError, match=message):
+        Database().execute(f"RETURN {text}")

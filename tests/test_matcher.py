@@ -424,6 +424,61 @@ def test_one_match_reads_each_adjacency_once(monkeypatch):
     assert len(calls) == len(set(calls)) <= 49
 
 
+CHAIN_CREATE = ("CREATE (:N {K: 0})-[:R]->(:N {K: 1})-[:R]->(:N {K: 2})"
+                "-[:R]->(:N {K: 3})")
+CHAIN_REACH = "MATCH (a:N {K: 0}) [()-[:R]->()]+ (b:N) RETURN b.K"
+
+
+def test_readers_of_one_commit_share_its_adjacency(monkeypatch):
+    db = Database()
+    db.execute(CHAIN_CREATE)
+    calls = []
+    adjacent = ReadView.edges_adjacent
+
+    def counted(view, uid, direction, edge_type_ids=None):
+        calls.append(uid)
+        return adjacent(view, uid, direction, edge_type_ids)
+
+    monkeypatch.setattr(ReadView, "edges_adjacent", counted)
+    assert db.execute(CHAIN_REACH).rows == [[1], [2], [3]]
+    first = len(calls)
+    assert first == 4
+    assert db.execute(CHAIN_REACH).rows == [[1], [2], [3]]
+    assert len(calls) == first   # the second run reads the commit's lists
+    db.execute("CREATE (:M {K: 9})")
+    assert db.execute(CHAIN_REACH).rows == [[1], [2], [3]]
+    assert len(calls) == 2 * first   # a commit drops them
+
+
+def test_staged_edges_stay_with_their_session():
+    db = Database()
+    db.execute(CHAIN_CREATE)
+    writer, reader = db.session(), db.session()
+    for _ in range(2):
+        writer.execute("BEGIN")
+        writer.execute("MATCH (a:N {K: 3}) CREATE (a)-[:R]->(:N {K: 4})")
+        # first round: the writer reads first; second: the reader has
+        # already read the commit's lists
+        assert writer.execute(CHAIN_REACH).rows == [[1], [2], [3], [4]]
+        assert reader.execute(CHAIN_REACH).rows == [[1], [2], [3]]
+        writer.execute("ROLLBACK")
+        assert reader.execute(CHAIN_REACH).rows == [[1], [2], [3]]
+
+
+def test_an_older_snapshot_keeps_its_adjacency():
+    db = Database()
+    db.execute(CHAIN_CREATE)
+    old = db.session()
+    old.execute("BEGIN")
+    db.execute("MATCH (a:N {K: 3}) CREATE (a)-[:R]->(:N {K: 4})")
+    # the old snapshot reads first, then the new commit, then the old again
+    assert old.execute(CHAIN_REACH).rows == [[1], [2], [3]]
+    assert db.execute(CHAIN_REACH).rows == [[1], [2], [3], [4]]
+    assert old.execute(CHAIN_REACH).rows == [[1], [2], [3]]
+    old.execute("COMMIT")
+    assert old.execute(CHAIN_REACH).rows == [[1], [2], [3], [4]]
+
+
 def test_a_keyed_quantifier_exit_costs_one_lookup(monkeypatch):
     db = grid_db(7, both_ways=False)
     calls = []
