@@ -1,9 +1,12 @@
 """Database facade: ties the catalog, row store, commit log, component
 registry and statement execution together behind one object.
 
-One regex pass over each statement text (`lexer.scan`) gives its template
-key and literal values; texts of one key run one parsed template with their
-own literal values, and tokens are built only when the key misses.  A
+One regex pass over each statement text (`lexer.split`) cuts its literals
+out: the text between them and their kinds are its template key, and their
+values fill the template's slots.  Texts of one key run one parsed template
+with their own literal values, and tokens are built only when the key
+misses; a text the split stops on (a lexical error, a name glued to a
+quote) is tokenized, parsed and run uncached.  A
 `Database` keeps the templates of keys it has parsed twice, at most
 `_TEMPLATES` of them, so a statement shape used once, such as a bulk load,
 is never retained.  A MATCH template also keeps the match plan compiled for
@@ -25,7 +28,7 @@ from . import values as val
 from .catalog import Catalog
 from .errors import ExecutionError, StorageError
 from .graphset import GraphSet
-from .lexer import scan
+from .lexer import LITERAL_TYPES, split
 from .parser import parse_expression, parse_statement
 from .storage import ReadView, Row, Store, Transaction
 from .syntax import (BeginStatement, CommitStatement, RollbackStatement, shareable)
@@ -167,13 +170,16 @@ class Database:
     # --- statement templates ---
 
     def statement(self, text: str) -> tuple[object, tuple]:
-        """`text`'s parsed template and the values of its literal slots."""
-        scanned = scan(text)
-        key, params, _matches = scanned
+        """`text`'s parsed template and the values of its literal slots.  A
+        text `split` stops on is tokenized, parsed and run uncached."""
+        key, params = split(text) or (None, None)
         stmt = self._templates.get(key)
         if stmt is None:
-            stmt = parse_statement(text, parser.tokenize(text, scanned))
-            if shareable(stmt):
+            tokens = parser.tokenize(text, params)
+            stmt = parse_statement(text, tokens)
+            if key is None:
+                params = tuple(t.value for t in tokens if t.type in LITERAL_TYPES)
+            elif shareable(stmt):
                 self._admit(key, stmt)
         return stmt, params
 

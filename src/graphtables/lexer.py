@@ -5,15 +5,15 @@ exact spelling (and may contain characters like the euro sign).  Strings are
 single-quoted with '' as the escape.  DATE'2023-03-22' is a date literal and
 a number directly followed by a currency symbol is a currency literal.
 
-`scan` reads a text in one regex pass, one match per token with the
-whitespace and comments before it folded in.  It yields the text's template
-key and literal values straight from the matches, so a text whose template
-is cached never builds a `Token`; `tokenize` builds tokens from the same
-matches on a miss.  Tokens keep their source offsets, so the concatenation
-of lexemes plus the skipped whitespace/comments reconstructs the input
-exactly.  Of the pattern's alternatives, only a date before a name and a
-currency before a decimal before an int must keep their order; the commonest
-kinds, punctuation and names, are tried first.
+`split` cuts a text's literals out in one regex pass, one match per literal:
+the structure text before each literal and the literal's kind make the
+text's template key, and the converted literals its values, so a text whose
+template is cached never builds a `Token`.  `tokenize` reads the text one
+token per match, on a miss only.  Tokens keep their source offsets, so the
+concatenation of lexemes plus the skipped whitespace/comments reconstructs
+the input exactly.  Of the token pattern's alternatives, only a date before
+a name and a currency before a decimal before an int must keep their order;
+the commonest kinds, punctuation and names, are tried first.
 """
 
 from __future__ import annotations
@@ -33,29 +33,36 @@ from .values import CURRENCY_SYMBOLS, Currency
 # over a run of blanks in linear time (a `+` inside the `*` would try every
 # split of it).
 _TRIVIA = r"(?:[ \t\r\n]|//[^\n]*(?![^\n]))*"
+# the literals, each in a group named for its kind
+_DATE = r"(?P<date>[Dd][Aa][Tt][Ee]'[^']*')"
+_OTHER_LITERALS = r"""(?P<currency>\d+(?:\.\d+)?[€$£]) | (?P<decimal>\d+\.\d+) | (?P<int>\d+)
+  | (?P<string>'(?:[^']|'')*')"""
 _TOKEN_RE = re.compile(_TRIVIA + r"""(?:
-    (<-\[|\]->|-\[|\]-|\.\.|<=|>=|<>|!=|[()\[\]{},:.=<>+\-*?;]|/(?!/))
-  | ([Dd][Aa][Tt][Ee]'[^']*')
-  | ([A-Za-z_][A-Za-z0-9_]*)
-  | (\d+(?:\.\d+)?[€$£])
-  | (\d+\.\d+)
-  | (\d+)
-  | ("(?:[^"]|"")*")
-  | ('(?:[^']|'')*')
-  | (\Z))""", re.VERBOSE)
+    (?P<punct><-\[|\]->|-\[|\]-|\.\.|<=|>=|<>|!=|[()\[\]{},:.=<>+\-*?;]|/(?!/))
+  | """ + _DATE + r""" | (?P<ident>[A-Za-z_][A-Za-z0-9_]*) | """ + _OTHER_LITERALS + r"""
+  | (?P<qident>"(?:[^"]|"")*") | (?P<end>\Z))""", re.VERBOSE)
 _TRIVIA_RE = re.compile(_TRIVIA)
-# the group of each token kind in `_TOKEN_RE`
-_PUNCT, _DATE, _IDENT, _CURRENCY, _DECIMAL, _INT, _QIDENT, _STRING, _END = range(1, 10)
+# The structure before a literal, then the literal or the end.  Each item of
+# the structure run is the only one that can start where it starts and has
+# one length (a name or quoted name cannot stop short, a comment runs to its
+# line's end), so a failed match backs off one item at a time in linear
+# time, and a literal can start only where `_TOKEN_RE` starts one.  A name
+# glued to a quote (`xDATE'...'`) stops the match.
+_SPLIT_RE = re.compile(r"""((?:
+    [ \t\r\n()\[\]{},:.=<>+\-*?;]
+  | [A-Za-z_][A-Za-z0-9_]*(?![A-Za-z0-9_'])
+  | "(?:[^"]|"")*"(?!")
+  | //[^\n]*(?![^\n])
+  | /(?!/)
+  | !=)*)(?:""" + _DATE + " | " + _OTHER_LITERALS + r""" | \Z)""", re.VERBOSE)
 # the one shape of a date literal's body; `date.fromisoformat` takes more
 # shapes on Python 3.11 and later
 _DATE_BODY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-_KINDS = {_DATE: "date", _CURRENCY: "currency", _DECIMAL: "decimal", _INT: "int",
-          _STRING: "string"}
 
 
 # token types whose value is a literal; a statement's literals are numbered
 # in source order, which is what `syntax.Param.slot` counts
-LITERAL_TYPES = frozenset(_KINDS.values())
+LITERAL_TYPES = frozenset(("date", "currency", "decimal", "int", "string"))
 
 
 @dataclass(slots=True)
@@ -78,18 +85,18 @@ def _error(message: str, text: str, at: int) -> LexError:
     return LexError(message, text.count("\n", 0, at) + 1, at - line_start + 1)
 
 
-def _literal(group: int, lexeme: str, text: str, at: int):
-    """The value of a literal lexeme of kind `group` starting at `at`."""
-    if group == _INT:
+def _literal(kind: str, lexeme: str, text: str, at: int):
+    """The value of a literal lexeme of `kind` starting at `at`."""
+    if kind == "int":
         try:
             return int(lexeme)
         except ValueError:  # more digits than the interpreter converts
             raise _error(f"{len(lexeme)}-digit integer is too long", text, at) from None
-    if group == _STRING:
+    if kind == "string":
         return lexeme[1:-1].replace("''", "'")
-    if group == _DECIMAL:
+    if kind == "decimal":
         return Decimal(lexeme)
-    if group == _CURRENCY:
+    if kind == "currency":
         return Currency(Decimal(lexeme[:-1]), CURRENCY_SYMBOLS[lexeme[-1]])
     body = lexeme[5:-1]
     try:
@@ -100,43 +107,32 @@ def _literal(group: int, lexeme: str, text: str, at: int):
     raise _error(f"bad date literal {body!r}", text, at)
 
 
-def scan(text: str) -> tuple[tuple, tuple, list]:
-    """`text`'s template key, its literal values in slot order, and the
-    matches `tokenize` builds tokens from.
+def split(text: str) -> tuple[tuple, tuple] | None:
+    """`text`'s template key and its literal values in slot order, or None
+    where the text has a lexical error or a name glued to a quote.
 
-    The key has one item per token.  A literal stands as its kind ("int",
-    "string", ...), except an int right after `{` or `,`: that is where
-    `{m,n}` quantifier bounds stand, which the parser reads as structure, so
-    the key keeps (kind, value).  Any other token stands as its value (an
-    upper-cased name or keyword, the punctuation itself, None at the end), or
-    as the 1-tuple of its spelling when quoted, so `"match"` and `MATCH`
-    differ.  Strings hash once, which keeps long keys cheap."""
+    The key is the structure text before each literal, interleaved with the
+    literal's kind ("int", "string", ...), then the text after the last
+    literal.  An int right after `{` or `,` stands as (kind, value): that is
+    where `{m,n}` quantifier bounds stand, which the parser reads as
+    structure.  So does every int of a text with a comment, which may sit
+    between the two.  Texts of one key have one token shape."""
     key: list = []
     values: list = []
-    matches: list = []
-    match, pos = _TOKEN_RE.match, 0
+    commented = "//" in text
+    match, pos = _SPLIT_RE.match, 0
     while (m := match(text, pos)) is not None:  # each match starts where the last ended
-        matches.append(m)
+        run = m[1]
+        key.append(run)
+        kind = m.lastgroup
+        if kind is None:  # the end
+            return tuple(key), tuple(values)
+        v = _literal(kind, m[kind], text, m.start(kind))
+        key.append((kind, v) if kind == "int" and (
+            commented or run.rstrip(" \t\r\n").endswith(("{", ","))) else kind)
+        values.append(v)
         pos = m.end()
-        group = m.lastindex
-        if group == _IDENT:
-            key.append(m[group].upper())
-        elif group == _PUNCT:
-            key.append(m[group])
-        elif group == _END:
-            key.append(None)
-            return tuple(key), tuple(values), matches
-        elif group == _QIDENT:
-            key.append((m[group][1:-1].replace('""', '"'),))
-        else:
-            v = _literal(group, m[group], text, m.start(group))
-            key.append((_KINDS[group], v) if group == _INT and key and key[-1] in ("{", ",")
-                       else _KINDS[group])
-            values.append(v)
-    at = _TRIVIA_RE.match(text, pos).end()
-    if text[at] in "'\"":
-        raise _error("unterminated literal", text, at)
-    raise _error(f"unexpected character {text[at]!r}", text, at)
+    return None
 
 
 def bracket_depth(text: str) -> tuple[int, int | None]:
@@ -144,54 +140,49 @@ def bracket_depth(text: str) -> tuple[int, int | None]:
     offset of a quoted literal still open at its end, or None.  A character
     that starts no token counts as nothing."""
     depth = pos = 0
-    while (m := _TOKEN_RE.match(text, pos)) is None or m.lastindex != _END:
+    while (m := _TOKEN_RE.match(text, pos)) is None or m.lastgroup != "end":
         if m is None:
             at = _TRIVIA_RE.match(text, pos).end()
             if text[at] in "'\"":
                 return depth, at
             pos = at + 1
             continue
-        if m.lastindex == _PUNCT:
-            depth += m[_PUNCT].count("[") - m[_PUNCT].count("]")
+        if m.lastgroup == "punct":
+            depth += m["punct"].count("[") - m["punct"].count("]")
         pos = m.end()
     return depth, None
 
 
-def _newlines(text: str):
-    """The offsets of `text`'s newlines, then its length, which no token
-    starts after."""
-    at = text.find("\n")
-    while at >= 0:
-        yield at
-        at = text.find("\n", at + 1)
-    yield len(text)
-
-
-def tokenize(text: str, scanned: tuple | None = None) -> list[Token]:
-    """The tokens of `text`, built from `scanned`, its `scan`, when the
-    caller has it; a name's value is its key item."""
-    key, values, matches = scan(text) if scanned is None else scanned
+def tokenize(text: str, values: tuple | None = None) -> list[Token]:
+    """The tokens of `text`.  A caller that has split the text passes its
+    literal values, which are then not converted again."""
     tokens: list[Token] = []
     append = tokens.append
-    literals = iter(values)
-    newlines = _newlines(text)
-    nl = next(newlines)
-    line, line_start = 1, 0  # current line number and the offset where it starts
-    for m, item in zip(matches, key):
-        group = m.lastindex
-        start, end = m.span(group)
-        lexeme = m[group]
-        while nl < start:  # the newlines since the last token, in trivia or lexeme
-            line, line_start, nl = line + 1, nl + 1, next(newlines)
+    literals = None if values is None else iter(values)
+    # the current line number, the offset where it starts, and the next newline
+    line, line_start, nl = 1, 0, text.find("\n")
+    match, pos = _TOKEN_RE.match, 0
+    while (m := match(text, pos)) is not None:  # each match starts where the last ended
+        kind = m.lastgroup
+        start, pos = m.span(kind)
+        lexeme = m[kind]
+        while -1 < nl < start:  # the newlines since the last token, in trivia or lexeme
+            line, line_start, nl = line + 1, nl + 1, text.find("\n", nl + 1)
         col = start - line_start + 1
-        if group == _IDENT:
-            append(Token("ident", item, lexeme, start, end, line, col))
-        elif group == _PUNCT:
-            append(Token(lexeme, lexeme, lexeme, start, end, line, col))
-        elif group == _QIDENT:
-            append(Token("ident", item[0], lexeme, start, end, line, col, exact=True))
-        elif group == _END:
-            append(Token("end", None, "", start, end, line, col))
+        if kind == "ident":
+            append(Token("ident", lexeme.upper(), lexeme, start, pos, line, col))
+        elif kind == "punct":
+            append(Token(lexeme, lexeme, lexeme, start, pos, line, col))
+        elif kind == "qident":
+            append(Token("ident", lexeme[1:-1].replace('""', '"'), lexeme, start, pos,
+                         line, col, exact=True))
+        elif kind == "end":
+            append(Token("end", None, "", start, pos, line, col))
+            return tokens
         else:
-            append(Token(_KINDS[group], next(literals), lexeme, start, end, line, col))
-    return tokens
+            append(Token(kind, _literal(kind, lexeme, text, start) if literals is None
+                         else next(literals), lexeme, start, pos, line, col))
+    at = _TRIVIA_RE.match(text, pos).end()
+    if text[at] in "'\"":
+        raise _error("unterminated literal", text, at)
+    raise _error(f"unexpected character {text[at]!r}", text, at)

@@ -5,7 +5,7 @@ case-folded unquoted identifiers, so quoted names like "MATCH" stay usable as
 identifiers.  Errors carry line/column and the token set that was expected.
 
 The result is a template: a literal in an expression position becomes a
-`Param` slot, and `lexer.scan` gives the key under which texts share a
+`Param` slot, and `lexer.split` gives the key under which texts share a
 template together with the values that fill its slots.
 """
 
@@ -518,7 +518,7 @@ class _Parser:
 
 def parse_statement(text: str, tokens: list[Token] | None = None):
     """Parse exactly one statement from `text`, whose tokens the caller may
-    pass when it has them; the result is a template (see `lexer.scan`)."""
+    pass when it has them; the result is a template (see `lexer.split`)."""
     return _Parser(text, tokens).parse()
 
 

@@ -219,10 +219,10 @@ class ShowGraphsStatement:
 
 def shareable(stmt) -> bool:
     """Whether `stmt` may run with the literal values of another text of its
-    token shape: it holds no copy of its source text (a RETURN header of a
+    template key: it holds no copy of its source text (a RETURN header of a
     non-reference, a CHECK's text, a role statement) and no cardinality
     range.  `{m,n}` bounds, the other literals read as structure, are part
-    of the template key (`lexer.scan`)."""
+    of the template key (`lexer.split`)."""
     stack = [stmt]
     while stack:
         node = stack.pop()

@@ -139,12 +139,8 @@ def render(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, datetime.date):
+    if isinstance(value, datetime.date):  # str() of a datetime given through the API differs
         return value.isoformat()
-    if isinstance(value, Decimal):
-        return str(value)
-    if isinstance(value, Currency):
-        return str(value)
     return str(value)
 
 

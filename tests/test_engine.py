@@ -165,6 +165,21 @@ def test_structured_column_survives_reopen(tmp_path):
     db.close()
 
 
+@pytest.mark.parametrize("fields", [(("CITY", "Graz"), ("STREET", "Main")),
+                                    (("CITY", "Graz"), ("ZIP", "8010"))],
+                         ids=["undeclared-field", "field-of-the-wrong-type"])
+def test_a_structured_value_with_an_invalid_field_is_refused(fields):
+    db = Database()
+    db.execute("create type Addr as (City char, Zip int)")
+    db.execute("create type Home as (Name char, Place Addr) nodetype")
+    addr = db.catalog.lookup_label("ADDR", "plain")
+    tx = db.begin()
+    tx.insert_row("HOME", {"NAME": "x", "PLACE": values.StructValue(addr.type_id, fields)})
+    with pytest.raises(CommitError, match=f"structured value field {fields[1][0]} is invalid"):
+        tx.commit()
+    assert db.execute("MATCH (h:Home) RETURN h.Name").rows == []
+
+
 def test_every_value_kind_survives_reopen(tmp_path):
     """Decimal, date, currency, bool and big-int values written by
     statements, and a structured value (which has no literal), reopen as

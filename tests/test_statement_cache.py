@@ -1,7 +1,8 @@
-"""The statement template cache: texts of one token shape share a parsed
+"""The statement template cache: texts of one template key share a parsed
 template and run with their own literal values, and a cached run behaves
 exactly like a fresh parse of the same text."""
 
+import contextlib
 import random
 import sys
 import threading
@@ -12,15 +13,16 @@ from graphtables import engine
 from graphtables.engine import Database
 from graphtables.errors import ExecutionError, GraphTablesError
 from graphtables.errors import LexError
-from graphtables.lexer import LITERAL_TYPES, scan
+from graphtables.lexer import LITERAL_TYPES, split
 from graphtables.parser import parse_statement, tokenize
 
 
 def shape(tokens):
-    """The reference template key of a token stream and its literal values
-    in slot order, as `lexer.scan` must give them: each literal as its kind,
-    an int right after `{` or `,` (a quantifier bound) as (kind, value); any
-    other token as its value, or as the 1-tuple of its spelling when quoted."""
+    """The token shape of a token stream and its literal values in slot
+    order: each literal as its kind, an int right after `{` or `,` (a
+    quantifier bound) as (kind, value); any other token as its value, or as
+    the 1-tuple of its spelling when quoted.  Texts of one `lexer.split` key
+    must have one token shape."""
     key, values = [], []
     prev = None
     for t in tokens:
@@ -283,7 +285,7 @@ def test_random_streams_match_a_fresh_parse(seed):
     differential(texts, Database(), Database())
 
 
-# --- the one-pass key against the token-built reference ---
+# --- the split key against the token-built reference ---
 
 FRAGMENTS = ["MATCH", "match", "(a:N {K: ", "})", "-[:E]->", "<-[e:E]-", "(b)", "RETURN", "a.V",
              ",", "[()-[:E]->()]{", "1,3}", "{0,", "2}", "]->", "-[", "]-", "..", "0..*",
@@ -304,6 +306,10 @@ HAND_CASES = [
     "MATCH (a:N {K: -5}) SET a.V = - -3.75 - a.V",
     "MATCH (a:N)\r\n  WHERE a.K >= 2 // two\r\n  RETURN a.K;",
 ]
+# a literal of each kind, to put in place of a text's literals
+OTHER_LITERALS = {"int": ["0", "3", "12", "4000"], "decimal": ["0.5", "17.25"],
+                  "currency": ["1€", "2.50$", "0.1£"], "string": ["''", "'q''r'", "'//'"],
+                  "date": ["DATE'2021-05-06'", "date'1999-12-31'"]}
 
 
 def random_text(rng) -> str:
@@ -311,42 +317,83 @@ def random_text(rng) -> str:
                    for _ in range(rng.randrange(1, 25)))
 
 
-def assert_scan_matches_tokens(text):
-    key, values, _matches = scanned = scan(text)
-    assert (key, values) == shape(tokenize(text)), text
-    rebuilt = [(t.type, t.value, t.start, t.end, t.line, t.col) for t in tokenize(text, scanned)]
-    assert rebuilt == [(t.type, t.value, t.start, t.end, t.line, t.col) for t in tokenize(text)]
+def glued_name_and_quote(tokens) -> bool:
+    """Whether an unquoted name ends where a single-quoted literal starts."""
+    return any(t.type == "ident" and not t.exact and t.end == u.start and u.text[:1] == "'"
+               for t, u in zip(tokens, tokens[1:]))
+
+
+def assert_split_matches_tokens(text, shapes: dict) -> bool:
+    """Check `split(text)` against `text`'s tokens, and that a key met
+    before in `shapes` had the same token shape; whether the text split."""
+    try:
+        keyed = split(text)
+    except LexError as exc:   # a literal the split converts is as bad as tokenize finds it
+        with pytest.raises(LexError) as again:
+            tokenize(text)
+        assert (str(again.value), again.value.line, again.value.col) == \
+            (str(exc), exc.line, exc.col)
+        return False
+    if keyed is None:   # the split stops only where tokenize fails or on a glued name
+        try:
+            tokens = tokenize(text)
+        except LexError:
+            return False
+        assert glued_name_and_quote(tokens), text
+        return False
+    key, values = keyed
+    tokens = tokenize(text)
+    token_shape, token_values = shape(tokens)
+    assert values == token_values, text
+    assert shapes.setdefault(key, token_shape) == token_shape, text
+    rebuilt = [(t.type, t.value, t.start, t.end, t.line, t.col) for t in tokenize(text, values)]
+    assert rebuilt == [(t.type, t.value, t.start, t.end, t.line, t.col) for t in tokens]
+    return True
+
+
+def other_literals(text, rng) -> str:
+    """`text` with each literal token replaced by another of its kind."""
+    parts, at = [], 0
+    for t in tokenize(text):
+        if t.type in LITERAL_TYPES:
+            parts += [text[at:t.start], rng.choice(OTHER_LITERALS[t.type])]
+            at = t.end
+    return "".join(parts) + text[at:]
 
 
 @pytest.mark.parametrize("text", HAND_CASES)
 def test_the_one_pass_key_equals_the_token_key_by_hand(text):
-    assert_scan_matches_tokens(text)
+    """Each hand case splits, and so does a sibling with other literals; if
+    the two share a key, they share a token shape."""
+    shapes = {}
+    assert assert_split_matches_tokens(text, shapes)
+    assert assert_split_matches_tokens(other_literals(text, random.Random(text)), shapes)
 
 
 def test_the_one_pass_key_equals_the_token_key_on_generated_texts():
+    """Over generated texts and a sibling of each with other literals,
+    texts of one split key have one token shape, the split's values are the
+    tokens' values, and the split stops only where tokenize fails or on a
+    name glued to a quote."""
     rng = random.Random(1717)
-    lexed = 0
+    shapes, keyed, shared = {}, 0, 0
     for _ in range(3000):
         text = random_text(rng)
-        try:
-            scan(text)
-        except LexError as exc:   # a fragment glued onto a currency symbol, say
-            with pytest.raises(LexError) as again:
-                tokenize(text)
-            assert (str(again.value), again.value.line, again.value.col) == \
-                (str(exc), exc.line, exc.col)
-            continue
-        assert_scan_matches_tokens(text)
-        lexed += 1
-    assert lexed > 2400
+        if assert_split_matches_tokens(text, shapes):
+            keyed += 1
+            sibling = other_literals(text, rng)
+            assert assert_split_matches_tokens(sibling, shapes), sibling
+            shared += split(sibling)[0] == split(text)[0]
+    assert keyed > 2800 and shared > 800
 
 
 def test_bounds_key_by_value_and_other_literals_by_kind():
-    one, two, three = (scan(f"MATCH (a {{K: {k}}}) [()-[:E]->()]{{{k},3}} (b)") for k in (1, 2, 1))
+    one, two, three = (split(f"MATCH (a {{K: {k}}}) [()-[:E]->()]{{{k},3}} (b)")
+                       for k in (1, 2, 1))
     assert one[0] == three[0] != two[0]
     assert ("int", 1) in one[0] and ("int", 3) in one[0] and one[1] == (1, 1, 3)
-    assert scan("RETURN 'a'")[0] == scan("RETURN 'b'")[0] == ("RETURN", "string", None)
-    assert scan('"match"')[0] == (("match",), None) != scan("match")[0]
+    assert split("RETURN 'a'")[0] == split("RETURN 'b'")[0] == ("RETURN ", "string", "")
+    assert split('"match"')[0] == ('"match"',) != split("match")[0]
 
 
 @pytest.mark.parametrize("text, message, line, col", [
@@ -357,18 +404,26 @@ def test_bounds_key_by_value_and_other_literals_by_kind():
     ("RETURN 1 // it's\n#'", "unexpected character '#'", 2, 1),   # no string from a comment
     ("RETURN 1 //'\n#'", "unexpected character '#'", 2, 1),
     ("RETURN 1 % 2", "unexpected character '%'", 1, 10),
+    ("RETURN 1 ! 2 DATE'2023-13-99'", "unexpected character '!'", 1, 10),
+    ('RETURN 1 //"\n@"', "unexpected character '@'", 2, 1),   # no quoted name from a comment
     ("RETURN 'a\nb' DATE'2023-13-99'", "bad date literal '2023-13-99'", 2, 4),
     ("RETURN\n  " + "9" * 5000, "5000-digit integer is too long", 2, 3),
-    # long runs of blanks and comments before an error are backed off in linear time
+    # long runs of blanks, comments and names before an error are backed off in linear time
     pytest.param("RETURN 1" + " " * 5000 + "@", "unexpected character '@'", 1, 5009,
                  id="5000-blanks-then-bad-character"),
     pytest.param("RETURN" + "\n" * 3000 + " " * 3000 + "'open", "unterminated literal",
                  3001, 3001, id="6000-blanks-then-unterminated"),
     pytest.param("RETURN 1" + " \r\n// c\n" * 2000 + "%", "unexpected character '%'",
                  4001, 1, id="2000-comments-then-bad-character"),
+    pytest.param("RETURN " + "x" * 5000 + "@", "unexpected character '@'", 1, 5008,
+                 id="5000-character-name-then-bad-character"),
+    pytest.param('RETURN "a' + '""' * 30 + '" @', "unexpected character '@'", 1, 72,
+                 id="30-doubled-quotes-then-bad-character"),
 ])
 def test_lex_errors_keep_their_message_and_position(text, message, line, col):
-    for run in (scan, tokenize):
+    with contextlib.suppress(LexError):   # a bad literal raises as the statement does
+        assert split(text) is None
+    for run in (Database().statement, tokenize):
         with pytest.raises(LexError) as err:
             run(text)
         assert (str(err.value), err.value.line, err.value.col) == (
@@ -395,7 +450,7 @@ def test_a_template_plans_once_per_published_catalog(monkeypatch):
     plans.clear()
     for k in range(100):
         assert db.execute(read.format(k % 7)).rows == [[k % 7, 10 * (k % 7)]]
-    template = db._templates[scan(read.format(1))[0]]
+    template = db._templates[split(read.format(1))[0]]
     assert plans == [db.catalog] and template.plan[0].catalog is db.catalog
 
     db.session().execute("ALTER TABLE N ADD COLUMN X INT")

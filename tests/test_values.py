@@ -89,6 +89,10 @@ def test_render():
     assert render(True) == "true"
     assert render(datetime.date(2023, 1, 2)) == "2023-01-02"
     assert render(Currency(Decimal("2.50"), "GBP")) == "2.50 GBP"
+    assert render(Decimal("1.50")) == "1.50"
+    assert render(False) == "false"
+    assert render(-42) == "-42"
+    assert render(datetime.datetime(2023, 1, 2, 3, 4)) == "2023-01-02T03:04:00"
 
 
 def test_http_value_shapes():
