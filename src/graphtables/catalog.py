@@ -233,7 +233,8 @@ class Catalog:
                 in ((LEAVING, desc.leaving_type), (ARRIVING, desc.arriving_type))
                 if endpoint in node_type_ids]
 
-    # --- definition ---
+    # --- definition and evolution: the transaction has checked the kind of each
+    # type id it passes (a supertype or endpoint is a node type, and so on) ---
 
     def _claim_type_id(self, label: str) -> int:
         """The id of a new type named `label`, which no type of any kind
@@ -274,9 +275,6 @@ class Catalog:
         type_id = self._claim_type_id(label)
         inherited: tuple[ColumnDescriptor, ...] = ()
         if supertype is not None:
-            sup = self.get(supertype)
-            if sup.kind != KIND_NODE:
-                raise SchemaError(f"supertype {sup.label} is not a node type")
             inherited = self.effective_columns(supertype)
         self._check_new_columns(columns, inherited)
         primary_key: list[str] = []
@@ -304,12 +302,10 @@ class Catalog:
                                             multiplicity=Multiplicity()))
 
     def _endpoint_reference_column(self, node_type_id: int) -> ColumnDescriptor:
-        node = self.get(node_type_id)
-        if node.kind != KIND_NODE:
-            raise SchemaError(f"{node.label} is not a node type")
         kcol = self.key_column(node_type_id)
         if kcol is None:
-            raise SchemaError(f"{node.label} needs a single-column key to be an edge endpoint")
+            raise SchemaError(f"{self.get(node_type_id).label} needs a single-column key "
+                              "to be an edge endpoint")
         col = self.effective_column(node_type_id, kcol)
         assert col is not None
         return col
@@ -331,10 +327,9 @@ class Catalog:
         return column
 
     def retype_column(self, type_id: int, name: str, data_type: str) -> None:
-        """Internal widening, e.g. integer -> decimal, or key cascades."""
+        """Internal widening, e.g. integer -> decimal, or key cascades, of a
+        column that `type_id` declares itself."""
         desc = self.get(type_id)
-        if desc.own_column(name) is None:
-            raise SchemaError(f"{desc.label} has no own column {name}")
         self._install(replace(desc, columns=[
             replace(c, data_type=data_type) if c.name == name else c for c in desc.columns]))
 
@@ -376,19 +371,14 @@ class Catalog:
         """Generalize one endpoint of an edge type to a supertype; the
         side's reference column takes the data type of that type's key."""
         desc = self.get(type_id)
-        if desc.kind != KIND_EDGE:
-            raise SchemaError(f"{desc.label} is not an edge type")
         data_type = self._endpoint_reference_column(node_type_id).data_type
         columns = [replace(c, data_type=data_type) if c.name == side else c for c in desc.columns]
         endpoint = "leaving_type" if side == LEAVING else "arriving_type"
         self._install(replace(desc, columns=columns, **{endpoint: node_type_id}))
 
     def set_multiplicity(self, type_id: int, mult: Multiplicity) -> None:
-        desc = self.get(type_id)
-        if desc.kind != KIND_EDGE:
-            raise SchemaError(f"{desc.label} is not an edge type")
         mult.validate()
-        self._install(replace(desc, multiplicity=mult))
+        self._install(replace(self.get(type_id), multiplicity=mult))
 
     def add_constraint(self, type_id: int, constraint: Constraint, column_names: set[str]) -> None:
         desc = self.get(type_id)

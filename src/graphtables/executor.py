@@ -114,10 +114,8 @@ def exec_create(tx: Transaction, stmt: CreateStatement, params: tuple,
                     edges.append((previous, pending_edge, row))
                     pending_edge = None
                 previous = row
-            elif isinstance(element, EdgePattern):
+            else:   # an edge: `parse_chain` builds no path pattern for CREATE
                 pending_edge = element
-            else:
-                raise ExecutionError("quantified path patterns cannot be created")
     for tail_row, pattern, head_row in edges:
         _create_edge(tx, pattern, tail_row, head_row, params, bindings)
     if stmt.then is not None:
@@ -255,15 +253,11 @@ def exec_create_type(tx: Transaction, stmt: CreateTypeStatement):
         if sup is None:
             raise SchemaError(f"unknown supertype {stmt.supertype}")
         kind = sup.kind
-    if kind is None and stmt.leaving is not None:
-        kind = cat.KIND_EDGE
     if kind != cat.KIND_NODE and stmt.supertype is not None:
         raise SchemaError("only node types can have supertypes")
     if kind == cat.KIND_NODE:
         tx.define_node_type(stmt.label, columns, stmt.supertype)
-    elif kind == cat.KIND_EDGE:
-        if stmt.leaving is None or stmt.arriving is None:
-            raise SchemaError("an edge type needs LEAVING and ARRIVING node types")
+    elif kind == cat.KIND_EDGE:   # EDGETYPE, which the parser gives LEAVING and ARRIVING
         tx.define_edge_type(stmt.label, columns, stmt.leaving, stmt.arriving)
     else:
         tx.define_plain_type(stmt.label, columns)

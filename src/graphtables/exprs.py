@@ -12,7 +12,7 @@ import sys
 from decimal import Decimal, DecimalException
 
 from .errors import ExecutionError
-from .syntax import Binary, IsNull, Literal, Param, Ref, Unary
+from .syntax import Binary, Literal, Param, Ref, Unary
 from .values import Currency, values_equal
 
 _NUM = (int, Decimal)
@@ -86,16 +86,6 @@ def _arith(op: str, a, b):
     raise ExecutionError(f"unsupported operands for {op}: {a!r}, {b!r}")
 
 
-def constant(expr, params):
-    """The value of a literal or a literal slot; None for any other expression."""
-    if isinstance(expr, Param):
-        v = params[expr.slot]
-        return -v if expr.negated else v
-    if isinstance(expr, Literal):
-        return expr.value
-    return None
-
-
 def eval_expr(expr, resolve, params):
     """`resolve(path: tuple[str, ...])` supplies identifier values, `params`
     the values of literal slots."""
@@ -134,31 +124,25 @@ def eval_expr(expr, resolve, params):
                 return None
             a, b = _ordering_pair(left, right)
             return a < b if op == "<" else a <= b if op == "<=" else a > b if op == ">" else a >= b
-        if op in ("+", "-", "*", "/"):
-            if left is None or right is None:
-                return None
-            try:
-                return _arith(op, left, right)
-            except DecimalException as exc:  # past the context's exponent limits, say
-                raise ExecutionError(f"decimal {type(exc).__name__} in {op}") from None
-        raise ExecutionError(f"unknown operator {op}")
+        if left is None or right is None:   # + - * /, the parser's other operators
+            return None
+        try:
+            return _arith(op, left, right)
+        except DecimalException as exc:  # past the context's exponent limits, say
+            raise ExecutionError(f"decimal {type(exc).__name__} in {op}") from None
     if isinstance(expr, Literal):
         return expr.value
     if isinstance(expr, Unary):
         v = eval_expr(expr.operand, resolve, params)
         if expr.op == "NOT":
             return None if v is None else (not _truthy(v))
-        if expr.op == "-":
-            if v is None:
-                return None
-            if isinstance(v, bool) or not isinstance(v, _NUM):
-                raise ExecutionError("unary minus needs a number")
-            return -v
-        raise ExecutionError(f"unknown operator {expr.op}")
-    if isinstance(expr, IsNull):
-        v = eval_expr(expr.operand, resolve, params)
-        return (v is None) != expr.negated
-    raise ExecutionError(f"not an expression: {expr!r}")
+        if v is None:   # "-", the parser's other unary operator
+            return None
+        if isinstance(v, bool) or not isinstance(v, _NUM):
+            raise ExecutionError("unary minus needs a number")
+        return -v
+    v = eval_expr(expr.operand, resolve, params)   # IsNull, the parser's last kind
+    return (v is None) != expr.negated
 
 
 def _truthy(v) -> bool:

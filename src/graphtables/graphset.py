@@ -26,9 +26,6 @@ class GraphComponent:
         self.nodes: set[int] = {representative}
         self.edges: set[int] = set()
 
-    def __repr__(self):
-        return f"GraphComponent({self.representative}, {len(self.nodes)} nodes)"
-
 
 class GraphSet:
     """The components of the graph whose edge rows `store` holds."""

@@ -35,8 +35,8 @@ from .values import CURRENCY_SYMBOLS, Currency
 _TRIVIA = r"(?:[ \t\r\n]|//[^\n]*(?![^\n]))*"
 # the literals, each in a group named for its kind
 _DATE = r"(?P<date>[Dd][Aa][Tt][Ee]'[^']*')"
-_OTHER_LITERALS = r"""(?P<currency>\d+(?:\.\d+)?[€$£]) | (?P<decimal>\d+\.\d+) | (?P<int>\d+)
-  | (?P<string>'(?:[^']|'')*')"""
+_OTHER_LITERALS = r"""(?P<currency>[0-9]+(?:\.[0-9]+)?[€$£]) | (?P<decimal>[0-9]+\.[0-9]+)
+  | (?P<int>[0-9]+) | (?P<string>'(?:[^']|'')*')"""
 _TOKEN_RE = re.compile(_TRIVIA + r"""(?:
     (?P<punct><-\[|\]->|-\[|\]-|\.\.|<=|>=|<>|!=|[()\[\]{},:.=<>+\-*?;]|/(?!/))
   | """ + _DATE + r""" | (?P<ident>[A-Za-z_][A-Za-z0-9_]*) | """ + _OTHER_LITERALS + r"""

@@ -34,7 +34,7 @@ from operator import attrgetter
 from . import catalog as cat
 from . import values as val
 from .engine import ResultTable
-from .exprs import constant, eval_expr, eval_predicate
+from .exprs import eval_expr, eval_predicate
 from .storage import Row, Transaction
 from .syntax import (EdgePattern, Literal, MatchStatement, Param, PathPattern, Ref,
                      ReturnStatement)
@@ -132,7 +132,8 @@ class Plan:
         self.returns = None
         if isinstance(stmt.dependent, ReturnStatement):
             paths = [e.path if isinstance(e, Ref) else () for _h, e in stmt.dependent.items]
-            if all(p and p[0] in roles and (len(p) == 1 or roles[p[0]] == (0, True)) for p in paths):
+            if all(p and p[0] in roles and (len(p) == 1 or len(p) == 2 and roles[p[0]] == (0, True))
+                   for p in paths):
                 self.returns = [(*p, None)[:2] for p in paths]
 
     def _tids(self, pattern, kind: str) -> tuple[int, ...]:
@@ -199,7 +200,8 @@ class _Matcher:
         self.bound = float("inf")        # SHORTEST: fewest edges of a binding so far
         seq, memo = view.store.memo   # (node uid, side, edge type ids) -> _hops
         self._adjacency: dict[tuple, list] = memo if seq == view.snapshot and not view.staged else {}
-        self.keyed = [{r.uid for r in view.lookup_by_value(tids, name, constant(expr, params))}
+        self.keyed = [{r.uid for r in view.lookup_by_value(tids, name,
+                                                           eval_expr(expr, None, params))}
                       for tids, (name, expr) in plan.keyed]
 
     # --- drive ---
@@ -361,7 +363,7 @@ class _Matcher:
         else:
             checks = checks_left
             alts = self.view.scan_type(tids) if probe is None else \
-                self.view.lookup_by_value(tids, probe[0], constant(probe[1], self.params))
+                self.view.lookup_by_value(tids, probe[0], eval_expr(probe[1], None, self.params))
         stack.append([iter(alts), [], steps, 0, None, None, saved, checks, 0, 0])
 
     def _emit(self) -> None:

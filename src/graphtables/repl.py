@@ -178,7 +178,7 @@ def main(argv=None) -> int:
     path = None if args.dbfile == ":memory:" else args.dbfile
     db = Database(path)
     server = None
-    if args.http:
+    if args.http is not None:   # port 0: a free port the system picks
         from .httpd import serve_in_thread
         server = serve_in_thread(db, args.http)
     try:
@@ -188,6 +188,7 @@ def main(argv=None) -> int:
     finally:
         if server is not None:
             server.shutdown()
+            server.server_close()
         db.close()
 
 

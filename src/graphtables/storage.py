@@ -293,9 +293,11 @@ class ReadView:
             v = bindings[name]
             if len(path) == 1:
                 return v
-            if isinstance(v, Row):
-                return self.value(self.get_row(v.uid) or v, path[1])
-            raise ExecutionError(f"{name} has no fields")
+            if not isinstance(v, Row):
+                raise ExecutionError(f"{name} has no fields")
+            if len(path) > 2:   # a column holds no row
+                raise ExecutionError(f"{name}.{path[1]} has no fields")
+            return self.value(self.get_row(v.uid) or v, path[1])
         return resolve
 
     def value(self, row: Row, column: str):

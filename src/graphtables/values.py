@@ -61,7 +61,8 @@ def infer_data_type(value) -> str:
 
 def parse_currency(text: str) -> Currency | None:
     """Read an amount-with-unit string such as '0.04 €', '€0.04' or
-    '12.50 GBP'.  Returns None when the string is not of that shape."""
+    '12.50 GBP'.  Returns None when the string is not of that shape or its
+    amount is not finite ('NaN EUR', 'Infinity EUR'), which has no order."""
     s = text.strip()
     code = None
     for sym, c in CURRENCY_SYMBOLS.items():
@@ -78,9 +79,10 @@ def parse_currency(text: str) -> Currency | None:
     if code is None:
         return None
     try:
-        return Currency(Decimal(s), code)
+        amount = Decimal(s)
     except ArithmeticError:
         return None
+    return Currency(amount, code) if amount.is_finite() else None
 
 
 def conforms(value, data_type: str) -> bool:

@@ -586,3 +586,13 @@ def test_a_statement_on_the_wrong_kind_of_type_names_the_kind_it_needs(statement
     with pytest.raises(SchemaError) as err:
         db.execute(statement)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("check", ["-N < 0", "NOT (N < 0)", "N IS NOT NULL", "(N + 1) * 2 > 0"])
+def test_a_column_a_check_reads_under_any_operator_cannot_be_dropped(check):
+    db = Database()
+    db.execute("CREATE (:P {N: 1, M: 2})")
+    db.execute(f"ALTER TABLE P ADD CHECK ({check})")
+    with pytest.raises(SchemaError, match=r"column N is read by check \(.*\) of P"):
+        db.execute("ALTER TABLE P DROP COLUMN N")
+    db.execute("ALTER TABLE P DROP COLUMN M")

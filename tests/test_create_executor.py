@@ -241,3 +241,22 @@ def test_arrow_directions_fold_as_written():
         g = graph_from_db(db)
         got = sorted((uid_of[t], uid_of[h]) for (_lbl, t, h) in g.edges.values())
         assert got == sorted(fold_arrows(arrow_pairs))
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("CREATE TYPE T AS (A BLOB) NODETYPE", SchemaError, "unknown column type BLOB"),
+    ("MATCH (a:P) SET a.M = a", ExecutionError, "M cannot hold a whole row"),
+    ("MATCH (a:P {N: n}) CREATE (n)-[:E]->(a)", ExecutionError, "N is not a node"),
+    ("CREATE (:X:Y)", ExecutionError, "cannot define X:Y on the fly"),
+    ("CREATE TYPE B UNDER Nope AS (X INT)", SchemaError, "unknown supertype NOPE"),
+    ("MATCH (a:P) SET a = 1", ExecutionError, "SET expects alias.property assignments"),
+    ("MATCH (a:P) SET b.N = 1", ExecutionError, "unknown identifier B"),
+    ("MATCH (a:P) DELETE b", ExecutionError, "unknown identifier B"),
+    ("MATCH (a:P) THEN COMMIT END", ExecutionError, "cannot execute CommitStatement here"),
+])
+def test_statements_the_executor_refuses_leave_the_database_as_it_was(db, text, error, message):
+    db.execute("CREATE (:P {N: 1})")
+    before = db.state_hash()
+    with pytest.raises(error, match=message):
+        db.execute(text)
+    assert db.state_hash() == before

@@ -706,3 +706,18 @@ def test_reopen_drops_a_logged_check_on_a_column_its_type_no_longer_has(tmp_path
     with pytest.raises(CommitError):
         db.execute("CREATE (:B {K: 4, X: 0})")
     db.close()
+
+
+def test_a_commit_whose_schema_the_log_cannot_encode_is_refused_and_leaves_no_trace(tmp_path):
+    """A quoted label may hold a lone surrogate, which UTF-8 cannot encode:
+    the commit fails by name, and neither the log nor the catalog keeps it."""
+    db = Database(tmp_path / "g.db")
+    before = db.state_hash()
+    with pytest.raises(StorageError, match="commit 1 cannot be logged"):
+        db.execute('CREATE (:"\ud800" {K: 1})')
+    assert db.state_hash() == before
+    db.execute("CREATE (:P {K: 1})")
+    db.close()
+    reopened = Database(tmp_path / "g.db")
+    assert reopened.execute("MATCH (a) RETURN a.K").rows == [[1]]
+    reopened.close()

@@ -95,7 +95,56 @@ def test_division_and_string_concatenation_on_columns():
     ("TRUE < FALSE", "booleans have no ordering"),
     ("TRUE + 1", "arithmetic on booleans"),
     ("-'x'", "unary minus needs a number"),
+    ("1 AND TRUE", "condition did not evaluate to a boolean"),
+    ("TRUE OR 'x'", "condition did not evaluate to a boolean"),
+    ("NOT 1", "condition did not evaluate to a boolean"),
 ])
 def test_refusals_of_arithmetic_and_ordering(text, message):
     with pytest.raises(ExecutionError, match=message):
         Database().execute(f"RETURN {text}")
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("'apple' < 'pear'", True),
+    ("'pear' <= 'apple'", False),
+    ("DATE'2023-03-22' < DATE'2024-01-01'", True),
+    ("DATE'2023-03-22' >= DATE'2024-01-01'", False),
+    ("-NULL", None),
+])
+def test_strings_and_dates_order_and_minus_null_is_null(text, expected):
+    assert Database().execute(f"RETURN {text}").rows == [[expected]]
+
+
+def test_rows_equal_by_uid_and_never_equal_a_value():
+    db = Database()
+    db.execute("CREATE (:P {N: 1})")
+    db.execute("CREATE (:P {N: 2})")
+    assert db.execute("MATCH (a:P), (b:P) WHERE a = b RETURN a.N, b.N").rows == [[1, 1], [2, 2]]
+    assert db.execute("MATCH (a:P), (b:P) WHERE a <> b RETURN a.N, b.N").rows == [[1, 2], [2, 1]]
+    assert db.execute("MATCH (a:P {N: n}) WHERE a = n RETURN a.N").rows == []
+
+
+def test_a_non_boolean_where_or_check_is_refused():
+    db = Database()
+    db.execute("CREATE (:P {N: 1})")
+    with pytest.raises(ExecutionError, match="predicate did not evaluate to a boolean"):
+        db.execute("MATCH (a:P {N: n}) WHERE n RETURN a.N")
+    with pytest.raises(ExecutionError, match="constraint did not evaluate to a boolean"):
+        db.execute("ALTER TABLE P ADD CHECK (N + 1)")
+    assert db.catalog.lookup_label("P").constraints == []
+
+
+def test_a_logged_check_that_reads_a_field_path_is_refused_when_it_runs(tmp_path):
+    """`ADD CHECK` refuses `a.N`, but a log is read as written: the check
+    fails the commit that runs it, by name, instead of reading `a`."""
+    from graphtables.log import encode_record
+    source = Database()
+    source.execute("CREATE TYPE A AS (K INT) NODETYPE")
+    desc = source.catalog.descriptor_to_dict(source.catalog.lookup_label("A"))
+    log = tmp_path / "hand.db"
+    log.write_bytes(encode_record(1, [{**desc, "constraints": ["K.X > 0"]}], {}, 1))
+    db = Database(log)
+    with pytest.raises(ExecutionError, match="constraints may only reference columns"):
+        db.execute("CREATE (:A {K: 1})")
+    assert db.execute("MATCH (a:A) RETURN a.K").rows == []
+    db.close()

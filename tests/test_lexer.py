@@ -174,3 +174,25 @@ def test_tokens_match_the_pattern_before_its_reorder(seed):
             assert (exc.line, exc.col) == stuck, text
             continue
         assert stuck is None and not bad_dates and got == want, text
+
+
+@pytest.mark.parametrize("digits", ["٣٤", "３４", "1٣", "1.٣", "٣€"])
+def test_numbers_take_ascii_digits_only(digits):
+    """GRAMMAR.md's digit is 0-9, as a name's digits are: another script's
+    decimal digits start no token, cached or not."""
+    from graphtables import Database
+    from graphtables.lexer import split
+    with pytest.raises(LexError):
+        tokenize(f"CREATE (:N {{K: {digits}}})")
+    assert split(f"CREATE (:N {{K: {digits}}})") is None
+    db = Database()
+    with pytest.raises(LexError):
+        db.execute(f"CREATE (:N {{K: {digits}}})")
+    assert db.catalog.lookup_label("N") is None
+
+
+def test_bracket_depth_skips_a_character_that_starts_no_token():
+    from graphtables.lexer import bracket_depth
+    assert bracket_depth("[MATCH @ (a) [()-[:E]->()]+ `(b)") == (1, None)
+    assert bracket_depth("[a @ ]") == (0, None)
+    assert bracket_depth("[a @ 'open") == (1, 5)

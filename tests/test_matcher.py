@@ -653,3 +653,27 @@ def test_a_label_chain_matches_the_types_that_carry_every_label():
     assert db.execute("MATCH (a)-[e:R:S]->(b) RETURN e").rows == []
     with pytest.raises(ExecutionError, match="not on one subtype path"):
         db.execute("CREATE (:B:C {N: 9})")
+
+
+@pytest.mark.parametrize("text", [
+    "MATCH (a:P) RETURN a.N.M",           # a plan that reads columns of bound rows
+    "MATCH (a:P) RETURN a.N.M + 0",       # an expression, read through the resolver
+    "MATCH (a:P) WHERE a.N.M = 1 RETURN a.N",
+])
+def test_a_path_past_a_column_is_refused_not_cut_to_the_column(text):
+    db = Database()
+    db.execute("CREATE (:P {N: 1})")
+    with pytest.raises(ExecutionError, match="A.N has no fields"):
+        db.execute(text)
+
+
+def test_a_path_alias_is_unbound_when_a_later_item_finds_nothing_for_it():
+    """The first E path's B has no F edge, so the second item finds nothing
+    and leaves; the alias P it bound must go with it, or the next E path
+    would find P taken and bind nothing."""
+    db = Database()
+    db.execute("CREATE (:P {N: 1})-[:E]->(:P {N: 2}), "
+               "(:P {N: 3})-[:E]->(:P {N: 4})-[:F]->(:Q {N: 5})")
+    table = db.execute("MATCH p = (a:P)-[:E]->(b:P), (b)-[:F]->(c) RETURN a.N, c.N, p")
+    assert [row[:2] for row in table.rows] == [[3, 5]]
+    assert [r.values["N"] for r in table.rows[0][2][::2]] == [3, 4]

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from graphtables.errors import ParseError
@@ -172,3 +174,22 @@ def test_quoted_identifier_reaches_the_doc_key():
     stmt = parse_statement('CREATE (:SupplOrd {"Sum€": 100.50})')
     doc = stmt.graphs[0][0].doc
     assert doc[0][0] == "Sum€"
+
+
+@pytest.mark.parametrize("text, message, col, expected", [
+    ("SHOW NOPE", "unexpected token, got 'NOPE'", 6, ("GRAPHS",)),
+    ("CREATE TYPE 1 AS ()", "identifier expected, got '1'", 13, ("identifier",)),
+    ("GRANT R TO 1", "grantee expected, got '1'", 12, ("identifier", "string")),
+    ("ALTER TABLE T RENAME", "ALTER action expected, got 'RENAME'", 15, ("ADD", "DROP", "SET")),
+    ("MATCH (a) [()-[:E]->()] (b)", "quantifier expected, got '('", 25, ("?", "*", "+", "{m,n}")),
+    ("RETURN )", "expression expected, got ')'", 8, ("literal", "identifier", "(")),
+    ("FOO", "statement expected, got 'FOO'", 1, ("CREATE", "MATCH", "ALTER", "SET", "DELETE",
+                                                 "BEGIN", "COMMIT", "ROLLBACK", "SHOW", "GRANT")),
+    ("1 2", "trailing input after expression, got '2'", 3, ()),   # a CHECK's text
+])
+def test_each_parse_error_names_what_it_expected_where(text, message, col, expected):
+    from graphtables.parser import parse_expression
+    parse = parse_expression if text == "1 2" else parse_statement
+    with pytest.raises(ParseError, match=re.escape(message)) as err:
+        parse(text)
+    assert (err.value.line, err.value.col, err.value.expected) == (1, col, expected)

@@ -382,3 +382,35 @@ def test_a_decimal_overflow_is_an_error_line_not_a_traceback():
     assert replies[-1] == "SQL> error: decimal Overflow in *"
     assert all(line.endswith("error: decimal Overflow in *")
                for line in replies if "error" in line)
+
+
+def test_main_serves_the_http_view_for_as_long_as_the_shell_runs(monkeypatch, capsys):
+    """`--http 0` serves on a port the system picks; the shell's statements
+    are read from stdin, and the server closes when the shell ends."""
+    import json
+    import socket
+    import urllib.request
+    from graphtables import httpd
+    servers, fetched = [], []
+    serve_in_thread = httpd.serve_in_thread
+    monkeypatch.setattr(httpd, "serve_in_thread",
+                        lambda db, port: servers.append(serve_in_thread(db, port)) or servers[-1])
+
+    class Stdin:
+        lines = iter(["CREATE (:P {N: 7})\n", None, "exit\n"])
+
+        def readline(self):
+            line = next(self.lines)
+            if line is None:   # the shell is between statements: fetch through the view
+                url = f"http://127.0.0.1:{servers[0].server_address[1]}/memory/r/P/N=7?NODE"
+                with urllib.request.urlopen(url, timeout=5) as resp:
+                    fetched.append(json.loads(resp.read()))
+                return "MATCH (a:P) RETURN a.N\n"
+            return line
+
+    monkeypatch.setattr(sys, "stdin", Stdin())
+    assert main([":memory:", "--http", "0"]) == 0
+    assert [node["properties"]["N"] for node in fetched[0]["nodes"]] == [7]
+    assert "|N|" in capsys.readouterr().out
+    with pytest.raises(OSError):
+        socket.create_connection(servers[0].server_address, timeout=1).close()

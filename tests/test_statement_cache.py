@@ -469,3 +469,36 @@ def test_a_template_plans_once_per_published_catalog(monkeypatch):
     session.execute("ROLLBACK")
     assert db.execute(read.format(100)).rows == []
     assert len(plans) == 3 and template.plan[0] is published and published.catalog is db.catalog
+
+
+def test_a_text_the_split_stops_on_yet_parses_runs_uncached_with_its_own_literals():
+    """A name glued to a quote (`TO'bob'`, `NOT'a'`) stops `split`; the text
+    is tokenized, parsed and run, its literal values read off its tokens."""
+    db = Database()
+    for text, rows in (("GRANT R TO'bob'", None), ("RETURN NOT'a' = 'b'", [[True]]),
+                       ("RETURN NOT'a' = 'a'", [[False]]), ("RETURN NOT'a' = 'a'", [[False]])):
+        assert split(text) is None
+        result = db.execute(text)
+        assert (result if result is None else result.rows) == rows
+    assert len(db._templates) == 0
+
+
+def test_the_remembered_sightings_are_forgotten_at_their_bound(monkeypatch):
+    """A shape is kept on its second sighting; once `_SIGHTINGS` keys are
+    remembered, they are all forgotten, so a shape seen before needs two
+    more."""
+    monkeypatch.setattr(engine, "_SIGHTINGS", 2)
+    db = Database()
+    db.execute("CREATE (:N {K: 1})")
+    shapes = ["MATCH (a:N {K: 1}) RETURN a.K" + ", a.K" * k for k in range(3)]
+    for text in shapes:
+        db.execute(text)
+    first = split(shapes[0])[0]
+    db.execute(shapes[0])
+    assert first not in db._templates
+    db.execute(shapes[0])
+    assert first in db._templates
+
+
+def test_a_result_table_shows_its_columns_and_row_count():
+    assert repr(Database().execute("RETURN 1, 'x'")) == "ResultTable(['1', \"'x'\"], 1 rows)"

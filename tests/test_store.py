@@ -333,3 +333,47 @@ def test_scan_of_a_type_skips_other_types_staged_rows(db):
     elapsed = time.perf_counter() - started
     # filtering all 20,000 staged rows per scan took about 1.2 s here
     assert elapsed < 0.4, f"1,000 scans of one Q row took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("MATCH (a:P) RETURN x", "unknown identifier X"),
+    ("MATCH (a:P {N: n}) RETURN n.Y", "N has no fields"),
+    ("ALTER TABLE Nope ADD COLUMN X INT", "unknown type NOPE"),
+    ("ALTER TABLE P ADD PRIMARY KEY (N, M)", "P is an edge endpoint and needs a single-column key"),
+    ("ALTER TABLE P ADD CHECK (a.N > 0)", "constraints may only reference column names"),
+    ("MATCH (a:P {N: 1}) THEN DELETE a; DELETE a END", "unknown uid 1"),
+    ("MATCH (a:P {N: 1}) THEN DELETE a; SET a.M = 5 END", "unknown uid 1"),
+])
+def test_statements_the_store_refuses_leave_the_database_as_it_was(db, text, message):
+    from graphtables.errors import GraphTablesError
+    db.execute("CREATE (:P {N: 1, M: 2})-[:E]->(:P {N: 2, M: 3})")
+    before = db.state_hash()
+    with pytest.raises(GraphTablesError, match=message):
+        db.execute(text)
+    assert db.state_hash() == before
+
+
+def test_rows_go_only_into_node_and_edge_types_the_catalog_holds(db):
+    from graphtables.errors import SchemaError
+    db.execute("CREATE TYPE Addr AS (City STRING)")
+    tx = db.begin()
+    with pytest.raises(StorageError, match="ADDR is a plain type; it has no rows of its own"):
+        tx.insert_row("ADDR", {"CITY": "Köln"})
+    with pytest.raises(SchemaError, match="unknown type id 999"):
+        tx.insert_row(999, {})
+
+
+def test_a_structured_value_holding_a_list_is_looked_up_as_no_value_and_refused_at_commit(db):
+    """Only the Python API can stage it: the value index leaves it out,
+    and a probe by it finds nothing, rather than raising TypeError."""
+    db.execute("CREATE TYPE Addr AS (City STRING)")
+    db.execute("CREATE TYPE H AS (K INT, A Addr) NODETYPE")
+    addr, home = (db.catalog.lookup_label(label).type_id for label in ("ADDR", "H"))
+    unhashable = values.StructValue(addr, (("CITY", ["Köln"]),))
+    tx = db.begin()
+    tx.insert_row("H", {"K": 1, "A": unhashable})
+    view = tx.view()
+    assert view.lookup_by_value((home,), "A", values.StructValue(addr, (("CITY", "Köln"),))) == []
+    assert view.lookup_by_value((home,), "A", unhashable) == []
+    with pytest.raises(CommitError, match="structured value field CITY is invalid"):
+        tx.commit()

@@ -63,7 +63,9 @@ def test_amount_with_unit_strings(text, amount, code):
     assert got.amount == Decimal(amount)
 
 
-@pytest.mark.parametrize("text", ["", "12.00", "EUR", "x EUR", "1E3", "€ nope"])
+@pytest.mark.parametrize("text", ["", "12.00", "EUR", "x EUR", "1E3", "€ nope",
+                                  # amounts with no order
+                                  "NaN EUR", "sNaN EUR", "Infinity EUR", "-Inf USD", "€NaN"])
 def test_non_currency_strings(text):
     assert parse_currency(text) is None
 
@@ -136,3 +138,49 @@ def test_symbol_suffix_parses_back(amount, sym_code):
     symbol, code = sym_code
     parsed = parse_currency(f"{amount} {symbol}")
     assert parsed == Currency(amount, code)
+
+
+def test_a_currency_column_refuses_a_non_finite_amount_so_its_values_stay_ordered():
+    from graphtables import Database
+    from graphtables.errors import GraphTablesError
+    db = Database()
+    db.execute("CREATE TYPE C AS (K INT, A CURRENCY) NODETYPE")
+    db.execute("CREATE (:C {K: 1, A: '2 EUR'})")
+    for text in ("NaN EUR", "sNaN EUR", "Infinity EUR"):
+        with pytest.raises(GraphTablesError):
+            db.execute(f"CREATE (:C {{K: 2, A: '{text}'}})")
+    db.execute("CREATE (:C {K: 3, A: '1 EUR'})")
+    table = db.execute("MATCH (c:C), (d:C) WHERE c.A > d.A RETURN c.K")
+    assert table.rows == [[1]]
+
+
+def test_a_float_conforms_to_no_column_type():
+    from graphtables import Database
+    from graphtables.errors import StorageError
+    assert not any(conforms(1.5, t) for t in (INTEGER, DECIMAL, CURRENCY, STRING))
+    db = Database()
+    db.execute("CREATE (:P {N: 1.5})")
+    tx = db.begin()
+    with pytest.raises(StorageError, match="P.N cannot hold 1.5"):
+        tx.insert_row("P", {"N": 1.5})
+
+
+def test_a_log_value_with_an_unknown_tag_is_refused_on_open(tmp_path):
+    import struct
+    import zlib
+    from graphtables import Database
+    from graphtables.log import encode_record
+    source = Database()
+    source.execute("CREATE TYPE A AS (K INT, V DECIMAL) NODETYPE")
+    desc = source.catalog.descriptor_to_dict(source.catalog.lookup_label("A"))
+    record = encode_record(1, [desc], {}, 1)
+    payload = json.loads(record[8:])
+    payload["rows"] = [["put", 1, desc["type_id"], {"ID": 1, "K": 1, "V": {"$float": "1.5"}}]]
+    payload["next_uid"] = 2
+    body = json.dumps(payload).encode("utf-8")
+    log = tmp_path / "hand.db"
+    log.write_bytes(struct.pack(">II", len(body), zlib.crc32(body)) + body)
+    with pytest.raises(ValueError, match="unknown tagged value"):
+        Database(log)
+    with pytest.raises(ValueError, match="unknown tagged value"):
+        from_jsonable({"$float": "1.5"})
