@@ -82,11 +82,17 @@ class Database:
         if self.path is not None:
             if self.path.exists():
                 valid = 0
+                # live row and the seq of the last record that wrote it or
+                # moved an edge off it, by uid
+                final: dict[int, Row] = {}
+                stamps: dict[int, int] = {}
                 with open(self.path, "rb") as fh:
                     for payload in logmod.read_records(fh):
-                        self._apply_record(payload)
+                        self._apply_record(payload, final, stamps)
                         valid = fh.tell()
                     end = fh.seek(0, 2)
+                # no snapshot before the log's end exists: one version per live row
+                self.store.apply(self.published[0], final)
                 if valid < end:
                     # trim the torn tail so our own appends stay readable
                     with open(self.path, "r+b") as fh:
@@ -94,7 +100,7 @@ class Database:
                 for label, text in self.catalog.drop_unreadable_checks():
                     logmod.log.warning(f"commit log keeps check ({text}) of {label} on a "
                                        "column it no longer has; dropping the check")
-                self._rebuild_graphs()
+                self._rebuild_graphs(final, stamps)
             # unbuffered: a failed append leaves no bytes behind for a later write
             self._log_fh = open(self.path, "ab", buffering=0)
             self._log_size = self._log_fh.tell()
@@ -141,31 +147,45 @@ class Database:
 
     # --- opening an existing log ---
 
-    def _apply_record(self, payload: dict) -> None:
-        catalog = self.catalog
+    def _apply_record(self, payload: dict, final: dict[int, Row],
+                      stamps: dict[int, int]) -> None:
+        """Apply one record's schema and fold its rows into `final` and
+        `stamps`; every op is decoded and checked, none is applied."""
+        catalog, seq = self.catalog, payload["seq"]
         for data in payload["schema"]:
             catalog.apply_descriptor_dict(data, parse_expression)
-        final: dict[int, Row | None] = {}
-        for op in logmod.decode_rows(payload):
+        try:
+            ops = logmod.decode_rows(payload)
+        except (ValueError, TypeError, ArithmeticError) as exc:
+            raise StorageError(f"log {self.path}: record {seq} holds a value that does "
+                               f"not decode ({exc})") from exc
+        for op in ops:
+            before = final.pop(op[1], None)
+            if before is not None and before.ends is not None:
+                stamps[before.ends[0]] = stamps[before.ends[1]] = seq  # the component it leaves
             if op[0] == "del":
-                final[op[1]] = None
-            elif op[4] is None and catalog.get(op[2]).kind == cat.KIND_EDGE:
+                continue
+            if op[4] is None and catalog.get(op[2]).kind == cat.KIND_EDGE:
                 # one replay path: logs from before puts carried ends are not read
-                raise StorageError(f"log {self.path}: record {payload['seq']} puts edge "
+                raise StorageError(f"log {self.path}: record {seq} puts edge "
                                    f"{op[1]} without its endpoint uids")
-            else:
-                final[op[1]] = Row(*op[1:])
-        self.store.apply(payload["seq"], final)
-        self.published = (payload["seq"], catalog)
+            final[op[1]] = Row(*op[1:])
+            stamps[op[1]] = seq
+        self.published = (seq, catalog)
         self.logged_next_uid = payload["next_uid"]
         self._next_uid = max(self._next_uid, self.logged_next_uid)
 
-    def _rebuild_graphs(self) -> None:
-        for row in self.read_view().scan_type([d.type_id for d in self.catalog.types()]):
-            if row.ends is None:
-                self.graphs.add_node(row.uid)
-            elif None not in row.ends:
-                self.graphs.add_edge(row.uid, *row.ends)
+    def _rebuild_graphs(self, rows: dict[int, Row], stamps: dict[int, int]) -> None:
+        """Build the components of the live `rows`; each takes the latest
+        stamp of its members, the seq its writer's registry gave it."""
+        for uid in sorted(rows):
+            ends = rows[uid].ends
+            if ends is None:
+                self.graphs.add_node(uid)
+            elif None not in ends:
+                self.graphs.add_edge(uid, *ends)
+        for comp in self.graphs.components():
+            comp.seq = max(stamps.get(uid, 0) for uid in (*comp.nodes, *comp.edges))
 
     # --- statement templates ---
 

@@ -6,8 +6,11 @@ self-contained: it carries the full descriptors the transaction changed and
 its physical row ops, `["del", uid]` or `["put", uid, type_id, {col: value}]`
 plus, for an edge, the `[leaving uid, arriving uid]` commit bound it to (null
 for a side with no node).  So replay re-runs no validation and looks up no
-endpoint.  A torn trailing record (incomplete frame or checksum mismatch) is
-skipped with a warning and reading stops there.
+endpoint: it decodes and checks every record, folds the rows into the last
+one each live uid was given, and applies that state once.  A torn trailing
+record (incomplete frame or checksum mismatch) is skipped with a warning and
+reading stops there; a whole record whose payload does not decode is refused
+with a `StorageError` naming its byte offset.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ log = logging.getLogger("graphtables")
 _HEADER = struct.Struct(">II")
 # one encoder for every payload, which holds no cycles (`json.dumps` builds one per call)
 _ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), check_circular=False)
+_DECODER = json.JSONDecoder()
 
 
 def encode_record(seq: int, schema: list[dict], rows: dict, next_uid: int) -> bytes:
@@ -57,7 +61,9 @@ def decode_rows(payload: dict) -> list:
     ops = []
     for op in payload["rows"]:
         if op[0] == "put":
-            ops.append(["put", op[1], op[2], {k: from_jsonable(v) for k, v in op[3].items()},
+            # only tagged values are dicts
+            ops.append(["put", op[1], op[2],
+                        {k: from_jsonable(v) if type(v) is dict else v for k, v in op[3].items()},
                         tuple(op[4]) if len(op) > 4 else None])
         else:
             ops.append(["del", op[1]])
@@ -65,7 +71,9 @@ def decode_rows(payload: dict) -> list:
 
 
 def read_records(fh):
-    """Yield decoded payload dicts until EOF or the first damaged record."""
+    """Yield decoded payload dicts until EOF or the first torn record; a
+    whole record whose payload does not decode is refused."""
+    offset = fh.tell()
     while True:
         head = fh.read(_HEADER.size)
         if not head:
@@ -81,4 +89,13 @@ def read_records(fh):
         if zlib.crc32(payload) != crc:
             log.warning("commit log record fails its checksum; ignoring the rest of the log")
             return
-        yield json.loads(payload.decode("utf-8"))
+        try:
+            text = payload.decode("utf-8")
+            record, end = _DECODER.raw_decode(text)
+            if end != len(text):  # as `json.loads` refuses it
+                raise json.JSONDecodeError("Extra data", text, end)
+        except ValueError as exc:
+            raise StorageError(f"commit log {fh.name}: the record at byte {offset} "
+                               f"does not decode ({exc})") from exc
+        offset += _HEADER.size + length
+        yield record

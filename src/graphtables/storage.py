@@ -38,10 +38,11 @@ index per column built on its first probe, and per side a map from node uid
 to every edge that ever ended there, all held in sets.  Reads take a
 collection of type ids, which callers resolve through the catalog, and sort
 the uids they gather once.  The store keeps one over every
-version it applies, and a transaction's `Staging` dict (uid -> row, None
-for a deletion) one over every row its one writer, `put`, stages.  Neither
-ever shrinks, because a reader at an older snapshot may still need a row
-that has since changed, and an undone write leaves its entries behind: each
+version it has applied since the open, which applies one version per live
+row, and a transaction's `Staging` dict (uid -> row, None for a deletion)
+one over every row its one writer, `put`, stages.  Neither ever shrinks,
+because a reader at an older snapshot may still need a row that has since
+changed, and an undone write leaves its entries behind: each
 `ReadView` read takes both indexes' candidates and re-checks each uid once
 through `get_row`.  Each savepoint starts a fresh journal of what `put`
 replaces, and undoing it takes back a failed statement.  Commit finds the

@@ -323,6 +323,87 @@ def test_edge_put_without_ends_is_refused_on_open(tmp_path):
         Database(path)
 
 
+def live_uids(db):
+    view = db.read_view()
+    return {row.uid for desc in db.catalog.types() for row in view.scan_type({desc.type_id})}
+
+
+def test_reopen_keeps_one_version_per_live_row(tmp_path):
+    """Replay folds the log into its live rows: the store holds one version
+    per live uid, none for a deleted one, and indexes the live uids only."""
+    path = tmp_path / "fold.db"
+    db = Database(path)
+    db.execute(FAMILY_CREATE)
+    db.execute("MATCH (x:Person {Name: 'Lee Smith'}) SET x.Name = 'Lee Jones'")
+    db.execute("MATCH (x:Person {Name: 'Mary Smith'}) DELETE x CASCADE")
+    db.execute("CREATE (:Person {Name: 'Ann Smith'})")
+    db.execute("MATCH (x:Person {Name: 'Ann Smith'}) DELETE x")
+    db.execute("MATCH (x:Person {Name: 'Bill Smith'}) SET x.Age = 3")
+    live, before = live_uids(db), db.state_hash()
+    assert len(db.store._versions) > len(live)
+    db.close()
+
+    db2 = Database(path)
+    assert db2.state_hash() == before and live_uids(db2) == live
+    assert set(db2.store._versions) == live
+    assert all(len(versions) == 1 for versions in db2.store._versions.values())
+    assert set().union(*db2.store.index.types.values()) == live
+    assert db2.store.commit_seq == db2.published[0] == 6
+    db2.close()
+
+
+def test_many_sets_of_one_row_reopen_to_one_version(tmp_path):
+    path = tmp_path / "sets.db"
+    db = Database(path)
+    db.execute("CREATE (:P {N: 0, V: 0})")
+    for _ in range(2000):
+        db.execute("MATCH (a:P {N: 0}) SET a.V = a.V + 1")
+    db.close()
+
+    db2 = Database(path)
+    assert [len(versions) for versions in db2.store._versions.values()] == [1]
+    assert db2.execute("MATCH (a:P) RETURN a.V").rows == [[2000]]
+    db2.close()
+
+
+def test_a_transaction_begun_at_open_writes_the_last_logged_row_without_conflict(tmp_path):
+    path = tmp_path / "last.db"
+    db = Database(path)
+    db.execute("CREATE (:P {N: 0, V: 0})")
+    db.execute("MATCH (a:P {N: 0}) SET a.V = 1")
+    db.close()
+
+    db2 = Database(path)
+    session = db2.session()
+    session.execute("BEGIN")
+    session.execute("MATCH (a:P {N: 0}) SET a.V = a.V + 1")
+    session.execute("COMMIT")
+    assert db2.execute("MATCH (a:P) RETURN a.V").rows == [[2]]
+    assert db2.store.commit_seq == 3
+    db2.close()
+
+
+@pytest.mark.parametrize("history", [
+    ["CREATE (:P {N: 1})", "MATCH (a:P) DELETE a"],
+    ["CREATE TYPE A AS (K INT) NODETYPE", "ALTER TABLE A ADD COLUMN V INT"],
+], ids=["every row deleted", "schema only"])
+def test_a_log_with_no_live_rows_reopens_at_its_last_seq(tmp_path, history):
+    path = tmp_path / "empty.db"
+    db = Database(path)
+    for text in history:
+        db.execute(text)
+    assert db.store.commit_seq == 2
+    db.close()
+
+    db2 = Database(path)
+    assert db2.store.commit_seq == db2.published[0] == 2 and live_uids(db2) == set()
+    db2.execute("CREATE (:Q {N: 1})")
+    assert db2.store.commit_seq == db2.published[0] == 3
+    db2.close()
+    with open(path, "rb") as fh:
+        assert [payload["seq"] for payload in read_records(fh)] == [1, 2, 3]
+
+
 def test_file_and_memory_builds_hash_alike(tmp_path):
     statements = [
         FAMILY_CREATE,
@@ -492,6 +573,26 @@ def test_corrupt_tail_checksum_is_dropped(tmp_path):
     db = Database(path)
     assert db.state_hash() == prefix
     db.close()
+
+
+@pytest.mark.parametrize("payload, reason", [
+    (b'{"seq": 2,', "does not decode"),
+    (b'{"seq": 2, "schema": [], "rows": [], "next_uid": 3} {}', "does not decode .Extra data"),
+    (b'\xff', "does not decode"),
+], ids=["bad json", "trailing data", "bad utf-8"])
+def test_a_whole_record_that_does_not_decode_is_refused_and_kept(tmp_path, payload, reason):
+    """A record whose checksum holds but whose payload does not decode is
+    not a torn tail: open refuses it, naming its byte offset, and cuts
+    nothing away."""
+    path, _prefix, ends = two_commit_log(tmp_path)
+    with open(path, "r+b") as fh:
+        fh.truncate(ends[0])
+        fh.seek(ends[0])
+        fh.write(struct.pack(">II", len(payload), zlib.crc32(payload)) + payload)
+    data = path.read_bytes()
+    with pytest.raises(StorageError, match=f"the record at byte {ends[0]} {reason}"):
+        Database(path)
+    assert path.read_bytes() == data
 
 
 def test_commits_after_a_trimmed_tail_extend_the_log(tmp_path):

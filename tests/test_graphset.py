@@ -261,3 +261,62 @@ def test_a_commit_stamps_each_component_it_changes_with_its_seq():
     with pytest.raises(GraphTablesError):
         db.execute("MATCH (a:N {K: 1}) SET a.K = 4")  # K is the key
     assert stamps() == old
+
+
+def registry(db):
+    """Representative -> (node uids, edge uids, seq) of every component."""
+    return {comp.representative: (comp.nodes, comp.edges, comp.seq)
+            for comp in db.graphs.components()}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_reopen_rebuilds_each_component_with_its_writers_seq(tmp_path, seed):
+    """A seeded stream of merges, splits, retargets and cascades: the
+    registry that reopen builds from the live rows equals the writer's,
+    membership and each component's seq alike."""
+    rng = random.Random(seed)
+    path = tmp_path / "graph.db"
+    db = Database(path)
+    for text in GRAPH_SCHEMA:
+        db.execute(text)
+    session = db.session()
+    for _ in range(100):
+        block = [graph_statement(rng) for _ in range(rng.choice([1, 1, 2]))]
+        if len(block) > 1:
+            block = ["BEGIN", *block, "COMMIT"]
+        for text in block:
+            try:
+                session.execute(text)
+            except GraphTablesError:
+                pass
+    written = registry(db)
+    db.close()
+
+    reopened = Database(path)
+    assert registry(reopened) == written
+    reopened.close()
+
+
+def test_reopen_after_each_commit_of_a_split_and_merge_history_keeps_the_registry(tmp_path):
+    path = tmp_path / "stamps.db"
+    db = Database(path)
+    for text in GRAPH_SCHEMA:
+        db.execute(text)
+    for text in ["CREATE (:N {K: 1})-[:E {W: 0}]->(:N {K: 2}), "
+                 "(:N {K: 3})-[:E {W: 0}]->(:N {K: 4}), (:N {K: 5})",
+                 "MATCH (a:N {K: 2}), (b:N {K: 3}) CREATE (a)-[:E {W: 1}]->(b)",
+                 "CREATE (:N {K: 7})",
+                 "MATCH ()-[e:E {W: 1}]->() DELETE e",
+                 "MATCH (a:N {K: 5}) SET a.K = 6",
+                 "MATCH (:N {K: 3})-[e:E]->() SET e.W = 5",
+                 "MATCH ()-[e:E {W: 5}]->() SET e.LEAVING = 1",
+                 "MATCH (a:N {K: 6}) CREATE (a)-[:E {W: 2}]->(a)",
+                 "MATCH ()-[e:E {W: 2}]->() DELETE e",
+                 "MATCH (a:N {K: 2}) DELETE a CASCADE",
+                 "MATCH (a:N {K: 7}) DELETE a"]:
+        db.execute(text)
+        reopened = Database(path)
+        assert registry(reopened) == registry(db), text
+        reopened.close()
+    assert len({seq for _, _, seq in registry(db).values()}) == 3
+    db.close()

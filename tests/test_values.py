@@ -165,22 +165,38 @@ def test_a_float_conforms_to_no_column_type():
         tx.insert_row("P", {"N": 1.5})
 
 
-def test_a_log_value_with_an_unknown_tag_is_refused_on_open(tmp_path):
+def refused_hand_log(tmp_path, value, reason):
+    """Open a one-record log whose checksum holds but whose row holds
+    `value`: it is refused with a StorageError naming the record's seq and
+    `reason`, and the log is kept whole."""
     import struct
     import zlib
     from graphtables import Database
+    from graphtables.errors import StorageError
     from graphtables.log import encode_record
     source = Database()
     source.execute("CREATE TYPE A AS (K INT, V DECIMAL) NODETYPE")
     desc = source.catalog.descriptor_to_dict(source.catalog.lookup_label("A"))
     record = encode_record(1, [desc], {}, 1)
     payload = json.loads(record[8:])
-    payload["rows"] = [["put", 1, desc["type_id"], {"ID": 1, "K": 1, "V": {"$float": "1.5"}}]]
+    payload["rows"] = [["put", 1, desc["type_id"], {"ID": 1, "K": 1, "V": value}]]
     payload["next_uid"] = 2
     body = json.dumps(payload).encode("utf-8")
     log = tmp_path / "hand.db"
     log.write_bytes(struct.pack(">II", len(body), zlib.crc32(body)) + body)
-    with pytest.raises(ValueError, match="unknown tagged value"):
+    with pytest.raises(StorageError, match=f"record 1 holds a value that does not decode .*"
+                                           f"{reason}"):
         Database(log)
+    assert log.read_bytes() == struct.pack(">II", len(body), zlib.crc32(body)) + body
+
+
+def test_a_log_value_with_an_unknown_tag_is_refused_on_open(tmp_path):
+    refused_hand_log(tmp_path, {"$float": "1.5"}, "unknown tagged value")
     with pytest.raises(ValueError, match="unknown tagged value"):
         from_jsonable({"$float": "1.5"})
+
+
+@pytest.mark.parametrize("value, reason", [({"$dec": "1,5"}, "ConversionSyntax"),
+                                           ({"$date": 15}, "must be str")])
+def test_a_log_value_whose_tag_does_not_parse_is_refused_on_open(tmp_path, value, reason):
+    refused_hand_log(tmp_path, value, reason)
