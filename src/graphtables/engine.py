@@ -11,7 +11,14 @@ quote) is tokenized, parsed and run uncached.  A
 `_TEMPLATES` of them, so a statement shape used once, such as a bulk load,
 is never retained.  A MATCH template also keeps the match plan compiled for
 the latest catalog it ran under, so a repeated statement skips lexing,
-parsing and planning alike."""
+parsing and planning alike.
+
+Every open transaction and every view `read_view` returns pins its
+snapshot, and each commit has the store drop the versions that ended at
+or before the oldest pinned snapshot.  A transaction's pin goes when it
+commits, fails to commit or rolls back; any pin goes when the transaction
+or view holding it is garbage-collected, so a forgotten handle does not
+keep history forever."""
 
 from __future__ import annotations
 
@@ -54,6 +61,28 @@ class ResultTable:
         return f"ResultTable({self.columns}, {len(self.rows)} rows)"
 
 
+class _Pin:
+    """One hold on the (seq, catalog) that was latest when it was made:
+    entered in `Database._pins` until released, or until collected."""
+
+    __slots__ = ("pins", "published")
+
+    def __init__(self, db: "Database"):
+        self.pins = pins = db._pins
+        while True:
+            self.published = published = db.published
+            pins[id(self)] = published[0]
+            # a commit published after the read above may have missed the
+            # entry: read again, so that the pin holds a seq no commit drops
+            if db.published is published:
+                break
+
+    def release(self) -> None:
+        self.pins.pop(id(self), None)
+
+    __del__ = release
+
+
 class Database:
     def __init__(self, path=None, fsync: bool = False):
         self.path = pathlib.Path(path) if path is not None else None
@@ -63,6 +92,8 @@ class Database:
         # the (seq, catalog) of the latest commit, published as one value so
         # a reader never pairs one commit's rows with another's schema
         self.published: tuple[int, Catalog] = (0, Catalog())
+        # id of each unreleased `_Pin` -> the snapshot it holds
+        self._pins: dict[int, int] = {}
         self.graphs = GraphSet(self.store)
         self.commit_lock = threading.RLock()
         # template key -> template, and the hashes of keys parsed once
@@ -88,7 +119,12 @@ class Database:
                 stamps: dict[int, int] = {}
                 with open(self.path, "rb") as fh:
                     for payload in logmod.read_records(fh):
-                        self._apply_record(payload, final, stamps)
+                        try:
+                            self._apply_record(payload, final, stamps)
+                        except (LookupError, TypeError, AttributeError, ValueError) as exc:
+                            raise StorageError(
+                                f"commit log {self.path}: the record at byte {valid} is not "
+                                f"a commit record ({type(exc).__name__}: {exc})") from exc
                         valid = fh.tell()
                     end = fh.seek(0, 2)
                 # no snapshot before the log's end exists: one version per live row
@@ -225,7 +261,7 @@ class Database:
         return self.published[1]
 
     def begin(self) -> Transaction:
-        return Transaction(self, *self.published)
+        return Transaction(self, _Pin(self))
 
     def session(self) -> "Session":
         return Session(self)
@@ -235,7 +271,18 @@ class Database:
         return self.session().execute(text)
 
     def read_view(self) -> ReadView:
-        return ReadView(self.store, *self.published)
+        """The latest committed state, pinned for as long as the view is held."""
+        pin = _Pin(self)
+        view = ReadView(self.store, *pin.published)
+        view.pin = pin
+        return view
+
+    def publish(self, seq: int, catalog: Catalog) -> int:
+        """Show commit `seq` to readers; returns the oldest snapshot that a
+        pin holds, `seq` when none does.  A pin that this reading misses
+        was entered after it, so it read `seq` (see `_Pin`)."""
+        self.published = (seq, catalog)
+        return min(self._pins.values(), default=seq)  # one step: other threads release pins
 
     # --- state digest (durability checks) ---
 

@@ -35,24 +35,27 @@ that pass, so a rekey never rebinds an edge.
 
 One index type, `_Index`, finds candidate uids: each type's uids, a value
 index per column built on its first probe, and per side a map from node uid
-to every edge that ever ended there, all held in sets.  Reads take a
-collection of type ids, which callers resolve through the catalog, and sort
-the uids they gather once.  The store keeps one over every
-version it has applied since the open, which applies one version per live
-row, and a transaction's `Staging` dict (uid -> row, None for a deletion)
-one over every row its one writer, `put`, stages.  Neither ever shrinks,
-because a reader at an older snapshot may still need a row that has since
-changed, and an undone write leaves its entries behind: each
-`ReadView` read takes both indexes' candidates and re-checks each uid once
-through `get_row`.  Each savepoint starts a fresh journal of what `put`
-replaces, and undoing it takes back a failed statement.  Commit finds the
-types whose schema changed by comparing catalogs, and its key check reads
-only the store's index, at most once per distinct staged key value.
+to the edges that end there, all held in sets.  Reads take a collection of
+type ids, which callers resolve through the catalog, and sort the uids they
+gather once.  The store keeps one over the versions it holds, and a
+transaction's `Staging` dict (uid -> row, None for a deletion) one over
+every row its one writer, `put`, stages.  The store holds a version only
+while a reader may see it: the open applies one version per live row, and
+each commit drops the versions that ended at or before the oldest snapshot
+an open transaction or read view pins, with the index entries that only
+those versions justified.  An index entry may still outlive its row (a
+pinned snapshot, an undone staged write), so each `ReadView` read takes
+both indexes' candidates and re-checks each uid once through `get_row`.
+Each savepoint starts a fresh journal of what `put` replaces, and undoing
+it takes back a failed statement.  Commit finds the types whose schema
+changed by comparing catalogs, and its key check reads only the store's
+index, at most once per distinct staged key value.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass
 
 from . import catalog as cat
@@ -90,7 +93,8 @@ class _Version:
 class _Index:
     """Candidate uids of one collection of rows: each type's uids, each
     side's node uid -> edge uids, and per type and column, value -> uids,
-    a column from its first probe on.  Entries are never removed, so a
+    a column from its first probe on.  Only the store removes entries, those
+    of versions it drops; an entry may outlive the row that made it, so a
     reader re-checks each candidate against the row it sees."""
 
     __slots__ = ("types", "values", "ends")
@@ -132,6 +136,25 @@ class _Index:
         except TypeError:
             return ()  # an unhashable probe equals no indexed value
 
+    def discard(self, uid: int, gone: list[Row], kept: list[Row]) -> None:
+        """Remove the entries that rows `gone` of `uid` made and none of its
+        rows `kept` makes, and each set this leaves empty."""
+        tid = gone[0].type_id
+        if not kept:
+            _discard(self.types, tid, uid)
+        for column, index in self.values.get(tid, {}).items():
+            held = [row.values.get(column) for row in kept] if kept else ()
+            for row in gone:
+                value = row.values.get(column)
+                if value not in held:  # identity or ==, as a dict key matches
+                    _discard(index, value, uid)
+        if gone[0].ends is not None:
+            for side, ends in enumerate(self.ends):
+                held = [row.ends[side] for row in kept] if kept else ()
+                for row in gone:
+                    if row.ends[side] not in held:
+                        _discard(ends, row.ends[side], uid)
+
 
 def _add_value(index: dict, value, uid: int) -> None:
     if value is not None:
@@ -141,12 +164,25 @@ def _add_value(index: dict, value, uid: int) -> None:
             pass  # an unhashable value equals no hashable probe
 
 
+def _discard(sets: dict, key, uid: int) -> None:
+    """Remove `uid` from `sets[key]`, and the set once it is empty."""
+    found = sets.get(key)
+    if found is not None:
+        found.discard(uid)
+        if not found:
+            del sets[key]
+
+
 class Store:
-    """Committed row versions and one index over all of them.
+    """Committed row versions that a reader may still see, and one index
+    over them.
 
     Readers take no lock: they copy a live uid set or table in one step,
-    which CPython makes under the GIL.  `_lock` keeps the one-time build of
-    a value index and `apply` apart, since both walk and extend the index.
+    which CPython makes under the GIL, and a version list is replaced, never
+    cut in place, so a reader always walks a whole one.  `_lock` keeps the
+    one-time build of a value index and `apply` apart, since both walk the
+    index and `apply` changes it.  `apply` queues the versions each commit
+    ends and drops them once no pinned snapshot can read them.
 
     `memo` is (seq, dict) of the latest commit: the matcher's hop lists read
     at that snapshot, shared by every reader of it without staged rows.
@@ -162,6 +198,8 @@ class Store:
         self._versions: dict[int, list[_Version]] = {}
         self.index = _Index()
         self.memo: tuple[int, dict] = (0, {})
+        # (seq, uids whose newest version that commit ended), oldest first
+        self._ended: deque[tuple[int, list[int]]] = deque()
 
     # --- reads against a snapshot ---
 
@@ -192,21 +230,39 @@ class Store:
 
     # --- commit application (physical) ---
 
-    def apply(self, seq: int, final: dict[int, Row | None]) -> None:
-        """Publish one commit."""
+    def apply(self, seq: int, final: dict[int, Row | None], publish=None) -> None:
+        """Apply one commit's rows.  Then `publish()` shows the commit to
+        readers and returns the oldest snapshot one still holds (`seq` with
+        no `publish`), and every version that ended at or before it goes."""
         with self._lock:
-            rows = []
+            rows, ended = [], []
             for uid in sorted(final):
-                row = final[uid]
-                versions = self._versions.setdefault(uid, [])
+                row, versions = final[uid], self._versions.get(uid)
                 if versions and versions[-1].end is None:
                     versions[-1].end = seq
+                    ended.append(uid)
                 if row is not None:
-                    versions.append(_Version(row, seq))
+                    self._versions.setdefault(uid, []).append(_Version(row, seq))
                     rows.append(row)
             self.index.add(rows)
+            if ended:
+                self._ended.append((seq, ended))
             self.commit_seq = seq
             self.memo = (seq, {})
+            oldest = publish() if publish is not None else seq
+            # uid -> how many of its oldest versions ended at or before `oldest`
+            drops: dict[int, int] = {}
+            while self._ended and self._ended[0][0] <= oldest:
+                for uid in self._ended.popleft()[1]:
+                    drops[uid] = drops.get(uid, 0) + 1
+            for uid, count in drops.items():
+                versions = self._versions[uid]
+                if len(versions) > count:
+                    self._versions[uid] = versions[count:]
+                else:
+                    del self._versions[uid]
+                history = [version.row for version in versions]
+                self.index.discard(uid, history[:count], history[count:])
 
 
 _ABSENT = object()
@@ -261,7 +317,9 @@ class Staging(dict):
 class ReadView:
     """Committed state at one snapshot merged with a transaction's staging.
     Each read takes the candidate uids of the store's index and the
-    staging's, and re-checks each uid once through `get_row`."""
+    staging's, and re-checks each uid once through `get_row`.  A view that
+    `Database.read_view` made holds, as `pin`, what keeps its snapshot's
+    versions; a transaction's views read under the transaction's pin."""
 
     def __init__(self, store: Store, snapshot: int, catalog: Catalog,
                  staged: Staging | None = None):
@@ -380,15 +438,16 @@ def make_columns(columns) -> list[ColumnDescriptor]:
 
 class Transaction:
     """Stages schema and row changes against a snapshot; commit validates
-    and publishes them atomically."""
+    and publishes them atomically.  `pin` keeps the snapshot's versions
+    until the transaction ends, however it ends, or is dropped."""
 
-    def __init__(self, db, snapshot: int, catalog: Catalog):
+    def __init__(self, db, pin):
         self.db = db
-        self.snapshot = snapshot
-        self.status = "open"
+        self.pin = pin
         # the catalog published with the snapshot, and this transaction's
         # clone of it once a statement changes the schema
-        self._catalog_base = catalog
+        self.snapshot, self._catalog_base = pin.published
+        self.status = "open"
         self._catalog: Catalog | None = None
         self.staged = Staging()
 
@@ -605,6 +664,7 @@ class Transaction:
     def rollback(self) -> None:
         self._check_open()
         self.status = "rolled-back"
+        self.pin.release()
 
     # --- commit ---
 
@@ -617,8 +677,10 @@ class Transaction:
                     _Commit(self).run()
                 except Exception:
                     self.status = "aborted"
+                    self.pin.release()
                     raise
         self.status = "committed"
+        self.pin.release()
 
 
 class _Commit:
@@ -894,16 +956,18 @@ class _Commit:
                                       f"check ({constraint.text}) failed", (row.uid,))
 
     def publish(self) -> None:
-        """Log the commit, then apply it to the store, catalog and components."""
+        """Log the commit, then apply it to the store, catalog and components.
+        The transaction's snapshot is read no more, so its pin goes first and
+        the store keeps no version for it."""
         db, catalog = self.tx.db, self.catalog
         seq = self.store.commit_seq + 1
         schema = [catalog.descriptor_to_dict(catalog.get(tid)) for tid in sorted(self.changed)]
         next_uid = db.peek_uid()
         db.append_log_record(logmod.encode_record(seq, schema, self.staged, next_uid))
+        self.tx.pin.release()
         try:
-            self.store.apply(seq, self.staged)
             db.logged_next_uid = next_uid
-            db.published = (seq, catalog)
+            self.store.apply(seq, self.staged, lambda: db.publish(seq, catalog))
             db.graphs.apply_delta(self.changes)
         except Exception as exc:
             # memory and the log now differ; reopening the log recovers

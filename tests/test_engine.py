@@ -334,13 +334,14 @@ def test_reopen_keeps_one_version_per_live_row(tmp_path):
     path = tmp_path / "fold.db"
     db = Database(path)
     db.execute(FAMILY_CREATE)
+    held = db.read_view()  # pins the history below in the running store
     db.execute("MATCH (x:Person {Name: 'Lee Smith'}) SET x.Name = 'Lee Jones'")
     db.execute("MATCH (x:Person {Name: 'Mary Smith'}) DELETE x CASCADE")
     db.execute("CREATE (:Person {Name: 'Ann Smith'})")
     db.execute("MATCH (x:Person {Name: 'Ann Smith'}) DELETE x")
     db.execute("MATCH (x:Person {Name: 'Bill Smith'}) SET x.Age = 3")
     live, before = live_uids(db), db.state_hash()
-    assert len(db.store._versions) > len(live)
+    assert len(db.store._versions) > len(live) and held.snapshot == 1
     db.close()
 
     db2 = Database(path)
@@ -591,6 +592,26 @@ def test_a_whole_record_that_does_not_decode_is_refused_and_kept(tmp_path, paylo
         fh.write(struct.pack(">II", len(payload), zlib.crc32(payload)) + payload)
     data = path.read_bytes()
     with pytest.raises(StorageError, match=f"the record at byte {ends[0]} {reason}"):
+        Database(path)
+    assert path.read_bytes() == data
+
+
+@pytest.mark.parametrize("payload, error", [
+    (b'{"seq": 2}', "KeyError: 'schema'"),
+    (b'{"seq": 2, "schema": [], "rows": [["put", 1]], "next_uid": 3}', "IndexError"),
+    (b'[1]', "TypeError"),
+], ids=["no schema", "short put", "not an object"])
+def test_a_record_of_the_wrong_shape_is_refused_and_kept(tmp_path, payload, error):
+    """A record that decodes but is not a commit record is refused with a
+    StorageError naming its byte offset, and the log is kept whole."""
+    path, _prefix, ends = two_commit_log(tmp_path)
+    with open(path, "r+b") as fh:
+        fh.truncate(ends[0])
+        fh.seek(ends[0])
+        fh.write(struct.pack(">II", len(payload), zlib.crc32(payload)) + payload)
+    data = path.read_bytes()
+    with pytest.raises(StorageError, match=f"the record at byte {ends[0]} is not a commit "
+                                           f"record .{error}"):
         Database(path)
     assert path.read_bytes() == data
 

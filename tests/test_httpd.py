@@ -249,6 +249,47 @@ def test_document_reads_the_catalog_of_its_snapshot():
     assert [(e["leaving"], e["arriving"]) for e in doc["edges"]] == [("a", "b")]
 
 
+class _CommitsAfterLock(_CommitAtLock):
+    """Commits each of `statements` in turn just after the lock's first release."""
+
+    def __init__(self, db, statements):
+        super().__init__(db, list(statements))
+
+    def _commit(self):
+        statements, self.statement = self.statement, None
+        for text in statements or ():
+            self.db.execute(text)
+
+
+def test_document_reads_its_snapshot_while_commits_prune():
+    """Commits that unlink and relink the component after the document
+    captured its snapshot, and each drop what no pin holds, leave the
+    document's rows alone: its view pins them."""
+    db = Database()
+    db.execute("CREATE (a:P {N: 1})-[:E {W: 1}]->(b:P {N: 2})-[:E {W: 2}]->(c:P {N: 3})")
+    lock = db.commit_lock
+    db.commit_lock = _CommitsAfterLock(db, [
+        "MATCH ()-[e:E]->() DELETE e",
+        "MATCH (a:P {N: 1}), (b:P {N: 2}) CREATE (a)-[:E {W: 7}]->(b)",
+        "MATCH (b:P {N: 2}), (c:P {N: 3}) CREATE (b)-[:E {W: 8}]->(c)",
+        "MATCH (a:P {N: 1})-[e:E]->() SET e.ARRIVING = 3",
+        "MATCH (p:P {N: 2}) SET p.N = 22",
+    ])
+    doc = document(db, 1, None)
+    assert db.commit_lock.statement is None  # the five commits ran meanwhile
+    assert [(n["uid"], n["properties"]["N"]) for n in doc["nodes"]] == [(1, 1), (2, 2), (3, 3)]
+    assert [(e["properties"]["W"], e["leaving"], e["arriving"]) for e in doc["edges"]] == [
+        (1, 1, 2), (2, 2, 3)]
+    db.commit_lock = lock
+    db.execute("MATCH (p:P {N: 3}) SET p.N = 33")
+    assert all(len(versions) == 1 for versions in db.store._versions.values())
+    assert sorted(db.store._versions) == [1, 2, 3, 6, 7]
+    doc = document(db, 1, None)
+    assert [(n["uid"], n["properties"]["N"]) for n in doc["nodes"]] == [(1, 1), (2, 22), (3, 33)]
+    assert [(e["properties"]["W"], e["leaving"], e["arriving"]) for e in doc["edges"]] == [
+        (7, 1, 3), (8, 2, 3)]
+
+
 def test_anchor_deleted_before_its_document_is_read_answers_404(served_mutable):
     family, port = served_mutable
     family.commit_lock = _CommitAtLock(
