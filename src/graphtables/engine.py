@@ -85,7 +85,8 @@ class _Pin:
 
 class Database:
     def __init__(self, path=None, fsync: bool = False):
-        self.path = pathlib.Path(path) if path is not None else None
+        # no path, or ":memory:" as sqlite3 takes it, keeps no log
+        self.path = pathlib.Path(path) if path is not None and path != ":memory:" else None
         self.name = self.path.stem if self.path is not None else "memory"
         self.fsync = fsync
         self.store = Store()
@@ -128,7 +129,8 @@ class Database:
                         valid = fh.tell()
                     end = fh.seek(0, 2)
                 # no snapshot before the log's end exists: one version per live row
-                self.store.apply(self.published[0], final)
+                self.store.apply(self.published[0],
+                                 ((uid, None, row) for uid, row in final.items()))
                 if valid < end:
                     # trim the torn tail so our own appends stay readable
                     with open(self.path, "r+b") as fh:
@@ -186,8 +188,12 @@ class Database:
     def _apply_record(self, payload: dict, final: dict[int, Row],
                       stamps: dict[int, int]) -> None:
         """Apply one record's schema and fold its rows into `final` and
-        `stamps`; every op is decoded and checked, none is applied."""
+        `stamps`; every op is decoded and checked, none is applied.  A `seq`
+        that is not an integer above the last one's, or a `next_uid` that is
+        not an integer (a bool is neither), raises ValueError."""
         catalog, seq = self.catalog, payload["seq"]
+        if type(seq) is not int or seq <= self.published[0]:
+            raise ValueError(f"seq {seq!r} is not an integer above {self.published[0]}")
         for data in payload["schema"]:
             catalog.apply_descriptor_dict(data, parse_expression)
         try:
@@ -207,6 +213,8 @@ class Database:
                                    f"{op[1]} without its endpoint uids")
             final[op[1]] = Row(*op[1:])
             stamps[op[1]] = seq
+        if type(payload["next_uid"]) is not int:
+            raise ValueError(f"next_uid {payload['next_uid']!r} is not an integer")
         self.published = (seq, catalog)
         self.logged_next_uid = payload["next_uid"]
         self._next_uid = max(self._next_uid, self.logged_next_uid)

@@ -54,8 +54,9 @@ class GraphSet:
         self._comp_of[uid] = comp
 
     def add_edge(self, edge_uid: int, leaving: int, arriving: int) -> None:
-        self.add_node(leaving)
-        self.add_node(arriving)
+        for end in (leaving, arriving):
+            if end not in self._comp_of:
+                self.add_node(end)
         a, b = self._comp_of[leaving], self._comp_of[arriving]
         if a is b:
             a.edges.add(edge_uid)
@@ -80,11 +81,17 @@ class GraphSet:
         gone = {uid: before.ends for uid, before, after in changes  # deleted or moved
                 if before is not None and (after is None or before.ends != after.ends)}
         touched: dict[GraphComponent, set[int]] = {}  # -> surviving ends of removed edges
-        for uid, ends in sorted(gone.items(), key=lambda item: item[1] is None):  # edges first
-            comp = self._comp_of.pop(uid, None) if ends is None else self._comp_of.get(ends[0])
-            if comp is not None:
-                (comp.nodes if ends is None else comp.edges).discard(uid)
-                touched.setdefault(comp, set()).update(e for e in ends or () if e not in gone)
+        for uid, ends in gone.items():  # edges first, while their ends still name a component
+            if ends is not None and (comp := self._comp_of.get(ends[0])) is not None:
+                comp.edges.discard(uid)
+                seeds = touched.setdefault(comp, set())
+                for end in ends:
+                    if end not in gone:
+                        seeds.add(end)
+        for uid, ends in gone.items():
+            if ends is None and (comp := self._comp_of.pop(uid, None)) is not None:
+                comp.nodes.discard(uid)
+                touched.setdefault(comp, set())
         for comp, seeds in touched.items():
             comp.seq = self.store.commit_seq  # a piece a split cuts off is made with it
             del self._components[comp.representative]

@@ -31,12 +31,12 @@ _ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), check_cir
 _DECODER = json.JSONDecoder()
 
 
-def encode_record(seq: int, schema: list[dict], rows: dict, next_uid: int) -> bytes:
-    """`rows`: uid -> the committed row (its `type_id`, `values` and `ends`,
-    None for a node), or None for a deletion."""
+def encode_record(seq: int, schema: list[dict], changes, next_uid: int) -> bytes:
+    """`changes`: (uid, row before, row after) per uid the commit writes,
+    uid ascending; a row after is None for a deletion, else its `type_id`,
+    `values` and `ends` (None for a node) are logged."""
     ops = []
-    for uid in sorted(rows):
-        row = rows[uid]
+    for uid, _, row in changes:
         if row is None:
             ops.append(["del", uid])
         else:

@@ -175,8 +175,7 @@ def main(argv=None) -> int:
                         help="serve the read-only HTTP API on PORT")
     args = parser.parse_args(argv)
 
-    path = None if args.dbfile == ":memory:" else args.dbfile
-    db = Database(path)
+    db = Database(args.dbfile)
     server = None
     if args.http is not None:   # port 0: a free port the system picks
         from .httpd import serve_in_thread

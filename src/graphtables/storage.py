@@ -136,24 +136,21 @@ class _Index:
         except TypeError:
             return ()  # an unhashable probe equals no indexed value
 
-    def discard(self, uid: int, gone: list[Row], kept: list[Row]) -> None:
-        """Remove the entries that rows `gone` of `uid` made and none of its
-        rows `kept` makes, and each set this leaves empty."""
-        tid = gone[0].type_id
+    def discard(self, gone: Row, kept: list) -> None:
+        """Remove the entries that row `gone` made and none of the versions
+        `kept` of its uid makes, and each set this leaves empty."""
+        uid, tid = gone.uid, gone.type_id
         if not kept:
             _discard(self.types, tid, uid)
         for column, index in self.values.get(tid, {}).items():
-            held = [row.values.get(column) for row in kept] if kept else ()
-            for row in gone:
-                value = row.values.get(column)
-                if value not in held:  # identity or ==, as a dict key matches
-                    _discard(index, value, uid)
-        if gone[0].ends is not None:
+            value = gone.values.get(column)
+            # identity or ==, as a dict key matches
+            if not kept or value not in [v.row.values.get(column) for v in kept]:
+                _discard(index, value, uid)
+        if gone.ends is not None:
             for side, ends in enumerate(self.ends):
-                held = [row.ends[side] for row in kept] if kept else ()
-                for row in gone:
-                    if row.ends[side] not in held:
-                        _discard(ends, row.ends[side], uid)
+                if not kept or gone.ends[side] not in [v.row.ends[side] for v in kept]:
+                    _discard(ends, gone.ends[side], uid)
 
 
 def _add_value(index: dict, value, uid: int) -> None:
@@ -181,8 +178,8 @@ class Store:
     which CPython makes under the GIL, and a version list is replaced, never
     cut in place, so a reader always walks a whole one.  `_lock` keeps the
     one-time build of a value index and `apply` apart, since both walk the
-    index and `apply` changes it.  `apply` queues the versions each commit
-    ends and drops them once no pinned snapshot can read them.
+    index and `apply` changes it.  `apply` drops the versions each commit
+    ends once no pinned snapshot can read them, and queues them until then.
 
     `memo` is (seq, dict) of the latest commit: the matcher's hop lists read
     at that snapshot, shared by every reader of it without staged rows.
@@ -230,39 +227,38 @@ class Store:
 
     # --- commit application (physical) ---
 
-    def apply(self, seq: int, final: dict[int, Row | None], publish=None) -> None:
-        """Apply one commit's rows.  Then `publish()` shows the commit to
+    def apply(self, seq: int, changes, publish=None) -> None:
+        """Apply one commit's `changes`, (uid, row before, row after) per uid,
+        None where a row is absent.  Then `publish()` shows the commit to
         readers and returns the oldest snapshot one still holds (`seq` with
-        no `publish`), and every version that ended at or before it goes."""
+        no `publish`), and every version that ended at or before it goes:
+        at once, unqueued, when nothing older waits and no pin reads before `seq`."""
         with self._lock:
-            rows, ended = [], []
-            for uid in sorted(final):
-                row, versions = final[uid], self._versions.get(uid)
-                if versions and versions[-1].end is None:
-                    versions[-1].end = seq
-                    ended.append(uid)
+            versions, rows, ended = self._versions, [], []
+            for uid, old, row in changes:
+                if old is not None:
+                    versions[uid][-1].end = seq
+                    ended.append((uid, old))
                 if row is not None:
-                    self._versions.setdefault(uid, []).append(_Version(row, seq))
+                    versions.setdefault(uid, []).append(_Version(row, seq))
                     rows.append(row)
-            self.index.add(rows)
-            if ended:
-                self._ended.append((seq, ended))
-            self.commit_seq = seq
-            self.memo = (seq, {})
-            oldest = publish() if publish is not None else seq
-            # uid -> how many of its oldest versions ended at or before `oldest`
-            drops: dict[int, int] = {}
-            while self._ended and self._ended[0][0] <= oldest:
-                for uid in self._ended.popleft()[1]:
-                    drops[uid] = drops.get(uid, 0) + 1
-            for uid, count in drops.items():
-                versions = self._versions[uid]
-                if len(versions) > count:
-                    self._versions[uid] = versions[count:]
+            if rows:
+                self.index.add(rows)
+            self.commit_seq, self.memo = seq, (seq, {})
+            oldest, queue = publish() if publish is not None else seq, self._ended
+            if queue or oldest < seq:
+                if ended:
+                    queue.append((seq, ended))
+                ended = []
+                while queue and queue[0][0] <= oldest:
+                    ended += queue.popleft()[1]
+            for uid, old in ended:  # by seq, each the oldest version of its uid
+                kept = versions[uid][1:]
+                if kept:
+                    versions[uid] = kept
                 else:
-                    del self._versions[uid]
-                history = [version.row for version in versions]
-                self.index.discard(uid, history[:count], history[count:])
+                    del versions[uid]
+                self.index.discard(old, kept)
 
 
 _ABSENT = object()
@@ -270,7 +266,8 @@ _ABSENT = object()
 
 class Staging(dict):
     """Staged rows by uid, None for a deletion, written only through `put`,
-    which indexes each row it stages."""
+    which indexes each row it stages, but for commit's reference write: it
+    keeps each edge's type and ends, and no commit reads a staged value index."""
 
     __slots__ = ("deletes", "index", "journal")
 
@@ -673,20 +670,42 @@ class Transaction:
         if self.staged or self._catalog is not None:
             self.staged.journal = None  # commit's own writes are never undone
             with self.db.commit_lock:
-                try:
-                    _Commit(self).run()
-                except Exception:
-                    self.status = "aborted"
-                    self.pin.release()
-                    raise
+                # commit reads the latest state, and no other commit drops a
+                # version under the lock: the store keeps none for this snapshot
+                self.pin.release()
+                self.status = "aborted"  # unless the rules pass and it publishes
+                _Commit(self).run()
+        else:
+            self.pin.release()
         self.status = "committed"
-        self.pin.release()
+
+
+class _Change(list):
+    """[uid, committed row, staged row] of one uid a commit writes, None
+    where a row is absent, with the staged row's `facts` and the columns
+    `changed` since the committed row (`_changed`; all of a new row's)."""
+
+    __slots__ = ("facts", "changed")
+
+
+def _changed(was: dict, now: dict) -> dict:
+    """Column -> value in `now` (None where cleared) of each column whose
+    value differs from `was`, by identity and then `==`."""
+    return {c: v for c in {**was, **now} if (v := now.get(c)) is not (w := was.get(c)) and v != w}
 
 
 class _Commit:
     """One transaction's commit under `commit_lock`: the facts its rules
     share, found once, and the rules in their fixed order.  A rule either
-    stages more rows or raises CommitError; `publish` logs and applies."""
+    stages more rows or raises CommitError; `publish` logs and applies.
+
+    Each staged row's facts are found in one pass: `conflicts` looks each
+    row the statements staged up once, which gives its conflict and its
+    committed row, and lists it in `changes` with its type facts and changed
+    columns; each cascade lists the rows it stages, and `write_references`
+    sorts the list by uid and rewrites its edges in place.  Every later
+    rule, the log record, the store and the components read only that list:
+    none sorts the staging or looks a staged row up again."""
 
     def __init__(self, tx: Transaction):
         self.tx = tx
@@ -724,9 +743,9 @@ class _Commit:
                 self.full_mult.add(tid)
             if desc.constraints != (old.constraints if old else []):
                 self.full_constraint.add(tid)
-        # (uid, committed row or None, staged row or None), uid ascending,
-        # once `write_references` has made the staging final
-        self.changes: list[tuple[int, Row | None, Row | None]] = []
+        # one per staged uid, uid ascending once `write_references` has made
+        # the staging final
+        self.changes: list[_Change] = []
 
     def run(self) -> None:
         if not self.staged and not self.changed:
@@ -737,36 +756,49 @@ class _Commit:
             rule()
         self.publish()
 
+    def _list(self, uid: int, old: Row | None, row: Row | None) -> None:
+        """List the change of `uid` from committed `old` to staged `row`."""
+        change = _Change((uid, old, row))
+        change.facts = None if row is None else self.catalog.facts(row.type_id)
+        change.changed = ({} if row is None else row.values if old is None
+                          else _changed(old.values, row.values))
+        self.changes.append(change)
+
     def _incident(self, uid: int) -> dict[int, Row]:
         """The edges at node `uid` in the post state, by uid."""
         return {erow.uid: erow for direction in ("leaving", "arriving")
                 for erow, _, _ in self.post.edges_adjacent(uid, direction)}
 
     def _rows_to_check(self, full: set[int]):
-        """The staged rows, then every row of the `full` types."""
-        for _, _, row in self.changes:
-            if row is not None:
-                yield row
+        """(row, facts, changed columns) of each staged row, then (row,
+        facts, every column) of each other row of the `full` types."""
+        for change in self.changes:
+            if change[2] is not None:
+                yield change[2], change.facts, change.changed
         if full:
-            yield from self.post.scan_type(set().union(*map(self.catalog.subtype_closure, full)))
+            for row in self.post.scan_type(set().union(*map(self.catalog.subtype_closure, full))):
+                if row.uid not in self.staged:
+                    yield row, self.catalog.facts(row.type_id), row.values
 
     # rules that raise or enlarge the staging
 
     def conflicts(self) -> None:
         """First committer wins, for the schema and for each row the
-        statements staged.  The rows that commit stages itself are derived
-        from the latest state, under the lock, so they never conflict."""
+        statements staged, which the same lookup lists with its committed
+        row.  The rows that commit stages itself are derived from the
+        latest state, under the lock, so they never conflict."""
         tx = self.tx
         if tx._catalog is not None and tx.db.catalog is not tx._catalog_base:
             # publishing this catalog would revert the other commit's schema
             raise CommitError("conflict", "catalog", "another transaction changed "
                               "the schema after this one began")
-        for uid in self.staged:
+        for uid, row in self.staged.items():
             version = self.store.newest(uid)
             if version is not None and max(version.begin, version.end or 0) > tx.snapshot:
                 raise CommitError("conflict", self.catalog.get(version.row.type_id).label,
                                   f"row {uid} was changed by a commit after this "
                                   "transaction began", (uid,))
+            self._list(uid, version.row if version and version.end is None else None, row)
 
     def rekey_cascade(self) -> None:
         """Stage the committed edges of every node whose value changes in the
@@ -778,15 +810,15 @@ class _Commit:
             edge_tids.update(edesc.type_id for edesc, _side
                              in self.catalog.edge_types_referencing(rekeyed))
         edges = list(self.post.scan_type(edge_tids)) if edge_tids else []
-        facts, latest = self.catalog.facts, self.store.latest
-        for uid, row in self.staged.items():
-            old = latest(uid) if row is not None and row.type_id in self.node_tids else None
-            if old is not None and any(old.values.get(c) != row.values.get(c)
-                                       for c in facts(row.type_id).key_columns):
+        for change in self.changes:
+            uid, old, row = change
+            if (old is not None and row is not None and row.type_id in self.node_tids
+                    and not change.changed.keys().isdisjoint(change.facts.key_columns)):
                 edges.extend(self._incident(uid).values())
         for erow in edges:
             if erow.uid not in self.staged:
                 self.staged.put(erow.uid, erow)
+                self._list(erow.uid, erow, erow)
 
     def delete_cascade(self) -> None:
         """Node deletion is restrict by default, cascade on request."""
@@ -798,16 +830,21 @@ class _Commit:
                 raise CommitError("reference", self.catalog.get(type_id).label,
                                   f"node {uid} still has {len(incident)} incident edge(s); "
                                   "delete them first or use CASCADE", (uid,))
-            for edge_uid in incident:
+            for edge_uid, erow in incident.items():
+                if edge_uid not in self.staged:
+                    self._list(edge_uid, erow, None)
                 self.staged.put(edge_uid, None)
 
     def write_references(self) -> None:
         """Every staged edge takes its endpoints' keys in LEAVING/ARRIVING
         (NULL for an endpoint with no key value, left as they are on a side
         with no endpoint).  The staging is final from here on, so this also
-        lists its changes."""
-        post, staged, latest = self.post, self.staged, self.store.latest
-        for uid, row in sorted(staged.items()):
+        sorts the changes by uid and gives each its final row."""
+        post, staged = self.post, self.staged
+        self.changes.sort()
+        for change in self.changes:
+            uid, old, row = change
+            row = change[2] = staged[uid]  # a cascade may have deleted it
             if row is not None and row.type_id in self.edge_tids:
                 values = dict(row.values)
                 for column in (LEAVING, ARRIVING):
@@ -816,80 +853,100 @@ class _Commit:
                         values.pop(column, None)
                     else:
                         values[column] = v
-                row = Row(uid, row.type_id, values, row.ends)
-                staged.put(uid, row)
-            self.changes.append((uid, latest(uid), row))
+                if values != row.values:
+                    change[2] = row = Row(uid, row.type_id, values, row.ends)
+                    change.changed = values if old is None else _changed(old.values, values)
+                    staged[uid] = row  # of the type and ends it replaces: the index stands
 
     # validation rules
 
     def check_types(self) -> None:
-        """Staged rows, and every row of a type whose key or columns changed,
-        hold only declared, conforming values and a non-null key."""
-        catalog, facts = self.catalog, self.catalog.facts
-        for row in self._rows_to_check(self.full_type):
-            desc, columns = catalog.get(row.type_id), facts(row.type_id).column
-            for name, v in row.values.items():
-                col = columns.get(name)
+        """Staged rows, and every row of a type whose key or columns changed
+        or of a type below one, hold only declared, conforming values and a
+        non-null key.  Any other staged row that was committed is judged on
+        the columns that changed, as the committed state passed this rule."""
+        catalog, full = self.catalog, self.full_type
+        for row, facts, changed in self._rows_to_check(full):
+            judged = changed if full.isdisjoint(facts.chain) else row.values
+            for name, v in judged.items():
+                if v is None:
+                    continue  # cleared
+                col = facts.column.get(name)
                 if col is None:
-                    raise CommitError("type", desc.label,
+                    raise CommitError("type", catalog.get(row.type_id).label,
                                       f"value for undeclared column {name}", (row.uid,))
                 if not val.conforms(v, col.data_type):
-                    raise CommitError("type", desc.label,
+                    raise CommitError("type", catalog.get(row.type_id).label,
                                       f"column {name} cannot hold {v!r}", (row.uid,))
                 if col.data_type != val.STRUCTURED:
                     continue
                 if v.type_id != col.struct_type_id:
-                    raise CommitError("type", desc.label,
+                    raise CommitError("type", catalog.get(row.type_id).label,
                                       f"column {name} holds the wrong structured type", (row.uid,))
-                fields = facts(col.struct_type_id).column
+                fields = catalog.facts(col.struct_type_id).column
                 for k, fv in v.values:
                     fcol = fields.get(k)
                     if fcol is None or (fv is not None and not val.conforms(fv, fcol.data_type)):
-                        raise CommitError("type", desc.label,
+                        raise CommitError("type", catalog.get(row.type_id).label,
                                           f"structured value field {k} is invalid", (row.uid,))
-            for kcol in facts(row.type_id).key:
-                if row.values.get(kcol) is None:
-                    raise CommitError("key", desc.label, f"key column {kcol} is null", (row.uid,))
+            for kcol in facts.key:
+                if row.values.get(kcol) is None and (judged is row.values or kcol in judged):
+                    raise CommitError("key", catalog.get(row.type_id).label,
+                                      f"key column {kcol} is null", (row.uid,))
 
     def check_keys(self) -> None:
-        """Each key scope (`Catalog.key_scopes`) of a staged row's type holds
-        unique keys over its members.  A scope groups its staged members by
-        key value, each group probing the store once; a key its declarer
-        lacked at BEGIN checks all its members (a scope gains members only
-        by new types, whose rows are all staged).  A row alone in its group
-        whose committed version held its key is skipped, as every committed
-        state holds every such key unique.  A NULL conflicts with nothing, and
-        a duplicate names the key's declaring type."""
-        catalog, post, store = self.catalog, self.post, self.store
-        rows = [row for _, _, row in self.changes if row is not None]
-        # scope -> whether every member row is checked
-        scopes = dict.fromkeys((scope for tid in sorted({r.type_id for r in rows})
-                                for scope in catalog.key_scopes(tid)), False)
+        """Each key scope (`Catalog.key_scopes`) of a staged row's type in
+        which a staged member's key changed holds unique keys over its
+        members.  A scope groups its staged members by key value, each group
+        probing the store once; a key its declarer lacked at BEGIN checks all
+        its members (a scope gains members only by new types, whose rows are
+        all staged).  A row alone in its group whose committed version held
+        its key is skipped, as every committed state holds every such key
+        unique.  A NULL conflicts with nothing, and a duplicate names the
+        key's declaring type."""
+        catalog, store = self.catalog, self.store
+        renewed = {}  # each scope whose key its declarer lacked at BEGIN -> True
         for tid in self.changed:
             for scope in catalog.key_scopes(tid):
                 had = self.changed.get(scope[0], catalog.get(scope[0]))  # at BEGIN
                 if had is None or list(scope[1]) not in (had.primary_key, *had.unique_keys):
-                    scopes[scope] = True
+                    renewed[scope] = True
+        # the staged rows' types' facts, and the scopes in which a staged key changed or is new
+        types, touched = {}, set()
+        for change in self.changes:
+            if change[2] is not None:
+                types[change[2].type_id], changed = change.facts, change.changed.keys()
+                for scope in change.facts.scopes:
+                    if scope in renewed or not changed.isdisjoint(scope[1]):
+                        touched.add(scope)
+        if not touched and not renewed:
+            return
+        # scope -> whether every member row is checked, in the order of the staged types
+        scopes = dict.fromkeys((scope for tid in sorted(types) for scope in types[tid].scopes
+                                if scope in touched), False)
+        scopes.update(renewed)
         for (declarer, key, members), every_row in scopes.items():
-            # key value -> member rows to check, uid ascending; `check_types` left
+            # key value -> member changes to check, uid ascending; `check_types` left
             # one kind of value in each key column, for which `==` is `values_equal`
-            groups: dict[tuple, list[Row]] = {}
-            for row in post.scan_type(members) if every_row else rows:
-                kv = tuple(map(row.values.get, key))
-                if row.type_id in members and None not in kv:
-                    groups.setdefault(kv, []).append(row)
-            for kv, (row, *others) in groups.items():  # by the lowest uid in each
+            groups: dict[tuple, list] = {}
+            for change in (((r.uid, None, r) for r in self.post.scan_type(members)) if every_row
+                           else self.changes):
+                row = change[2]
+                if row is not None and row.type_id in members:
+                    kv = tuple(map(row.values.get, key))
+                    if None not in kv:
+                        groups.setdefault(kv, []).append(change)
+            for kv, ((_, old, row), *others) in groups.items():  # by the lowest uid in each
                 if not every_row:
-                    old = None if others else store.latest(row.uid)
-                    if old is not None and tuple(map(old.values.get, key)) == kv:
+                    if not others and old is not None and tuple(map(old.values.get, key)) == kv:
                         continue
-                    committed = [uid for tid in members for uid in store.index_candidates(
-                        tid, key[0], kv[0]) if uid not in self.staged]
-                    others += [other for other in map(store.latest, committed) if other is not None
+                    others += [(uid,) for tid in members
+                               for uid in store.index_candidates(tid, key[0], kv[0])
+                               if uid not in self.staged and (other := store.latest(uid))
                                and tuple(map(other.values.get, key)) == kv]
                 if others:
                     raise CommitError("key", catalog.get(declarer).label,
-                                      f"duplicate key {kv!r}", (min(o.uid for o in others), row.uid))
+                                      f"duplicate key {kv!r}", (min(o[0] for o in others), row.uid))
 
     def check_references(self) -> None:
         catalog = self.catalog
@@ -900,7 +957,7 @@ class _Commit:
             for side, end, endpoint_tid in ((LEAVING, row.ends[0], desc.leaving_type),
                                             (ARRIVING, row.ends[1], desc.arriving_type)):
                 node = None if end is None else self.post.get_row(end)
-                if node is None or node.type_id not in catalog.subtype_closure(endpoint_tid):
+                if node is None or node.type_id not in catalog.facts(endpoint_tid).closure:
                     raise CommitError("reference", desc.label,
                                       f"{side} value {row.values.get(side)!r} matches no "
                                       f"{catalog.get(endpoint_tid).label} row", (uid,))
@@ -949,25 +1006,23 @@ class _Commit:
 
     def check_constraints(self) -> None:
         catalog = self.catalog
-        for row in self._rows_to_check(self.full_constraint):
-            for constraint in catalog.facts(row.type_id).constraints:
+        for row, facts, _ in self._rows_to_check(self.full_constraint):
+            for constraint in facts.constraints:
                 if not constraint_passes(constraint.expr, row.values, constraint.params):
                     raise CommitError("constraint", catalog.get(row.type_id).label,
                                       f"check ({constraint.text}) failed", (row.uid,))
 
     def publish(self) -> None:
-        """Log the commit, then apply it to the store, catalog and components.
-        The transaction's snapshot is read no more, so its pin goes first and
-        the store keeps no version for it."""
+        """Log the commit, then apply it to the store, catalog and components."""
         db, catalog = self.tx.db, self.catalog
         seq = self.store.commit_seq + 1
-        schema = [catalog.descriptor_to_dict(catalog.get(tid)) for tid in sorted(self.changed)]
+        schema = [catalog.descriptor_to_dict(catalog.get(tid))
+                  for tid in sorted(self.changed)] if self.changed else []
         next_uid = db.peek_uid()
-        db.append_log_record(logmod.encode_record(seq, schema, self.staged, next_uid))
-        self.tx.pin.release()
+        db.append_log_record(logmod.encode_record(seq, schema, self.changes, next_uid))
         try:
             db.logged_next_uid = next_uid
-            self.store.apply(seq, self.staged, lambda: db.publish(seq, catalog))
+            self.store.apply(seq, self.changes, lambda: db.publish(seq, catalog))
             db.graphs.apply_delta(self.changes)
         except Exception as exc:
             # memory and the log now differ; reopening the log recovers

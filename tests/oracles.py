@@ -347,14 +347,22 @@ def whole_state_judge(db) -> None:
     with the same catalog, rebuilt from its descriptors: a committed state
     must satisfy the rules commit applies when it has to check everything.
     Raises what that commit raises."""
+    view = db.read_view()
+    judge_state(db.catalog, view.scan_type([desc.type_id for desc in db.catalog.types()]),
+                db._next_uid)
+
+
+def judge_state(catalog, rows, next_uid: int) -> None:
+    """Commit `rows`, a whole state under `catalog`, as one transaction of a
+    fresh database whose catalog is rebuilt from `catalog`'s descriptors and
+    whose next uid is `next_uid`.  Raises what that commit raises."""
     from graphtables import Database
     from graphtables.storage import Row
 
     fresh = Database()
-    fresh.published = (0, rebuilt_catalog(db.catalog))
-    fresh._next_uid = db._next_uid
+    fresh.published = (0, rebuilt_catalog(catalog))
+    fresh._next_uid = next_uid
     tx = fresh.begin()
-    view = db.read_view()
-    for row in view.scan_type([desc.type_id for desc in db.catalog.types()]):
+    for row in rows:
         tx.staged.put(row.uid, Row(row.uid, row.type_id, dict(row.values), row.ends))
     tx.commit()

@@ -64,7 +64,7 @@ class _PausingValues(dict):
 
 def test_commit_waits_for_a_value_index_build():
     store = Store()
-    writer = threading.Thread(target=store.apply, args=(2, {2: Row(2, 7, {"N": 1})}))
+    writer = threading.Thread(target=store.apply, args=(2, [(2, None, Row(2, 7, {"N": 1}))]))
     writer_waited = []
 
     def commit_during_build():
@@ -72,7 +72,7 @@ def test_commit_waits_for_a_value_index_build():
         writer.join(timeout=0.5)
         writer_waited.append(writer.is_alive())
 
-    store.apply(1, {1: Row(1, 7, _PausingValues(commit_during_build, N=1))})
+    store.apply(1, [(1, None, Row(1, 7, _PausingValues(commit_during_build, N=1)))])
     assert 1 in store.index_candidates(7, "N", 1)   # the first probe builds the index
     writer.join(timeout=10)
     assert not writer.is_alive()

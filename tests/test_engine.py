@@ -600,10 +600,21 @@ def test_a_whole_record_that_does_not_decode_is_refused_and_kept(tmp_path, paylo
     (b'{"seq": 2}', "KeyError: 'schema'"),
     (b'{"seq": 2, "schema": [], "rows": [["put", 1]], "next_uid": 3}', "IndexError"),
     (b'[1]', "TypeError"),
-], ids=["no schema", "short put", "not an object"])
+    (b'{"seq": "x", "schema": [], "rows": [], "next_uid": 3}',
+     "ValueError: seq 'x' is not an integer above 1"),
+    (b'{"seq": true, "schema": [], "rows": [], "next_uid": 3}', "ValueError: seq True is not"),
+    (b'{"seq": 1, "schema": [], "rows": [], "next_uid": 3}',
+     "ValueError: seq 1 is not an integer above 1"),
+    (b'{"seq": 2, "schema": [], "rows": [], "next_uid": "3"}',
+     "ValueError: next_uid '3' is not an integer"),
+    (b'{"seq": 2, "schema": [], "rows": [], "next_uid": false}', "ValueError: next_uid False"),
+], ids=["no schema", "short put", "not an object", "text seq", "bool seq",
+        "seq that does not rise", "text next_uid", "bool next_uid"])
 def test_a_record_of_the_wrong_shape_is_refused_and_kept(tmp_path, payload, error):
-    """A record that decodes but is not a commit record is refused with a
-    StorageError naming its byte offset, and the log is kept whole."""
+    """A record that decodes but is not a commit record, a seq that is not
+    an integer above the last record's or a next_uid that is not an integer
+    among others, is refused with a StorageError naming its byte offset, and
+    the log is kept whole."""
     path, _prefix, ends = two_commit_log(tmp_path)
     with open(path, "r+b") as fh:
         fh.truncate(ends[0])
@@ -614,6 +625,29 @@ def test_a_record_of_the_wrong_shape_is_refused_and_kept(tmp_path, payload, erro
                                            f"record .{error}"):
         Database(path)
     assert path.read_bytes() == data
+
+
+def test_a_lone_record_with_a_text_seq_is_refused_on_open(tmp_path):
+    """The open refuses it, before the first commit would add 1 to its
+    seq, and leaves the file as it was."""
+    from graphtables.log import encode_record
+    path = tmp_path / "one.db"
+    path.write_bytes(encode_record("x", [], [], 1))
+    with pytest.raises(StorageError, match="the record at byte 0 is not a commit record"):
+        Database(path).execute("CREATE (:P {N: 1})")
+    assert path.read_bytes() == encode_record("x", [], [], 1)
+
+
+def test_the_memory_name_opens_an_in_memory_database(tmp_path, monkeypatch):
+    """`Database(":memory:")` keeps no log, as `sqlite3.connect(":memory:")`
+    keeps no file, and writes nothing to the working directory."""
+    monkeypatch.chdir(tmp_path)
+    db = Database(":memory:")
+    db.execute("CREATE (:P {N: 1})")
+    assert db.path is None and db.name == "memory"
+    assert db.execute("MATCH (p:P) RETURN p.N").rows == [[1]]
+    db.close()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_commits_after_a_trimmed_tail_extend_the_log(tmp_path):
@@ -797,7 +831,7 @@ def test_a_record_of_every_value_kind_keeps_its_bytes():
     schema = [{"type_id": 2, "label": "E", "kind": "edge", "columns": [["ID", "integer", None, False]],
                "supertype": None, "primary_key": ["ID"], "unique_keys": [], "leaving_type": 1,
                "arriving_type": 1, "multiplicity": [0, None, 1, 2], "constraints": ["N < 3"]}]
-    assert encode_record(7, schema, rows, 99) == PINNED_RECORD
+    assert encode_record(7, schema, [(uid, None, row) for uid, row in rows.items()], 99) == PINNED_RECORD
 
 
 def test_reopen_drops_a_logged_check_on_a_column_its_type_no_longer_has(tmp_path, caplog):

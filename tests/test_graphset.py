@@ -28,7 +28,7 @@ def commit(gs: GraphSet, added_nodes=(), added_edges=(), removed_nodes=(), remov
     final.update({uid: Row(uid, NODE, {}) for uid in added_nodes})
     final.update({e: Row(e, EDGE, {}, (t, h)) for e, t, h in added_edges})
     changes = [(uid, store.latest(uid), row) for uid, row in sorted(final.items())]
-    store.apply(store.commit_seq + 1, final)
+    store.apply(store.commit_seq + 1, changes)
     gs.apply_delta(changes)
 
 

@@ -2,62 +2,72 @@
 staging grows, and a failed statement leaves the transaction as it found it."""
 
 import random
+import sys
 import time
 
 import pytest
 
 from graphtables.engine import Database
 from graphtables.errors import GraphTablesError
+from timing import assert_linear
 
 
 def test_match_create_chain_inside_one_transaction_stays_linear():
     # each statement looks up the node the previous one staged
-    db = Database()
-    sess = db.session()
-    sess.execute("CREATE (:P {N: 0})")
-    sess.execute("BEGIN")
-    started = time.perf_counter()
-    for k in range(1, 2501):
-        sess.execute(f"MATCH (a:P {{N: {k - 1}}}) CREATE (a)-[:S]->(:P {{N: {k}}})")
-    staging = time.perf_counter() - started
-    sess.execute("COMMIT")
-    hops = db.execute("MATCH (a:P)-[:S]->(b:P) WHERE b.N = a.N + 1 RETURN a.N")
-    assert len(hops) == 2500
-    assert staging < 2.0, f"2,500 chained statements took {staging:.2f} s to stage"
+    def stage(n):
+        db = Database()
+        sess = db.session()
+        sess.execute("CREATE (:P {N: 0})")
+        sess.execute("BEGIN")
+        started = time.perf_counter()
+        for k in range(1, n + 1):
+            sess.execute(f"MATCH (a:P {{N: {k - 1}}}) CREATE (a)-[:S]->(:P {{N: {k}}})")
+        staging = time.perf_counter() - started
+        sess.execute("COMMIT")
+        hops = db.execute("MATCH (a:P)-[:S]->(b:P) WHERE b.N = a.N + 1 RETURN a.N")
+        assert len(hops) == n
+        return staging
+    staging = assert_linear(stage, 625)
+    if sys.gettrace() is None:  # a line tracer slows every statement alike
+        assert staging < 2.0, f"2,500 chained statements took {staging:.2f} s to stage"
 
 
 def test_many_one_row_creates_inside_one_transaction_stay_linear():
-    db = Database()
-    sess = db.session()
-    sess.execute("CREATE (:P {N: 0})")
-    sess.execute("BEGIN")
-    stmt, params = db.statement("CREATE (:P {N: 1})")
-    started = time.perf_counter()
-    for _ in range(20000):
-        sess.execute_statement(stmt, params)
-    staging = time.perf_counter() - started
-    sess.execute("COMMIT")
-    assert len(db.execute("MATCH (p:P {N: 1}) RETURN p.ID")) == 20000
-    assert staging < 1.0, f"20,000 one-row CREATEs took {staging:.2f} s to stage"
+    def stage(n):
+        db = Database()
+        sess = db.session()
+        sess.execute("CREATE (:P {N: 0})")
+        sess.execute("BEGIN")
+        stmt, params = db.statement("CREATE (:P {N: 1})")
+        started = time.perf_counter()
+        for _ in range(n):
+            sess.execute_statement(stmt, params)
+        staging = time.perf_counter() - started
+        sess.execute("COMMIT")
+        assert len(db.execute("MATCH (p:P {N: 1}) RETURN p.ID")) == n
+        return staging
+    assert_linear(stage, 5000)
 
 
 def test_out_of_order_staged_updates_stay_linear():
     # each SET stages a committed row below the ones staged before it
-    db = Database()
-    sess = db.session()
-    sess.execute("BEGIN")
-    stmt, _ = db.statement("CREATE (:P {N: 0})")
-    for n in range(10000):
-        sess.execute_statement(stmt, (n,))
-    sess.execute("COMMIT")
-    sess.execute("BEGIN")
-    started = time.perf_counter()
-    for n in reversed(range(10000)):
-        sess.execute(f"MATCH (a:P {{N: {n}}}) SET a.V = 1")
-    rows = sess.execute("MATCH (a:P) RETURN a.N").rows
-    elapsed = time.perf_counter() - started
-    assert rows == [[n] for n in range(10000)]
-    assert elapsed < 2.0, f"10,000 descending SETs and a scan took {elapsed:.2f} s"
+    def update(count):
+        db = Database()
+        sess = db.session()
+        sess.execute("BEGIN")
+        stmt, _ = db.statement("CREATE (:P {N: 0})")
+        for n in range(count):
+            sess.execute_statement(stmt, (n,))
+        sess.execute("COMMIT")
+        sess.execute("BEGIN")
+        started = time.perf_counter()
+        for n in reversed(range(count)):
+            sess.execute(f"MATCH (a:P {{N: {n}}}) SET a.V = 1")
+        rows = sess.execute("MATCH (a:P) RETURN a.N").rows
+        elapsed = time.perf_counter() - started
+        assert rows == [[n] for n in range(count)]
+        return elapsed
+    assert_linear(update, 2500)
 
 
 def test_lookup_first_built_inside_a_failed_statement_finds_the_restored_row():
