@@ -114,14 +114,13 @@ class Database:
         if self.path is not None:
             if self.path.exists():
                 valid = 0
-                # live row and the seq of the last record that wrote it or
-                # moved an edge off it, by uid
+                # live row by uid; the components built from them hold the
+                # open's last seq, since no reader has a memo of them yet
                 final: dict[int, Row] = {}
-                stamps: dict[int, int] = {}
                 with open(self.path, "rb") as fh:
                     for payload in logmod.read_records(fh):
                         try:
-                            self._apply_record(payload, final, stamps)
+                            self._apply_record(payload, final)
                         except (LookupError, TypeError, AttributeError, ValueError) as exc:
                             raise StorageError(
                                 f"commit log {self.path}: the record at byte {valid} is not "
@@ -138,7 +137,7 @@ class Database:
                 for label, text in self.catalog.drop_unreadable_checks():
                     logmod.log.warning(f"commit log keeps check ({text}) of {label} on a "
                                        "column it no longer has; dropping the check")
-                self._rebuild_graphs(final, stamps)
+                self._rebuild_graphs(final)
             # unbuffered: a failed append leaves no bytes behind for a later write
             self._log_fh = open(self.path, "ab", buffering=0)
             self._log_size = self._log_fh.tell()
@@ -185,10 +184,9 @@ class Database:
 
     # --- opening an existing log ---
 
-    def _apply_record(self, payload: dict, final: dict[int, Row],
-                      stamps: dict[int, int]) -> None:
-        """Apply one record's schema and fold its rows into `final` and
-        `stamps`; every op is decoded and checked, none is applied.  A `seq`
+    def _apply_record(self, payload: dict, final: dict[int, Row]) -> None:
+        """Apply one record's schema and fold its rows into `final`; every
+        op is decoded and checked, none is applied.  A `seq`
         that is not an integer above the last one's, or a `next_uid` that is
         not an integer (a bool is neither), raises ValueError."""
         catalog, seq = self.catalog, payload["seq"]
@@ -202,34 +200,28 @@ class Database:
             raise StorageError(f"log {self.path}: record {seq} holds a value that does "
                                f"not decode ({exc})") from exc
         for op in ops:
-            before = final.pop(op[1], None)
-            if before is not None and before.ends is not None:
-                stamps[before.ends[0]] = stamps[before.ends[1]] = seq  # the component it leaves
             if op[0] == "del":
-                continue
-            if op[4] is None and catalog.get(op[2]).kind == cat.KIND_EDGE:
-                # one replay path: logs from before puts carried ends are not read
+                final.pop(op[1], None)
+            elif (op[4] is None or None in op[4]) and catalog.get(op[2]).kind == cat.KIND_EDGE:
+                # one replay path: logs from before puts carried ends are not read,
+                # and commit refuses an edge that ends at no node
                 raise StorageError(f"log {self.path}: record {seq} puts edge "
                                    f"{op[1]} without its endpoint uids")
-            final[op[1]] = Row(*op[1:])
-            stamps[op[1]] = seq
+            else:
+                final[op[1]] = Row(*op[1:])
         if type(payload["next_uid"]) is not int:
             raise ValueError(f"next_uid {payload['next_uid']!r} is not an integer")
         self.published = (seq, catalog)
         self.logged_next_uid = payload["next_uid"]
         self._next_uid = max(self._next_uid, self.logged_next_uid)
 
-    def _rebuild_graphs(self, rows: dict[int, Row], stamps: dict[int, int]) -> None:
-        """Build the components of the live `rows`; each takes the latest
-        stamp of its members, the seq its writer's registry gave it."""
-        for uid in sorted(rows):
-            ends = rows[uid].ends
-            if ends is None:
+    def _rebuild_graphs(self, rows: dict[int, Row]) -> None:
+        """Build the components of the live `rows`, each with the open's seq."""
+        for uid, row in rows.items():
+            if row.ends is None:
                 self.graphs.add_node(uid)
-            elif None not in ends:
-                self.graphs.add_edge(uid, *ends)
-        for comp in self.graphs.components():
-            comp.seq = max(stamps.get(uid, 0) for uid in (*comp.nodes, *comp.edges))
+            else:
+                self.graphs.add_edge(uid, *row.ends)
 
     # --- statement templates ---
 

@@ -8,7 +8,9 @@ it cuts off holds a surviving end of a removed edge, so only a component
 with two such seeds is searched, from each in turn until at most one search
 can grow (Even and Shiloach 1981): a split costs about twice its smaller side.
 A component's `seq` is the seq of the last commit that changed its membership
-or wrote one of its rows, or of the commit it was made in.
+or wrote one of its rows, or of the commit it was made in; the components an
+open builds hold the open's last seq.  Each node uid maps to its component,
+and the components are the values of that map, since each holds a node.
 """
 
 from __future__ import annotations
@@ -32,11 +34,10 @@ class GraphSet:
 
     def __init__(self, store):
         self.store = store
-        self._components: dict[int, GraphComponent] = {}
         self._comp_of: dict[int, GraphComponent] = {}
 
     def components(self) -> list[GraphComponent]:
-        return [self._components[rep] for rep in sorted(self._components)]
+        return sorted(set(self._comp_of.values()), key=lambda comp: comp.representative)
 
     def component_of(self, uid: int) -> GraphComponent:
         comp = self._comp_of.get(uid)
@@ -47,11 +48,8 @@ class GraphSet:
     # --- incremental maintenance ---
 
     def add_node(self, uid: int) -> None:
-        if uid in self._comp_of:
-            return
-        comp = GraphComponent(uid, self.store.commit_seq)
-        self._components[uid] = comp
-        self._comp_of[uid] = comp
+        if uid not in self._comp_of:
+            self._comp_of[uid] = GraphComponent(uid, self.store.commit_seq)
 
     def add_edge(self, edge_uid: int, leaving: int, arriving: int) -> None:
         for end in (leaving, arriving):
@@ -63,16 +61,12 @@ class GraphSet:
             return
         if len(a.nodes) < len(b.nodes):
             a, b = b, a
-        del self._components[b.representative]
         for uid in b.nodes:
             self._comp_of[uid] = a
         a.nodes |= b.nodes
         a.edges |= b.edges
         a.edges.add(edge_uid)
-        if b.representative < a.representative:
-            del self._components[a.representative]
-            a.representative = b.representative
-            self._components[b.representative] = a
+        a.representative = min(a.representative, b.representative)
 
     def apply_delta(self, changes) -> None:
         """Follow one commit, after the store has published it.  `changes`
@@ -94,13 +88,10 @@ class GraphSet:
                 touched.setdefault(comp, set())
         for comp, seeds in touched.items():
             comp.seq = self.store.commit_seq  # a piece a split cuts off is made with it
-            del self._components[comp.representative]
             if len(seeds) > 1:
                 self._split(comp, seeds)
-            if comp.nodes:
-                if comp.representative not in comp.nodes:
-                    comp.representative = min(comp.nodes)
-                self._components[comp.representative] = comp
+            if comp.nodes and comp.representative not in comp.nodes:
+                comp.representative = min(comp.nodes)
         for uid, before, after in changes:  # add_edge adds the nodes it ends at
             if after is not None:
                 if before is None or before.ends != after.ends:
@@ -138,4 +129,3 @@ class GraphSet:
                 comp.nodes -= nodes
                 comp.edges -= edges
                 self._comp_of.update(dict.fromkeys(nodes, part))
-                self._components[part.representative] = part

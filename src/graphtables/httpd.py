@@ -24,10 +24,11 @@ ensure_ascii=False)` gives for the document's dict form, UTF-8 encoded.
 A document depends only on its members' rows and the catalog it is read with
 (label, key column, column order).  So each database keeps one memo of the
 texts made under one catalog, one entry per component (held weakly): its `seq`
-(see `graphset`), its texts `uid -> (row, text)` and, at that seq, its whole
-document's node and edge texts, which a whole document serves while the seq
-holds, reading no member (as an entity tag validates a cached response, RFC
-9110 §8.8).  A miss reuses a text only when the row its snapshot reads `is`
+(see `graphset`; an open gives each component it builds the open's last seq,
+and the memo of a database starts empty), its texts `uid -> (row, text)` and,
+at that seq, its whole document's node and edge texts, which a whole document
+serves while the seq holds, reading no member (as an entity tag validates a
+cached response, RFC 9110 §8.8).  A miss reuses a text only when the row its snapshot reads `is`
 the text's row, and keeps only its members' texts; a `depth` document adds
 texts to its anchor component's entry.  This is sound because committed rows
 are never mutated (SET, a restaged edge, DROP COLUMN and a rekey each stage a

@@ -4,13 +4,14 @@ Record framing: 4-byte big-endian payload length, 4-byte CRC32 of the payload,
 then the JSON payload `{"seq", "schema", "rows", "next_uid"}`.  A record is
 self-contained: it carries the full descriptors the transaction changed and
 its physical row ops, `["del", uid]` or `["put", uid, type_id, {col: value}]`
-plus, for an edge, the `[leaving uid, arriving uid]` commit bound it to (null
-for a side with no node).  So replay re-runs no validation and looks up no
-endpoint: it decodes and checks every record, folds the rows into the last
-one each live uid was given, and applies that state once.  A torn trailing
-record (incomplete frame or checksum mismatch) is skipped with a warning and
-reading stops there; a whole record whose payload does not decode is refused
-with a `StorageError` naming its byte offset.
+plus, for an edge, the `[leaving uid, arriving uid]` commit bound it to (commit
+refuses an edge that ends at no node, so replay refuses a null end).  So
+replay re-runs no validation and looks up no endpoint: it decodes and checks
+every record, folds the rows into the last one each live uid was given, and
+applies that state once.  A torn trailing record (incomplete frame or checksum
+mismatch) is skipped with a warning and reading stops there; a whole record
+whose payload does not decode is refused with a `StorageError` naming its byte
+offset.
 """
 
 from __future__ import annotations

@@ -195,8 +195,8 @@ class Store:
         self._versions: dict[int, list[_Version]] = {}
         self.index = _Index()
         self.memo: tuple[int, dict] = (0, {})
-        # (seq, uids whose newest version that commit ended), oldest first
-        self._ended: deque[tuple[int, list[int]]] = deque()
+        # (seq, (uid, row) of each version that commit ended), oldest first
+        self._ended: deque[tuple[int, list[tuple[int, Row]]]] = deque()
 
     # --- reads against a snapshot ---
 
@@ -231,8 +231,8 @@ class Store:
         """Apply one commit's `changes`, (uid, row before, row after) per uid,
         None where a row is absent.  Then `publish()` shows the commit to
         readers and returns the oldest snapshot one still holds (`seq` with
-        no `publish`), and every version that ended at or before it goes:
-        at once, unqueued, when nothing older waits and no pin reads before `seq`."""
+        no `publish`), and every version that ended at or before it goes,
+        through `_ended`, oldest commit first."""
         with self._lock:
             versions, rows, ended = self._versions, [], []
             for uid, old, row in changes:
@@ -246,19 +246,16 @@ class Store:
                 self.index.add(rows)
             self.commit_seq, self.memo = seq, (seq, {})
             oldest, queue = publish() if publish is not None else seq, self._ended
-            if queue or oldest < seq:
-                if ended:
-                    queue.append((seq, ended))
-                ended = []
-                while queue and queue[0][0] <= oldest:
-                    ended += queue.popleft()[1]
-            for uid, old in ended:  # by seq, each the oldest version of its uid
-                kept = versions[uid][1:]
-                if kept:
-                    versions[uid] = kept
-                else:
-                    del versions[uid]
-                self.index.discard(old, kept)
+            if ended:
+                queue.append((seq, ended))
+            while queue and queue[0][0] <= oldest:
+                for uid, old in queue.popleft()[1]:  # each the oldest version of its uid
+                    kept = versions[uid][1:]
+                    if kept:
+                        versions[uid] = kept
+                    else:
+                        del versions[uid]
+                    self.index.discard(old, kept)
 
 
 _ABSENT = object()

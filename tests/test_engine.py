@@ -303,24 +303,51 @@ def test_replay_looks_up_no_endpoint(tmp_path, monkeypatch):
     db2.close()
 
 
-def test_edge_put_without_ends_is_refused_on_open(tmp_path):
-    path = tmp_path / "old.db"
-    db = Database(path)
-    db.execute("CREATE (:P {N: 1})-[:S]->(:P {N: 2})")
-    db.close()
+def rewrite_edge_put(path, ends):
+    """Rewrite the log's one edge put to hold `ends` (none when None), with
+    each record's checksum recomputed; returns (seq, edge uid, new bytes)."""
     with open(path, "rb") as fh:
         payloads = list(read_records(fh))
     ((seq, edge),) = [(p["seq"], op) for p in payloads for op in p["rows"] if len(op) == 5]
-    del edge[4]  # as a record written before puts carried endpoint uids
+    if ends is None:
+        del edge[4]
+    else:
+        edge[4] = ends
     frames = b""
     for payload in payloads:
         data = json.dumps(payload).encode("utf-8")
         frames += struct.pack(">II", len(data), zlib.crc32(data)) + data
     path.write_bytes(frames)
+    return seq, edge[1], frames
 
-    with pytest.raises(StorageError, match=f"record {seq} puts edge {edge[1]} without its "
+
+def test_edge_put_without_ends_is_refused_on_open(tmp_path):
+    path = tmp_path / "old.db"
+    db = Database(path)
+    db.execute("CREATE (:P {N: 1})-[:S]->(:P {N: 2})")
+    db.close()
+    # as a record written before puts carried endpoint uids
+    seq, edge, _ = rewrite_edge_put(path, None)
+
+    with pytest.raises(StorageError, match=f"record {seq} puts edge {edge} without its "
                                            "endpoint uids"):
         Database(path)
+
+
+def test_edge_put_with_a_null_end_is_refused_on_open_and_the_log_kept(tmp_path):
+    """Commit refuses an edge that ends at no node, so a put whose ends hold
+    a null is damage: open names its record and leaves the file as it was."""
+    path = tmp_path / "dangling.db"
+    db = Database(path)
+    db.execute("CREATE (:P {N: 1}), (:P {N: 2}), (:P {N: 3}), (:P {N: 4}), (:P {N: 5})")
+    db.execute("MATCH (a:P {N: 4}), (b:P {N: 5}) CREATE (a)-[:S]->(b)")
+    db.close()
+    seq, edge, frames = rewrite_edge_put(path, [None, 5])
+
+    with pytest.raises(StorageError, match=f"record {seq} puts edge {edge} without its "
+                                           "endpoint uids"):
+        Database(path)
+    assert path.read_bytes() == frames
 
 
 def live_uids(db):

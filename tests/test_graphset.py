@@ -218,16 +218,30 @@ def test_committed_statements_match_union_find(seed):
             assert all(db.graphs.component_of(uid) is comp for uid in comp.nodes)
 
 
-def test_a_commit_stamps_each_component_it_changes_with_its_seq():
+def test_a_commit_stamps_each_component_it_changes_with_its_seq(tmp_path):
     """`seq` is the seq of the last commit that changed a component's
     membership or wrote one of its rows: a link, both pieces of an unlink,
     a node or edge SET, an edge delete and a DELETE ... CASCADE stamp it, and a
-    rolled-back or refused commit stamps nothing."""
-    db = Database()
+    rolled-back or refused commit stamps nothing.  The same holds in a
+    database just reopened, whose components all hold the open's seq."""
+    path = tmp_path / "stamps.db"
+    db = Database(path)
     for text in GRAPH_SCHEMA:
         db.execute(text)
     db.execute("CREATE (:N {K: 1})-[:E {W: 0}]->(:N {K: 2}), (:N {K: 3})-[:E {W: 0}]->(:N {K: 4}), "
                "(:N {K: 5})")
+    log = path.read_bytes()
+    check_stamps(db)
+    db.close()
+    path.write_bytes(log)
+    db = Database(path)
+    assert {comp.seq for comp in db.graphs.components()} == {db.store.commit_seq}
+    check_stamps(db)
+    db.close()
+
+
+def check_stamps(db):
+    """The stamping checks, on `db` just after the CREATE above."""
     uid = {row.values["K"]: row.uid
            for row in db.read_view().scan_type({db.catalog.lookup_label("N").type_id})}
 
@@ -264,16 +278,16 @@ def test_a_commit_stamps_each_component_it_changes_with_its_seq():
 
 
 def registry(db):
-    """Representative -> (node uids, edge uids, seq) of every component."""
-    return {comp.representative: (comp.nodes, comp.edges, comp.seq)
-            for comp in db.graphs.components()}
+    """Representative -> (node uids, edge uids) of every component."""
+    return {comp.representative: (comp.nodes, comp.edges) for comp in db.graphs.components()}
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_reopen_rebuilds_each_component_with_its_writers_seq(tmp_path, seed):
     """A seeded stream of merges, splits, retargets and cascades: the
-    registry that reopen builds from the live rows equals the writer's,
-    membership and each component's seq alike."""
+    registry that reopen builds from the live rows equals the writer's in
+    membership and representatives, and each component holds the open's seq,
+    the writer's last."""
     rng = random.Random(seed)
     path = tmp_path / "graph.db"
     db = Database(path)
@@ -289,11 +303,12 @@ def test_reopen_rebuilds_each_component_with_its_writers_seq(tmp_path, seed):
                 session.execute(text)
             except GraphTablesError:
                 pass
-    written = registry(db)
+    written, seq = registry(db), db.store.commit_seq
     db.close()
 
     reopened = Database(path)
     assert registry(reopened) == written
+    assert {comp.seq for comp in reopened.graphs.components()} == {seq}
     reopened.close()
 
 
@@ -317,6 +332,7 @@ def test_reopen_after_each_commit_of_a_split_and_merge_history_keeps_the_registr
         db.execute(text)
         reopened = Database(path)
         assert registry(reopened) == registry(db), text
+        assert {comp.seq for comp in reopened.graphs.components()} == {db.store.commit_seq}
         reopened.close()
-    assert len({seq for _, _, seq in registry(db).values()}) == 3
+    assert len({comp.seq for comp in db.graphs.components()}) == 3
     db.close()

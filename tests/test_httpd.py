@@ -620,6 +620,31 @@ def test_documents_equal_the_documents_of_a_reopened_log(tmp_path, seed):
     db.close()
 
 
+def test_a_set_just_after_reopen_is_served_to_the_next_whole_fetch(tmp_path):
+    """Every component a reopen builds holds the open's seq, and the first
+    commit after it stamps a higher one, so the memo's whole document of a
+    component fetched before a SET on a member is not served after it."""
+    path = tmp_path / "family.db"
+    db = Database(path)
+    db.execute(FAMILY_CREATE)
+    db.close()
+    db = Database(path)
+    server = serve_in_thread(db, 0)
+    port, whole = server.server_address[1], anchor_path(db="family")
+    try:
+        status, before = fetch(port, whole)
+        assert status == 200 and len(before["nodes"]) == 5
+        db.execute("MATCH (p:Person {NAME: 'Lee Smith'}) SET p.NAME = 'Lee Jones'")
+        status, after = fetch(port, whole)
+    finally:
+        server.shutdown()
+        server.server_close()
+        db.close()
+    assert status == 200
+    assert [n["properties"]["NAME"] for n in after["nodes"]] == [
+        "Fred Smith", "Peter Smith", "Mary Smith", "Lee Jones", "Bill Smith"]
+
+
 def test_the_memo_holds_one_text_per_uid_and_one_map_per_database():
     db = Database()
     db.execute("CREATE (:P {N: 1, V: 0})-[:S]->(:P {N: 2, V: 0})")
