@@ -44,6 +44,10 @@ from .syntax import (BeginStatement, CommitStatement, RollbackStatement, shareab
 # first, and the most keys it remembers having parsed once
 _TEMPLATES = 256
 _SIGHTINGS = 4096
+# a commit rewrites the log as one record of the live rows once the log's
+# dead row ops (its row ops less the live rows) outnumber both the live rows
+# and this floor, so the log stays under about twice its live state
+_CHECKPOINT_FLOOR = 2000
 
 
 class ResultTable:
@@ -106,12 +110,14 @@ class Database:
         # transactions that roll back advance `_next_uid` but not this
         self.logged_next_uid = 1
         self._log_fh = None
-        # the log's length after its last whole record, and why every commit
-        # is refused once a torn record could not be cut away or a logged
-        # commit could not be applied
-        self._log_size = 0
+        # the log's length after its last whole record, the row ops its
+        # records hold, and why every commit is refused once a torn record
+        # could not be cut away or a logged commit could not be applied
+        self._log_size = self._log_ops = 0
         self.refusal: str | None = None
         if self.path is not None:
+            # a checkpoint that did not reach its rename; the log is whole
+            self._checkpoint_path().unlink(missing_ok=True)
             if self.path.exists():
                 valid = 0
                 # live row by uid; the components built from them hold the
@@ -126,6 +132,7 @@ class Database:
                                 f"commit log {self.path}: the record at byte {valid} is not "
                                 f"a commit record ({type(exc).__name__}: {exc})") from exc
                         valid = fh.tell()
+                        self._log_ops += len(payload["rows"])
                     end = fh.seek(0, 2)
                 # no snapshot before the log's end exists: one version per live row
                 self.store.apply(self.published[0],
@@ -152,10 +159,10 @@ class Database:
     def peek_uid(self) -> int:
         return self._next_uid
 
-    def append_log_record(self, data: bytes) -> None:
-        """Append one commit record.  If the write or fsync fails, the log
-        is cut back to its last whole record and StorageError raised; if
-        that cut fails too, every later commit is refused."""
+    def append_log_record(self, data: bytes, ops: int) -> None:
+        """Append one commit record of `ops` row ops.  If the write or fsync
+        fails, the log is cut back to its last whole record and StorageError
+        raised; if that cut fails too, every later commit is refused."""
         if self.refusal is not None:
             raise StorageError(self.refusal)
         if self._log_fh is None:
@@ -176,6 +183,63 @@ class Database:
             raise StorageError(f"log {self.path}: append failed ({exc}); "
                                "the commit was not made") from exc
         self._log_size += len(data)
+        self._log_ops += ops
+
+    def _checkpoint_path(self) -> pathlib.Path:
+        return self.path.with_name(self.path.name + ".tmp")
+
+    def checkpoint(self) -> None:
+        """Rewrite the log as one commit record of the latest state: every
+        descriptor, by type id, and a put of every live row, by uid, under
+        the latest seq and logged next uid.  It is written to `<log>.tmp`,
+        fsynced even without `fsync`, renamed over the log, and the directory
+        is fsynced.  If a step before the rename fails, StorageError is raised
+        and the log is kept whole (the next open deletes the tmp file); if a
+        step after it fails, every later commit is refused too."""
+        if self._log_fh is None:
+            return
+        with self.commit_lock:
+            if self.refusal is not None:
+                raise StorageError(self.refusal)
+            seq, catalog = self.published
+            tmp = self._checkpoint_path()
+            try:
+                with open(tmp, "wb") as fh:
+                    logmod.write_record(fh, seq, [catalog.descriptor_to_dict(d)
+                                                  for d in catalog.types()],
+                                        self.store.live_rows(), self.logged_next_uid)
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                os.replace(tmp, self.path)
+            except OSError as exc:
+                raise StorageError(f"log {self.path}: checkpoint failed ({exc}); "
+                                   "the log is kept") from exc
+            try:
+                self._log_fh.close()
+                self._log_fh = open(self.path, "ab", buffering=0)
+                directory = os.open(self.path.parent, os.O_RDONLY)
+                try:
+                    os.fsync(directory)
+                finally:
+                    os.close(directory)
+            except OSError as exc:
+                # appends would miss the log, or outlive a rename that is lost
+                self.refusal = (f"log {self.path} was rewritten, but not made durable "
+                                f"({exc}); commits are refused")
+                raise StorageError(self.refusal) from exc
+            self._log_size, self._log_ops = self._log_fh.tell(), self.store.live
+
+    def checkpoint_if_due(self) -> None:
+        """Checkpoint once the log's dead row ops outnumber both its live
+        rows and `_CHECKPOINT_FLOOR`.  A failed checkpoint only warns: the
+        commit that was due to trigger it stands, and the log is whole."""
+        live = self.store.live
+        dead = self._log_ops - live
+        if dead > live and dead > _CHECKPOINT_FLOOR:
+            try:
+                self.checkpoint()
+            except StorageError as exc:
+                logmod.log.warning(str(exc))
 
     def close(self) -> None:
         if self._log_fh is not None:

@@ -192,6 +192,7 @@ class Store:
     def __init__(self):
         self._lock = threading.Lock()
         self.commit_seq = 0
+        self.live = 0  # uids with a row at the latest commit
         self._versions: dict[int, list[_Version]] = {}
         self.index = _Index()
         self.memo: tuple[int, dict] = (0, {})
@@ -210,6 +211,14 @@ class Store:
         """The row as of the last commit; only the newest version can be open."""
         versions = self._versions.get(uid)
         return versions[-1].row if versions and versions[-1].end is None else None
+
+    def live_rows(self):
+        """The row of each live uid at the latest commit, uid ascending."""
+        versions = self._versions
+        for uid in sorted(versions):
+            version = versions[uid][-1]
+            if version.end is None:
+                yield version.row
 
     def newest(self, uid: int) -> _Version | None:
         """The last version of `uid`, open or ended."""
@@ -244,6 +253,7 @@ class Store:
                     rows.append(row)
             if rows:
                 self.index.add(rows)
+            self.live += len(rows) - len(ended)
             self.commit_seq, self.memo = seq, (seq, {})
             oldest, queue = publish() if publish is not None else seq, self._ended
             if ended:
@@ -1016,7 +1026,8 @@ class _Commit:
         schema = [catalog.descriptor_to_dict(catalog.get(tid))
                   for tid in sorted(self.changed)] if self.changed else []
         next_uid = db.peek_uid()
-        db.append_log_record(logmod.encode_record(seq, schema, self.changes, next_uid))
+        db.append_log_record(logmod.encode_record(seq, schema, self.changes, next_uid),
+                             len(self.changes))
         try:
             db.logged_next_uid = next_uid
             self.store.apply(seq, self.changes, lambda: db.publish(seq, catalog))
@@ -1026,3 +1037,4 @@ class _Commit:
             db.refusal = (f"commit {seq} was logged but not applied ({exc!r}); "
                           "commits are refused")
             raise StorageError(db.refusal) from exc
+        db.checkpoint_if_due()

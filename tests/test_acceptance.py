@@ -300,7 +300,29 @@ def test_criterion_7_every_prefix_replays_to_the_same_state(tmp_path):
     # cuts inside the next record replay to the same prefix
     for k, extra in ((0, 3), (25, 5), (60, 11), (99, 7)):
         assert reopened_hash(offsets[k] + extra) == hashes[k], f"torn after {k}"
-    return "100-transaction log: all 101 prefixes and 4 torn cuts hash equal"
+
+    # the same transactions again, with a checkpoint after a seeded one:
+    # the log is then one record of that state and a record per later commit
+    at = random.Random(70700).randrange(1, 100)
+    path.unlink()
+    db = Database(path)
+    for k, text in enumerate(hundred_transactions(), 1):
+        db.execute(text)
+        assert db.state_hash() == hashes[k], f"rerun {k}"
+        if k == at:
+            db.checkpoint()
+            assert db.state_hash() == hashes[k], "checkpoint"
+    db.close()
+    data = path.read_bytes()
+    offsets = record_ends(path)
+    assert len(offsets) == 101 - at
+    for j, cut in enumerate(offsets):
+        assert reopened_hash(cut) == hashes[at + j], f"prefix {j} after the checkpoint"
+    for j, extra in ((0, 3), (len(offsets) // 3, 5), (len(offsets) // 2, 11),
+                     (len(offsets) - 2, 7)):
+        assert reopened_hash(offsets[j] + extra) == hashes[at + j], f"torn {j} after it"
+    return (f"100-transaction log: all 101 prefixes and 4 torn cuts hash equal; checkpointed "
+            f"after {at}, its {len(offsets)} prefixes and 4 torn cuts hash equal")
 
 
 @criterion(8)

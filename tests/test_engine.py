@@ -603,6 +603,65 @@ def test_corrupt_tail_checksum_is_dropped(tmp_path):
     db.close()
 
 
+def test_a_flipped_byte_cuts_only_the_last_record(tmp_path):
+    """A byte flipped in any record but the last is damage, not a torn
+    tail: open refuses it, naming the bad record's byte offset and the seq
+    of the whole record after it, and leaves the file as it was.  A byte
+    flipped in the last record cuts that record away, as a torn tail, and
+    so does damage that runs to the end of the log."""
+    path = tmp_path / "flip.db"
+    db = Database(path, fsync=True)
+    hashes = [db.state_hash()]
+    for text in ("CREATE (:P {K: 1})", "CREATE (:P {K: 2})-[:E]->(:P {K: 3})",
+                 "MATCH (p:P {K: 1}) SET p.K = 4"):
+        db.execute(text)
+        hashes.append(db.state_hash())
+    db.close()
+    data = path.read_bytes()
+    starts = [0] + record_ends(path)
+    assert len(starts) == 4 and starts[-1] == len(data)
+    for k in range(3):
+        for at in range(starts[k], starts[k + 1]):
+            flipped = bytearray(data)
+            flipped[at] ^= 0xFF
+            path.write_bytes(bytes(flipped))
+            if k < 2:
+                with pytest.raises(StorageError, match=f"the record at byte {starts[k]} is "
+                                   f"damaged, but a whole record .seq {k + 2}. follows it "
+                                   f"at byte {starts[k + 1]}; the log is kept"):
+                    Database(path)
+                assert path.read_bytes() == flipped, at
+            else:
+                reopened = Database(path)
+                assert reopened.state_hash() == hashes[2], at
+                reopened.close()
+                assert path.read_bytes() == data[:starts[2]], at
+    # with the last record damaged too, no whole record follows the second
+    flipped = bytearray(data)
+    flipped[starts[1] + 20] ^= 0xFF
+    flipped[starts[2] + 20] ^= 0xFF
+    path.write_bytes(bytes(flipped))
+    reopened = Database(path)
+    assert reopened.state_hash() == hashes[1]
+    reopened.close()
+    assert path.read_bytes() == data[:starts[1]]
+
+
+def test_every_crash_state_of_the_last_record_opens_to_the_commit_before_it(tmp_path):
+    """A crash leaves the last record cut at any byte, or, on a file system
+    that grew the file before writing its data, zero-filled from any byte
+    on: each such log opens to the commit before that record."""
+    path, prefix, ends = two_commit_log(tmp_path)
+    data = path.read_bytes()
+    for cut in range(ends[0], ends[1]):
+        for tail in (b"", bytes(ends[1] - cut)):
+            path.write_bytes(data[:cut] + tail)
+            db = Database(path)
+            assert db.state_hash() == prefix, (cut, len(tail))
+            db.close()
+            assert path.read_bytes() == data[:ends[0]]
+
+
 @pytest.mark.parametrize("payload, reason", [
     (b'{"seq": 2,', "does not decode"),
     (b'{"seq": 2, "schema": [], "rows": [], "next_uid": 3} {}', "does not decode .Extra data"),
